@@ -33,6 +33,8 @@ from .operators import (
 )
 from .quadrature import (
     QuadratureConfig,
+    axis_integrals,
+    combine_axes,
     coordinate_integral,
     coordinate_rule,
     integrate_separable,
@@ -147,7 +149,10 @@ def _axis_integrand(op: MomentumOperator, factor):
     return integrand
 
 
-def _boundary_term(op: MomentumOperator, state: SeparableState, cfg: QuadratureConfig) -> float:
+def _boundary_term(
+    op: MomentumOperator, state: SeparableState, cfg: QuadratureConfig, other: float
+) -> float:
+    # -(hbar/2) [w |f|^2] on the operator's axis, times the other axes' norms
     spec = state.system.coords[op.axis]
     factor = state.factors[op.axis]
     rule = coordinate_rule(spec, cfg.order_for(spec), cfg.radial_scale)
@@ -159,10 +164,6 @@ def _boundary_term(op: MomentumOperator, state: SeparableState, cfg: QuadratureC
     def surface(q: float) -> float:
         return float(spec.weight.value(q)) * abs(complex(factor.evaluate(q))) ** 2
 
-    other = 1.0
-    for j, (sp, fa) in enumerate(zip(state.system.coords, state.factors)):
-        if j != op.axis:
-            other *= coordinate_integral(sp, _density(fa), cfg.order_for(sp), cfg.radial_scale).real
     return -0.5 * op.hbar * (surface(hi) - surface(lo)) * other
 
 
@@ -182,18 +183,16 @@ def expectation(
     base = config if config is not None else QuadratureConfig()
     cfg = base.with_scale(state.radial_scale)
 
-    integrands = []
-    for j, factor in enumerate(state.factors):
-        if j == op.axis:
-            integrands.append(_axis_integrand(op, factor))
-        else:
-            integrands.append(_density(factor))
-    value, qerr = integrate_separable(state.system, integrands, cfg)
-    boundary = _boundary_term(op, state, cfg)
+    integrands = [
+        _axis_integrand(op, f) if j == op.axis else _density(f) for j, f in enumerate(state.factors)
+    ]
+    pairs = axis_integrals(state.system, integrands, cfg)
+    value, qerr = combine_axes(pairs)
+    other = math.prod(full.real for j, (full, _) in enumerate(pairs) if j != op.axis)
     return ExpectationReport(
         value=value,
         hermiticity_defect=value.imag,
-        boundary_term=boundary,
+        boundary_term=_boundary_term(op, state, cfg, other),
         quadrature_error=qerr,
     )
 
@@ -218,18 +217,16 @@ def drift_expectation(
     """<g_axis>: the bulk piece of the naive operator's defect law."""
     base = config if config is not None else QuadratureConfig()
     cfg = base.with_scale(state.radial_scale)
-    spec = state.system.coords[axis]
-    g = measure_factor(spec).drift
+    g = measure_factor(state.system.coords[axis]).drift
     ev = state.factors[axis].evaluate
 
-    def integrand(q):
+    def drift_density(q):
         return g(q) * np.abs(np.asarray(ev(q))) ** 2
 
-    out = coordinate_integral(spec, integrand, cfg.order_for(spec), cfg.radial_scale).real
-    for j, (sp, fa) in enumerate(zip(state.system.coords, state.factors)):
-        if j != axis:
-            out *= coordinate_integral(sp, _density(fa), cfg.order_for(sp), cfg.radial_scale).real
-    return out
+    integrands = [
+        drift_density if j == axis else _density(f) for j, f in enumerate(state.factors)
+    ]
+    return integrate_separable(state.system, integrands, cfg)[0].real
 
 
 def ci_uniqueness_demo(
@@ -453,23 +450,21 @@ def _suite_fd_derivative() -> SuiteResult:
 
 def _suite_normalization(cfg: QuadratureConfig, constants: PhysicalConstants) -> SuiteResult:
     t = _Tally("normalization")
-    for n in range(1, 5):
-        for L in range(n):
-            for M in range(-L, L + 1):
-                state = hydrogen_state(QuantumNumbers(n, L, M), constants)
-                densities = [_density(f) for f in state.factors]
-                norm_sq, _ = integrate_separable(
-                    state.system, densities, cfg.with_scale(state.radial_scale)
-                )
-                t.add(norm_sq.real - 1.0, 1e-10)
-    for system in preset_systems().values():
-        for k in range(3):
-            trial = random_bound_trial(system, 900 + k, constants)
-            densities = [_density(f) for f in trial.factors]
-            norm_sq, _ = integrate_separable(
-                system, densities, cfg.with_scale(trial.radial_scale)
-            )
-            t.add(norm_sq.real - 1.0, 1e-10)
+    states = [
+        hydrogen_state(QuantumNumbers(n, L, M), constants)
+        for n in range(1, 5)
+        for L in range(n)
+        for M in range(-L, L + 1)
+    ]
+    states += [
+        random_bound_trial(system, 900 + k, constants)
+        for system in preset_systems().values()
+        for k in range(3)
+    ]
+    for state in states:
+        densities = [_density(f) for f in state.factors]
+        norm_sq, _ = integrate_separable(state.system, densities, cfg.with_scale(state.radial_scale))
+        t.add(norm_sq.real - 1.0, 1e-10)
     return t.result()
 
 

@@ -52,7 +52,6 @@ def _common_options(fn):
         default=None,
         help="JSON file with keys hbar, m, e2; required with --units si.",
     )(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True, help="Base seed for trial states.")(fn)
     fn = click.option(
         "--format",
         "fmt",
@@ -72,6 +71,11 @@ def _common_options(fn):
         help="Unit system for constants and output.",
     )(fn)
     return fn
+
+
+_seed_option = click.option(
+    "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Base seed for trial states."
+)
 
 
 def _resolve(units, radial_order, theta_order, phi_order, si_constants):
@@ -206,6 +210,7 @@ def main() -> None:
     help="Coordinate system the operator and state live on.",
 )
 @_common_options
+@_seed_option
 @_translate_errors
 def expect(operator, state, system_name, units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
     """Expectation value of OPERATOR on STATE.
@@ -265,7 +270,7 @@ _TABLE_COLUMNS = [
 @click.option("--nmax", type=int, default=4, show_default=True, help="Largest principal quantum number.")
 @_common_options
 @_translate_errors
-def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
+def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_constants):
     """Hydrogen moment table: quadrature vs closed forms per (n, L) level."""
     if not 1 <= nmax <= 6:
         raise click.UsageError(f"--nmax must be in [1, 6], got {nmax}")
@@ -308,6 +313,7 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, seed,
 
 @main.command()
 @_common_options
+@_seed_option
 @_translate_errors
 def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
     """Run the full invariant suite; exits 1 if any suite fails."""
@@ -354,7 +360,7 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
 @click.option("--lmax", type=int, default=6, show_default=True, help="Largest angular momentum L.")
 @_common_options
 @_translate_errors
-def p_theta_scan(lmax, units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
+def p_theta_scan(lmax, units, radial_order, theta_order, phi_order, fmt, si_constants):
     """Scan <p_theta> over eigenstates up to --lmax; exits 1 on any residual."""
     if not 0 <= lmax <= 10:
         raise click.UsageError(f"--lmax must be in [0, 10], got {lmax}")

@@ -36,12 +36,11 @@ Kind = Literal["linear", "angular"]
 
 @dataclass(frozen=True)
 class Weight:
-    """A coordinate weight w(q) with its first two derivatives."""
+    """A coordinate weight w(q) with its derivative."""
 
     ident: str
     value: Callable
     deriv: Callable
-    second_deriv: Callable
 
 
 def _w_one(q):
@@ -64,10 +63,6 @@ def _w_two_q(q):
     return 2.0 * q
 
 
-def _w_two(q):
-    return q * 0.0 + 2.0
-
-
 def _w_sin(q):
     return np.sin(q)
 
@@ -76,15 +71,11 @@ def _w_cos(q):
     return np.cos(q)
 
 
-def _w_neg_sin(q):
-    return -np.sin(q)
-
-
 WEIGHTS: dict[str, Weight] = {
-    "one": Weight("one", _w_one, _w_zero, _w_zero),
-    "q": Weight("q", _w_q, _w_one, _w_zero),
-    "q^2": Weight("q^2", _w_q_squared, _w_two_q, _w_two),
-    "sin": Weight("sin", _w_sin, _w_cos, _w_neg_sin),
+    "one": Weight("one", _w_one, _w_zero),
+    "q": Weight("q", _w_q, _w_one),
+    "q^2": Weight("q^2", _w_q_squared, _w_two_q),
+    "sin": Weight("sin", _w_sin, _w_cos),
 }
 
 
@@ -176,16 +167,6 @@ class MeasureFactor:
                 f"drift of coordinate {self.spec.name!r} is singular where the weight vanishes"
             )
         return self._w.deriv(q) / (2.0 * w)
-
-    def drift_deriv(self, q):
-        """g'(q) = w''/(2w) - (w')^2/(2 w^2)."""
-        w = self._w.value(q)
-        if np.any(np.asarray(w) == 0.0):
-            raise SingularityError(
-                f"drift of coordinate {self.spec.name!r} is singular where the weight vanishes"
-            )
-        wp = self._w.deriv(q)
-        return self._w.second_deriv(q) / (2.0 * w) - wp * wp / (2.0 * w * w)
 
 
 def measure_factor(spec: CoordinateSpec) -> MeasureFactor:

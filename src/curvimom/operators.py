@@ -32,10 +32,6 @@ __all__ = [
     "l_squared_expectation",
 ]
 
-# central-difference step prefactor, eps**(1/3)
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
 def _zero_drift(q):
     return q * 0.0
 
@@ -46,7 +42,6 @@ class MomentumOperator:
 
     axis: int
     drift: Callable
-    drift_deriv: Callable
     constant: float
     hbar: float
     kind: str
@@ -65,7 +60,6 @@ def canonical_momentum(
     return MomentumOperator(
         axis=axis,
         drift=mf.drift,
-        drift_deriv=mf.drift_deriv,
         constant=float(constant),
         hbar=constants.hbar,
         kind=spec.kind,
@@ -81,7 +75,6 @@ def naive_momentum(
     return MomentumOperator(
         axis=axis,
         drift=_zero_drift,
-        drift_deriv=_zero_drift,
         constant=0.0,
         hbar=constants.hbar,
         kind=spec.kind,
@@ -114,29 +107,25 @@ def apply(op: MomentumOperator, state: SeparableState, point: Sequence[float]) -
 def operator_applied_state(op: MomentumOperator, state: SeparableState) -> SeparableState:
     """p acting on a separable state, returned as a separable state.
 
-    The new axis factor is -i hbar (f' + (g + c) f); its own derivative
-    needs f'', which is taken by central finite difference over the
-    analytic f', so the factor is tagged "finite-difference".
+    The new axis factor is -i hbar (f' + (g + c) f).  Its derivative would
+    need f'', which no factor carries, so asking for it raises
+    UnsupportedStateError; the other factors keep their analytic
+    derivatives.
     """
     factor = state.factors[op.axis]
     ev, dv = factor.evaluate, factor.derivative
-    drift, ddrift = op.drift, op.drift_deriv
-    c = op.constant
-    hbar = op.hbar
+    drift, c, hbar = op.drift, op.constant, op.hbar
 
     def evaluate(q):
-        g = drift(q)
-        return -1j * hbar * (np.asarray(dv(q)) + (g + c) * np.asarray(ev(q)))
+        return -1j * hbar * (np.asarray(dv(q)) + (drift(q) + c) * np.asarray(ev(q)))
 
     def derivative(q):
-        qa = np.asarray(q, dtype=float)
-        h = _FD_STEP * np.maximum(np.abs(qa), 1.0)
-        second = (np.asarray(dv(qa + h)) - np.asarray(dv(qa - h))) / (2.0 * h)
-        g = drift(qa)
-        return -1j * hbar * (second + ddrift(qa) * np.asarray(ev(qa)) + (g + c) * np.asarray(dv(qa)))
+        raise UnsupportedStateError(
+            "a momentum-applied factor has no derivative: it would need f''"
+        )
 
     factors = list(state.factors)
-    factors[op.axis] = FactorFunction(evaluate, derivative, provenance="finite-difference")
+    factors[op.axis] = FactorFunction(evaluate, derivative)
     return SeparableState(
         factors=tuple(factors),
         system=state.system,
@@ -158,7 +147,7 @@ def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
         return np.asarray(ev(q)) + np.asarray(q, dtype=float) * np.asarray(dv(q))
 
     factors = list(state.factors)
-    factors[axis] = FactorFunction(evaluate, derivative, factor.provenance)
+    factors[axis] = FactorFunction(evaluate, derivative)
     return SeparableState(
         factors=tuple(factors),
         system=state.system,
@@ -195,7 +184,13 @@ def commutator_pp_residual(
     point: Sequence[float],
     constants: PhysicalConstants = ATOMIC,
 ) -> complex:
-    """[p_i, p_j] psi at a point; distinct axes commute exactly."""
+    """[p_i, p_j] psi at a point; distinct axes commute exactly.
+
+    For i == j the residual is exactly zero and nothing is applied.  For
+    i != j each operator only differentiates the other's untouched factor.
+    """
+    if i == j:
+        return 0j
     p_i = canonical_momentum(system, i, constants)
     p_j = canonical_momentum(system, j, constants)
     first = apply(p_i, operator_applied_state(p_j, state), point)

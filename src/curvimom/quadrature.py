@@ -11,6 +11,11 @@ One rule family per topology:
   sin(theta) d(theta) exactly for polynomial integrands in cos(theta);
 - any other compact interval: affine-mapped Gauss-Legendre.
 
+``coordinate_rule`` folds the coordinate weight w(q) into the weights of
+every rule it returns, so a 1-D integral is one weighted sum.  Every
+separable integral goes through ``axis_integrals`` (full and half order per
+coordinate) and ``combine_axes`` (product and error estimate).
+
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
 set is symmetric to the bit.
@@ -37,6 +42,8 @@ __all__ = [
     "periodic_rule",
     "coordinate_rule",
     "coordinate_integral",
+    "axis_integrals",
+    "combine_axes",
     "integrate_separable",
 ]
 
@@ -44,20 +51,22 @@ __all__ = [
 _ROOT_TOL = 1e-15
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights for one coordinate.
+    """Nodes and weights for one coordinate; both arrays are made read-only.
 
-    ``measure_included`` marks rules whose weights already contain the
-    coordinate weight w(q) (the x = cos(theta) rule); all other rules
-    expect the caller to multiply w(q) into the integrand.
+    Rules from ``coordinate_rule`` carry the coordinate weight w(q) in their
+    weights; the topology rules (``half_line_rule`` and friends) do not.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]
     exactness_degree: int | None = None
-    measure_included: bool = False
+
+    def __post_init__(self) -> None:
+        self.nodes.setflags(write=False)
+        self.weights.setflags(write=False)
 
 
 def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +80,7 @@ def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_rule(order: int) -> QuadratureRule:
     half = order // 2
     if half > 0:
         i = np.arange(1, half + 1, dtype=float)
@@ -97,9 +106,7 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         nodes = np.concatenate([-pos[::-1], pos])
         weights = np.concatenate([w_pos[::-1], w_pos])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return QuadratureRule(nodes, weights, (-1.0, 1.0), exactness_degree=2 * order - 1)
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
@@ -107,15 +114,14 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
     Only the positive roots are solved for; the negative half is their
     mirror image, which makes odd integrands cancel to rounding level.
-    Node sets are cached per order.
+    Rules are cached per order and shared, so their arrays are read-only.
 
     Raises:
         DomainError: if ``order`` < 1.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise DomainError(f"quadrature order must be an integer >= 1, got {order!r}")
-    nodes, weights = _gauss_nodes(int(order))
-    return QuadratureRule(nodes.copy(), weights.copy(), (-1.0, 1.0), exactness_degree=2 * order - 1)
+    return _gauss_rule(int(order))
 
 
 def half_line_rule(order: int, scale: float = 1.0) -> QuadratureRule:
@@ -131,8 +137,8 @@ def half_line_rule(order: int, scale: float = 1.0) -> QuadratureRule:
         raise DomainError(f"half-line scale must be positive, got {scale!r}")
     base = gauss_legendre(order)
     t = 0.5 * (base.nodes + 1.0)
-    nodes = scale * t / (1.0 - t)
-    weights = base.weights * 0.5 * scale / (1.0 - t) ** 2
+    nodes = scale * (t / (1.0 - t))
+    weights = scale * (base.weights * 0.5 / (1.0 - t) ** 2)
     return QuadratureRule(nodes, weights, (0.0, math.inf))
 
 
@@ -165,44 +171,48 @@ def periodic_rule(points: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, (0.0, 2.0 * math.pi))
 
 
-def _polar_angle_rule(order: int) -> QuadratureRule:
-    # x = cos(theta): nodes arccos(x_i), weights unchanged, sin absorbed
-    base = gauss_legendre(order)
-    return QuadratureRule(
-        np.arccos(base.nodes),
-        base.weights.copy(),
-        (0.0, math.pi),
-        exactness_degree=base.exactness_degree,
-        measure_included=True,
-    )
-
-
-def _affine_rule(order: int, lower: float, upper: float) -> QuadratureRule:
-    base = gauss_legendre(order)
-    halfwidth = 0.5 * (upper - lower)
-    return QuadratureRule(
-        lower + (base.nodes + 1.0) * halfwidth,
-        base.weights * halfwidth,
-        (lower, upper),
-        exactness_degree=base.exactness_degree,
-    )
-
-
-def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> QuadratureRule:
-    """The rule matching one coordinate's topology and weight."""
+@lru_cache(maxsize=128)
+def _unit_rule(spec: CoordinateSpec, order: int) -> QuadratureRule:
+    # line and half-line rules at scale 1 without w(q), which coordinate_rule
+    # folds in after scaling; every compact rule already carries w(q)
     if spec.topology == "line":
-        return line_rule(order, scale)
+        return line_rule(order)
     if spec.topology == "half-line":
-        return half_line_rule(order, scale)
+        return half_line_rule(order)
     if spec.topology == "compact-periodic":
         if (spec.lower, spec.upper) != (0.0, 2.0 * math.pi):
             raise ConfigurationError(
                 f"periodic coordinate {spec.name!r} must span (0, 2 pi)"
             )
-        return periodic_rule(order)
-    if spec.weight.ident == "sin" and (spec.lower, spec.upper) == (0.0, math.pi):
-        return _polar_angle_rule(order)
-    return _affine_rule(order, spec.lower, spec.upper)
+        base = periodic_rule(order)
+        nodes, weights = base.nodes, base.weights
+    else:
+        base = gauss_legendre(order)
+        if spec.weight.ident == "sin" and (spec.lower, spec.upper) == (0.0, math.pi):
+            # x = cos(theta): nodes arccos(x_i), weights unchanged, sin absorbed
+            return QuadratureRule(np.arccos(base.nodes), base.weights, (0.0, math.pi), base.exactness_degree)
+        halfwidth = 0.5 * (spec.upper - spec.lower)
+        nodes = spec.lower + (base.nodes + 1.0) * halfwidth
+        weights = base.weights * halfwidth
+    return QuadratureRule(
+        nodes, weights * spec.weight.value(nodes), (spec.lower, spec.upper), base.exactness_degree
+    )
+
+
+def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> QuadratureRule:
+    """The rule for one coordinate; its weights already include w(q).
+
+    Rules are cached per (spec, order) at unit scale; the line and
+    half-line ``scale`` is applied on each call, so the cache does not grow
+    with the scales asked for.
+    """
+    base = _unit_rule(spec, order)
+    if spec.topology not in ("line", "half-line"):
+        return base
+    if not scale > 0.0:
+        raise DomainError(f"map scale must be positive, got {scale!r}")
+    nodes = scale * base.nodes
+    return QuadratureRule(nodes, scale * base.weights * spec.weight.value(nodes), base.domain)
 
 
 @dataclass(frozen=True)
@@ -241,10 +251,45 @@ def coordinate_integral(
 ) -> complex:
     """1-D integral of integrand(q) * w(q) dq over one coordinate."""
     rule = coordinate_rule(spec, order, scale)
-    vals = np.asarray(integrand(rule.nodes))
-    if not rule.measure_included:
-        vals = vals * spec.weight.value(rule.nodes)
-    return complex(np.sum(rule.weights * vals))
+    return complex(np.sum(rule.weights * np.asarray(integrand(rule.nodes))))
+
+
+def axis_integrals(
+    system: CoordinateSystem, integrands: Sequence[Callable], config: QuadratureConfig
+) -> list[tuple[complex, complex]]:
+    """(full-order, half-order) integral of each integrand on its coordinate.
+
+    Raises:
+        ConfigurationError: if the integrand count differs from the system
+            dimension.
+    """
+    if len(integrands) != system.dim:
+        raise ConfigurationError(
+            f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
+        )
+    pairs = []
+    for spec, f in zip(system.coords, integrands):
+        order = config.order_for(spec)
+        full = coordinate_integral(spec, f, order, config.radial_scale)
+        half = coordinate_integral(spec, f, max(order // 2, 2), config.radial_scale)
+        pairs.append((full, half))
+    return pairs
+
+
+def combine_axes(pairs: Sequence[tuple[complex, complex]]) -> tuple[complex, float]:
+    """Product of the full-order integrals, with its error estimate.
+
+    The estimate sums, over coordinates, the full-minus-half-order
+    difference of that coordinate's integral times the magnitudes of the
+    others.  It is a practical bound, validated on the analytic test set,
+    not a proof.
+    """
+    fulls = [full for full, _ in pairs]
+    error = sum(
+        abs(full - half) * math.prod(abs(f) for j, f in enumerate(fulls) if j != i)
+        for i, (full, half) in enumerate(pairs)
+    )
+    return complex(math.prod(fulls)), float(error)
 
 
 def integrate_separable(
@@ -255,39 +300,8 @@ def integrate_separable(
     """Integral of prod_i f_i(q_i) against the volume weight prod_i w_i.
 
     Returns:
-        (value, error_estimate).  The estimate sums, over coordinates, the
-        full-minus-half-order difference of that coordinate's integral times
-        the magnitudes of the others.  It is a practical bound, validated on
-        the analytic test set, not a proof.
-
-    Raises:
-        ConfigurationError: if the integrand count differs from the system
-            dimension.
+        (value, error_estimate), as ``combine_axes`` forms them.
     """
     if config is None:
         config = QuadratureConfig()
-    if len(integrands) != system.dim:
-        raise ConfigurationError(
-            f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
-        )
-
-    fulls: list[complex] = []
-    diffs: list[float] = []
-    for spec, f in zip(system.coords, integrands):
-        order = config.order_for(spec)
-        full = coordinate_integral(spec, f, order, config.radial_scale)
-        half = coordinate_integral(spec, f, max(order // 2, 2), config.radial_scale)
-        fulls.append(full)
-        diffs.append(abs(full - half))
-
-    value = complex(1.0)
-    for full in fulls:
-        value *= full
-    error = 0.0
-    for i, diff in enumerate(diffs):
-        other = 1.0
-        for j, full in enumerate(fulls):
-            if j != i:
-                other *= abs(full)
-        error += diff * other
-    return value, float(error)
+    return combine_axes(axis_integrals(system, integrands, config))

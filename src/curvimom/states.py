@@ -54,8 +54,8 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for label, value in (("hbar", self.hbar), ("m", self.m), ("e2", self.e2)):
-            if not value > 0.0:
-                raise ConfigurationError(f"{label} must be positive, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{label} must be positive and finite, got {value!r}")
 
     @property
     def a0(self) -> float:
@@ -71,13 +71,23 @@ ATOMIC = PhysicalConstants.atomic()
 
 
 def load_constants(path: str) -> PhysicalConstants:
-    """Read constants from a JSON file with keys hbar, m, e2."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read constants from a JSON file with keys hbar, m, e2.
+
+    Raises:
+        ConfigurationError: if the file is not a JSON object holding a
+            positive number under each key.
+    """
     try:
-        return PhysicalConstants(float(raw["hbar"]), float(raw["m"]), float(raw["e2"]))
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        values = [float(raw[key]) for key in ("hbar", "m", "e2")]
     except KeyError as exc:
         raise ConfigurationError(f"constants file {path!r} is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"constants file {path!r} is not a JSON object of numbers: {exc}"
+        ) from exc
+    return PhysicalConstants(*values)
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,6 @@ class FactorFunction:
 
     evaluate: Callable
     derivative: Callable
-    provenance: str = "analytic"
 
 
 @dataclass(eq=False)
@@ -256,7 +265,6 @@ def _normalized(factor: FactorFunction, spec, order: int, scale: float) -> Facto
     return FactorFunction(
         lambda q: inv * np.asarray(ev(q)),
         lambda q: inv * np.asarray(dv(q)),
-        factor.provenance,
     )
 
 
@@ -269,8 +277,8 @@ def random_bound_trial(
     truncated sine sum (vanishing at the poles), the azimuth a short Fourier
     sum.  Each factor is normalized by quadrature against its own weight.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     a0 = constants.a0
     config = QuadratureConfig()
@@ -328,7 +336,7 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
         return (np.asarray(dv(q)) + 1j * k * np.asarray(ev(q))) * phase
 
     factors = list(state.factors)
-    factors[axis] = FactorFunction(evaluate, derivative, base.provenance)
+    factors[axis] = FactorFunction(evaluate, derivative)
     return SeparableState(
         factors=tuple(factors),
         system=state.system,

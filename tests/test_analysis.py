@@ -39,6 +39,7 @@ from curvimom.quadrature import QuadratureConfig
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
     ATOMIC,
+    FactorFunction,
     PhysicalConstants,
     SeparableState,
     hydrogen_state,
@@ -57,6 +58,30 @@ def test_expectation_requires_normalized_state():
     )
     with pytest.raises(PreconditionError):
         expectation(canonical_momentum(state.system, 0), denorm)
+
+
+def test_expectation_evaluates_each_other_axis_twice():
+    # full and half order only: the boundary term reuses the full-order norms
+    state = hydrogen_state(QuantumNumbers(3, 2, 1))
+    calls = [0, 0, 0]
+
+    def counted(axis, ev):
+        def evaluate(q):
+            calls[axis] += 1
+            return ev(q)
+
+        return evaluate
+
+    factors = tuple(
+        FactorFunction(counted(axis, f.evaluate), f.derivative)
+        for axis, f in enumerate(state.factors)
+    )
+    counted_state = SeparableState(
+        factors=factors, system=state.system, radial_scale=state.radial_scale
+    )
+    rep = expectation(canonical_momentum(state.system, 0), counted_state)
+    assert calls[1:] == [2, 2]
+    assert rep.value == expectation(canonical_momentum(state.system, 0), state).value
 
 
 def test_hydrogen_canonical_momenta_are_real():

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 import curvimom.cli as cli_module
@@ -67,6 +68,38 @@ def test_expect_usage_errors():
     assert invoke("expect", "canonical:r", "hydrogen:n=1,L=5,M=0").exit_code == 2
     assert invoke("expect", "canonical:x", "hydrogen:n=1,L=0,M=0", "--system", "cartesian").exit_code == 2
     assert invoke("expect", "canonical:r", "hydrogen:n=1,L=0,M=0", "--units", "si").exit_code == 2
+
+
+def test_negative_trial_seed_is_a_usage_error():
+    result = invoke("expect", "canonical:r", "trial:seed=-1")
+    assert result.exit_code == 2, result.output
+    assert "seed" in result.output
+    assert invoke("check", "--seed", "-30").exit_code == 2
+
+
+def test_seed_is_only_accepted_where_it_is_used():
+    assert invoke("hydrogen-table", "--seed", "1").exit_code == 2
+    assert invoke("p-theta-scan", "--seed", "1").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json at all",
+        "[1.0, 1.0, 1.0]",
+        '{"hbar": "abc", "m": 1.0, "e2": 1.0}',
+        '{"hbar": 1e999, "m": 1.0, "e2": 1.0}',
+    ],
+    ids=["not-json", "json-list", "non-numeric", "infinite"],
+)
+def test_malformed_constants_file_is_a_usage_error(tmp_path, text):
+    path = tmp_path / "si.json"
+    path.write_text(text)
+    result = invoke(
+        "expect", "canonical:r", "hydrogen:n=1,L=0,M=0", "--units", "si", "--si-constants", str(path)
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ")
 
 
 def test_expect_singularity_exit_code(monkeypatch):

@@ -30,8 +30,6 @@ def test_weight_registry_values():
     assert np.all(WEIGHTS["q"].deriv(q) == 1.0)
     assert np.all(WEIGHTS["q^2"].deriv(q) == 2.0 * q)
     assert np.allclose(WEIGHTS["sin"].deriv(q), np.cos(q))
-    assert np.all(WEIGHTS["q^2"].second_deriv(q) == 2.0)
-    assert np.allclose(WEIGHTS["sin"].second_deriv(q), -np.sin(q))
 
 
 def test_preset_shapes():
@@ -101,28 +99,12 @@ def test_drift_matches_log_derivative_of_measure_factor():
         assert np.max(np.abs(mf.drift(q) - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
-def test_drift_deriv_matches_finite_difference():
-    h = 1e-6
-    cases = [
-        (make_spherical().coords[0], np.linspace(0.5, 4.0, 9)),
-        (make_spherical().coords[1], np.linspace(0.3, math.pi - 0.3, 9)),
-        (make_plane_polar().coords[0], np.linspace(0.5, 4.0, 9)),
-    ]
-    for spec, q in cases:
-        mf = measure_factor(spec)
-        fd = (mf.drift(q + h) - mf.drift(q - h)) / (2.0 * h)
-        scale = max(np.max(np.abs(fd)), 1.0)
-        assert np.max(np.abs(mf.drift_deriv(q) - fd)) <= 1e-6 * scale
-
-
 def test_drift_singular_where_weight_vanishes():
     sph = make_spherical()
     with pytest.raises(SingularityError):
         measure_factor(sph.coords[0]).drift(0.0)
     with pytest.raises(SingularityError):
         measure_factor(sph.coords[1]).drift(np.array([0.5, 0.0]))
-    with pytest.raises(SingularityError):
-        measure_factor(sph.coords[1]).drift_deriv(0.0)
 
 
 def test_json_serialization():

@@ -88,22 +88,14 @@ def test_operator_applied_state_matches_pointwise_apply():
             )
 
 
-def test_operator_applied_state_derivative_is_consistent():
-    # the mapped factor's derivative is finite-difference: check against an
-    # analytic second application on the ground state where forms are known
+def test_operator_applied_factor_has_no_derivative():
+    # f'' is not available, so the p-applied factor refuses instead of guessing
     state = hydrogen_state(QuantumNumbers(1, 0, 0))
-    sph = make_spherical()
-    p_r = canonical_momentum(sph, 0)
-    mapped = operator_applied_state(p_r, state)
-    factor = mapped.factors[0]
-    # d/dr [-i(-1 + 1/r) R(r)] with R = 2 e^{-r}
-    for r in (0.6, 1.3, 2.4):
-        expected = -1j * (
-            (-1.0 / r**2) * 2.0 * math.exp(-r)
-            + (-1.0 + 1.0 / r) * (-2.0 * math.exp(-r))
-        )
-        got = complex(factor.derivative(r))
-        assert got == pytest.approx(expected, rel=5e-9), r
+    mapped = operator_applied_state(canonical_momentum(make_spherical(), 0), state)
+    with pytest.raises(UnsupportedStateError):
+        mapped.factors[0].derivative(1.3)
+    # the untouched factors keep their analytic derivatives
+    assert mapped.factors[1].derivative is state.factors[1].derivative
 
 
 def test_coordinate_scaled_state():

@@ -12,6 +12,7 @@ from curvimom.geometry import (
     CoordinateSystem,
     make_spherical,
 )
+from curvimom import quadrature
 from curvimom.quadrature import (
     QuadratureConfig,
     coordinate_integral,
@@ -113,7 +114,6 @@ def test_periodic_rule_orthogonality():
 def test_polar_rule_absorbs_sine_weight():
     spec = make_spherical().coords[1]
     rule = coordinate_rule(spec, 24)
-    assert rule.measure_included
     assert np.all(rule.nodes > 0.0) and np.all(rule.nodes < math.pi)
     # integral of sin(theta) over (0, pi) = 2 with unit integrand
     assert float(np.sum(rule.weights)) == pytest.approx(2.0, rel=1e-14)
@@ -200,7 +200,41 @@ def test_config_validation_and_dispatch():
 
 
 def test_coordinate_integral_includes_weight():
-    # radial coordinate: integrand 1 against w = r^2 with exp cutoff
+    sph = make_spherical()
+    R = 1.7
+    ball_r = CoordinateSpec("r", 0.0, R, "compact-nonperiodic", WEIGHTS["q^2"], "linear")
+    sine_ring = CoordinateSpec("u", 0.0, 2.0 * math.pi, "compact-periodic", WEIGHTS["sin"], "angular")
+    cases = [
+        # radial: integrand exp(-2r) against w = r^2, at two map scales
+        (sph.coords[0], lambda r: np.exp(-2.0 * r), 80, 1.0, 0.25),
+        (sph.coords[0], lambda r: np.exp(-2.0 * r), 80, 2.5, 0.25),
+        # polar: cos^2 against sin(theta), absorbed by the x = cos(theta) rule
+        (sph.coords[1], lambda th: np.cos(th) ** 2, 24, 1.0, 2.0 / 3.0),
+        # periodic: unit weight, and a sine weight folded into the trapezoid
+        (sph.coords[2], lambda ph: np.cos(ph) ** 2, 32, 1.0, math.pi),
+        (sine_ring, lambda u: np.sin(u), 32, 1.0, math.pi),
+        # affine compact: unit integrand against r^2 on (0, R)
+        (ball_r, lambda r: r * 0.0 + 1.0, 16, 1.0, R**3 / 3.0),
+    ]
+    for spec, integrand, order, scale, exact in cases:
+        got = coordinate_integral(spec, integrand, order, scale)
+        assert got.real == pytest.approx(exact, rel=1e-12), spec.name
+        assert abs(got.imag) == 0.0
+
+
+def test_rule_cache_does_not_grow_with_scale():
     spec = make_spherical().coords[0]
-    got = coordinate_integral(spec, lambda r: np.exp(-2.0 * r), 80, 1.0)
-    assert got.real == pytest.approx(0.25, rel=1e-12)
+    first = coordinate_rule(spec, 120, 1.0)
+    size = quadrature._unit_rule.cache_info().currsize
+    for k in range(1000):
+        rule = coordinate_rule(spec, 120, 0.5 + k * 1e-3)
+    assert quadrature._unit_rule.cache_info().currsize == size
+    assert rule.nodes[0] == pytest.approx(1.499 * first.nodes[0], rel=1e-15)
+    with pytest.raises(DomainError):
+        coordinate_rule(spec, 120, 0.0)
+    # cached rules are shared, so nothing may write into them
+    polar = coordinate_rule(make_spherical().coords[1], 64)
+    assert polar is coordinate_rule(make_spherical().coords[1], 64)
+    for arr in (first.nodes, first.weights, polar.weights, gauss_legendre(16).nodes):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -158,6 +158,11 @@ def test_trial_states_normalized_and_deterministic():
         assert diff > 1e-3 * max(abs(a.evaluate(point)), 1e-3), system.name
 
 
+def test_trial_seed_must_be_non_negative():
+    with pytest.raises(DomainError):
+        random_bound_trial(make_cartesian(), -1)
+
+
 def test_trial_polar_factor_vanishes_at_poles():
     sph = make_spherical()
     for seed in range(5):
