@@ -31,14 +31,7 @@ from .operators import (
     l_squared_expectation,
     naive_momentum,
 )
-from .quadrature import (
-    QuadratureConfig,
-    axis_integrals,
-    combine_axes,
-    coordinate_integral,
-    coordinate_rule,
-    integrate_separable,
-)
+from .quadrature import QuadratureConfig, QuadratureRule, combine_axes, contract, coordinate_integral
 from .specfun import (
     QuantumNumbers,
     assoc_legendre,
@@ -133,29 +126,25 @@ def momentum_unit(kind: str, constants: PhysicalConstants = ATOMIC) -> float:
     return constants.hbar
 
 
-def _density(factor):
-    ev = factor.evaluate
-    return lambda q: np.abs(np.asarray(ev(q))) ** 2
+def _densities(values) -> list[tuple[np.ndarray, np.ndarray]]:
+    # |f|^2 on both node sets of every coordinate, from a state's table
+    return [(np.abs(full) ** 2, np.abs(half) ** 2) for full, half in values]
 
 
-def _axis_integrand(op: MomentumOperator, factor):
-    ev, dv = factor.evaluate, factor.derivative
-    drift, c, hbar = op.drift, op.constant, op.hbar
-
-    def integrand(q):
-        vals = np.asarray(ev(q))
-        return np.conj(vals) * (-1j * hbar) * (np.asarray(dv(q)) + (drift(q) + c) * vals)
-
-    return integrand
+def _momentum_values(op: MomentumOperator, factor, nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    # conj(f) (p f) on one node set; only the derivative is evaluated here
+    return np.conj(vals) * (-1j * op.hbar) * (
+        np.asarray(factor.derivative(nodes)) + (op.drift(nodes) + op.constant) * vals
+    )
 
 
 def _boundary_term(
-    op: MomentumOperator, state: SeparableState, cfg: QuadratureConfig, other: float
+    op: MomentumOperator, state: SeparableState, rule: QuadratureRule, other: float
 ) -> float:
-    # -(hbar/2) [w |f|^2] on the operator's axis, times the other axes' norms
+    # -(hbar/2) [w |f|^2] on the operator's axis, times the other axes' norms;
+    # ``rule`` is that axis's full-order rule
     spec = state.system.coords[op.axis]
     factor = state.factors[op.axis]
-    rule = coordinate_rule(spec, cfg.order_for(spec), cfg.radial_scale)
     # infinite ends are probed at the outermost node, the numerical
     # stand-in for the limit; bound states have long underflowed there
     lo = spec.lower if math.isfinite(spec.lower) else float(np.min(rule.nodes))
@@ -183,16 +172,19 @@ def expectation(
     base = config if config is not None else QuadratureConfig()
     cfg = base.with_scale(state.radial_scale)
 
-    integrands = [
-        _axis_integrand(op, f) if j == op.axis else _density(f) for j, f in enumerate(state.factors)
-    ]
-    pairs = axis_integrals(state.system, integrands, cfg)
+    rules, values = state.tabulate(cfg)
+    tables = _densities(values)
+    factor = state.factors[op.axis]
+    tables[op.axis] = tuple(
+        _momentum_values(op, factor, rule.nodes, vals) for rule, vals in zip(rules[op.axis], values[op.axis])
+    )
+    pairs = contract(rules, tables)
     value, qerr = combine_axes(pairs)
     other = math.prod(full.real for j, (full, _) in enumerate(pairs) if j != op.axis)
     return ExpectationReport(
         value=value,
         hermiticity_defect=value.imag,
-        boundary_term=_boundary_term(op, state, cfg, other),
+        boundary_term=_boundary_term(op, state, rules[op.axis][0], other),
         quadrature_error=qerr,
     )
 
@@ -218,15 +210,10 @@ def drift_expectation(
     base = config if config is not None else QuadratureConfig()
     cfg = base.with_scale(state.radial_scale)
     g = measure_factor(state.system.coords[axis]).drift
-    ev = state.factors[axis].evaluate
-
-    def drift_density(q):
-        return g(q) * np.abs(np.asarray(ev(q))) ** 2
-
-    integrands = [
-        drift_density if j == axis else _density(f) for j, f in enumerate(state.factors)
-    ]
-    return integrate_separable(state.system, integrands, cfg)[0].real
+    rules, values = state.tabulate(cfg)
+    tables = _densities(values)
+    tables[axis] = tuple(g(rule.nodes) * np.abs(vals) ** 2 for rule, vals in zip(rules[axis], values[axis]))
+    return combine_axes(contract(rules, tables))[0].real
 
 
 def ci_uniqueness_demo(
@@ -396,7 +383,7 @@ class _Tally:
     def add(self, residual: float, tol: float) -> None:
         ratio = abs(residual) / tol
         self.checks += 1
-        if ratio > 1.0:
+        if not ratio <= 1.0:  # a NaN ratio fails too
             self.failures += 1
         if ratio > self.worst:
             self.worst = ratio
@@ -462,8 +449,8 @@ def _suite_normalization(cfg: QuadratureConfig, constants: PhysicalConstants) ->
         for k in range(3)
     ]
     for state in states:
-        densities = [_density(f) for f in state.factors]
-        norm_sq, _ = integrate_separable(state.system, densities, cfg.with_scale(state.radial_scale))
+        rules, values = state.tabulate(cfg.with_scale(state.radial_scale))
+        norm_sq, _ = combine_axes(contract(rules, _densities(values)))
         t.add(norm_sq.real - 1.0, 1e-10)
     return t.result()
 
@@ -486,11 +473,12 @@ def _trial_point(system: CoordinateSystem, state: SeparableState, rng) -> list[f
 def _suite_commutators(constants: PhysicalConstants, seed: int) -> SuiteResult:
     t = _Tally("commutators")
     rng = np.random.default_rng(seed + 170)
-    a0 = constants.a0
-    qp_unit = constants.hbar
-    pp_unit = (constants.hbar / a0) ** 2
     counter = 0
     for system in preset_systems().values():
+        # each residual in the units of q_i p_j or p_i p_j, so the bound is
+        # the same relative precision in every unit system
+        q_unit = [constants.a0 if spec.kind == "linear" else 1.0 for spec in system.coords]
+        p_unit = [momentum_unit(spec.kind, constants) for spec in system.coords]
         for _ in range(5):
             state = random_bound_trial(system, 3000 + 100 * seed + counter, constants)
             counter += 1
@@ -500,11 +488,11 @@ def _suite_commutators(constants: PhysicalConstants, seed: int) -> SuiteResult:
                 for i in range(system.dim):
                     for j in range(system.dim):
                         res = commutator_qp_residual(system, i, j, state, point, constants)
-                        t.add(abs(res), 1e-7 * qp_unit * psi_mag)
+                        t.add(abs(res), 1e-7 * q_unit[i] * p_unit[j] * psi_mag)
                 for i in range(system.dim):
                     for j in range(i + 1, system.dim):
                         res = commutator_pp_residual(system, i, j, state, point, constants)
-                        t.add(abs(res), 1e-7 * pp_unit * psi_mag)
+                        t.add(abs(res), 1e-7 * p_unit[i] * p_unit[j] * psi_mag)
     return t.result()
 
 

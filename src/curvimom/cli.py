@@ -40,9 +40,12 @@ _FLOAT_FMT = "{:.12e}"
 
 
 def _fmt(value) -> str:
+    """One output cell: floats as %.12e, None empty, anything else str()."""
     if value is None:
         return ""
-    return _FLOAT_FMT.format(float(value))
+    if isinstance(value, float):
+        return _FLOAT_FMT.format(value)
+    return str(value)
 
 
 def _common_options(fn):
@@ -60,9 +63,10 @@ def _common_options(fn):
         show_default=True,
         help="Output format.",
     )(fn)
-    fn = click.option("--phi-order", type=int, default=32, show_default=True, help="Azimuthal quadrature points.")(fn)
-    fn = click.option("--theta-order", type=int, default=64, show_default=True, help="Polar quadrature order.")(fn)
-    fn = click.option("--radial-order", type=int, default=120, show_default=True, help="Radial quadrature order.")(fn)
+    order = click.IntRange(min=8)
+    fn = click.option("--phi-order", type=order, default=32, show_default=True, help="Azimuthal quadrature points.")(fn)
+    fn = click.option("--theta-order", type=order, default=64, show_default=True, help="Polar quadrature order.")(fn)
+    fn = click.option("--radial-order", type=order, default=120, show_default=True, help="Radial quadrature order.")(fn)
     fn = click.option(
         "--units",
         type=click.Choice(["atomic", "si"]),
@@ -79,13 +83,6 @@ _seed_option = click.option(
 
 
 def _resolve(units, radial_order, theta_order, phi_order, si_constants):
-    for label, order in (
-        ("--radial-order", radial_order),
-        ("--theta-order", theta_order),
-        ("--phi-order", phi_order),
-    ):
-        if order < 8:
-            raise click.UsageError(f"{label} must be at least 8, got {order}")
     if units == "si":
         if si_constants is None:
             raise click.UsageError("--units si requires --si-constants FILE")
@@ -166,30 +163,12 @@ def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
     elif fmt == "csv":
         click.echo(",".join(columns))
         for row in rows:
-            cells = []
-            for key in columns:
-                value = row[key]
-                if isinstance(value, float):
-                    cells.append(_fmt(value))
-                elif value is None:
-                    cells.append("")
-                else:
-                    cells.append(str(value))
-            click.echo(",".join(cells))
+            click.echo(",".join(_fmt(row[key]) for key in columns))
     else:
         widths = {k: max(len(k), 20) for k in columns}
         click.echo("  ".join(k.ljust(widths[k]) for k in columns))
         for row in rows:
-            cells = []
-            for key in columns:
-                value = row[key]
-                if isinstance(value, float):
-                    cells.append(_fmt(value).ljust(widths[key]))
-                elif value is None:
-                    cells.append("".ljust(widths[key]))
-                else:
-                    cells.append(str(value).ljust(widths[key]))
-            click.echo("  ".join(cells))
+            click.echo("  ".join(_fmt(row[key]).ljust(widths[key]) for key in columns))
 
 
 @click.group()
@@ -235,11 +214,8 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
         "quad_error": report.quadrature_error,
         "units": units,
     }
-    if fmt == "json":
-        click.echo(json.dumps(payload))
-    elif fmt == "csv":
-        columns = list(payload)
-        _emit_rows("csv", columns, [payload])
+    if fmt != "text":
+        _emit_rows(fmt, list(payload), [payload])
     else:
         click.echo(f"operator:      {operator}")
         click.echo(f"state:         {state}")
@@ -249,7 +225,7 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
         click.echo(f"boundary_term: {_fmt(report.boundary_term)}")
         click.echo(f"quad_error:    {_fmt(report.quadrature_error)}")
         click.echo(f"units:         {units}")
-    if abs(report.hermiticity_defect) > tol:
+    if not abs(report.hermiticity_defect) <= tol:  # a NaN defect fails too
         sys.exit(3)
 
 
@@ -267,13 +243,13 @@ _TABLE_COLUMNS = [
 
 
 @main.command("hydrogen-table")
-@click.option("--nmax", type=int, default=4, show_default=True, help="Largest principal quantum number.")
+@click.option(
+    "--nmax", type=click.IntRange(1, 6), default=4, show_default=True, help="Largest principal quantum number."
+)
 @_common_options
 @_translate_errors
 def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_constants):
     """Hydrogen moment table: quadrature vs closed forms per (n, L) level."""
-    if not 1 <= nmax <= 6:
-        raise click.UsageError(f"--nmax must be in [1, 6], got {nmax}")
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()["spherical"]
 
@@ -320,26 +296,15 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     results = run_check_suites(config, constants, seed)
 
-    if fmt == "json":
-        for res in results:
-            click.echo(
-                json.dumps(
-                    {
-                        "command": "check",
-                        "suite": res.name,
-                        "passed": res.passed,
-                        "checks": res.checks,
-                        "failures": res.failures,
-                        "worst": res.worst,
-                    }
-                )
-            )
-    elif fmt == "csv":
-        click.echo("suite,passed,checks,failures,worst")
-        for res in results:
-            click.echo(
-                f"{res.name},{res.passed},{res.checks},{res.failures},{_fmt(res.worst)}"
-            )
+    if fmt != "text":
+        columns = ["suite", "passed", "checks", "failures", "worst"]
+        rows = [
+            {"command": "check", "suite": res.name, "passed": res.passed, "checks": res.checks,
+             "failures": res.failures, "worst": res.worst}
+            for res in results
+        ]
+        # json rows name their command; the csv header does not
+        _emit_rows(fmt, ["command"] + columns if fmt == "json" else columns, rows)
     else:
         for res in results:
             status = "PASS" if res.passed else "FAIL"
@@ -357,13 +322,13 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
 
 
 @main.command("p-theta-scan")
-@click.option("--lmax", type=int, default=6, show_default=True, help="Largest angular momentum L.")
+@click.option(
+    "--lmax", type=click.IntRange(0, 10), default=6, show_default=True, help="Largest angular momentum L."
+)
 @_common_options
 @_translate_errors
 def p_theta_scan(lmax, units, radial_order, theta_order, phi_order, fmt, si_constants):
     """Scan <p_theta> over eigenstates up to --lmax; exits 1 on any residual."""
-    if not 0 <= lmax <= 10:
-        raise click.UsageError(f"--lmax must be in [0, 10], got {lmax}")
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     rows = p_theta_spectrum_scan(lmax, constants, config)
 
@@ -380,7 +345,7 @@ def p_theta_scan(lmax, units, radial_order, theta_order, phi_order, fmt, si_cons
     ]
     _emit_rows(fmt, columns, table)
     tol = 1e-9 * momentum_unit("angular", constants)
-    if any(abs(row.value) > tol for row in rows):
+    if any(not abs(row.value) <= tol for row in rows):  # a NaN value fails too
         sys.exit(1)
 
 

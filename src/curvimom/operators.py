@@ -11,7 +11,7 @@ only touches the factor on its own axis, so the result stays separable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ class MomentumOperator:
     constant: float
     hbar: float
     kind: str
-    label: str
 
 
 def canonical_momentum(
@@ -63,7 +62,6 @@ def canonical_momentum(
         constant=float(constant),
         hbar=constants.hbar,
         kind=spec.kind,
-        label="canonical",
     )
 
 
@@ -78,7 +76,6 @@ def naive_momentum(
         constant=0.0,
         hbar=constants.hbar,
         kind=spec.kind,
-        label="naive",
     )
 
 
@@ -126,13 +123,7 @@ def operator_applied_state(op: MomentumOperator, state: SeparableState) -> Separ
 
     factors = list(state.factors)
     factors[op.axis] = FactorFunction(evaluate, derivative)
-    return SeparableState(
-        factors=tuple(factors),
-        system=state.system,
-        quantum_numbers=None,
-        normalized=False,
-        radial_scale=state.radial_scale,
-    )
+    return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
 
 def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
@@ -148,13 +139,7 @@ def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
 
     factors = list(state.factors)
     factors[axis] = FactorFunction(evaluate, derivative)
-    return SeparableState(
-        factors=tuple(factors),
-        system=state.system,
-        quantum_numbers=None,
-        normalized=False,
-        radial_scale=state.radial_scale,
-    )
+    return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
 
 def commutator_qp_residual(

@@ -13,8 +13,9 @@ One rule family per topology:
 
 ``coordinate_rule`` folds the coordinate weight w(q) into the weights of
 every rule it returns, so a 1-D integral is one weighted sum.  Every
-separable integral goes through ``axis_integrals`` (full and half order per
-coordinate) and ``combine_axes`` (product and error estimate).
+separable integral is tabulated on ``axis_rules`` (full- and half-order rule
+per coordinate), summed by ``contract`` and combined by ``combine_axes``
+(product and error estimate).
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
@@ -42,7 +43,8 @@ __all__ = [
     "periodic_rule",
     "coordinate_rule",
     "coordinate_integral",
-    "axis_integrals",
+    "axis_rules",
+    "contract",
     "combine_axes",
     "integrate_separable",
 ]
@@ -61,7 +63,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
     exactness_degree: int | None = None
 
     def __post_init__(self) -> None:
@@ -106,7 +107,7 @@ def _gauss_rule(order: int) -> QuadratureRule:
     else:
         nodes = np.concatenate([-pos[::-1], pos])
         weights = np.concatenate([w_pos[::-1], w_pos])
-    return QuadratureRule(nodes, weights, (-1.0, 1.0), exactness_degree=2 * order - 1)
+    return QuadratureRule(nodes, weights, exactness_degree=2 * order - 1)
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
@@ -139,7 +140,7 @@ def half_line_rule(order: int, scale: float = 1.0) -> QuadratureRule:
     t = 0.5 * (base.nodes + 1.0)
     nodes = scale * (t / (1.0 - t))
     weights = scale * (base.weights * 0.5 / (1.0 - t) ** 2)
-    return QuadratureRule(nodes, weights, (0.0, math.inf))
+    return QuadratureRule(nodes, weights)
 
 
 def line_rule(order: int, scale: float = 1.0) -> QuadratureRule:
@@ -150,7 +151,7 @@ def line_rule(order: int, scale: float = 1.0) -> QuadratureRule:
     half = half_line_rule(order, scale)
     nodes = np.concatenate([-half.nodes[::-1], half.nodes])
     weights = np.concatenate([half.weights[::-1], half.weights])
-    return QuadratureRule(nodes, weights, (-math.inf, math.inf))
+    return QuadratureRule(nodes, weights)
 
 
 def periodic_rule(points: int) -> QuadratureRule:
@@ -168,7 +169,7 @@ def periodic_rule(points: int) -> QuadratureRule:
     h = 2.0 * math.pi / points
     nodes = (np.arange(points, dtype=float) + 0.5) * h
     weights = np.full(points, h)
-    return QuadratureRule(nodes, weights, (0.0, 2.0 * math.pi))
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=128)
@@ -190,13 +191,11 @@ def _unit_rule(spec: CoordinateSpec, order: int) -> QuadratureRule:
         base = gauss_legendre(order)
         if spec.weight.ident == "sin" and (spec.lower, spec.upper) == (0.0, math.pi):
             # x = cos(theta): nodes arccos(x_i), weights unchanged, sin absorbed
-            return QuadratureRule(np.arccos(base.nodes), base.weights, (0.0, math.pi), base.exactness_degree)
+            return QuadratureRule(np.arccos(base.nodes), base.weights, base.exactness_degree)
         halfwidth = 0.5 * (spec.upper - spec.lower)
         nodes = spec.lower + (base.nodes + 1.0) * halfwidth
         weights = base.weights * halfwidth
-    return QuadratureRule(
-        nodes, weights * spec.weight.value(nodes), (spec.lower, spec.upper), base.exactness_degree
-    )
+    return QuadratureRule(nodes, weights * spec.weight.value(nodes), base.exactness_degree)
 
 
 def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> QuadratureRule:
@@ -212,7 +211,7 @@ def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> Qua
     if not scale > 0.0:
         raise DomainError(f"map scale must be positive, got {scale!r}")
     nodes = scale * base.nodes
-    return QuadratureRule(nodes, scale * base.weights * spec.weight.value(nodes), base.domain)
+    return QuadratureRule(nodes, scale * base.weights * spec.weight.value(nodes))
 
 
 @dataclass(frozen=True)
@@ -254,26 +253,28 @@ def coordinate_integral(
     return complex(np.sum(rule.weights * np.asarray(integrand(rule.nodes))))
 
 
-def axis_integrals(
-    system: CoordinateSystem, integrands: Sequence[Callable], config: QuadratureConfig
-) -> list[tuple[complex, complex]]:
-    """(full-order, half-order) integral of each integrand on its coordinate.
+def axis_rules(system: CoordinateSystem, config: QuadratureConfig) -> list[tuple[QuadratureRule, QuadratureRule]]:
+    """(full-order, half-order) rule of each coordinate of ``system``."""
+    rules = []
+    for spec in system.coords:
+        order, scale = config.order_for(spec), config.radial_scale
+        rules.append((coordinate_rule(spec, order, scale), coordinate_rule(spec, max(order // 2, 2), scale)))
+    return rules
 
-    Raises:
-        ConfigurationError: if the integrand count differs from the system
-            dimension.
+
+def contract(
+    rules: Sequence[tuple[QuadratureRule, QuadratureRule]],
+    tables: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> list[tuple[complex, complex]]:
+    """(full-order, half-order) weighted sum of each coordinate's table.
+
+    ``tables`` holds, per coordinate, an integrand's values on the nodes of
+    the matching (full, half) pair in ``rules``.
     """
-    if len(integrands) != system.dim:
-        raise ConfigurationError(
-            f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
-        )
-    pairs = []
-    for spec, f in zip(system.coords, integrands):
-        order = config.order_for(spec)
-        full = coordinate_integral(spec, f, order, config.radial_scale)
-        half = coordinate_integral(spec, f, max(order // 2, 2), config.radial_scale)
-        pairs.append((full, half))
-    return pairs
+    return [
+        (complex(np.sum(full.weights * on_full)), complex(np.sum(half.weights * on_half)))
+        for (full, half), (on_full, on_half) in zip(rules, tables)
+    ]
 
 
 def combine_axes(pairs: Sequence[tuple[complex, complex]]) -> tuple[complex, float]:
@@ -301,7 +302,15 @@ def integrate_separable(
 
     Returns:
         (value, error_estimate), as ``combine_axes`` forms them.
+
+    Raises:
+        ConfigurationError: if the integrand count differs from the system
+            dimension.
     """
-    if config is None:
-        config = QuadratureConfig()
-    return combine_axes(axis_integrals(system, integrands, config))
+    if len(integrands) != system.dim:
+        raise ConfigurationError(
+            f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
+        )
+    rules = axis_rules(system, config if config is not None else QuadratureConfig())
+    tables = [(f(full.nodes), f(half.nodes)) for f, (full, half) in zip(integrands, rules)]
+    return combine_axes(contract(rules, tables))

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError
 from .geometry import CoordinateSystem, make_spherical
-from .quadrature import QuadratureConfig, coordinate_integral, integrate_separable
+from .quadrature import QuadratureConfig, axis_rules, combine_axes, contract, coordinate_integral
 from .specfun import (
     QuantumNumbers,
     assoc_laguerre,
@@ -56,6 +56,10 @@ class PhysicalConstants:
         for label, value in (("hbar", self.hbar), ("m", self.m), ("e2", self.e2)):
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(f"{label} must be positive and finite, got {value!r}")
+        # |psi|^2 scales as a0^-3 and the volume element as a0^3
+        a0_cubed = self.a0 * self.a0 * self.a0
+        if not (0.0 < a0_cubed < math.inf and 1.0 / a0_cubed < math.inf):
+            raise ConfigurationError(f"a0^3 and a0^-3 must be finite and nonzero, a0 = {self.a0!r}")
 
     @property
     def a0(self) -> float:
@@ -98,7 +102,7 @@ class FactorFunction:
     derivative: Callable
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SeparableState:
     """Product state psi(q) = prod_i factor_i(q_i) on a coordinate system."""
 
@@ -107,6 +111,8 @@ class SeparableState:
     quantum_numbers: QuantumNumbers | None = None
     normalized: bool = True
     radial_scale: float = 1.0
+    # tabulate's memo, one entry per config; it lives and dies with the state
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.factors) != self.system.dim:
@@ -124,6 +130,30 @@ class SeparableState:
         for factor, q in zip(self.factors, point):
             out *= complex(factor.evaluate(q))
         return out
+
+    def tabulate(self, config: QuadratureConfig) -> tuple[list, tuple]:
+        """Each factor's values on its coordinate's full- and half-order nodes.
+
+        Returns ``(rules, values)``: ``axis_rules(system, config)`` and, per
+        coordinate, the factor's values on that pair's nodes (read-only).
+        Each factor is evaluated once per config; the table is kept on the
+        state, so every integral asked of it reads the same values.
+        """
+        table = self._tables.get(config)
+        if table is None:
+            rules = axis_rules(self.system, config)
+            values = tuple(
+                (_read_only(factor.evaluate(full.nodes)), _read_only(factor.evaluate(half.nodes)))
+                for factor, (full, half) in zip(self.factors, rules)
+            )
+            table = self._tables[config] = (rules, values)
+        return table
+
+
+def _read_only(values) -> np.ndarray:
+    out = np.asarray(values)
+    out.setflags(write=False)
+    return out
 
 
 def _hydrogen_radial(qn: QuantumNumbers, constants: PhysicalConstants) -> FactorFunction:
@@ -337,13 +367,7 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
 
     factors = list(state.factors)
     factors[axis] = FactorFunction(evaluate, derivative)
-    return SeparableState(
-        factors=tuple(factors),
-        system=state.system,
-        quantum_numbers=None,
-        normalized=state.normalized,
-        radial_scale=state.radial_scale,
-    )
+    return replace(state, factors=tuple(factors), quantum_numbers=None)
 
 
 def state_overlap(
@@ -356,10 +380,11 @@ def state_overlap(
         )
     if config is None:
         config = QuadratureConfig(radial_scale=max(a.radial_scale, b.radial_scale))
-
-    integrands = []
-    for fa, fb in zip(a.factors, b.factors):
-        ev_a, ev_b = fa.evaluate, fb.evaluate
-        integrands.append(lambda q, ea=ev_a, eb=ev_b: np.conj(np.asarray(ea(q))) * np.asarray(eb(q)))
-    value, _ = integrate_separable(a.system, integrands, config)
+    rules, values_a = a.tabulate(config)
+    _, values_b = b.tabulate(config)
+    tables = [
+        (np.conj(full_a) * full_b, np.conj(half_a) * half_b)
+        for (full_a, half_a), (full_b, half_b) in zip(values_a, values_b)
+    ]
+    value, _ = combine_axes(contract(rules, tables))
     return value

@@ -6,6 +6,7 @@ route (the defect law checked against <g> computed separately).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from curvimom.analysis import (
     reality_tolerance,
     run_check_suites,
 )
+from curvimom import quadrature
 from curvimom.operators import canonical_momentum, naive_momentum
 from curvimom.quadrature import QuadratureConfig
 from curvimom.specfun import QuantumNumbers
@@ -44,6 +46,7 @@ from curvimom.states import (
     SeparableState,
     hydrogen_state,
     random_bound_trial,
+    state_overlap,
 )
 
 
@@ -60,14 +63,16 @@ def test_expectation_requires_normalized_state():
         expectation(canonical_momentum(state.system, 0), denorm)
 
 
-def test_expectation_evaluates_each_other_axis_twice():
+def test_expectation_evaluates_each_other_axis_twice(monkeypatch):
     # full and half order only: the boundary term reuses the full-order norms
+    # and rule, and every later integral on the state reads the same table
     state = hydrogen_state(QuantumNumbers(3, 2, 1))
     calls = [0, 0, 0]
 
     def counted(axis, ev):
         def evaluate(q):
-            calls[axis] += 1
+            if np.ndim(q) > 0:  # single-point boundary probes are not counted
+                calls[axis] += 1
             return ev(q)
 
         return evaluate
@@ -79,9 +84,29 @@ def test_expectation_evaluates_each_other_axis_twice():
     counted_state = SeparableState(
         factors=factors, system=state.system, radial_scale=state.radial_scale
     )
+    rule_calls = [0]
+    coordinate_rule = quadrature.coordinate_rule
+
+    def counted_rule(*args, **kwargs):
+        rule_calls[0] += 1
+        return coordinate_rule(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):  # wherever it was imported
+        if name.startswith("curvimom") and getattr(module, "coordinate_rule", None) is coordinate_rule:
+            monkeypatch.setattr(module, "coordinate_rule", counted_rule)
     rep = expectation(canonical_momentum(state.system, 0), counted_state)
-    assert calls[1:] == [2, 2]
+    assert calls == [2, 2, 2]
+    assert rule_calls == [6]
     assert rep.value == expectation(canonical_momentum(state.system, 0), state).value
+
+    for axis in (1, 2):
+        rep = expectation(canonical_momentum(state.system, axis), counted_state)
+        assert rep.value == expectation(canonical_momentum(state.system, axis), state).value
+    rep = expectation(naive_momentum(state.system, 0), counted_state)
+    assert rep.value == expectation(naive_momentum(state.system, 0), state).value
+    assert drift_expectation(counted_state, 1) == drift_expectation(state, 1)
+    assert state_overlap(counted_state, counted_state) == state_overlap(state, state)
+    assert calls == [2, 2, 2]
 
 
 def test_hydrogen_canonical_momenta_are_real():
@@ -243,6 +268,20 @@ def test_defect_law_carries_physical_units():
     can = canonical_momentum(make_spherical(), 0, si)
     rep = expectation(can, state)
     assert abs(rep.hermiticity_defect) <= reality_tolerance(rep, "linear", si)
+
+
+def test_check_suites_are_unit_covariant():
+    # every bound is written in the natural units of what it compares, so
+    # SI and any positive (hbar, m, e2) give the atomic-unit verdicts
+    rng = np.random.default_rng(2024)
+    constants = [PhysicalConstants(1.054571817e-34, 9.1093837015e-31, 2.3070775523e-28)]
+    constants += [PhysicalConstants(*(10.0 ** rng.uniform(-3.0, 3.0, 3))) for _ in range(4)]
+    atomic = run_check_suites(seed=3, reality_trials=5)
+    for c in constants:
+        results = run_check_suites(constants=c, seed=3, reality_trials=5)
+        for res, ref in zip(results, atomic, strict=True):
+            assert res.passed, (c, res)
+            assert (res.name, res.checks) == (ref.name, ref.checks), c
 
 
 def test_run_check_suites_all_green():

@@ -1,6 +1,7 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -89,8 +90,10 @@ def test_seed_is_only_accepted_where_it_is_used():
         "[1.0, 1.0, 1.0]",
         '{"hbar": "abc", "m": 1.0, "e2": 1.0}',
         '{"hbar": 1e999, "m": 1.0, "e2": 1.0}',
+        '{"hbar": 1e200, "m": 1.0, "e2": 1.0}',
+        '{"hbar": 1e-200, "m": 1.0, "e2": 1.0}',
     ],
-    ids=["not-json", "json-list", "non-numeric", "infinite"],
+    ids=["not-json", "json-list", "non-numeric", "infinite", "a0-overflow", "a0-underflow"],
 )
 def test_malformed_constants_file_is_a_usage_error(tmp_path, text):
     path = tmp_path / "si.json"
@@ -100,6 +103,19 @@ def test_malformed_constants_file_is_a_usage_error(tmp_path, text):
     )
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_defect_breaks_reality_contract(tmp_path):
+    # hbar = 1e-45 is accepted, but the radial integrand overflows to NaN
+    path = tmp_path / "si.json"
+    path.write_text('{"hbar": 1e-45, "m": 1.0, "e2": 1.0}')
+    result = invoke(
+        "expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--units", "si", "--si-constants", str(path),
+        "--format", "json",
+    )
+    assert result.exit_code == 3, result.output
+    assert math.isnan(json.loads(result.stdout)["defect"])
 
 
 def test_expect_singularity_exit_code(monkeypatch):
