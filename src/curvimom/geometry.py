@@ -119,16 +119,14 @@ class CoordinateSystem:
     def dim(self) -> int:
         return len(self.coords)
 
-    def volume_weight(self, point: Sequence[float]) -> float:
-        """sqrt(|g|) at ``point``: the product of coordinate weights."""
+    def volume_weight(self, point: Sequence) -> float | np.ndarray:
+        """sqrt(|g|) at ``point`` (per-coordinate scalars or equal-length
+        arrays): the product of coordinate weights."""
         if len(point) != self.dim:
             raise ConfigurationError(
                 f"point has {len(point)} components, system {self.name!r} has {self.dim}"
             )
-        out = 1.0
-        for spec, q in zip(self.coords, point):
-            out *= float(spec.weight.value(q))
-        return out
+        return math.prod((spec.weight.value(q) for spec, q in zip(self.coords, point)), start=1.0)
 
     def to_json_dict(self) -> dict:
         """JSON-safe description; infinite bounds encode as 'inf'/'-inf'."""

@@ -11,6 +11,7 @@ only touches the factor on its own axis, so the result stays separable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -79,26 +80,23 @@ def naive_momentum(
     )
 
 
-def _rest_product(state: SeparableState, axis: int, point: Sequence[float]) -> complex:
-    out = complex(1.0)
-    for j, (factor, q) in enumerate(zip(state.factors, point)):
-        if j != axis:
-            out *= complex(factor.evaluate(q))
-    return out
+def apply(op: MomentumOperator, state: SeparableState, point: Sequence) -> complex | np.ndarray:
+    """(p psi)(point) for a separable state; ``point`` holds per-coordinate
+    scalars, or equal-length arrays for a batch of points.
 
-
-def apply(op: MomentumOperator, state: SeparableState, point: Sequence[float]) -> complex:
-    """(p psi)(point) for a separable state; may raise SingularityError
-    where the drift blows up."""
+    The drift goes first, so a zero of the weight raises SingularityError;
+    in a batch, one such point raises for the whole call.
+    """
     if len(point) != state.system.dim:
         raise ConfigurationError(
             f"point has {len(point)} components, expected {state.system.dim}"
         )
     q = point[op.axis]
     factor = state.factors[op.axis]
-    g = complex(op.drift(q))
-    axis_part = complex(factor.derivative(q)) + (g + op.constant) * complex(factor.evaluate(q))
-    return -1j * op.hbar * axis_part * _rest_product(state, op.axis, point)
+    g = op.drift(q)
+    axis_part = factor.derivative(q) + (g + op.constant) * factor.evaluate(q)
+    rest = (f.evaluate(qj) for j, (f, qj) in enumerate(zip(state.factors, point)) if j != op.axis)
+    return -1j * op.hbar * axis_part * math.prod(rest, start=1 + 0j)
 
 
 def operator_applied_state(op: MomentumOperator, state: SeparableState) -> SeparableState:
@@ -147,10 +145,11 @@ def commutator_qp_residual(
     i: int,
     j: int,
     state: SeparableState,
-    point: Sequence[float],
+    point: Sequence,
     constants: PhysicalConstants = ATOMIC,
-) -> complex:
-    """([q_i, p_j] - i hbar delta_ij) psi at a point; zero up to rounding.
+) -> complex | np.ndarray:
+    """([q_i, p_j] - i hbar delta_ij) psi at a point (or a batch, as in
+    ``apply``); zero up to rounding.
 
     Holds for any drift, so the canonical operator is used.
     """
@@ -166,16 +165,17 @@ def commutator_pp_residual(
     i: int,
     j: int,
     state: SeparableState,
-    point: Sequence[float],
+    point: Sequence,
     constants: PhysicalConstants = ATOMIC,
-) -> complex:
-    """[p_i, p_j] psi at a point; distinct axes commute exactly.
+) -> complex | np.ndarray:
+    """[p_i, p_j] psi at a point (or a batch, as in ``apply``); distinct
+    axes commute exactly.
 
     For i == j the residual is exactly zero and nothing is applied.  For
     i != j each operator only differentiates the other's untouched factor.
     """
     if i == j:
-        return 0j
+        return np.zeros(np.shape(point[i]), dtype=complex)[()]
     p_i = canonical_momentum(system, i, constants)
     p_j = canonical_momentum(system, j, constants)
     first = apply(p_i, operator_applied_state(p_j, state), point)

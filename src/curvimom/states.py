@@ -121,15 +121,14 @@ class SeparableState:
                 f"system {self.system.name!r}"
             )
 
-    def evaluate(self, point: Sequence[float]) -> complex:
+    def evaluate(self, point: Sequence) -> complex | np.ndarray:
+        """psi at ``point``: per-coordinate scalars, or equal-length arrays
+        for a batch of points (then one value per point)."""
         if len(point) != self.system.dim:
             raise ConfigurationError(
                 f"point has {len(point)} components, expected {self.system.dim}"
             )
-        out = complex(1.0)
-        for factor, q in zip(self.factors, point):
-            out *= complex(factor.evaluate(q))
-        return out
+        return math.prod((factor.evaluate(q) for factor, q in zip(self.factors, point)), start=1 + 0j)
 
     def tabulate(self, config: QuadratureConfig) -> tuple[list, tuple]:
         """Each factor's values on its coordinate's full- and half-order nodes.

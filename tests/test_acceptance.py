@@ -6,12 +6,15 @@ reference values; nothing is compared against its own defining code path.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.special import lpmv
 
+import curvimom
 from curvimom.analysis import (
     cartesian_reality_check,
     ci_uniqueness_demo,
@@ -176,8 +179,11 @@ def test_criterion_09_cartesian_baseline():
 def test_criterion_10_check_command_is_byte_deterministic():
     """`curvimom check --seed S` emits byte-identical output across runs."""
     cmd = [sys.executable, "-m", "curvimom", "check", "--seed", "7"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child runs the package these tests import, installed or not
+    path = [str(Path(curvimom.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty report
     assert first.returncode == 0 and second.returncode == 0

@@ -35,7 +35,7 @@ from curvimom.analysis import (
     reality_tolerance,
     run_check_suites,
 )
-from curvimom import quadrature
+from curvimom import analysis, quadrature
 from curvimom.operators import canonical_momentum, naive_momentum
 from curvimom.quadrature import QuadratureConfig
 from curvimom.specfun import QuantumNumbers
@@ -208,6 +208,20 @@ def test_force_balance_holds_per_level():
             assert report.centrifugal == pytest.approx(report.coulomb, rel=1e-10)
     with pytest.raises(DomainError):
         force_balance(QuantumNumbers(3, 0, 0))
+
+
+def test_force_balance_builds_one_state(monkeypatch):
+    # <L^2> and both radial moments read the same hydrogen state
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return hydrogen_state(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hydrogen_state", counted)
+    report = force_balance(QuantumNumbers(3, 2, 0))
+    assert len(built) == 1
+    assert report.inv_r2_quad == radial_moment(QuantumNumbers(3, 2, 0), -2)
 
 
 def test_naive_ehrenfest_residual_is_negative_coulomb_pull():

@@ -64,6 +64,7 @@ def test_expect_trial_state_uses_seed():
 
 def test_expect_usage_errors():
     assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--radial-order", "4").exit_code == 2
+    assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--radial-order", "4097").exit_code == 2
     assert invoke("expect", "bogus:r", "hydrogen:n=1,L=0,M=0").exit_code == 2
     assert invoke("expect", "canonical:z", "hydrogen:n=1,L=0,M=0").exit_code == 2
     assert invoke("expect", "canonical:r", "hydrogen:n=1,L=5,M=0").exit_code == 2
@@ -116,6 +117,19 @@ def test_non_finite_defect_breaks_reality_contract(tmp_path):
     )
     assert result.exit_code == 3, result.output
     assert math.isnan(json.loads(result.stdout)["defect"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_suite_never_reports_a_passing_worst(tmp_path):
+    # hbar = 1e-51 overflows integrands to NaN; a NaN ratio must reach worst
+    path = tmp_path / "si.json"
+    path.write_text('{"hbar": 1e-51, "m": 1, "e2": 1}')
+    result = invoke("check", "--units", "si", "--si-constants", str(path), "--format", "json")
+    assert result.exit_code == 1, result.output
+    failing = [row for row in map(json.loads, result.stdout.splitlines()) if not row["passed"]]
+    assert failing
+    for row in failing:
+        assert not row["worst"] <= 1.0, row
 
 
 def test_expect_singularity_exit_code(monkeypatch):

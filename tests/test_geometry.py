@@ -61,6 +61,8 @@ def test_volume_weight_products():
     cyl = make_cylindrical()
     assert cyl.volume_weight((r, phi, 3.0)) == pytest.approx(r)
     assert make_cartesian().volume_weight((1.0, 2.0, 3.0)) == 1.0
+    rs, thetas = np.array([2.0, 0.5]), np.array([0.8, 2.0])
+    assert sph.volume_weight((rs, thetas, np.zeros(2))) == pytest.approx(rs * rs * np.sin(thetas))
     with pytest.raises(ConfigurationError):
         sph.volume_weight((1.0, 2.0))
 

@@ -36,11 +36,23 @@ def test_radial_momentum_on_ground_state_closed_form():
     assert abs(apply(p_r, state, (1.0, 1.1, 0.4))) <= 1e-15
 
 
+def as_batch(points):
+    # the same points as one batch: one array per coordinate
+    return [np.array(column) for column in zip(*points)]
+
+
+def assert_batch_matches(batch, singles, scales):
+    assert np.shape(batch) == (len(singles),)
+    for got, single, scale in zip(batch, singles, scales):
+        assert abs(got - single) <= 1e-14 * scale
+
+
 def test_drift_shift_between_canonical_and_naive():
     # canonical minus naive acting on psi is exactly -i hbar g_i psi
     rng = np.random.default_rng(7)
     for system in preset_systems().values():
         state = random_bound_trial(system, 21)
+        points = []
         for _ in range(6):
             point = []
             for spec in system.coords:
@@ -52,14 +64,21 @@ def test_drift_shift_between_canonical_and_naive():
                     point.append(float(rng.uniform(0.1, 6.0)))
                 else:
                     point.append(float(rng.uniform(0.3, math.pi - 0.3)))
-            for axis in range(system.dim):
-                can = canonical_momentum(system, axis)
-                nai = naive_momentum(system, axis)
+            points.append(point)
+        batch = as_batch(points)
+        for axis in range(system.dim):
+            can = canonical_momentum(system, axis)
+            nai = naive_momentum(system, axis)
+            diffs = []
+            for point in points:
                 diff = apply(can, state, point) - apply(nai, state, point)
                 g = can.drift(point[axis])
                 expected = -1j * ATOMIC.hbar * g * state.evaluate(point)
                 scale = max(abs(expected), 1e-9)
                 assert abs(diff - expected) <= 1e-12 * scale, (system.name, axis)
+                diffs.append(diff)
+            batch_diff = apply(can, state, batch) - apply(nai, state, batch)
+            assert_batch_matches(batch_diff, diffs, np.maximum(np.abs(diffs), 1e-9))
 
 
 def test_azimuthal_momentum_eigenrelation():
@@ -131,26 +150,36 @@ def test_position_momentum_commutator():
     rng = np.random.default_rng(19)
     for system in preset_systems().values():
         state = random_bound_trial(system, 31)
-        for point in sample_points(system, rng, 4):
-            scale = abs(state.evaluate(point))
-            for i in range(system.dim):
-                for j in range(system.dim):
-                    res = commutator_qp_residual(system, i, j, state, point)
+        points = sample_points(system, rng, 4)
+        # residuals are rounding noise: compare the batch at |psi|'s scale
+        scales = [abs(state.evaluate(point)) for point in points]
+        assert_batch_matches(state.evaluate(as_batch(points)), [state.evaluate(p) for p in points], scales)
+        for i in range(system.dim):
+            for j in range(system.dim):
+                singles = [commutator_qp_residual(system, i, j, state, point) for point in points]
+                for res, scale in zip(singles, scales):
                     assert abs(res) <= 1e-7 * max(scale, 1e-6), (system.name, i, j)
+                batch = commutator_qp_residual(system, i, j, state, as_batch(points))
+                assert_batch_matches(batch, singles, scales)
 
 
 def test_momentum_momentum_commutator():
     rng = np.random.default_rng(23)
     for system in preset_systems().values():
         state = random_bound_trial(system, 37)
-        for point in sample_points(system, rng, 4):
-            scale = abs(state.evaluate(point))
-            for i in range(system.dim):
+        points = sample_points(system, rng, 4)
+        scales = [abs(state.evaluate(point)) for point in points]
+        for i in range(system.dim):
+            for point in points:
                 res = commutator_pp_residual(system, i, i, state, point)
                 assert res == 0.0, (system.name, i)  # identical ops, exact zero
-                for j in range(i + 1, system.dim):
-                    res = commutator_pp_residual(system, i, j, state, point)
+            assert np.array_equal(commutator_pp_residual(system, i, i, state, as_batch(points)), np.zeros(4))
+            for j in range(i + 1, system.dim):
+                singles = [commutator_pp_residual(system, i, j, state, point) for point in points]
+                for res, scale in zip(singles, scales):
                     assert abs(res) <= 1e-7 * max(scale, 1e-6), (system.name, i, j)
+                batch = commutator_pp_residual(system, i, j, state, as_batch(points))
+                assert_batch_matches(batch, singles, scales)
 
 
 def test_l_squared_expectation():
@@ -170,6 +199,15 @@ def test_apply_raises_at_measure_zeros():
     # the naive operator has no drift, so r = 0 is fine for it
     value = apply(naive_momentum(sph, 0), state, (0.0, 1.0, 1.0))
     assert cmath.isfinite(value.real) and cmath.isfinite(value.imag)
+    # one weight zero in a batch raises for the whole call
+    batch = (np.array([1.0, 0.0, 2.0]), np.array([1.0, 1.2, 0.9]), np.array([1.0, 1.0, 3.0]))
+    with pytest.raises(SingularityError):
+        apply(canonical_momentum(sph, 0), state, batch)
+    # theta = 0: the drift raises before the factor's derivative can refuse cos(theta) = 1
+    with pytest.raises(SingularityError):
+        apply(canonical_momentum(sph, 1), state, (batch[2], np.array([0.5, 0.0, 1.0]), batch[2]))
+    values = apply(naive_momentum(sph, 0), state, batch)
+    assert values.shape == (3,) and np.all(np.isfinite(values))
 
 
 def test_constant_offset_shifts_action():
