@@ -31,7 +31,7 @@ from .operators import (
     l_squared_expectation,
     naive_momentum,
 )
-from .quadrature import QuadratureConfig, QuadratureRule, combine_axes, contract, coordinate_integral
+from .quadrature import AxisRule, QuadratureConfig, combine_axes, contract, coordinate_integral
 from .specfun import (
     QuantumNumbers,
     assoc_legendre,
@@ -126,29 +126,24 @@ def momentum_unit(kind: str, constants: PhysicalConstants = ATOMIC) -> float:
     return constants.hbar
 
 
-def _densities(values) -> list[tuple[np.ndarray, np.ndarray]]:
-    # |f|^2 on both node sets of every coordinate, from a state's table
-    return [(np.abs(full) ** 2, np.abs(half) ** 2) for full, half in values]
-
-
 def _momentum_values(op: MomentumOperator, factor, nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    # conj(f) (p f) on one node set; only the derivative is evaluated here
+    # conj(f) (p f) on an axis's nodes; only the derivative is evaluated here
     return np.conj(vals) * (-1j * op.hbar) * (
         np.asarray(factor.derivative(nodes)) + (op.drift(nodes) + op.constant) * vals
     )
 
 
 def _boundary_term(
-    op: MomentumOperator, state: SeparableState, rule: QuadratureRule, other: float
+    op: MomentumOperator, state: SeparableState, rule: AxisRule, other: float
 ) -> float:
     # -(hbar/2) [w |f|^2] on the operator's axis, times the other axes' norms;
-    # ``rule`` is that axis's full-order rule
+    # ``rule`` is that axis's stacked rule
     spec = state.system.coords[op.axis]
     factor = state.factors[op.axis]
-    # infinite ends are probed at the outermost node, the numerical
-    # stand-in for the limit; bound states have long underflowed there
-    lo = spec.lower if math.isfinite(spec.lower) else float(np.min(rule.nodes))
-    hi = spec.upper if math.isfinite(spec.upper) else float(np.max(rule.nodes))
+    # infinite ends are probed at the outermost full-order node, the
+    # numerical stand-in for the limit; bound states have long underflowed there
+    lo = spec.lower if math.isfinite(spec.lower) else float(np.min(rule.nodes[: rule.full]))
+    hi = spec.upper if math.isfinite(spec.upper) else float(np.max(rule.nodes[: rule.full]))
 
     def surface(q: float) -> float:
         return float(spec.weight.value(q)) * abs(complex(factor.evaluate(q))) ** 2
@@ -172,19 +167,16 @@ def expectation(
     base = config if config is not None else QuadratureConfig()
     cfg = base.with_scale(state.radial_scale)
 
-    rules, values = state.tabulate(cfg)
-    tables = _densities(values)
-    factor = state.factors[op.axis]
-    tables[op.axis] = tuple(
-        _momentum_values(op, factor, rule.nodes, vals) for rule, vals in zip(rules[op.axis], values[op.axis])
-    )
-    pairs = contract(rules, tables)
+    rules, values, norms = state.tabulate(cfg)
+    rule = rules[op.axis]
+    pairs = list(norms)
+    pairs[op.axis] = contract(rule, _momentum_values(op, state.factors[op.axis], rule.nodes, values[op.axis]))
     value, qerr = combine_axes(pairs)
-    other = math.prod(full.real for j, (full, _) in enumerate(pairs) if j != op.axis)
+    other = math.prod(full.real for j, (full, _) in enumerate(norms) if j != op.axis)
     return ExpectationReport(
         value=value,
         hermiticity_defect=value.imag,
-        boundary_term=_boundary_term(op, state, rules[op.axis][0], other),
+        boundary_term=_boundary_term(op, state, rule, other),
         quadrature_error=qerr,
     )
 
@@ -210,10 +202,10 @@ def drift_expectation(
     base = config if config is not None else QuadratureConfig()
     cfg = base.with_scale(state.radial_scale)
     g = measure_factor(state.system.coords[axis]).drift
-    rules, values = state.tabulate(cfg)
-    tables = _densities(values)
-    tables[axis] = tuple(g(rule.nodes) * np.abs(vals) ** 2 for rule, vals in zip(rules[axis], values[axis]))
-    return combine_axes(contract(rules, tables))[0].real
+    rules, values, norms = state.tabulate(cfg)
+    pairs = list(norms)
+    pairs[axis] = contract(rules[axis], g(rules[axis].nodes) * np.abs(values[axis]) ** 2)
+    return combine_axes(pairs)[0].real
 
 
 def ci_uniqueness_demo(
@@ -453,8 +445,7 @@ def _suite_normalization(cfg: QuadratureConfig, constants: PhysicalConstants) ->
         for k in range(3)
     ]
     for state in states:
-        rules, values = state.tabulate(cfg.with_scale(state.radial_scale))
-        norm_sq, _ = combine_axes(contract(rules, _densities(values)))
+        norm_sq, _ = combine_axes(state.tabulate(cfg.with_scale(state.radial_scale))[2])
         t.add(norm_sq.real - 1.0, 1e-10)
     return t.result()
 

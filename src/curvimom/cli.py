@@ -18,6 +18,7 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from .analysis import (
     expectation,
@@ -99,7 +100,9 @@ def _translate_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            # non-finite results are reported as failures, not as numpy warnings
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
         except SingularityError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)

@@ -152,6 +152,10 @@ class MeasureFactor:
     def __init__(self, spec: CoordinateSpec):
         self.spec = spec
         self._w = spec.weight
+        # finite ends where w vanishes in exact arithmetic but not in floats
+        # (sin at pi): one float step from a zero, 0 < |w| <= |w'| spacing(end)
+        ends = [end for end in (spec.lower, spec.upper) if math.isfinite(end)]
+        self._zero_ends = [e for e in ends if 0.0 < abs(self._w.value(e)) <= abs(self._w.deriv(e)) * np.spacing(e)]
 
     def value(self, q):
         """f(q) = sqrt(w(q))."""
@@ -160,7 +164,7 @@ class MeasureFactor:
     def drift(self, q):
         """g(q) = f'/f = w'/(2w); raises where the weight vanishes."""
         w = self._w.value(q)
-        if np.any(np.asarray(w) == 0.0):
+        if np.any(np.asarray(w) == 0.0) or any(np.any(np.equal(q, end)) for end in self._zero_ends):
             raise SingularityError(
                 f"drift of coordinate {self.spec.name!r} is singular where the weight vanishes"
             )

@@ -13,9 +13,10 @@ One rule family per topology:
 
 ``coordinate_rule`` folds the coordinate weight w(q) into the weights of
 every rule it returns, so a 1-D integral is one weighted sum.  Every
-separable integral is tabulated on ``axis_rules`` (full- and half-order rule
-per coordinate), summed by ``contract`` and combined by ``combine_axes``
-(product and error estimate).
+separable integral is tabulated on ``axis_rules`` (per coordinate, the
+full- then the half-order nodes as one array, with one weight row per order),
+summed by ``contract`` and combined by ``combine_axes`` (product and error
+estimate).
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
@@ -36,6 +37,7 @@ from .geometry import CoordinateSpec, CoordinateSystem
 
 __all__ = [
     "QuadratureRule",
+    "AxisRule",
     "QuadratureConfig",
     "gauss_legendre",
     "half_line_rule",
@@ -253,28 +255,37 @@ def coordinate_integral(
     return complex(np.sum(rule.weights * np.asarray(integrand(rule.nodes))))
 
 
-def axis_rules(system: CoordinateSystem, config: QuadratureConfig) -> list[tuple[QuadratureRule, QuadratureRule]]:
-    """(full-order, half-order) rule of each coordinate of ``system``."""
+@dataclass(frozen=True, eq=False)
+class AxisRule(QuadratureRule):
+    """One coordinate's full- and half-order rules on one node array.
+
+    ``nodes`` holds the ``full`` full-order nodes, then the half-order ones;
+    ``weights`` is (2, n): row 0 the full-order weights and row 1 the
+    half-order ones, each zero on the other order's nodes.
+    """
+
+    full: int = 0
+
+
+def axis_rules(system: CoordinateSystem, config: QuadratureConfig) -> list[AxisRule]:
+    """The stacked full- and half-order rule of each coordinate of ``system``."""
     rules = []
     for spec in system.coords:
         order, scale = config.order_for(spec), config.radial_scale
-        rules.append((coordinate_rule(spec, order, scale), coordinate_rule(spec, max(order // 2, 2), scale)))
+        full = coordinate_rule(spec, order, scale)
+        half = coordinate_rule(spec, max(order // 2, 2), scale)
+        n = len(full.nodes)
+        weights = np.zeros((2, n + len(half.nodes)))
+        weights[0, :n], weights[1, n:] = full.weights, half.weights
+        rules.append(AxisRule(np.concatenate([full.nodes, half.nodes]), weights, full=n))
     return rules
 
 
-def contract(
-    rules: Sequence[tuple[QuadratureRule, QuadratureRule]],
-    tables: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> list[tuple[complex, complex]]:
-    """(full-order, half-order) weighted sum of each coordinate's table.
-
-    ``tables`` holds, per coordinate, an integrand's values on the nodes of
-    the matching (full, half) pair in ``rules``.
-    """
-    return [
-        (complex(np.sum(full.weights * on_full)), complex(np.sum(half.weights * on_half)))
-        for (full, half), (on_full, on_half) in zip(rules, tables)
-    ]
+def contract(rule: AxisRule, table: np.ndarray) -> tuple[complex, complex]:
+    """(full-order, half-order) weighted sum of a table of values on
+    ``rule.nodes``: one product with the weight matrix, summed along rows."""
+    full, half = (rule.weights * table).sum(axis=1)
+    return complex(full), complex(half)
 
 
 def combine_axes(pairs: Sequence[tuple[complex, complex]]) -> tuple[complex, float]:
@@ -312,5 +323,4 @@ def integrate_separable(
             f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
         )
     rules = axis_rules(system, config if config is not None else QuadratureConfig())
-    tables = [(f(full.nodes), f(half.nodes)) for f, (full, half) in zip(integrands, rules)]
-    return combine_axes(contract(rules, tables))
+    return combine_axes([contract(rule, f(rule.nodes)) for f, rule in zip(integrands, rules)])

@@ -65,6 +65,29 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _legendre_climb(L: int, M: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (P_L^M, P_{L-1}^M) from one climb in degree at |M|; the second is
+    # zero when |M| > L-1, and negative orders are scaled after the climb
+    m = abs(M)
+    # P_m^m, built as a product so intermediates never overflow
+    p_curr, p_prev = np.ones_like(xi), np.zeros_like(xi)
+    if m > 0:
+        s = np.sqrt((1.0 - xi) * (1.0 + xi))
+        for k in range(1, m + 1):
+            p_curr = p_curr * (-(2 * k - 1)) * s
+    # the first step subtracts an exact zero, so it is (2m+1) x P_m^m to the bit
+    for degree in range(m + 1, L + 1):
+        p_curr, p_prev = (
+            ((2 * degree - 1) * xi * p_curr - (degree + m - 1) * p_prev) / (degree - m),
+            p_curr,
+        )
+    if M < 0:
+        p_curr = (-1) ** m * _factorial_ratio(L - m, L + m) * p_curr
+        if L > m:
+            p_prev = (-1) ** m * _factorial_ratio(L - 1 - m, L - 1 + m) * p_prev
+    return p_curr, p_prev
+
+
 def assoc_legendre(L: int, M: int, x):
     """Associated Legendre function P_L^M(x) with Condon-Shortley phase.
 
@@ -87,39 +110,17 @@ def assoc_legendre(L: int, M: int, x):
     xi, scalar = _as_float_array(x)
     if np.any(np.abs(xi) > 1.0):
         raise DomainError("argument of assoc_legendre must lie in [-1, 1]")
-
-    if M < 0:
-        m = -M
-        scale = (-1) ** m * _factorial_ratio(L - m, L + m)
-        out = scale * assoc_legendre(L, m, xi)
-        return float(out) if scalar else out
-
-    # P_M^M, built as a product so intermediates never overflow
-    p_mm = np.ones_like(xi)
-    if M > 0:
-        s = np.sqrt((1.0 - xi) * (1.0 + xi))
-        for k in range(1, M + 1):
-            p_mm = p_mm * (-(2 * k - 1)) * s
-    if L == M:
-        return float(p_mm) if scalar else p_mm
-
-    p_prev = p_mm
-    p_curr = (2 * M + 1) * xi * p_mm
-    for degree in range(M + 2, L + 1):
-        p_curr, p_prev = (
-            ((2 * degree - 1) * xi * p_curr - (degree + M - 1) * p_prev) / (degree - M),
-            p_curr,
-        )
-    return float(p_curr) if scalar else p_curr
+    out = _legendre_climb(L, M, xi)[0]
+    return float(out) if scalar else out
 
 
 def assoc_legendre_deriv(L: int, M: int, x):
     """Derivative dP_L^M/dx via the degree-lowering recurrence.
 
     Uses (x^2 - 1) dP_L^M/dx = L x P_L^M - (L + M) P_{L-1}^M, the standard
-    indexing (degree lowered, order kept).  The endpoint factor (x^2 - 1)
-    makes |x| = 1 a genuine singularity of the formula, so the open
-    interval is enforced.
+    indexing (degree lowered, order kept), with both functions from one
+    climb.  The endpoint factor (x^2 - 1) makes |x| = 1 a genuine
+    singularity of the formula, so the open interval is enforced.
 
     Raises:
         DomainError: for invalid (L, M) or |x| >= 1.
@@ -128,12 +129,7 @@ def assoc_legendre_deriv(L: int, M: int, x):
     xi, scalar = _as_float_array(x)
     if np.any(np.abs(xi) >= 1.0):
         raise DomainError("argument of assoc_legendre_deriv must lie in (-1, 1)")
-
-    p_l = assoc_legendre(L, M, xi)
-    if L - 1 >= abs(M):
-        p_lm1 = assoc_legendre(L - 1, M, xi)
-    else:
-        p_lm1 = np.zeros_like(xi)  # P_{L-1}^M vanishes when |M| > L-1
+    p_l, p_lm1 = _legendre_climb(L, M, xi)
     out = (L * xi * p_l - (L + M) * p_lm1) / (xi * xi - 1.0)
     return float(out) if scalar else out
 

@@ -130,22 +130,20 @@ class SeparableState:
             )
         return math.prod((factor.evaluate(q) for factor, q in zip(self.factors, point)), start=1 + 0j)
 
-    def tabulate(self, config: QuadratureConfig) -> tuple[list, tuple]:
-        """Each factor's values on its coordinate's full- and half-order nodes.
+    def tabulate(self, config: QuadratureConfig) -> tuple[list, tuple, list]:
+        """Each factor's values on its coordinate's stacked nodes, and norms.
 
-        Returns ``(rules, values)``: ``axis_rules(system, config)`` and, per
-        coordinate, the factor's values on that pair's nodes (read-only).
-        Each factor is evaluated once per config; the table is kept on the
-        state, so every integral asked of it reads the same values.
+        Returns ``(rules, values, norms)``: ``axis_rules(system, config)``,
+        per coordinate the factor's values on that rule's nodes (read-only),
+        and per coordinate the ``contract``ed (full, half) pair of |f|^2.
+        Each is computed once per config and kept on the state.
         """
         table = self._tables.get(config)
         if table is None:
             rules = axis_rules(self.system, config)
-            values = tuple(
-                (_read_only(factor.evaluate(full.nodes)), _read_only(factor.evaluate(half.nodes)))
-                for factor, (full, half) in zip(self.factors, rules)
-            )
-            table = self._tables[config] = (rules, values)
+            values = tuple(_read_only(f.evaluate(rule.nodes)) for f, rule in zip(self.factors, rules))
+            norms = [contract(rule, np.abs(vals) ** 2) for rule, vals in zip(rules, values)]
+            table = self._tables[config] = (rules, values, norms)
         return table
 
 
@@ -379,11 +377,9 @@ def state_overlap(
         )
     if config is None:
         config = QuadratureConfig(radial_scale=max(a.radial_scale, b.radial_scale))
-    rules, values_a = a.tabulate(config)
-    _, values_b = b.tabulate(config)
-    tables = [
-        (np.conj(full_a) * full_b, np.conj(half_a) * half_b)
-        for (full_a, half_a), (full_b, half_b) in zip(values_a, values_b)
-    ]
-    value, _ = combine_axes(contract(rules, tables))
+    rules, values_a, _ = a.tabulate(config)
+    values_b = b.tabulate(config)[1]
+    value, _ = combine_axes(
+        [contract(rule, np.conj(va) * vb) for rule, va, vb in zip(rules, values_a, values_b)]
+    )
     return value

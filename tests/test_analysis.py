@@ -63,9 +63,10 @@ def test_expectation_requires_normalized_state():
         expectation(canonical_momentum(state.system, 0), denorm)
 
 
-def test_expectation_evaluates_each_other_axis_twice(monkeypatch):
-    # full and half order only: the boundary term reuses the full-order norms
-    # and rule, and every later integral on the state reads the same table
+def test_expectation_evaluates_each_other_axis_once(monkeypatch):
+    # one stacked node array per axis holds both orders: the boundary term
+    # reuses the memoised norms and rule, and every later integral on the
+    # state reads the same table
     state = hydrogen_state(QuantumNumbers(3, 2, 1))
     calls = [0, 0, 0]
 
@@ -95,7 +96,7 @@ def test_expectation_evaluates_each_other_axis_twice(monkeypatch):
         if name.startswith("curvimom") and getattr(module, "coordinate_rule", None) is coordinate_rule:
             monkeypatch.setattr(module, "coordinate_rule", counted_rule)
     rep = expectation(canonical_momentum(state.system, 0), counted_state)
-    assert calls == [2, 2, 2]
+    assert calls == [1, 1, 1]
     assert rule_calls == [6]
     assert rep.value == expectation(canonical_momentum(state.system, 0), state).value
 
@@ -106,7 +107,7 @@ def test_expectation_evaluates_each_other_axis_twice(monkeypatch):
     assert rep.value == expectation(naive_momentum(state.system, 0), state).value
     assert drift_expectation(counted_state, 1) == drift_expectation(state, 1)
     assert state_overlap(counted_state, counted_state) == state_overlap(state, state)
-    assert calls == [2, 2, 2]
+    assert calls == [1, 1, 1]
 
 
 def test_hydrogen_canonical_momenta_are_real():

@@ -119,13 +119,14 @@ def test_non_finite_defect_breaks_reality_contract(tmp_path):
     assert math.isnan(json.loads(result.stdout)["defect"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failing_suite_never_reports_a_passing_worst(tmp_path):
-    # hbar = 1e-51 overflows integrands to NaN; a NaN ratio must reach worst
+    # hbar = 1e-51 overflows integrands to NaN; a NaN ratio must reach worst,
+    # and numpy's overflow warnings must not reach stderr
     path = tmp_path / "si.json"
     path.write_text('{"hbar": 1e-51, "m": 1, "e2": 1}')
     result = invoke("check", "--units", "si", "--si-constants", str(path), "--format", "json")
     assert result.exit_code == 1, result.output
+    assert result.stderr == ""
     failing = [row for row in map(json.loads, result.stdout.splitlines()) if not row["passed"]]
     assert failing
     for row in failing:

@@ -206,6 +206,12 @@ def test_apply_raises_at_measure_zeros():
     # theta = 0: the drift raises before the factor's derivative can refuse cos(theta) = 1
     with pytest.raises(SingularityError):
         apply(canonical_momentum(sph, 1), state, (batch[2], np.array([0.5, 0.0, 1.0]), batch[2]))
+    # theta = pi: sin(pi) is 1.2e-16 in floats, but the weight's exact zero
+    # still raises SingularityError, alone and in a batch
+    with pytest.raises(SingularityError):
+        apply(canonical_momentum(sph, 1), state, (1.0, math.pi, 1.0))
+    with pytest.raises(SingularityError):
+        apply(canonical_momentum(sph, 1), state, (batch[2], np.array([0.5, math.pi, 1.0]), batch[2]))
     values = apply(naive_momentum(sph, 0), state, batch)
     assert values.shape == (3,) and np.all(np.isfinite(values))
 

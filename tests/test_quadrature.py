@@ -11,10 +11,13 @@ from curvimom.geometry import (
     CoordinateSpec,
     CoordinateSystem,
     make_spherical,
+    preset_systems,
 )
 from curvimom import quadrature
 from curvimom.quadrature import (
     QuadratureConfig,
+    axis_rules,
+    contract,
     coordinate_integral,
     coordinate_rule,
     gauss_legendre,
@@ -238,3 +241,32 @@ def test_rule_cache_does_not_grow_with_scale():
     for arr in (first.nodes, first.weights, polar.weights, gauss_legendre(16).nodes):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_contract_on_stacked_rules_matches_separate_sums():
+    # every topology: half-line, line, periodic, polar (sine absorbed) and an
+    # affine compact axis; each table real and complex, at a non-unit scale
+    ball = CoordinateSystem(
+        "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
+    )
+    systems = list(preset_systems().values()) + [ball]
+    cfg = QuadratureConfig(radial_order=40, theta_order=24, phi_order=16, radial_scale=1.3)
+    integrands = [
+        lambda q: np.exp(-0.5 * np.abs(q)) * (1.0 + np.cos(q)),
+        lambda q: np.exp(-0.5 * np.abs(q) + 1j * q) * (2.0 + np.sin(q)),
+    ]
+    for system in systems:
+        for spec, rule in zip(system.coords, axis_rules(system, cfg)):
+            order = cfg.order_for(spec)
+            full = coordinate_rule(spec, order, cfg.radial_scale)
+            half = coordinate_rule(spec, max(order // 2, 2), cfg.radial_scale)
+            assert rule.full == len(full.nodes)
+            assert np.array_equal(rule.nodes, np.concatenate([full.nodes, half.nodes]))
+            assert rule.weights.shape == (2, len(rule.nodes))
+            with pytest.raises(ValueError):
+                rule.nodes[0] = 0.0
+            for f in integrands:
+                got = contract(rule, f(rule.nodes))
+                for value, single in zip(got, (full, half)):
+                    expected = complex(np.sum(single.weights * f(single.nodes)))
+                    assert abs(value - expected) <= 1e-14 * abs(expected), (system.name, spec.name)

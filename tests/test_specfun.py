@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvimom.errors import DomainError
 from curvimom.specfun import (
@@ -133,6 +135,26 @@ def test_legendre_deriv_recurrence_residual():
                 rhs = rhs - (L + M) * assoc_legendre(L - 1, M, x)
             scale = max(np.max(np.abs(rhs)), 1e-30)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
+
+
+@st.composite
+def degree_order_point(draw):
+    L = draw(st.integers(0, 12))
+    M = draw(st.integers(-L, L))
+    x = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    return L, M, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_order_point())
+def test_legendre_deriv_is_the_recurrence_of_two_legendre_calls(case):
+    # one climb gives both P_L^M and P_{L-1}^M: the derivative must be the
+    # degree-lowering formula on two separate assoc_legendre calls, bit for bit
+    L, M, x = case
+    p_lm1 = assoc_legendre(L - 1, M, x) if L - 1 >= abs(M) else 0.0
+    expected = (L * x * assoc_legendre(L, M, x) - (L + M) * p_lm1) / (x * x - 1.0)
+    got = assoc_legendre_deriv(L, M, x)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
 
 
 def test_legendre_deriv_spec_value():
