@@ -134,21 +134,22 @@ def _momentum_values(op: MomentumOperator, factor, nodes: np.ndarray, vals: np.n
 
 
 def _boundary_term(
-    op: MomentumOperator, state: SeparableState, rule: AxisRule, other: float
+    op: MomentumOperator, state: SeparableState, rule: AxisRule, values: np.ndarray, other: float
 ) -> float:
     # -(hbar/2) [w |f|^2] on the operator's axis, times the other axes' norms;
-    # ``rule`` is that axis's stacked rule
+    # ``rule`` and ``values`` are that axis's stacked rule and table
     spec = state.system.coords[op.axis]
-    factor = state.factors[op.axis]
-    # infinite ends are probed at the outermost full-order node, the
-    # numerical stand-in for the limit; bound states have long underflowed there
-    lo = spec.lower if math.isfinite(spec.lower) else float(np.min(rule.nodes[: rule.full]))
-    hi = spec.upper if math.isfinite(spec.upper) else float(np.max(rule.nodes[: rule.full]))
 
-    def surface(q: float) -> float:
-        return float(spec.weight.value(q)) * abs(complex(factor.evaluate(q))) ** 2
+    def surface(end: float, node: int) -> float:
+        if end in measure_factor(spec).zero_ends:  # w vanishes there exactly
+            return 0.0
+        if math.isfinite(end):
+            return float(spec.weight.value(end)) * abs(complex(state.factors[op.axis].evaluate(end))) ** 2
+        # an infinite end is read at the outermost full-order node (nodes
+        # ascend); bound states have long underflowed there
+        return float(spec.weight.value(rule.nodes[node])) * abs(complex(values[node])) ** 2
 
-    return -0.5 * op.hbar * (surface(hi) - surface(lo)) * other
+    return -0.5 * op.hbar * (surface(spec.upper, rule.full - 1) - surface(spec.lower, 0)) * other
 
 
 def expectation(
@@ -176,7 +177,7 @@ def expectation(
     return ExpectationReport(
         value=value,
         hermiticity_defect=value.imag,
-        boundary_term=_boundary_term(op, state, rule, other),
+        boundary_term=_boundary_term(op, state, rule, values[op.axis], other),
         quadrature_error=qerr,
     )
 

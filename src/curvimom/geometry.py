@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -152,10 +153,10 @@ class MeasureFactor:
     def __init__(self, spec: CoordinateSpec):
         self.spec = spec
         self._w = spec.weight
-        # finite ends where w vanishes in exact arithmetic but not in floats
-        # (sin at pi): one float step from a zero, 0 < |w| <= |w'| spacing(end)
+        # finite ends where w vanishes in exact arithmetic (r = 0, theta = 0),
+        # or one float step from it (sin(pi) = 1.2e-16): |w| <= |w' spacing(end)|
         ends = [end for end in (spec.lower, spec.upper) if math.isfinite(end)]
-        self._zero_ends = [e for e in ends if 0.0 < abs(self._w.value(e)) <= abs(self._w.deriv(e)) * np.spacing(e)]
+        self.zero_ends = tuple(e for e in ends if abs(self._w.value(e)) <= abs(self._w.deriv(e) * np.spacing(e)))
 
     def value(self, q):
         """f(q) = sqrt(w(q))."""
@@ -164,15 +165,16 @@ class MeasureFactor:
     def drift(self, q):
         """g(q) = f'/f = w'/(2w); raises where the weight vanishes."""
         w = self._w.value(q)
-        if np.any(np.asarray(w) == 0.0) or any(np.any(np.equal(q, end)) for end in self._zero_ends):
+        if np.any(np.asarray(w) == 0.0) or any(np.any(np.equal(q, end)) for end in self.zero_ends):
             raise SingularityError(
                 f"drift of coordinate {self.spec.name!r} is singular where the weight vanishes"
             )
         return self._w.deriv(q) / (2.0 * w)
 
 
+@lru_cache(maxsize=64)
 def measure_factor(spec: CoordinateSpec) -> MeasureFactor:
-    """Measure factor object for one coordinate."""
+    """Measure factor object for one coordinate, shared per spec."""
     return MeasureFactor(spec)
 
 

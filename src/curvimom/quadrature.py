@@ -11,12 +11,12 @@ One rule family per topology:
   sin(theta) d(theta) exactly for polynomial integrands in cos(theta);
 - any other compact interval: affine-mapped Gauss-Legendre.
 
-``coordinate_rule`` folds the coordinate weight w(q) into the weights of
-every rule it returns, so a 1-D integral is one weighted sum.  Every
-separable integral is tabulated on ``axis_rules`` (per coordinate, the
-full- then the half-order nodes as one array, with one weight row per order),
-summed by ``contract`` and combined by ``combine_axes`` (product and error
-estimate).
+``coordinate_rule`` folds the weight w(q) into every rule it returns, so a
+1-D integral is one weighted sum.  Separable integrals are tabulated on
+``axis_rule`` (the full- then the half-order nodes of a coordinate as one
+array, one weight row per order), summed by ``contract`` and combined by
+``combine_axes``.  Both rules are cached per (coordinate, order) at unit
+scale in bounded caches; a line or half-line scale is applied per call.
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
@@ -45,6 +45,7 @@ __all__ = [
     "periodic_rule",
     "coordinate_rule",
     "coordinate_integral",
+    "axis_rule",
     "axis_rules",
     "contract",
     "combine_axes",
@@ -210,10 +211,15 @@ def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> Qua
     base = _unit_rule(spec, order)
     if spec.topology not in ("line", "half-line"):
         return base
+    return QuadratureRule(*_scaled(spec, base, scale))
+
+
+def _scaled(spec: CoordinateSpec, base: QuadratureRule, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    # a unit-scale line or half-line rule's nodes and weights at ``scale``, w(q) folded in
     if not scale > 0.0:
         raise DomainError(f"map scale must be positive, got {scale!r}")
     nodes = scale * base.nodes
-    return QuadratureRule(nodes, scale * base.weights * spec.weight.value(nodes))
+    return nodes, scale * base.weights * spec.weight.value(nodes)
 
 
 @dataclass(frozen=True)
@@ -267,18 +273,27 @@ class AxisRule(QuadratureRule):
     full: int = 0
 
 
+@lru_cache(maxsize=128)
+def _stacked_unit_rule(spec: CoordinateSpec, order: int) -> AxisRule:
+    # full- then half-order unit rules on one array; w(q) as in _unit_rule
+    full, half = _unit_rule(spec, order), _unit_rule(spec, max(order // 2, 2))
+    n = len(full.nodes)
+    weights = np.zeros((2, n + len(half.nodes)))
+    weights[0, :n], weights[1, n:] = full.weights, half.weights
+    return AxisRule(np.concatenate([full.nodes, half.nodes]), weights, full=n)
+
+
+def axis_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> AxisRule:
+    """One coordinate's stacked rule, elementwise as ``coordinate_rule`` builds it."""
+    base = _stacked_unit_rule(spec, order)
+    if spec.topology not in ("line", "half-line"):
+        return base
+    return AxisRule(*_scaled(spec, base, scale), full=base.full)
+
+
 def axis_rules(system: CoordinateSystem, config: QuadratureConfig) -> list[AxisRule]:
     """The stacked full- and half-order rule of each coordinate of ``system``."""
-    rules = []
-    for spec in system.coords:
-        order, scale = config.order_for(spec), config.radial_scale
-        full = coordinate_rule(spec, order, scale)
-        half = coordinate_rule(spec, max(order // 2, 2), scale)
-        n = len(full.nodes)
-        weights = np.zeros((2, n + len(half.nodes)))
-        weights[0, :n], weights[1, n:] = full.weights, half.weights
-        rules.append(AxisRule(np.concatenate([full.nodes, half.nodes]), weights, full=n))
-    return rules
+    return [axis_rule(spec, config.order_for(spec), config.radial_scale) for spec in system.coords]
 
 
 def contract(rule: AxisRule, table: np.ndarray) -> tuple[complex, complex]:

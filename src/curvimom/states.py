@@ -2,7 +2,8 @@
 
 Every state is a product of one-coordinate factors, each carrying its own
 analytic derivative, so momentum operators act factor by factor without any
-numerical differentiation of the state itself.
+numerical differentiation of the state itself.  Factors keep their own tables,
+and hydrogen factors come from bounded caches, so states share both.
 """
 
 from __future__ import annotations
@@ -10,15 +11,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError
-from .geometry import CoordinateSystem, make_spherical
-from .quadrature import QuadratureConfig, axis_rules, combine_axes, contract, coordinate_integral
+from .geometry import CoordinateSpec, CoordinateSystem, make_spherical
+from .quadrature import AxisRule, QuadratureConfig, axis_rule, combine_axes, contract, coordinate_integral
 from .specfun import (
     QuantumNumbers,
+    _require_degree_order,
     assoc_laguerre,
     assoc_laguerre_deriv,
     assoc_legendre,
@@ -38,11 +41,6 @@ __all__ = [
     "apply_phase_twist",
     "state_overlap",
 ]
-
-# trial factors are cut off this many decay lengths out; the Gaussian tail
-# has long underflowed there, the cut just keeps the polynomial finite
-_TRIAL_CUTOFF = 40.0
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -96,10 +94,24 @@ def load_constants(path: str) -> PhysicalConstants:
 
 @dataclass(frozen=True)
 class FactorFunction:
-    """One coordinate factor: value and analytic derivative callables."""
+    """One coordinate factor: value and analytic derivative callables, and
+    its tables, which every state holding the factor shares."""
 
     evaluate: Callable
     derivative: Callable
+    # table's memo, keyed on (spec, order) plus the scale on line and half-line axes
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def table(self, spec: CoordinateSpec, order: int, scale: float) -> tuple[AxisRule, np.ndarray, tuple]:
+        """``axis_rule(spec, order, scale)``, read-only values there, contracted |f|^2; once."""
+        key = (spec, order, scale) if spec.topology in ("line", "half-line") else (spec, order)
+        entry = self._tables.get(key)
+        if entry is None:
+            rule = axis_rule(spec, order, scale)
+            values = np.asarray(self.evaluate(rule.nodes))
+            values.setflags(write=False)
+            entry = self._tables[key] = (rule, values, contract(rule, np.abs(values) ** 2))
+        return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +123,6 @@ class SeparableState:
     quantum_numbers: QuantumNumbers | None = None
     normalized: bool = True
     radial_scale: float = 1.0
-    # tabulate's memo, one entry per config; it lives and dies with the state
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.factors) != self.system.dim:
@@ -130,34 +140,17 @@ class SeparableState:
             )
         return math.prod((factor.evaluate(q) for factor, q in zip(self.factors, point)), start=1 + 0j)
 
-    def tabulate(self, config: QuadratureConfig) -> tuple[list, tuple, list]:
-        """Each factor's values on its coordinate's stacked nodes, and norms.
-
-        Returns ``(rules, values, norms)``: ``axis_rules(system, config)``,
-        per coordinate the factor's values on that rule's nodes (read-only),
-        and per coordinate the ``contract``ed (full, half) pair of |f|^2.
-        Each is computed once per config and kept on the state.
-        """
-        table = self._tables.get(config)
-        if table is None:
-            rules = axis_rules(self.system, config)
-            values = tuple(_read_only(f.evaluate(rule.nodes)) for f, rule in zip(self.factors, rules))
-            norms = [contract(rule, np.abs(vals) ** 2) for rule, vals in zip(rules, values)]
-            table = self._tables[config] = (rules, values, norms)
-        return table
+    def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple, tuple]:
+        """``(rules, values, norms)``: per coordinate, its factor's ``table``."""
+        specs, scale = self.system.coords, config.radial_scale
+        return tuple(zip(*(f.table(s, config.order_for(s), scale) for f, s in zip(self.factors, specs))))
 
 
-def _read_only(values) -> np.ndarray:
-    out = np.asarray(values)
-    out.setflags(write=False)
-    return out
-
-
-def _hydrogen_radial(qn: QuantumNumbers, constants: PhysicalConstants) -> FactorFunction:
-    n, L = qn.n, qn.L
+@lru_cache(maxsize=256)
+def _hydrogen_radial(n: int, L: int, a0: float) -> FactorFunction:
     k = n - L - 1
     a = 2 * L + 1
-    beta = 2.0 / (n * constants.a0)  # rho = beta * r
+    beta = 2.0 / (n * a0)  # rho = beta * r
     log_norm = 1.5 * math.log(beta) + 0.5 * (
         math.lgamma(k + 1) - math.lgamma(n + L + 1) - math.log(2.0 * n)
     )
@@ -183,8 +176,15 @@ def theta_eigenfactor(L: int, M: int) -> FactorFunction:
     """Normalized polar factor Theta_LM(theta) proportional to P_L^M(cos theta).
 
     Unit norm against the sin(theta) measure on (0, pi); the derivative is
-    analytic via the chain rule through x = cos(theta).
+    analytic via the chain rule through x = cos(theta).  One shared factor
+    per (L, M); DomainError unless L and M are integers with |M| <= L.
     """
+    _require_degree_order(L, M)  # before the cache, which takes 1.0 for 1
+    return _theta_factor(int(L), int(M))
+
+
+@lru_cache(maxsize=256)
+def _theta_factor(L: int, M: int) -> FactorFunction:
     norm = math.sqrt(0.5 * (2 * L + 1)) * math.exp(
         0.5 * (math.lgamma(L - M + 1) - math.lgamma(L + M + 1))
     )
@@ -200,9 +200,14 @@ def theta_eigenfactor(L: int, M: int) -> FactorFunction:
 
 
 def phi_eigenfactor(M: int) -> FactorFunction:
-    """Azimuthal factor e^(i M phi) / sqrt(2 pi)."""
-    if not isinstance(M, (int, np.integer)):
+    """Azimuthal factor e^(i M phi) / sqrt(2 pi), one shared factor per M."""
+    if not isinstance(M, (int, np.integer)):  # before the cache, which takes 1.0 for 1
         raise DomainError(f"azimuthal index must be an integer, got {M!r}")
+    return _phi_factor(int(M))
+
+
+@lru_cache(maxsize=256)
+def _phi_factor(M: int) -> FactorFunction:
     norm = 1.0 / math.sqrt(2.0 * math.pi)
 
     def evaluate(phi):
@@ -220,11 +225,12 @@ def hydrogen_state(
     """Bound hydrogen eigenstate (n, L, M) on the spherical system.
 
     All three factors are individually unit-norm against their coordinate
-    weights, so the product is normalized with no cross terms.
+    weights, so the product is normalized with no cross terms.  The factors
+    are shared with every other state of the same (n, L, a0), (L, M) or M.
     """
     return SeparableState(
         factors=(
-            _hydrogen_radial(qn, constants),
+            _hydrogen_radial(int(qn.n), int(qn.L), constants.a0),
             theta_eigenfactor(qn.L, qn.M),
             phi_eigenfactor(qn.M),
         ),
@@ -240,14 +246,12 @@ def _poly_gaussian(coeffs: np.ndarray, center: float, scale: float) -> FactorFun
 
     def evaluate(q):
         u = (np.asarray(q, dtype=float) - center) / scale
-        val = (c0 + c1 * u + c2 * u * u) * np.exp(-0.5 * u * u)
-        return np.where(np.abs(u) <= _TRIAL_CUTOFF, val, 0.0)
+        return (c0 + c1 * u + c2 * u * u) * np.exp(-0.5 * u * u)
 
     def derivative(q):
         u = (np.asarray(q, dtype=float) - center) / scale
         val = ((c1 + 2.0 * c2 * u) - u * (c0 + c1 * u + c2 * u * u)) / scale
-        val = val * np.exp(-0.5 * u * u)
-        return np.where(np.abs(u) <= _TRIAL_CUTOFF, val, 0.0)
+        return val * np.exp(-0.5 * u * u)
 
     return FactorFunction(evaluate, derivative)
 
@@ -314,23 +318,16 @@ def random_bound_trial(
     scales = [a0]
     for spec in system.coords:
         order = config.order_for(spec)
-        if spec.topology == "half-line":
+        if spec.topology in ("line", "half-line"):
             scale = a0 * (0.8 + 0.4 * rng.random())
-            raw = _poly_gaussian(rng.uniform(0.4, 1.0, 3), 0.0, scale)
-            factors.append(_normalized(raw, spec, order, scale))
-            scales.append(scale)
-        elif spec.topology == "line":
-            scale = a0 * (0.8 + 0.4 * rng.random())
-            center = a0 * rng.uniform(-0.5, 0.5)
+            center = a0 * rng.uniform(-0.5, 0.5) if spec.topology == "line" else 0.0
             raw = _poly_gaussian(rng.uniform(0.4, 1.0, 3), center, scale)
-            factors.append(_normalized(raw, spec, order, scale))
             scales.append(scale)
         elif spec.topology == "compact-periodic":
-            raw = _fourier_sum(rng.uniform(0.2, 1.0, 5))
-            factors.append(_normalized(raw, spec, order, 1.0))
+            raw, scale = _fourier_sum(rng.uniform(0.2, 1.0, 5)), 1.0
         else:
-            raw = _sine_sum(rng.uniform(0.2, 1.0, 4))
-            factors.append(_normalized(raw, spec, order, 1.0))
+            raw, scale = _sine_sum(rng.uniform(0.2, 1.0, 4)), 1.0
+        factors.append(_normalized(raw, spec, order, scale))
 
     return SeparableState(
         factors=tuple(factors),
@@ -378,8 +375,5 @@ def state_overlap(
     if config is None:
         config = QuadratureConfig(radial_scale=max(a.radial_scale, b.radial_scale))
     rules, values_a, _ = a.tabulate(config)
-    values_b = b.tabulate(config)[1]
-    value, _ = combine_axes(
-        [contract(rule, np.conj(va) * vb) for rule, va, vb in zip(rules, values_a, values_b)]
-    )
-    return value
+    pairs = [contract(rule, np.conj(va) * vb) for rule, va, vb in zip(rules, values_a, b.tabulate(config)[1])]
+    return combine_axes(pairs)[0]

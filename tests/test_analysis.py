@@ -5,6 +5,7 @@ Every expected number here is either a direct hand computation
 route (the defect law checked against <g> computed separately).
 """
 
+import collections
 import math
 import sys
 
@@ -13,6 +14,9 @@ import pytest
 
 from curvimom.errors import DomainError, PreconditionError, UnsupportedAxisError
 from curvimom.geometry import (
+    WEIGHTS,
+    CoordinateSpec,
+    CoordinateSystem,
     make_cartesian,
     make_cylindrical,
     make_plane_polar,
@@ -35,9 +39,9 @@ from curvimom.analysis import (
     reality_tolerance,
     run_check_suites,
 )
-from curvimom import analysis, quadrature
+from curvimom import analysis, quadrature, states
 from curvimom.operators import canonical_momentum, naive_momentum
-from curvimom.quadrature import QuadratureConfig
+from curvimom.quadrature import QuadratureConfig, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
     ATOMIC,
@@ -97,7 +101,7 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
             monkeypatch.setattr(module, "coordinate_rule", counted_rule)
     rep = expectation(canonical_momentum(state.system, 0), counted_state)
     assert calls == [1, 1, 1]
-    assert rule_calls == [6]
+    assert rule_calls == [0]  # stacked rules come from their own cache
     assert rep.value == expectation(canonical_momentum(state.system, 0), state).value
 
     for axis in (1, 2):
@@ -108,6 +112,90 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
     assert drift_expectation(counted_state, 1) == drift_expectation(state, 1)
     assert state_overlap(counted_state, counted_state) == state_overlap(state, state)
     assert calls == [1, 1, 1]
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    # counts every factor's evaluate/derivative calls on arrays and on single
+    # points, from empty hydrogen constructor caches
+    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor)
+    for cache in caches:
+        cache.cache_clear()
+    counts = collections.Counter()
+    init = FactorFunction.__init__
+
+    def counting_init(obj, evaluate, derivative):
+        def counted(name, fn):
+            def call(q):
+                counts[name, "array" if np.ndim(q) > 0 else "point"] += 1
+                return fn(q)
+
+            return call
+
+        init(obj, counted("evaluate", evaluate), counted("derivative", derivative))
+
+    monkeypatch.setattr(FactorFunction, "__init__", counting_init)
+    yield counts
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_scan_tabulates_each_shared_factor_once(factor_calls):
+    # 121 states share 11 radial and 21 phi factors: 11 + 121 + 21 tables
+    # (363 when every state tabulated its own), one theta derivative per
+    # state, and no single-point probe of the surface term (242 before)
+    p_theta_spectrum_scan(10)
+    assert factor_calls == {("evaluate", "array"): 153, ("derivative", "array"): 121}
+    # r = 0, theta = 0 and theta = pi are zero ends of the weight: no probe;
+    # phi = 0 and 2 pi have weight 1, so only there is the factor evaluated
+    system = make_spherical()
+    for qn in (QuantumNumbers(1, 0, 0), QuantumNumbers(3, 2, -1), QuantumNumbers(4, 3, 3)):
+        state = hydrogen_state(qn)
+        for axis, probes in ((0, 0), (1, 0), (2, 2)):
+            for op in (canonical_momentum(system, axis), naive_momentum(system, axis)):
+                factor_calls.clear()
+                expectation(op, state)
+                assert factor_calls[("evaluate", "point")] == probes, axis
+                assert factor_calls[("derivative", "point")] == 0
+
+
+def test_boundary_term_matches_endpoint_probe():
+    # the surface term from the zero ends and the table agrees with probing
+    # the factor at each end, infinite ends at the outermost full-order node
+    cfg = QuadratureConfig()
+    ball = CoordinateSystem(
+        "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
+    )
+    decay = FactorFunction(lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)))
+    cases = [SeparableState((decay,), ball)]  # nonzero weight and value at r = 1.7
+    cases += [
+        hydrogen_state(QuantumNumbers(n, L, M))
+        for n, L, M in ((1, 0, 0), (2, 1, -1), (3, 2, 1), (4, 3, 0), (4, 3, 3))
+    ]
+    cases += [random_bound_trial(system, seed) for system in preset_systems().values() for seed in range(3)]
+    for state in cases:
+        coords = state.system.coords
+        norms = [
+            coordinate_integral(
+                spec, lambda q, f=f: np.abs(np.asarray(f.evaluate(q))) ** 2, cfg.order_for(spec), state.radial_scale
+            ).real
+            for spec, f in zip(coords, state.factors)
+        ]
+        for axis, spec in enumerate(coords):
+            nodes = quadrature.coordinate_rule(spec, cfg.order_for(spec), state.radial_scale).nodes
+            lo = spec.lower if math.isfinite(spec.lower) else float(np.min(nodes))
+            hi = spec.upper if math.isfinite(spec.upper) else float(np.max(nodes))
+
+            def surface(q):
+                return float(spec.weight.value(q)) * abs(complex(state.factors[axis].evaluate(q))) ** 2
+
+            other = math.prod(norm for j, norm in enumerate(norms) if j != axis)
+            probe = -0.5 * (surface(hi) - surface(lo)) * other
+            got = expectation(canonical_momentum(state.system, axis), state, cfg).boundary_term
+            assert abs(got - probe) <= 1e-15, (state.system.name, spec.name)
+    # hand value on the ball: -(hbar/2) r^2 e^(-2r) at r = 1.7, zero at r = 0
+    ball_term = expectation(canonical_momentum(ball, 0), cases[0], cfg).boundary_term
+    assert ball_term == pytest.approx(-0.5 * 1.7**2 * math.exp(-3.4), rel=1e-14)
 
 
 def test_hydrogen_canonical_momenta_are_real():

@@ -241,6 +241,22 @@ def test_rule_cache_does_not_grow_with_scale():
     for arr in (first.nodes, first.weights, polar.weights, gauss_legendre(16).nodes):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    # the stacked rules of every axis: one cached unit rule per (spec, order)
+    system = make_spherical()
+    stacked = axis_rules(system, QuadratureConfig())
+    size = quadrature._stacked_unit_rule.cache_info().currsize
+    for k in range(1000):
+        rules = axis_rules(system, QuadratureConfig(radial_scale=0.5 + k * 1e-3))
+    assert quadrature._stacked_unit_rule.cache_info().currsize == size
+    assert rules[1] is stacked[1] and rules[2] is stacked[2]
+    full, half = coordinate_rule(spec, 120, 1.499), coordinate_rule(spec, 60, 1.499)
+    assert np.array_equal(rules[0].nodes, np.concatenate([full.nodes, half.nodes]))
+    assert np.array_equal(rules[0].weights[0, :120], full.weights)
+    assert np.array_equal(rules[0].weights[1, 120:], half.weights)
+    for rule in rules + stacked:
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_contract_on_stacked_rules_matches_separate_sums():

@@ -17,11 +17,13 @@ from curvimom.errors import (
     UnsupportedAxisError,
 )
 from curvimom.geometry import make_cartesian, make_spherical, preset_systems
-from curvimom.quadrature import QuadratureConfig, coordinate_integral
+from curvimom.quadrature import QuadratureConfig, axis_rule, coordinate_integral
 from curvimom.specfun import QuantumNumbers, spherical_harmonic
 from curvimom.states import (
     ATOMIC,
+    FactorFunction,
     PhysicalConstants,
+    SeparableState,
     apply_phase_twist,
     hydrogen_state,
     load_constants,
@@ -119,6 +121,84 @@ def test_hydrogen_state_equals_radial_times_spherical_harmonic():
 def test_phi_eigenfactor_requires_integer():
     with pytest.raises(DomainError):
         phi_eigenfactor(0.5)
+
+
+def test_cached_constructors_validate_before_lookup():
+    # the caches would take 1.0 for the key 1; the check runs first
+    assert phi_eigenfactor(1) is phi_eigenfactor(np.int64(1))
+    with pytest.raises(DomainError):
+        phi_eigenfactor(1.0)
+    assert theta_eigenfactor(2, 1) is theta_eigenfactor(2, 1)
+    for L, M in ((2, 1.0), (2.0, 1), (1, 2), (-1, 0)):
+        with pytest.raises(DomainError):
+            theta_eigenfactor(L, M)
+    a, b, c = (hydrogen_state(QuantumNumbers(*qn)) for qn in ((3, 2, 1), (4, 2, 1), (3, 2, -1)))
+    assert a.factors[1] is b.factors[1] and a.factors[2] is b.factors[2]
+    assert a.factors[0] is c.factors[0] and a.factors[0] is not b.factors[0]
+    other_units = hydrogen_state(QuantumNumbers(3, 2, 1), PhysicalConstants(2.0, 1.0, 1.0))
+    assert other_units.factors[0] is not a.factors[0] and other_units.factors[1] is a.factors[1]
+
+
+def _counted(factor, calls):
+    def evaluate(q):
+        calls.append(np.ndim(q))
+        return factor.evaluate(q)
+
+    return FactorFunction(evaluate, factor.derivative)
+
+
+def test_angular_tables_are_shared_across_radial_scales():
+    calls = {axis: [] for axis in range(3)}
+    qn = QuantumNumbers(3, 2, 1)
+    base = hydrogen_state(qn)
+    factors = tuple(_counted(f, calls[axis]) for axis, f in enumerate(base.factors))
+    near = SeparableState(factors, base.system, radial_scale=1.0)
+    far = SeparableState(factors, base.system, radial_scale=3.0)
+    cfg = QuadratureConfig()
+    rules_n, values_n, norms_n = near.tabulate(cfg.with_scale(1.0))
+    rules_f, values_f, norms_f = far.tabulate(cfg.with_scale(3.0))
+    assert calls == {0: [1, 1], 1: [1], 2: [1]}
+    for axis in (1, 2):
+        assert values_n[axis] is values_f[axis] and norms_n[axis] == norms_f[axis]
+    assert not np.array_equal(values_n[0], values_f[0])
+    for rules, values in ((rules_n, values_n), (rules_f, values_f)):
+        for f, rule, vals in zip(base.factors, rules, values):
+            assert np.array_equal(vals, f.evaluate(rule.nodes))
+            with pytest.raises(ValueError):
+                vals[0] = 0.0
+    # a second pass reads the memos
+    assert far.tabulate(cfg.with_scale(3.0))[1][0] is values_f[0]
+    assert calls == {0: [1, 1], 1: [1], 2: [1]}
+
+
+def test_each_order_and_radial_scale_gets_its_own_table():
+    calls = []
+    sph = make_spherical()
+    base = hydrogen_state(QuantumNumbers(2, 1, 0)).factors[0]
+    radial = _counted(base, calls)
+    seen = []
+    for order, scale in ((120, 2.0), (120, 5.0), (60, 2.0)):
+        rule, values, _ = radial.table(sph.coords[0], order, scale)
+        assert np.array_equal(rule.nodes, axis_rule(sph.coords[0], order, scale).nodes)
+        assert np.array_equal(values, base.evaluate(rule.nodes))
+        seen.append(values)
+    assert len(calls) == 3 and all(seen[i] is not seen[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+    calls.clear()
+    base = theta_eigenfactor(2, 1)
+    theta = _counted(base, calls)
+    fine = theta.table(sph.coords[1], 64, 1.0)[1]
+    assert theta.table(sph.coords[1], 64, 7.0)[1] is fine  # compact axes ignore the scale
+    coarse = theta.table(sph.coords[1], 32, 1.0)[1]
+    assert calls == [1, 1] and len(coarse) < len(fine)
+    assert np.array_equal(coarse, base.evaluate(axis_rule(sph.coords[1], 32).nodes))
+    # a derived factor starts with its own, empty memo
+    trial = random_bound_trial(make_cartesian(), 3)
+    trial.tabulate(QuadratureConfig(radial_scale=trial.radial_scale))
+    twisted = apply_phase_twist(trial, 0, 1.5)
+    spec = trial.system.coords[0]
+    rule, values, _ = twisted.factors[0].table(spec, 120, trial.radial_scale)
+    assert np.array_equal(values, twisted.factors[0].evaluate(rule.nodes))
+    assert not np.array_equal(values, trial.factors[0].table(spec, 120, trial.radial_scale)[1])
 
 
 def test_constants_atomic_and_file_loading(tmp_path):
