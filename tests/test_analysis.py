@@ -141,9 +141,9 @@ def factor_calls(monkeypatch):
 
 
 def test_scan_tabulates_each_shared_factor_once(factor_calls):
-    # 121 states share 11 radial and 21 phi factors: 11 + 121 + 21 tables
-    # (363 when every state tabulated its own), one theta derivative per
-    # state, and no single-point probe of the surface term (242 before)
+    # 121 states share 11 radial and 21 phi factors: 11 + 121 + 21 tables,
+    # one theta derivative per state, and no single-point probe of the
+    # surface term
     p_theta_spectrum_scan(10)
     assert factor_calls == {("evaluate", "array"): 153, ("derivative", "array"): 121}
     # r = 0, theta = 0 and theta = pi are zero ends of the weight: no probe;
@@ -173,6 +173,14 @@ def test_boundary_term_matches_endpoint_probe():
         for n, L, M in ((1, 0, 0), (2, 1, -1), (3, 2, 1), (4, 3, 0), (4, 3, 3))
     ]
     cases += [random_bound_trial(system, seed) for system in preset_systems().values() for seed in range(3)]
+    # an algebraic tail on x, lopsided by tanh, is still ~1e-8 at the outermost
+    # nodes, so reading the wrong node at an infinite end shows
+    lopsided = FactorFunction(
+        lambda q: (2.0 + np.tanh(q)) / np.sqrt(1.0 + np.asarray(q) ** 2),
+        lambda q: (1.0 - np.tanh(q) ** 2 - (2.0 + np.tanh(q)) * q / (1.0 + np.asarray(q) ** 2))
+        / np.sqrt(1.0 + np.asarray(q) ** 2),
+    )
+    cases.append(SeparableState((lopsided,) + random_bound_trial(make_cartesian(), 0).factors[1:], make_cartesian()))
     for state in cases:
         coords = state.system.coords
         norms = [
@@ -196,6 +204,8 @@ def test_boundary_term_matches_endpoint_probe():
     # hand value on the ball: -(hbar/2) r^2 e^(-2r) at r = 1.7, zero at r = 0
     ball_term = expectation(canonical_momentum(ball, 0), cases[0], cfg).boundary_term
     assert ball_term == pytest.approx(-0.5 * 1.7**2 * math.exp(-3.4), rel=1e-14)
+    tail_term = expectation(canonical_momentum(make_cartesian(), 0), cases[-1], cfg).boundary_term
+    assert abs(tail_term) > 1e-9
 
 
 def test_hydrogen_canonical_momenta_are_real():
