@@ -16,8 +16,8 @@ from .analysis import (
     ci_uniqueness_demo,
     drift_expectation,
     expectation,
+    expectations,
     force_balance,
-    hermiticity_defect,
     inv_r2_closed_form,
     inv_r3_closed_form,
     momentum_unit,
@@ -78,13 +78,13 @@ from .specfun import (
     assoc_legendre,
     assoc_legendre_deriv,
     legendre_parity,
-    spherical_harmonic,
 )
 from .states import (
     ATOMIC,
     FactorFunction,
     PhysicalConstants,
     SeparableState,
+    StateFamily,
     apply_phase_twist,
     hydrogen_state,
     load_constants,
@@ -92,6 +92,7 @@ from .states import (
     random_bound_trial,
     state_overlap,
     theta_eigenfactor,
+    trial_family,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .operators import (
     l_squared_expectation,
     naive_momentum,
 )
-from .quadrature import AxisRule, QuadratureConfig, combine_axes, contract, coordinate_integral
+from .quadrature import QuadratureConfig, combine_axes, contract, contract_rows, coordinate_integral
 from .specfun import (
     QuantumNumbers,
     assoc_legendre,
@@ -42,9 +42,11 @@ from .states import (
     ATOMIC,
     PhysicalConstants,
     SeparableState,
+    StateFamily,
     apply_phase_twist,
     hydrogen_state,
     random_bound_trial,
+    trial_family,
 )
 
 __all__ = [
@@ -54,7 +56,7 @@ __all__ = [
     "SuiteResult",
     "momentum_unit",
     "expectation",
-    "hermiticity_defect",
+    "expectations",
     "reality_tolerance",
     "drift_expectation",
     "ci_uniqueness_demo",
@@ -70,6 +72,10 @@ __all__ = [
 
 # absolute floor of the reality contract, in natural momentum units
 _REALITY_FLOOR = 1e-9
+_DEFAULT_CONFIG = QuadratureConfig()
+# members per reality-scan trial family: a family holds a (k, n) table per axis,
+# and 25 members keep the Cartesian one (three line axes) under a megabyte
+_FAMILY_SIZE = 25
 
 
 @dataclass(frozen=True)
@@ -77,9 +83,13 @@ class ExpectationReport:
     """One expectation value with its reality diagnostics."""
 
     value: complex
-    hermiticity_defect: float
     boundary_term: float
     quadrature_error: float
+
+    @property
+    def hermiticity_defect(self) -> float:
+        """Im <p>: zero for a hermitian operator on an admissible state."""
+        return self.value.imag
 
 
 @dataclass(frozen=True)
@@ -133,60 +143,57 @@ def _momentum_values(op: MomentumOperator, factor, nodes: np.ndarray, vals: np.n
     )
 
 
-def _boundary_term(
-    op: MomentumOperator, state: SeparableState, rule: AxisRule, values: np.ndarray, other: float
-) -> float:
-    # -(hbar/2) [w |f|^2] on the operator's axis, times the other axes' norms;
-    # ``rule`` and ``values`` are that axis's stacked rule and table
-    spec = state.system.coords[op.axis]
+def expectations(
+    op: MomentumOperator, family: StateFamily, config: QuadratureConfig | None = None
+) -> list[ExpectationReport]:
+    """<psi| p |psi> with reality diagnostics on every member of ``family``:
+    one table and one contraction per axis, then each member's report from
+    Python scalars, at the member's own radial scale and the config's orders.
 
-    def surface(end: float, node: int) -> float:
-        if end in measure_factor(spec).zero_ends:  # w vanishes there exactly
-            return 0.0
+    Raises:
+        PreconditionError: if a member is not normalized.
+    """
+    if not all([state.normalized for state in family.members]):
+        raise PreconditionError("expectation values require a normalized state")
+    rules, values, norms = family.tabulate(config if config is not None else _DEFAULT_CONFIG)
+    rule, table, factor, k = rules[op.axis], values[op.axis], family.factors[op.axis], len(family.members)
+    moments = contract_rows(rule, _momentum_values(op, factor, rule.nodes, table))
+    spec = family.system.coords[op.axis]
+    zero_ends = measure_factor(spec).zero_ends
+
+    def surface(end: float, node: int) -> list[float]:
+        # w |f|^2 at one end of the operator's axis, one float per member
+        if end in zero_ends:  # w vanishes there exactly
+            return [0.0] * k
         if math.isfinite(end):
-            return float(spec.weight.value(end)) * abs(complex(state.factors[op.axis].evaluate(end))) ** 2
-        # an infinite end is read at the outermost full-order node (nodes
-        # ascend); bound states have long underflowed there
-        return float(spec.weight.value(rule.nodes[node])) * abs(complex(values[node])) ** 2
+            w, ends = [float(spec.weight.value(end))] * k, factor.evaluate(end)
+        else:  # the outermost full-order node (nodes ascend); bound states have long underflowed there
+            w, ends = np.reshape(spec.weight.value(rule.nodes[..., node]), -1).tolist(), table[..., node]
+        return [wi * abs(v) ** 2 for wi, v in zip(w, np.reshape(ends, -1).tolist())]
 
-    return -0.5 * op.hbar * (surface(spec.upper, rule.full - 1) - surface(spec.lower, 0)) * other
+    upper, lower = surface(spec.upper, rule.full - 1), surface(spec.lower, 0)
+    reports = []
+    for i in range(k):
+        pairs = [axis_norms[i] for axis_norms in norms]
+        other = math.prod(full.real for j, (full, _) in enumerate(pairs) if j != op.axis)
+        pairs[op.axis] = moments[i]
+        value, qerr = combine_axes(pairs)
+        # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
+        boundary = -0.5 * op.hbar * (upper[i] - lower[i]) * other
+        reports.append(ExpectationReport(value=value, boundary_term=boundary, quadrature_error=qerr))
+    return reports
 
 
 def expectation(
     op: MomentumOperator, state: SeparableState, config: QuadratureConfig | None = None
 ) -> ExpectationReport:
-    """<psi| p |psi> by separable quadrature, with reality diagnostics.
-
-    The quadrature scale always follows the state's own radial scale; the
-    config contributes the orders.
+    """<psi| p |psi> by separable quadrature, with reality diagnostics: the
+    family-of-one case of ``expectations``.
 
     Raises:
         PreconditionError: if the state is not normalized.
     """
-    if not state.normalized:
-        raise PreconditionError("expectation values require a normalized state")
-    base = config if config is not None else QuadratureConfig()
-    cfg = base.with_scale(state.radial_scale)
-
-    rules, values, norms = state.tabulate(cfg)
-    rule = rules[op.axis]
-    pairs = list(norms)
-    pairs[op.axis] = contract(rule, _momentum_values(op, state.factors[op.axis], rule.nodes, values[op.axis]))
-    value, qerr = combine_axes(pairs)
-    other = math.prod(full.real for j, (full, _) in enumerate(norms) if j != op.axis)
-    return ExpectationReport(
-        value=value,
-        hermiticity_defect=value.imag,
-        boundary_term=_boundary_term(op, state, rule, values[op.axis], other),
-        quadrature_error=qerr,
-    )
-
-
-def hermiticity_defect(
-    op: MomentumOperator, state: SeparableState, config: QuadratureConfig | None = None
-) -> float:
-    """Im <p>: zero for a hermitian operator on an admissible state."""
-    return expectation(op, state, config).hermiticity_defect
+    return expectations(op, StateFamily.of(state), config)[0]
 
 
 def reality_tolerance(
@@ -200,11 +207,9 @@ def drift_expectation(
     state: SeparableState, axis: int, config: QuadratureConfig | None = None
 ) -> float:
     """<g_axis>: the bulk piece of the naive operator's defect law."""
-    base = config if config is not None else QuadratureConfig()
-    cfg = base.with_scale(state.radial_scale)
     g = measure_factor(state.system.coords[axis]).drift
-    rules, values, norms = state.tabulate(cfg)
-    pairs = list(norms)
+    rules, values, norms = StateFamily.of(state).tabulate(config if config is not None else _DEFAULT_CONFIG)
+    pairs = [pair for pair, in norms]
     pairs[axis] = contract(rules[axis], g(rules[axis].nodes) * np.abs(values[axis]) ** 2)
     return combine_axes(pairs)[0].real
 
@@ -233,12 +238,9 @@ def ci_uniqueness_demo(
         raise UnsupportedAxisError(
             f"the additive-constant demo needs a linear axis, {spec.name!r} is {spec.kind}"
         )
-    out = []
-    for seed in (seed_a, seed_b):
-        trial = random_bound_trial(system, seed, constants)
-        rep = expectation(canonical_momentum(system, axis, constants), trial, config)
-        out.append(abs(rep.value))
-    return out[0], out[1]
+    family = trial_family(system, (seed_a, seed_b), constants)
+    rep_a, rep_b = expectations(canonical_momentum(system, axis, constants), family, config)
+    return abs(rep_a.value), abs(rep_b.value)
 
 
 def inv_r2_closed_form(qn: QuantumNumbers, constants: PhysicalConstants = ATOMIC) -> float:
@@ -294,7 +296,14 @@ def force_balance(
     """
     if qn.L < 1:
         raise DomainError("force balance needs L >= 1")
-    state = hydrogen_state(qn, constants)
+    return _force_balance(hydrogen_state(qn, constants), constants, config)
+
+
+def _force_balance(
+    state: SeparableState, constants: PhysicalConstants, config: QuadratureConfig | None
+) -> ForceBalanceReport:
+    # force_balance on a hydrogen state the caller already holds
+    qn = state.quantum_numbers
     lsq = l_squared_expectation(state, constants)
     inv_r2_q = _radial_moment(state, -2, config)
     inv_r3_q = _radial_moment(state, -3, config)
@@ -401,20 +410,18 @@ def _suite_parity() -> SuiteResult:
 
 
 def _suite_recurrence() -> SuiteResult:
-    # degree-lowering identity with the standard index placement
+    # order-raising identity (x^2 - 1) dP_L^M/dx = sqrt(1 - x^2) P_L^{M+1} + M x P_L^M,
+    # with P_L^{L+1} = 0; P_L^{M+1} comes from a climb with another seed than
+    # the derivative's, so a wrong phase or seed shows
     t = _Tally("legendre-recurrence")
     x = np.linspace(-0.995, 0.995, 101)
     for L in range(11):
         for M in range(-L, L + 1):
             lhs = (x * x - 1.0) * assoc_legendre_deriv(L, M, x)
-            term1 = L * x * assoc_legendre(L, M, x)
-            term2 = (
-                (L + M) * assoc_legendre(L - 1, M, x) if L - 1 >= abs(M) else np.zeros_like(x)
-            )
-            scale = max(
-                float(np.max(np.abs(term1))), float(np.max(np.abs(term2))), 1e-30
-            )
-            t.add(float(np.max(np.abs(lhs - (term1 - term2)))), 1e-10 * scale)
+            raised = np.sqrt(1.0 - x * x) * assoc_legendre(L, M + 1, x) if M < L else np.zeros_like(x)
+            term = M * x * assoc_legendre(L, M, x)
+            scale = max(float(np.max(np.abs(raised))), float(np.max(np.abs(term))), 1e-30)
+            t.add(float(np.max(np.abs(lhs - (raised + term)))), 1e-10 * scale)
     return t.result()
 
 
@@ -434,20 +441,17 @@ def _suite_fd_derivative() -> SuiteResult:
 
 def _suite_normalization(cfg: QuadratureConfig, constants: PhysicalConstants) -> SuiteResult:
     t = _Tally("normalization")
-    states = [
-        hydrogen_state(QuantumNumbers(n, L, M), constants)
+    families = [
+        StateFamily.of(hydrogen_state(QuantumNumbers(n, L, M), constants))
         for n in range(1, 5)
         for L in range(n)
         for M in range(-L, L + 1)
     ]
-    states += [
-        random_bound_trial(system, 900 + k, constants)
-        for system in preset_systems().values()
-        for k in range(3)
-    ]
-    for state in states:
-        norm_sq, _ = combine_axes(state.tabulate(cfg.with_scale(state.radial_scale))[2])
-        t.add(norm_sq.real - 1.0, 1e-10)
+    families += [trial_family(system, range(900, 903), constants) for system in preset_systems().values()]
+    for family in families:
+        for member_norms in zip(*family.tabulate(cfg)[2]):
+            norm_sq, _ = combine_axes(member_norms)
+            t.add(norm_sq.real - 1.0, 1e-10)
     return t.result()
 
 
@@ -463,15 +467,13 @@ _SAMPLE = {
 def _suite_commutators(constants: PhysicalConstants, seed: int) -> SuiteResult:
     t = _Tally("commutators")
     rng = np.random.default_rng(seed + 170)
-    counter = 0
-    for system in preset_systems().values():
+    for k, system in enumerate(preset_systems().values()):
         # each residual in the units of q_i p_j or p_i p_j, so the bound is
         # the same relative precision in every unit system
         q_unit = [constants.a0 if spec.kind == "linear" else 1.0 for spec in system.coords]
         p_unit = [momentum_unit(spec.kind, constants) for spec in system.coords]
-        for _ in range(5):
-            state = random_bound_trial(system, 3000 + 100 * seed + counter, constants)
-            counter += 1
+        first = 3000 + 100 * seed + 5 * k
+        for state in trial_family(system, range(first, first + 5), constants).members:
             # five points, one row each: the draws come in point-by-point order
             draws = rng.random((5, system.dim))
             point = [_SAMPLE[spec.topology](u, state.radial_scale) for spec, u in zip(system.coords, draws.T)]
@@ -521,13 +523,14 @@ def _suite_reality(
                 g_th = drift_expectation(state, 1, cfg)
                 t.add(rep_naive_th.hermiticity_defect - hbar * g_th, _REALITY_FLOOR * hbar)
 
+    seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + trials)
     for sys_obj in preset_systems().values():
-        for k in range(trials):
-            trial = random_bound_trial(sys_obj, 7000 + 1000 * seed + k, constants)
-            for axis in range(sys_obj.dim):
-                rep = expectation(canonical_momentum(sys_obj, axis, constants), trial, cfg)
-                tol = reality_tolerance(rep, sys_obj.coords[axis].kind, constants)
-                t.add(rep.hermiticity_defect, tol)
+        for start in range(0, trials, _FAMILY_SIZE):
+            family = trial_family(sys_obj, seeds[start : start + _FAMILY_SIZE], constants)
+            for axis, spec in enumerate(sys_obj.coords):
+                reps = expectations(canonical_momentum(sys_obj, axis, constants), family, cfg)
+                tols = [reality_tolerance(rep, spec.kind, constants) for rep in reps]
+                t.add(np.array([rep.hermiticity_defect for rep in reps]), np.array(tols))
     return t.result()
 
 
@@ -536,13 +539,11 @@ def _suite_ci_uniqueness(
 ) -> SuiteResult:
     t = _Tally("ci-uniqueness")
     tol = 1e-8 * constants.hbar / constants.a0
-    for system, axis in ((make_spherical(), 0), (make_cartesian(), 0)):
-        for k in range(10):
-            c_a, c_b = ci_uniqueness_demo(
-                system, axis, 500 + 20 * seed + 2 * k, 501 + 20 * seed + 2 * k, constants, cfg
-            )
-            t.add(c_a, tol)
-            t.add(c_b, tol)
+    for system in (make_spherical(), make_cartesian()):
+        # the seed pairs of ci_uniqueness_demo, as one family per system
+        family = trial_family(system, range(500 + 20 * seed, 520 + 20 * seed), constants)
+        reps = expectations(canonical_momentum(system, 0, constants), family, cfg)
+        t.add(np.array([abs(rep.value) for rep in reps]), tol)
     return t.result()
 
 

@@ -21,12 +21,12 @@ import click
 import numpy as np
 
 from .analysis import (
+    _force_balance,
+    _radial_moment,
     expectation,
-    force_balance,
     inv_r2_closed_form,
     momentum_unit,
     p_theta_spectrum_scan,
-    radial_moment,
     reality_tolerance,
     run_check_suites,
 )
@@ -265,7 +265,7 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
             p_r = expectation(canonical_momentum(system, 0, constants), state, config)
             p_theta = expectation(canonical_momentum(system, 1, constants), state, config)
             if L >= 1:
-                fb = force_balance(qn, constants, config)
+                fb = _force_balance(state, constants, config)
                 row = {
                     "n": n,
                     "L": L,
@@ -279,7 +279,7 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
                 row = {
                     "n": n,
                     "L": L,
-                    "inv_r2_quad": radial_moment(qn, -2, constants, config),
+                    "inv_r2_quad": _radial_moment(state, -2, config),
                     "inv_r2_closed": inv_r2_closed_form(qn, constants),
                     "inv_r3_quad": None,
                     "inv_r3_closed": None,

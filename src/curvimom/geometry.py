@@ -103,12 +103,6 @@ class CoordinateSpec:
             raise ConfigurationError(f"unknown coordinate kind {self.kind!r}")
 
 
-def _encode_bound(value: float):
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 @dataclass(frozen=True)
 class CoordinateSystem:
     """An ordered tuple of coordinates making up an orthogonal system."""
@@ -128,23 +122,6 @@ class CoordinateSystem:
                 f"point has {len(point)} components, system {self.name!r} has {self.dim}"
             )
         return math.prod((spec.weight.value(q) for spec, q in zip(self.coords, point)), start=1.0)
-
-    def to_json_dict(self) -> dict:
-        """JSON-safe description; infinite bounds encode as 'inf'/'-inf'."""
-        return {
-            "name": self.name,
-            "coordinates": [
-                {
-                    "name": s.name,
-                    "lower": _encode_bound(s.lower),
-                    "upper": _encode_bound(s.upper),
-                    "topology": s.topology,
-                    "weight": s.weight.ident,
-                    "kind": s.kind,
-                }
-                for s in self.coords
-            ],
-        }
 
 
 class MeasureFactor:

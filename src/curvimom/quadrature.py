@@ -16,7 +16,7 @@ One rule family per topology:
 ``axis_rule`` (the full- then the half-order nodes of a coordinate as one
 array, one weight row per order), summed by ``contract`` and combined by
 ``combine_axes``.  Both rules are cached per (coordinate, order) at unit
-scale in bounded caches; a line or half-line scale is applied per call.
+scale in bounded caches; a line or half-line scale (or k of them) is applied per call.
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
@@ -26,7 +26,7 @@ set is symmetric to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -48,6 +48,7 @@ __all__ = [
     "axis_rule",
     "axis_rules",
     "contract",
+    "contract_rows",
     "combine_axes",
     "integrate_separable",
 ]
@@ -177,8 +178,8 @@ def periodic_rule(points: int) -> QuadratureRule:
 
 @lru_cache(maxsize=128)
 def _unit_rule(spec: CoordinateSpec, order: int) -> QuadratureRule:
-    # line and half-line rules at scale 1 without w(q), which coordinate_rule
-    # folds in after scaling; every compact rule already carries w(q)
+    # line and half-line rules at scale 1 without w(q), which _at_scale folds
+    # in after scaling; every compact rule already carries w(q)
     if spec.topology == "line":
         return line_rule(order)
     if spec.topology == "half-line":
@@ -208,18 +209,22 @@ def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> Qua
     half-line ``scale`` is applied on each call, so the cache does not grow
     with the scales asked for.
     """
-    base = _unit_rule(spec, order)
+    return _at_scale(spec, _unit_rule(spec, order), scale)
+
+
+def _at_scale(spec: CoordinateSpec, base: QuadratureRule, scale) -> QuadratureRule:
+    # a cached unit rule at ``scale`` on a line or half-line, w(q) folded in; k scales give k rows
     if spec.topology not in ("line", "half-line"):
         return base
-    return QuadratureRule(*_scaled(spec, base, scale))
-
-
-def _scaled(spec: CoordinateSpec, base: QuadratureRule, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    # a unit-scale line or half-line rule's nodes and weights at ``scale``, w(q) folded in
-    if not scale > 0.0:
+    rows = isinstance(scale, (tuple, np.ndarray)) and np.ndim(scale) > 0
+    s = np.asarray(scale, dtype=float)[:, None] if rows else scale
+    if not ((s > 0.0).all() if rows else s > 0.0):
         raise DomainError(f"map scale must be positive, got {scale!r}")
-    nodes = scale * base.nodes
-    return nodes, scale * base.weights * spec.weight.value(nodes)
+    nodes = s * base.nodes
+    w = spec.weight.value(nodes)
+    if isinstance(base, AxisRule):  # (2, n) weights, one row per order
+        return AxisRule(nodes, (s[..., None] if rows else s) * base.weights * w[..., None, :], full=base.full)
+    return QuadratureRule(nodes, s * base.weights * w)
 
 
 @dataclass(frozen=True)
@@ -249,16 +254,14 @@ class QuadratureConfig:
             return self.theta_order
         return self.phi_order
 
-    def with_scale(self, scale: float) -> "QuadratureConfig":
-        return replace(self, radial_scale=scale)
 
-
-def coordinate_integral(
-    spec: CoordinateSpec, integrand: Callable, order: int, scale: float = 1.0
-) -> complex:
-    """1-D integral of integrand(q) * w(q) dq over one coordinate."""
-    rule = coordinate_rule(spec, order, scale)
-    return complex(np.sum(rule.weights * np.asarray(integrand(rule.nodes))))
+def coordinate_integral(spec: CoordinateSpec, integrand: Callable, order: int, scale=1.0):
+    """1-D integral of integrand(q) * w(q) dq over one coordinate, a complex;
+    an integrand giving k rows of values (k scales, or a compact axis's shared
+    nodes) gives the k integrals as an array, each row summed as one would be."""
+    rule = _at_scale(spec, _unit_rule(spec, order), scale)
+    total = (rule.weights * np.asarray(integrand(rule.nodes))).sum(-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,12 +286,10 @@ def _stacked_unit_rule(spec: CoordinateSpec, order: int) -> AxisRule:
     return AxisRule(np.concatenate([full.nodes, half.nodes]), weights, full=n)
 
 
-def axis_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> AxisRule:
-    """One coordinate's stacked rule, elementwise as ``coordinate_rule`` builds it."""
-    base = _stacked_unit_rule(spec, order)
-    if spec.topology not in ("line", "half-line"):
-        return base
-    return AxisRule(*_scaled(spec, base, scale), full=base.full)
+def axis_rule(spec: CoordinateSpec, order: int, scale=1.0) -> AxisRule:
+    """One coordinate's stacked rule, elementwise as ``coordinate_rule`` builds
+    it; k scales give (k, n) nodes and (k, 2, n) weights on a line or half-line."""
+    return _at_scale(spec, _stacked_unit_rule(spec, order), scale)
 
 
 def axis_rules(system: CoordinateSystem, config: QuadratureConfig) -> list[AxisRule]:
@@ -297,10 +298,16 @@ def axis_rules(system: CoordinateSystem, config: QuadratureConfig) -> list[AxisR
 
 
 def contract(rule: AxisRule, table: np.ndarray) -> tuple[complex, complex]:
-    """(full-order, half-order) weighted sum of a table of values on
-    ``rule.nodes``: one product with the weight matrix, summed along rows."""
-    full, half = (rule.weights * table).sum(axis=1)
-    return complex(full), complex(half)
+    """(full-order, half-order) weighted sums of values on ``rule.nodes``: ``contract_rows``'s one pair."""
+    return contract_rows(rule, table)[0]
+
+
+def contract_rows(rule: AxisRule, table: np.ndarray) -> list[tuple[complex, complex]]:
+    """The (full, half) pair of each row of a table, (n,) or (k, n): one
+    product with the weight matrix (or the k matrices), summed along the
+    last axis, so each row's sums are those of that row alone."""
+    sums = (rule.weights * table[..., None, :]).sum(-1).reshape(-1, 2).tolist()
+    return [(complex(full), complex(half)) for full, half in sums]
 
 
 def combine_axes(pairs: Sequence[tuple[complex, complex]]) -> tuple[complex, float]:

@@ -1,4 +1,4 @@
-"""Associated Legendre and Laguerre functions and spherical harmonics.
+"""Associated Legendre and Laguerre functions.
 
 Everything here is evaluated by stable recurrences, not by closed-form
 factorial expressions: factorial ratios go through ``math.lgamma`` so that
@@ -22,7 +22,6 @@ __all__ = [
     "legendre_parity",
     "assoc_laguerre",
     "assoc_laguerre_deriv",
-    "spherical_harmonic",
 ]
 
 
@@ -186,24 +185,3 @@ def assoc_laguerre_deriv(k: int, a: int, x):
     out = -assoc_laguerre(k - 1, a + 1, xi)
     return float(out) if scalar else out
 
-
-def spherical_harmonic(L: int, M: int, theta, phi):
-    """Spherical harmonic Y_L^M(theta, phi), physics convention.
-
-    Y_L^M = sqrt((2L+1)/(4 pi) (L-M)!/(L+M)!) P_L^M(cos theta) e^(i M phi);
-    the Condon-Shortley phase enters through P_L^M only, so no extra
-    (-1)^M appears here.
-
-    Returns:
-        complex scalar or complex ndarray (broadcast of theta and phi).
-    """
-    _require_degree_order(L, M)
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    norm = math.sqrt((2 * L + 1) / (4.0 * math.pi)) * math.exp(
-        0.5 * (math.lgamma(L - M + 1) - math.lgamma(L + M + 1))
-    )
-    out = norm * assoc_legendre(L, M, np.cos(th)) * np.exp(1j * M * ph)
-    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
-        return complex(out)
-    return out

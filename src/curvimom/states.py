@@ -3,7 +3,8 @@
 Every state is a product of one-coordinate factors, each carrying its own
 analytic derivative, so momentum operators act factor by factor without any
 numerical differentiation of the state itself.  Factors keep their own tables,
-and hydrogen factors come from bounded caches, so states share both.
+and hydrogen factors come from bounded caches, so states share both.  Trial
+states come in families, whose factors evaluate every member at once.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError
 from .geometry import CoordinateSpec, CoordinateSystem, make_spherical
-from .quadrature import AxisRule, QuadratureConfig, axis_rule, combine_axes, contract, coordinate_integral
+from .quadrature import (
+    AxisRule, QuadratureConfig, axis_rule, combine_axes, contract, contract_rows, coordinate_integral
+)
 from .specfun import (
     QuantumNumbers,
     _require_degree_order,
@@ -34,10 +37,12 @@ __all__ = [
     "load_constants",
     "FactorFunction",
     "SeparableState",
+    "StateFamily",
     "hydrogen_state",
     "theta_eigenfactor",
     "phi_eigenfactor",
     "random_bound_trial",
+    "trial_family",
     "apply_phase_twist",
     "state_overlap",
 ]
@@ -102,15 +107,16 @@ class FactorFunction:
     # table's memo, keyed on (spec, order) plus the scale on line and half-line axes
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def table(self, spec: CoordinateSpec, order: int, scale: float) -> tuple[AxisRule, np.ndarray, tuple]:
-        """``axis_rule(spec, order, scale)``, read-only values there, contracted |f|^2; once."""
+    def table(self, spec: CoordinateSpec, order: int, scale) -> tuple[AxisRule, np.ndarray, list]:
+        """``axis_rule(spec, order, scale)``, read-only values there and the
+        |f|^2 pair of each row, once; a family's factor takes a tuple of scales."""
         key = (spec, order, scale) if spec.topology in ("line", "half-line") else (spec, order)
         entry = self._tables.get(key)
         if entry is None:
             rule = axis_rule(spec, order, scale)
             values = np.asarray(self.evaluate(rule.nodes))
             values.setflags(write=False)
-            entry = self._tables[key] = (rule, values, contract(rule, np.abs(values) ** 2))
+            entry = self._tables[key] = (rule, values, contract_rows(rule, np.abs(values) ** 2))
         return entry
 
 
@@ -241,62 +247,118 @@ def hydrogen_state(
     )
 
 
-def _poly_gaussian(coeffs: np.ndarray, center: float, scale: float) -> FactorFunction:
-    c0, c1, c2 = (float(c) for c in coeffs)
+_SINE_KS, _FOURIER_MS = np.arange(1.0, 5.0), np.arange(-2.0, 3.0)  # the trial harmonics
+_NORM_CONFIG = QuadratureConfig()  # trial factors are normalised at the default orders
+
+
+def _poly_gaussian(scale, center, c0, c1, c2, inv=1.0) -> FactorFunction:
+    # (c0 + c1 u + c2 u^2) e^(-u^2/2), u = (q - center)/scale, times the
+    # normalisation constant inv; each parameter a float, or a (k, 1) column
 
     def evaluate(q):
         u = (np.asarray(q, dtype=float) - center) / scale
-        return (c0 + c1 * u + c2 * u * u) * np.exp(-0.5 * u * u)
+        return inv * ((c0 + c1 * u + c2 * u * u) * np.exp(-0.5 * u * u))
 
     def derivative(q):
         u = (np.asarray(q, dtype=float) - center) / scale
         val = ((c1 + 2.0 * c2 * u) - u * (c0 + c1 * u + c2 * u * u)) / scale
-        return val * np.exp(-0.5 * u * u)
+        return inv * (val * np.exp(-0.5 * u * u))
 
     return FactorFunction(evaluate, derivative)
 
 
-def _sine_sum(coeffs: np.ndarray) -> FactorFunction:
-    # vanishes at both poles, so the polar drift stays integrable
-    ks = np.arange(1, len(coeffs) + 1, dtype=float)
-    cs = np.asarray(coeffs, dtype=float)
-
+def _sine_sum(coeffs, inv=1.0) -> FactorFunction:
+    # sum of c_k sin(k theta), k = 1..4: vanishes at both poles, so the polar
+    # drift stays integrable; coeffs (4,), or (k, 1, 4) for k members
     def evaluate(theta):
         th = np.asarray(theta, dtype=float)
-        return np.sum(cs * np.sin(np.multiply.outer(th, ks)), axis=-1)
+        return inv * np.sum(coeffs * np.sin(np.multiply.outer(th, _SINE_KS)), axis=-1)
 
     def derivative(theta):
         th = np.asarray(theta, dtype=float)
-        return np.sum(cs * ks * np.cos(np.multiply.outer(th, ks)), axis=-1)
+        return inv * np.sum(coeffs * _SINE_KS * np.cos(np.multiply.outer(th, _SINE_KS)), axis=-1)
 
     return FactorFunction(evaluate, derivative)
 
 
-def _fourier_sum(coeffs: np.ndarray) -> FactorFunction:
-    ms = np.arange(len(coeffs), dtype=float) - (len(coeffs) // 2)
-    cs = np.asarray(coeffs, dtype=float) / math.sqrt(2.0 * math.pi)
-
+def _fourier_sum(cs, inv=1.0) -> FactorFunction:
+    # sum of c_m e^(i m phi), m = -2..2, the c_m already divided by sqrt(2 pi);
+    # cs (5,), or (k, 1, 5) for k members
     def evaluate(phi):
         ph = np.asarray(phi, dtype=float)
-        return np.sum(cs * np.exp(1j * np.multiply.outer(ph, ms)), axis=-1)
+        return inv * np.sum(cs * np.exp(1j * np.multiply.outer(ph, _FOURIER_MS)), axis=-1)
 
     def derivative(phi):
         ph = np.asarray(phi, dtype=float)
-        return np.sum(1j * ms * cs * np.exp(1j * np.multiply.outer(ph, ms)), axis=-1)
+        return inv * np.sum(1j * _FOURIER_MS * cs * np.exp(1j * np.multiply.outer(ph, _FOURIER_MS)), axis=-1)
 
     return FactorFunction(evaluate, derivative)
 
 
-def _normalized(factor: FactorFunction, spec, order: int, scale: float) -> FactorFunction:
-    norm_sq = coordinate_integral(
-        spec, lambda q: np.abs(np.asarray(factor.evaluate(q))) ** 2, order, scale
+class StateFamily(NamedTuple):
+    """States of one system tabulated together: ``factors`` holds one factor
+    per coordinate that evaluates all k ``members`` at once, a (k, n) table."""
+
+    system: CoordinateSystem
+    members: tuple[SeparableState, ...]
+    factors: tuple[FactorFunction, ...]
+
+    @classmethod
+    def of(cls, state: SeparableState) -> "StateFamily":
+        return cls(state.system, (state,), state.factors)
+
+    def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple, tuple]:
+        """``(rules, values, norms)`` per coordinate, from the factors' tables at each
+        member's radial scale: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
+        scales = [state.radial_scale for state in self.members]
+        scale = scales[0] if len(scales) == 1 else tuple(scales)  # a state's own factors key on one scale
+        specs = self.system.coords
+        return tuple(zip(*[f.table(s, config.order_for(s), scale) for f, s in zip(self.factors, specs)]))
+
+
+def trial_family(
+    system: CoordinateSystem, seeds: Sequence[int], constants: PhysicalConstants = ATOMIC
+) -> StateFamily:
+    """The random trial states of one or more ``seeds`` on ``system``, as one family:
+    each axis's raw profile is evaluated once for all members, on (k, 1) parameter
+    columns (one seed keeps its floats), to fold each member's normalisation
+    constant, against the factor's own weight at its own scale, into its factor."""
+    if not seeds:
+        raise DomainError("a trial family needs at least one seed")
+    for seed in seeds:
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    a0, one = constants.a0, len(rngs) == 1
+    radial = [a0] * len(rngs)  # each member's radial scale: a0 or its largest linear scale
+    axes = []  # per coordinate: builder, each member's parameters, the family's ones, 1 / norms
+    for spec in system.coords:
+        if spec.topology in ("line", "half-line"):
+            # scale, center, coefficients: a lone state's draw order
+            line = spec.topology == "line"
+            rows = [[a0 * (0.8 + 0.4 * rng.random()), a0 * rng.uniform(-0.5, 0.5) if line else 0.0,
+                     *rng.uniform(0.4, 1.0, 3).tolist()] for rng in rngs]
+            radial = [max(r, row[0]) for r, row in zip(radial, rows)]
+            builder, params = _poly_gaussian, rows[0] if one else tuple(np.array(rows).T[:, :, None])
+            scale = params[0] if one else params[0][:, 0]
+        else:
+            periodic = spec.topology == "compact-periodic"
+            coeffs = [rng.uniform(0.2, 1.0, 5 if periodic else 4) for rng in rngs]
+            rows = [(c / math.sqrt(2.0 * math.pi) if periodic else c,) for c in coeffs]
+            params = rows[0] if one else (np.array([c for c, in rows])[:, None],)  # k rows: (k, 1, m)
+            builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
+        raw = builder(*params).evaluate
+        norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, _NORM_CONFIG.order_for(spec), scale)
+        inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
+        axes.append((builder, rows, params, inv))
+
+    members = tuple(
+        SeparableState(tuple([b(*rows[i], inv[i]) for b, rows, _, inv in axes]), system, radial_scale=r)
+        for i, r in enumerate(radial)
     )
-    inv = 1.0 / math.sqrt(norm_sq.real)
-    ev, dv = factor.evaluate, factor.derivative
-    return FactorFunction(
-        lambda q: inv * np.asarray(ev(q)),
-        lambda q: inv * np.asarray(dv(q)),
-    )
+    if one:  # a family of one reads its member's factors
+        return StateFamily.of(members[0])
+    return StateFamily(system, members, tuple(b(*params, np.array(inv)[:, None]) for b, _, params, inv in axes))
 
 
 def random_bound_trial(
@@ -307,35 +369,9 @@ def random_bound_trial(
     Linear axes get polynomial-times-Gaussian profiles, the polar angle a
     truncated sine sum (vanishing at the poles), the azimuth a short Fourier
     sum.  Each factor is normalized by quadrature against its own weight.
+    This is the one member of ``trial_family(system, [seed], constants)``.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    a0 = constants.a0
-    config = QuadratureConfig()
-
-    factors = []
-    scales = [a0]
-    for spec in system.coords:
-        order = config.order_for(spec)
-        if spec.topology in ("line", "half-line"):
-            scale = a0 * (0.8 + 0.4 * rng.random())
-            center = a0 * rng.uniform(-0.5, 0.5) if spec.topology == "line" else 0.0
-            raw = _poly_gaussian(rng.uniform(0.4, 1.0, 3), center, scale)
-            scales.append(scale)
-        elif spec.topology == "compact-periodic":
-            raw, scale = _fourier_sum(rng.uniform(0.2, 1.0, 5)), 1.0
-        else:
-            raw, scale = _sine_sum(rng.uniform(0.2, 1.0, 4)), 1.0
-        factors.append(_normalized(raw, spec, order, scale))
-
-    return SeparableState(
-        factors=tuple(factors),
-        system=system,
-        quantum_numbers=None,
-        normalized=True,
-        radial_scale=max(scales),
-    )
+    return trial_family(system, (seed,), constants).members[0]
 
 
 def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> SeparableState:

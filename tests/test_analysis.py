@@ -29,7 +29,6 @@ from curvimom.analysis import (
     drift_expectation,
     expectation,
     force_balance,
-    hermiticity_defect,
     inv_r2_closed_form,
     inv_r3_closed_form,
     momentum_unit,
@@ -39,7 +38,7 @@ from curvimom.analysis import (
     reality_tolerance,
     run_check_suites,
 )
-from curvimom import analysis, quadrature, states
+from curvimom import analysis, quadrature, specfun, states
 from curvimom.operators import canonical_momentum, naive_momentum
 from curvimom.quadrature import QuadratureConfig, coordinate_integral
 from curvimom.specfun import QuantumNumbers
@@ -231,7 +230,7 @@ def test_naive_radial_defect_two_routes():
     for n in range(1, 5):
         for L in range(0, n):
             state = hydrogen_state(QuantumNumbers(n, L, 0))
-            defect = hermiticity_defect(naive, state)
+            defect = expectation(naive, state).hermiticity_defect
             assert defect == pytest.approx(1.0 / n**2, rel=1e-10), (n, L)
             bulk = drift_expectation(state, 0)
             assert defect == pytest.approx(bulk, rel=1e-10), (n, L)
@@ -242,7 +241,7 @@ def test_naive_polar_defect_matches_drift_average():
     naive = naive_momentum(sph, 1)
     for (n, L, M) in [(2, 1, 1), (3, 2, 1), (4, 3, 3), (3, 2, 0)]:
         state = hydrogen_state(QuantumNumbers(n, L, M))
-        defect = hermiticity_defect(naive, state)
+        defect = expectation(naive, state).hermiticity_defect
         bulk = drift_expectation(state, 1)
         assert defect == pytest.approx(bulk, abs=1e-10), (n, L, M)
 
@@ -376,7 +375,7 @@ def test_defect_law_carries_physical_units():
     si = PhysicalConstants(hbar=1.054571817e-34, m=9.1093837015e-31, e2=2.3070775523e-28)
     state = hydrogen_state(QuantumNumbers(2, 0, 0), si)
     naive = naive_momentum(make_spherical(), 0, si)
-    defect = hermiticity_defect(naive, state)
+    defect = expectation(naive, state).hermiticity_defect
     assert defect == pytest.approx(si.hbar / (4.0 * si.a0), rel=1e-9)
     can = canonical_momentum(make_spherical(), 0, si)
     rep = expectation(can, state)
@@ -430,3 +429,54 @@ def test_radial_moment_positive_power():
     # <r> on the ground state is 1.5 a0, a classic hand value
     assert radial_moment(QuantumNumbers(1, 0, 0), 1) == pytest.approx(1.5, rel=1e-12)
     assert radial_moment(QuantumNumbers(2, 1, 0), 0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
+    # the trial builders count array evaluations of the factors they make:
+    # per family and axis, one raw-profile evaluation for the normalisation,
+    # one table and one derivative, however many states the family has
+    counts = collections.Counter()
+
+    def counted(builder):
+        def build(*args):
+            factor = builder(*args)
+
+            def wrap(name, fn):
+                def call(q):
+                    if np.ndim(q) > 0:
+                        counts[name] += 1
+                    return fn(q)
+
+                return call
+
+            return FactorFunction(wrap("evaluate", factor.evaluate), wrap("derivative", factor.derivative))
+
+        return build
+
+    for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
+        monkeypatch.setattr(states, name, counted(getattr(states, name)))
+    axes = sum(system.dim for system in preset_systems().values())
+    for trials in (50, 5):
+        counts.clear()
+        result = analysis._suite_reality(QuadratureConfig(), ATOMIC, 0, trials)
+        assert result.passed and result.checks == 6 * 30 + axes * trials  # 730 at 50 trials
+        families = -(-trials // analysis._FAMILY_SIZE)  # per system
+        assert counts == {"evaluate": 2 * axes * families, "derivative": axes * families}, trials
+    cfg = QuadratureConfig()
+    assert analysis._suite_ci_uniqueness(cfg, ATOMIC, 0).checks == 40
+    assert analysis._suite_normalization(cfg, ATOMIC).checks == 42
+
+
+def test_recurrence_suite_fails_without_condon_shortley_phase(monkeypatch):
+    # the order-raising identity ties P_L^M to P_L^{M+1}, a climb from
+    # another seed, so a dropped (-1)^M shows in every row with M < L
+    assert analysis._suite_recurrence().passed
+    climb = specfun._legendre_climb
+
+    def no_phase(L, M, xi):
+        p_l, p_lm1 = climb(L, M, xi)
+        return (-1) ** abs(M) * p_l, (-1) ** abs(M) * p_lm1
+
+    monkeypatch.setattr(specfun, "_legendre_climb", no_phase)
+    result = analysis._suite_recurrence()
+    assert not result.passed and result.checks == 121 and result.failures == 110

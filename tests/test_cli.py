@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import curvimom.cli as cli_module
 from curvimom.cli import main
 from curvimom.errors import SingularityError
+from curvimom.states import hydrogen_state
 
 
 def invoke(*args, **kwargs):
@@ -157,6 +158,23 @@ def test_hydrogen_table_csv_shape():
     last = lines[3].split(",")
     assert last[0] == "2" and last[1] == "1"
     assert float(last[4]) > 0.0
+
+
+def test_hydrogen_table_builds_each_level_once(monkeypatch):
+    # the moments and the force balance read the state the row already holds
+    from curvimom import analysis
+
+    built = []
+
+    def counted(qn, *args, **kwargs):
+        built.append((qn.n, qn.L))
+        return hydrogen_state(qn, *args, **kwargs)
+
+    for module in (cli_module, analysis):
+        monkeypatch.setattr(module, "hydrogen_state", counted)
+    result = invoke("hydrogen-table", "--nmax", "6", "--format", "csv")
+    assert result.exit_code == 0, result.output
+    assert built == [(n, L) for n in range(1, 7) for L in range(n)]
 
 
 def test_hydrogen_table_json_null_for_missing_moments():

@@ -1,6 +1,5 @@
 """Coordinate systems, weights, measure factors and drifts."""
 
-import json
 import math
 
 import numpy as np
@@ -109,25 +108,6 @@ def test_drift_singular_where_weight_vanishes():
         measure_factor(sph.coords[1]).drift(np.array([0.5, 0.0]))
 
 
-def test_json_serialization():
-    payload = make_spherical().to_json_dict()
-    text = json.dumps(payload)  # must be JSON-safe, including infinities
-    back = json.loads(text)
-    assert back["name"] == "spherical"
-    radial = back["coordinates"][0]
-    assert radial == {
-        "name": "r",
-        "lower": 0.0,
-        "upper": "inf",
-        "topology": "half-line",
-        "weight": "q^2",
-        "kind": "linear",
-    }
-    cart = json.loads(json.dumps(make_cartesian().to_json_dict()))
-    assert cart["coordinates"][0]["lower"] == "-inf"
-    assert cart["coordinates"][0]["upper"] == "inf"
-
-
 def test_coordinate_spec_validation():
     with pytest.raises(ConfigurationError):
         CoordinateSpec("bad", 1.0, 0.0, "line", WEIGHTS["one"], "linear")
@@ -141,5 +121,4 @@ def test_systems_are_value_like():
     a = make_spherical()
     b = make_spherical()
     assert a == b
-    assert a.to_json_dict() == b.to_json_dict()
     assert isinstance(a, CoordinateSystem)

@@ -153,7 +153,7 @@ def test_hydrogen_norms_via_integrate_separable():
                 for f in state.factors
             ]
             value, err = integrate_separable(
-                state.system, densities, cfg.with_scale(state.radial_scale)
+                state.system, densities, QuadratureConfig(radial_scale=state.radial_scale)
             )
             assert abs(value.real - 1.0) <= 1e-10, f"(n,L)=({n},{L})"
             assert abs(value.imag) <= 1e-14
@@ -193,7 +193,6 @@ def test_config_validation_and_dispatch():
     assert cfg.order_for(sph.coords[0]) == 120
     assert cfg.order_for(sph.coords[1]) == 64
     assert cfg.order_for(sph.coords[2]) == 32
-    assert cfg.with_scale(3.0).radial_scale == 3.0
     with pytest.raises(ConfigurationError):
         QuadratureConfig(radial_order=0)
     with pytest.raises(ConfigurationError):

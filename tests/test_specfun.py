@@ -23,7 +23,6 @@ from curvimom.specfun import (
     assoc_legendre,
     assoc_legendre_deriv,
     legendre_parity,
-    spherical_harmonic,
 )
 
 
@@ -237,7 +236,7 @@ def test_laguerre_domain_errors():
         assoc_laguerre(2.5, 0, 1.0)
 
 
-def test_spherical_harmonic_known_values():
+def test_spherical_harmonic_known_values(spherical_harmonic):
     theta, phi = 0.7, 1.3
     assert spherical_harmonic(0, 0, theta, phi) == pytest.approx(
         1.0 / math.sqrt(4.0 * math.pi), rel=1e-14
@@ -254,7 +253,7 @@ def test_spherical_harmonic_known_values():
     assert spherical_harmonic(1, -1, theta, phi) == pytest.approx(expected, rel=1e-14)
 
 
-def test_spherical_harmonic_vs_scipy():
+def test_spherical_harmonic_vs_scipy(spherical_harmonic):
     thetas = np.linspace(0.05, math.pi - 0.05, 9)
     phis = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
     if hasattr(sps, "sph_harm_y"):
@@ -270,7 +269,7 @@ def test_spherical_harmonic_vs_scipy():
                     assert mine == pytest.approx(ref, rel=1e-10, abs=1e-12), f"(L,M)=({L},{M})"
 
 
-def test_spherical_harmonic_conjugation_symmetry():
+def test_spherical_harmonic_conjugation_symmetry(spherical_harmonic):
     # Y_L^{-M} = (-1)^M conj(Y_L^M); fails if the phase were doubled
     theta, phi = 1.1, 0.4
     for L in range(0, 7):
@@ -293,7 +292,7 @@ def test_quantum_numbers_validation():
         QuantumNumbers(2, -1, 0)
 
 
-def test_scalar_and_array_shapes_agree():
+def test_scalar_and_array_shapes_agree(spherical_harmonic):
     x = np.array([-0.5, 0.0, 0.5])
     arr = assoc_legendre(3, 2, x)
     for xi, v in zip(x, arr):

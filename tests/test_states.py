@@ -11,14 +11,16 @@ import math
 import numpy as np
 import pytest
 
+from curvimom.analysis import expectation, expectations
 from curvimom.errors import (
     ConfigurationError,
     DomainError,
     UnsupportedAxisError,
 )
 from curvimom.geometry import make_cartesian, make_spherical, preset_systems
+from curvimom.operators import canonical_momentum, naive_momentum
 from curvimom.quadrature import QuadratureConfig, axis_rule, coordinate_integral
-from curvimom.specfun import QuantumNumbers, spherical_harmonic
+from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
     ATOMIC,
     FactorFunction,
@@ -31,6 +33,7 @@ from curvimom.states import (
     random_bound_trial,
     state_overlap,
     theta_eigenfactor,
+    trial_family,
 )
 
 
@@ -109,7 +112,7 @@ def test_angular_factors_are_unit_norm():
         assert norm.real == pytest.approx(1.0, abs=1e-13)
 
 
-def test_hydrogen_state_equals_radial_times_spherical_harmonic():
+def test_hydrogen_state_equals_radial_times_spherical_harmonic(spherical_harmonic):
     state = hydrogen_state(QuantumNumbers(3, 2, -1))
     oracle_R = radial_oracles(1.0)[(3, 2)]
     for (r, th, ph) in [(1.0, 0.7, 0.3), (4.0, 2.1, 5.0), (9.0, 1.3, 3.3)]:
@@ -154,9 +157,8 @@ def test_angular_tables_are_shared_across_radial_scales():
     factors = tuple(_counted(f, calls[axis]) for axis, f in enumerate(base.factors))
     near = SeparableState(factors, base.system, radial_scale=1.0)
     far = SeparableState(factors, base.system, radial_scale=3.0)
-    cfg = QuadratureConfig()
-    rules_n, values_n, norms_n = near.tabulate(cfg.with_scale(1.0))
-    rules_f, values_f, norms_f = far.tabulate(cfg.with_scale(3.0))
+    rules_n, values_n, norms_n = near.tabulate(QuadratureConfig(radial_scale=1.0))
+    rules_f, values_f, norms_f = far.tabulate(QuadratureConfig(radial_scale=3.0))
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
     for axis in (1, 2):
         assert values_n[axis] is values_f[axis] and norms_n[axis] == norms_f[axis]
@@ -167,7 +169,7 @@ def test_angular_tables_are_shared_across_radial_scales():
             with pytest.raises(ValueError):
                 vals[0] = 0.0
     # a second pass reads the memos
-    assert far.tabulate(cfg.with_scale(3.0))[1][0] is values_f[0]
+    assert far.tabulate(QuadratureConfig(radial_scale=3.0))[1][0] is values_f[0]
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
 
 
@@ -305,3 +307,63 @@ def test_state_shape_errors():
         state_overlap(trial, random_bound_trial(make_spherical(), 1))
     with pytest.raises(DomainError):
         random_bound_trial(make_cartesian(), 1.5)
+
+
+def test_trial_family_members_match_single_seed():
+    # a family member's report is bit for bit the one-seed state's, wherever
+    # the member sits in the family
+    seeds = [0, 1, 2, 3] + list(range(7000, 7010))
+    for system in preset_systems().values():
+        family = trial_family(system, seeds)
+        shuffled = trial_family(system, seeds[::-1])
+        singles = [random_bound_trial(system, seed) for seed in seeds]
+        for axis in range(system.dim):
+            for op in (canonical_momentum(system, axis), naive_momentum(system, axis)):
+                reports = expectations(op, family)
+                assert reports[::-1] == expectations(op, shuffled)
+                for seed, single, rep in zip(seeds, singles, reports):
+                    alone = expectation(op, single)
+                    assert rep.value == alone.value, (system.name, axis, seed)
+                    assert rep.quadrature_error == alone.quadrature_error, (system.name, axis, seed)
+                    assert rep.boundary_term == alone.boundary_term, (system.name, axis, seed)
+
+
+def test_trial_states_keep_their_draws():
+    # values of random_bound_trial(system, 11) from before trial families:
+    # the generator calls, and so the states, are unchanged
+    points = {
+        "line": (-0.7, 0.37, 1.9),
+        "half-line": (0.3, 0.9, 2.6),
+        "compact-periodic": (0.4, 2.2, 5.1),
+        "compact-nonperiodic": (0.2, 1.1, 2.8),
+    }
+    expected = {
+        "cartesian": [0.02060715657466909, 0.3101908779100973, 0.0375305192811085],
+        "spherical": [
+            0.43805369877995837 - 0.03020411326747944j,
+            -0.1282991957091941 + 0.023605340941432254j,
+            0.0016121726406022802 - 0.0017931994680257396j,
+        ],
+        "cylindrical": [
+            0.12024186126242649 + 0.011038505111937862j,
+            -0.15310259839383816 - 0.19819538504067177j,
+            -0.0011629035188807295 + 0.0009018451243174634j,
+        ],
+        "plane-polar": [
+            0.5205343456805958 + 0.04778636138369548j,
+            -0.23206903448729638 - 0.30041953649872066j,
+            -0.002855274738644778 + 0.0022142985723458916j,
+        ],
+    }
+    for name, system in preset_systems().items():
+        state = random_bound_trial(system, 11)
+        for k in range(3):
+            point = [points[spec.topology][k] for spec in system.coords]
+            assert complex(state.evaluate(point)) == expected[name][k], (name, k)
+
+
+def test_trial_family_needs_valid_seeds():
+    with pytest.raises(DomainError):
+        trial_family(make_cartesian(), [])
+    with pytest.raises(DomainError):
+        trial_family(make_cartesian(), [3, -1])
