@@ -86,6 +86,7 @@ from .states import (
     SeparableState,
     StateFamily,
     apply_phase_twist,
+    hydrogen_family,
     hydrogen_state,
     load_constants,
     phi_eigenfactor,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .states import (
     SeparableState,
     StateFamily,
     apply_phase_twist,
+    hydrogen_family,
     hydrogen_state,
     random_bound_trial,
     trial_family,
@@ -76,6 +78,8 @@ _DEFAULT_CONFIG = QuadratureConfig()
 # members per reality-scan trial family: a family holds a (k, n) table per axis,
 # and 25 members keep the Cartesian one (three line axes) under a megabyte
 _FAMILY_SIZE = 25
+# the hydrogen levels the suites check: every (n, L, M) with n <= 4
+_LEVELS = [QuantumNumbers(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
 
 
 @dataclass(frozen=True)
@@ -268,20 +272,21 @@ def radial_moment(
     config: QuadratureConfig | None = None,
 ) -> float:
     """<r^power> on the hydrogen level (n, L) by half-line quadrature."""
-    return _radial_moment(hydrogen_state(qn, constants), power, config)
+    return _radial_moments([(hydrogen_state(qn, constants), power)], config)[0]
 
 
-def _radial_moment(state: SeparableState, power: int, config: QuadratureConfig | None) -> float:
-    # its own coordinate_integral, independent of the state's table
-    spec = state.system.coords[0]
-    ev = state.factors[0].evaluate
+def _radial_moments(asks: Sequence[tuple[SeparableState, int]], config: QuadratureConfig | None) -> list[float]:
+    # <r^power> of each (state, power) by one coordinate_integral, a row per ask
+    # at its state's scale; the factors are evaluated afresh, not read from tables
+    spec = asks[0][0].system.coords[0]
     cfg = config if config is not None else QuadratureConfig()
 
     def integrand(r):
-        rr = np.asarray(r, dtype=float)
-        return np.abs(np.asarray(ev(rr))) ** 2 * rr ** float(power)
+        rows = [np.abs(np.asarray(s.factors[0].evaluate(rr))) ** 2 * rr ** float(p) for (s, p), rr in zip(asks, r)]
+        return np.stack(rows)
 
-    return coordinate_integral(spec, integrand, cfg.radial_order, state.radial_scale).real
+    scales = tuple(state.radial_scale for state, _ in asks)
+    return coordinate_integral(spec, integrand, cfg.radial_order, scales).real.tolist()
 
 
 def force_balance(
@@ -296,17 +301,17 @@ def force_balance(
     """
     if qn.L < 1:
         raise DomainError("force balance needs L >= 1")
-    return _force_balance(hydrogen_state(qn, constants), constants, config)
+    state = hydrogen_state(qn, constants)
+    return _force_balance(state, constants, *_radial_moments([(state, -2), (state, -3)], config))
 
 
 def _force_balance(
-    state: SeparableState, constants: PhysicalConstants, config: QuadratureConfig | None
+    state: SeparableState, constants: PhysicalConstants, inv_r2_q: float, inv_r3_q: float
 ) -> ForceBalanceReport:
-    # force_balance on a hydrogen state the caller already holds
+    # force_balance on a hydrogen state the caller already holds, from its
+    # quadrature <1/r^2> and <1/r^3>
     qn = state.quantum_numbers
     lsq = l_squared_expectation(state, constants)
-    inv_r2_q = _radial_moment(state, -2, config)
-    inv_r3_q = _radial_moment(state, -3, config)
     centrifugal = lsq / constants.m * inv_r3_q
     coulomb = constants.e2 * inv_r2_q
     residual = centrifugal - coulomb
@@ -352,14 +357,10 @@ def p_theta_spectrum_scan(
     """
     if not isinstance(l_max, (int, np.integer)) or not 0 <= l_max <= 10:
         raise DomainError(f"l_max must be an integer in [0, 10], got {l_max!r}")
-    system = make_spherical()
-    rows = []
-    for L in range(l_max + 1):
-        for M in range(-L, L + 1):
-            state = hydrogen_state(QuantumNumbers(L + 1, L, M), constants)
-            rep = expectation(canonical_momentum(system, 1, constants), state, config)
-            rows.append(ScanRow(L=L, M=M, value=rep.value, quadrature_error=rep.quadrature_error))
-    return rows
+    qns = [QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)]
+    family = hydrogen_family([hydrogen_state(qn, constants) for qn in qns])
+    reports = expectations(canonical_momentum(make_spherical(), 1, constants), family, config)
+    return [ScanRow(qn.L, qn.M, rep.value, rep.quadrature_error) for qn, rep in zip(qns, reports)]
 
 
 def cartesian_reality_check(
@@ -441,12 +442,7 @@ def _suite_fd_derivative() -> SuiteResult:
 
 def _suite_normalization(cfg: QuadratureConfig, constants: PhysicalConstants) -> SuiteResult:
     t = _Tally("normalization")
-    families = [
-        StateFamily.of(hydrogen_state(QuantumNumbers(n, L, M), constants))
-        for n in range(1, 5)
-        for L in range(n)
-        for M in range(-L, L + 1)
-    ]
+    families = [hydrogen_family([hydrogen_state(qn, constants) for qn in _LEVELS])]
     families += [trial_family(system, range(900, 903), constants) for system in preset_systems().values()]
     for family in families:
         for member_norms in zip(*family.tabulate(cfg)[2]):
@@ -496,32 +492,28 @@ def _suite_reality(
     hbar = constants.hbar
     a0 = constants.a0
     system = make_spherical()
-    p_ops = [canonical_momentum(system, axis, constants) for axis in range(3)]
+    states = [hydrogen_state(qn, constants) for qn in _LEVELS]
+    ops = [canonical_momentum(system, axis, constants) for axis in range(3)]
+    ops += [naive_momentum(system, axis, constants) for axis in (0, 1)]
+    family = hydrogen_family(states)
+    reports = zip(*[expectations(op, family, cfg) for op in ops])
+    inv_rs = _radial_moments([(state, -1) for state in states], cfg)
 
-    for n in range(1, 5):
-        for L in range(n):
-            for M in range(-L, L + 1):
-                qn = QuantumNumbers(n, L, M)
-                state = hydrogen_state(qn, constants)
-                rep_r = expectation(p_ops[0], state, cfg)
-                t.add(abs(rep_r.value), _REALITY_FLOOR * hbar / a0)
-                rep_th = expectation(p_ops[1], state, cfg)
-                t.add(abs(rep_th.value), _REALITY_FLOOR * hbar)
-                rep_ph = expectation(p_ops[2], state, cfg)
-                t.add(abs(rep_ph.value - M * hbar), 1e-10 * hbar * max(1, abs(M)))
+    for state, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r in zip(states, reports, inv_rs):
+        n, M = state.quantum_numbers.n, state.quantum_numbers.M
+        t.add(abs(rep_r.value), _REALITY_FLOOR * hbar / a0)
+        t.add(abs(rep_th.value), _REALITY_FLOOR * hbar)
+        t.add(abs(rep_ph.value - M * hbar), 1e-10 * hbar * max(1, abs(M)))
 
-                # naive radial defect law: Im<p'_r> = hbar <1/r> = hbar/(n^2 a0)
-                rep_naive = expectation(naive_momentum(system, 0, constants), state, cfg)
-                inv_r = _radial_moment(state, -1, cfg)
-                closed = 1.0 / (n * n * a0)
-                law_scale = hbar * closed
-                t.add(rep_naive.hermiticity_defect - hbar * inv_r, 1e-9 * law_scale)
-                t.add(rep_naive.hermiticity_defect - hbar * closed, 1e-8 * law_scale)
+        # naive radial defect law: Im<p'_r> = hbar <1/r> = hbar/(n^2 a0)
+        closed = 1.0 / (n * n * a0)
+        law_scale = hbar * closed
+        t.add(rep_naive.hermiticity_defect - hbar * inv_r, 1e-9 * law_scale)
+        t.add(rep_naive.hermiticity_defect - hbar * closed, 1e-8 * law_scale)
 
-                # naive polar defect law: Im<p'_theta> = hbar <cot(theta)/2>
-                rep_naive_th = expectation(naive_momentum(system, 1, constants), state, cfg)
-                g_th = drift_expectation(state, 1, cfg)
-                t.add(rep_naive_th.hermiticity_defect - hbar * g_th, _REALITY_FLOOR * hbar)
+        # naive polar defect law: Im<p'_theta> = hbar <cot(theta)/2>
+        g_th = drift_expectation(state, 1, cfg)
+        t.add(rep_naive_th.hermiticity_defect - hbar * g_th, _REALITY_FLOOR * hbar)
 
     seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + trials)
     for sys_obj in preset_systems().values():

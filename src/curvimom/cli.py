@@ -22,8 +22,9 @@ import numpy as np
 
 from .analysis import (
     _force_balance,
-    _radial_moment,
+    _radial_moments,
     expectation,
+    expectations,
     inv_r2_closed_form,
     momentum_unit,
     p_theta_spectrum_scan,
@@ -35,7 +36,7 @@ from .geometry import preset_systems
 from .operators import canonical_momentum, naive_momentum
 from .quadrature import QuadratureConfig
 from .specfun import QuantumNumbers
-from .states import ATOMIC, hydrogen_state, load_constants, random_bound_trial
+from .states import ATOMIC, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
 
 _FLOAT_FMT = "{:.12e}"
 
@@ -257,37 +258,23 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()["spherical"]
 
+    states = [hydrogen_state(QuantumNumbers(n, L, 0), constants) for n in range(1, nmax + 1) for L in range(n)]
+    family = hydrogen_family(states)
+    p_r, p_theta = (expectations(canonical_momentum(system, axis, constants), family, config) for axis in (0, 1))
+    # <1/r^2> on every level and <1/r^3> where L >= 1, in level order: one quadrature
+    asks = [(state, power) for state in states for power in ((-2, -3) if state.quantum_numbers.L else (-2,))]
+    moments = iter(_radial_moments(asks, config))
+
     rows = []
-    for n in range(1, nmax + 1):
-        for L in range(n):
-            qn = QuantumNumbers(n, L, 0)
-            state = hydrogen_state(qn, constants)
-            p_r = expectation(canonical_momentum(system, 0, constants), state, config)
-            p_theta = expectation(canonical_momentum(system, 1, constants), state, config)
-            if L >= 1:
-                fb = _force_balance(state, constants, config)
-                row = {
-                    "n": n,
-                    "L": L,
-                    "inv_r2_quad": fb.inv_r2_quad,
-                    "inv_r2_closed": fb.inv_r2_closed,
-                    "inv_r3_quad": fb.inv_r3_quad,
-                    "inv_r3_closed": fb.inv_r3_closed,
-                    "residual": fb.residual,
-                }
-            else:
-                row = {
-                    "n": n,
-                    "L": L,
-                    "inv_r2_quad": _radial_moment(state, -2, config),
-                    "inv_r2_closed": inv_r2_closed_form(qn, constants),
-                    "inv_r3_quad": None,
-                    "inv_r3_closed": None,
-                    "residual": None,
-                }
-            row["p_r"] = p_r.value.real
-            row["p_theta"] = p_theta.value.real
-            rows.append(row)
+    for state, rep_r, rep_theta in zip(states, p_r, p_theta):
+        qn = state.quantum_numbers
+        row = {"n": qn.n, "L": qn.L, "inv_r2_quad": next(moments), "inv_r2_closed": inv_r2_closed_form(qn, constants)}
+        row.update(inv_r3_quad=None, inv_r3_closed=None, residual=None)
+        if qn.L >= 1:
+            fb = _force_balance(state, constants, row["inv_r2_quad"], next(moments))
+            row.update(inv_r3_quad=fb.inv_r3_quad, inv_r3_closed=fb.inv_r3_closed, residual=fb.residual)
+        row.update(p_r=rep_r.value.real, p_theta=rep_theta.value.real)
+        rows.append(row)
     _emit_rows(fmt, _TABLE_COLUMNS, rows)
 
 

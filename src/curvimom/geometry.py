@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -142,7 +142,10 @@ class MeasureFactor:
     def drift(self, q):
         """g(q) = f'/f = w'/(2w); raises where the weight vanishes."""
         w = self._w.value(q)
-        if np.any(np.asarray(w) == 0.0) or any(np.any(np.equal(q, end)) for end in self.zero_ends):
+        zero = np.equal(w, 0.0)
+        for end in self.zero_ends:
+            zero = zero | np.equal(q, end)
+        if zero.any():
             raise SingularityError(
                 f"drift of coordinate {self.spec.name!r} is singular where the weight vanishes"
             )
@@ -155,12 +158,14 @@ def measure_factor(spec: CoordinateSpec) -> MeasureFactor:
     return MeasureFactor(spec)
 
 
+@cache
 def make_cartesian() -> CoordinateSystem:
     """Cartesian (x, y, z): unit weights, zero drift on every axis."""
     axis = lambda nm: CoordinateSpec(nm, -math.inf, math.inf, "line", WEIGHTS["one"], "linear")
     return CoordinateSystem("cartesian", (axis("x"), axis("y"), axis("z")))
 
 
+@cache
 def make_spherical() -> CoordinateSystem:
     """Spherical (r, theta, phi): weights r^2, sin(theta), 1."""
     return CoordinateSystem(
@@ -173,6 +178,7 @@ def make_spherical() -> CoordinateSystem:
     )
 
 
+@cache
 def make_cylindrical() -> CoordinateSystem:
     """Cylindrical (rho, phi, z): weights rho, 1, 1."""
     return CoordinateSystem(
@@ -185,6 +191,7 @@ def make_cylindrical() -> CoordinateSystem:
     )
 
 
+@cache
 def make_plane_polar() -> CoordinateSystem:
     """Plane polar (r, phi): weights r, 1."""
     return CoordinateSystem(
@@ -197,6 +204,7 @@ def make_plane_polar() -> CoordinateSystem:
 
 
 def preset_systems() -> dict[str, CoordinateSystem]:
-    """All four built-in systems, keyed by name."""
+    """All four built-in systems, keyed by name, in a new dict; each
+    ``make_*`` builds its frozen system once and then returns that one."""
     systems = (make_cartesian(), make_spherical(), make_cylindrical(), make_plane_polar())
     return {s.name: s for s in systems}

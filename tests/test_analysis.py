@@ -123,7 +123,7 @@ def factor_calls(monkeypatch):
     counts = collections.Counter()
     init = FactorFunction.__init__
 
-    def counting_init(obj, evaluate, derivative):
+    def counting_init(obj, evaluate, derivative, **kwargs):
         def counted(name, fn):
             def call(q):
                 counts[name, "array" if np.ndim(q) > 0 else "point"] += 1
@@ -131,7 +131,7 @@ def factor_calls(monkeypatch):
 
             return call
 
-        init(obj, counted("evaluate", evaluate), counted("derivative", derivative))
+        init(obj, counted("evaluate", evaluate), counted("derivative", derivative), **kwargs)
 
     monkeypatch.setattr(FactorFunction, "__init__", counting_init)
     yield counts
@@ -139,12 +139,19 @@ def factor_calls(monkeypatch):
         cache.cache_clear()
 
 
-def test_scan_tabulates_each_shared_factor_once(factor_calls):
-    # 121 states share 11 radial and 21 phi factors: 11 + 121 + 21 tables,
-    # one theta derivative per state, and no single-point probe of the
+def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
+    # 121 states share 11 radial and 21 phi factors: 11 + 21 tables, read by
+    # the family's stacked factors, plus one theta table and one theta
+    # derivative for the whole family, and no single-point probe of the
     # surface term
     p_theta_spectrum_scan(10)
-    assert factor_calls == {("evaluate", "array"): 153, ("derivative", "array"): 121}
+    assert factor_calls == {("evaluate", "array"): 33, ("derivative", "array"): 1}
+    # a warm scan climbs once per |M| <= 10 for the values and the derivative
+    climbs = []
+    ladder = specfun._legendre_ladder
+    monkeypatch.setattr(specfun, "_legendre_ladder", lambda *args: climbs.append(args[:2]) or ladder(*args))
+    p_theta_spectrum_scan(10)
+    assert sorted(climbs) == [(10, m) for m in range(11)]
     # r = 0, theta = 0 and theta = pi are zero ends of the weight: no probe;
     # phi = 0 and 2 pi have weight 1, so only there is the factor evaluated
     system = make_spherical()

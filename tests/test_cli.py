@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -175,6 +176,35 @@ def test_hydrogen_table_builds_each_level_once(monkeypatch):
     result = invoke("hydrogen-table", "--nmax", "6", "--format", "csv")
     assert result.exit_code == 0, result.output
     assert built == [(n, L) for n in range(1, 7) for L in range(n)]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "fixture, args",
+    [
+        (f"hydrogen-table_nmax6.{ext}", ("hydrogen-table", "--nmax", "6", "--format", fmt))
+        for fmt, ext in (("text", "txt"), ("csv", "csv"), ("json", "json"))
+    ]
+    + [
+        (f"p-theta-scan_lmax10.{ext}", ("p-theta-scan", "--lmax", "10", "--format", fmt))
+        for fmt, ext in (("text", "txt"), ("csv", "csv"), ("json", "json"))
+    ]
+    + [
+        (
+            "hydrogen-table_nmax6_si.csv",
+            ("hydrogen-table", "--nmax", "6", "--format", "csv", "--units", "si",
+             "--si-constants", str(DATA / "si_constants.json")),
+        )
+    ],
+)
+def test_cli_output_matches_fixture_byte_for_byte(fixture, args):
+    # the files under tests/data were written by the CLI before hydrogen
+    # families; every later change must print the same bytes
+    result = invoke(*args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (DATA / fixture).read_bytes()
 
 
 def test_hydrogen_table_json_null_for_missing_moments():

@@ -27,6 +27,7 @@ from curvimom.states import (
     PhysicalConstants,
     SeparableState,
     apply_phase_twist,
+    hydrogen_family,
     hydrogen_state,
     load_constants,
     phi_eigenfactor,
@@ -326,6 +327,37 @@ def test_trial_family_members_match_single_seed():
                     assert rep.value == alone.value, (system.name, axis, seed)
                     assert rep.quadrature_error == alone.quadrature_error, (system.name, axis, seed)
                     assert rep.boundary_term == alone.boundary_term, (system.name, axis, seed)
+
+
+@pytest.mark.parametrize(
+    "constants", [ATOMIC, PhysicalConstants(1.054571817e-34, 9.1093837015e-31, 2.3070775523e-28)], ids=["atomic", "si"]
+)
+def test_hydrogen_family_members_match_single_state(constants):
+    # a hydrogen family member's report is bit for bit the lone state's on
+    # every axis, wherever the member sits in the family: the n <= 4 levels
+    # and the p_theta scan's n = L + 1 levels up to L = 10
+    system = make_spherical()
+    levels = [(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
+    scan = [(L + 1, L, M) for L in range(11) for M in range(-L, L + 1)]
+    for qns in (levels, scan):
+        states = [hydrogen_state(QuantumNumbers(*qn), constants) for qn in qns]
+        family, reversed_family = hydrogen_family(states), hydrogen_family(states[::-1])
+        for axis in range(3):
+            for op in (canonical_momentum(system, axis, constants), naive_momentum(system, axis, constants)):
+                reports = expectations(op, family)
+                assert reports[::-1] == expectations(op, reversed_family)
+                for qn, state, rep in zip(qns, states, reports):
+                    alone = expectation(op, state)
+                    assert rep.value == alone.value, (qn, axis)
+                    assert rep.quadrature_error == alone.quadrature_error, (qn, axis)
+                    assert rep.boundary_term == alone.boundary_term, (qn, axis)
+
+
+def test_hydrogen_family_needs_hydrogen_states():
+    with pytest.raises(DomainError):
+        hydrogen_family([])
+    with pytest.raises(DomainError):
+        hydrogen_family([hydrogen_state(QuantumNumbers(1, 0, 0)), random_bound_trial(make_spherical(), 0)])
 
 
 def test_trial_states_keep_their_draws():
