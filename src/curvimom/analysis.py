@@ -140,13 +140,6 @@ def momentum_unit(kind: str, constants: PhysicalConstants = ATOMIC) -> float:
     return constants.hbar
 
 
-def _momentum_values(op: MomentumOperator, factor, nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    # conj(f) (p f) on an axis's nodes; only the derivative is evaluated here
-    return np.conj(vals) * (-1j * op.hbar) * (
-        np.asarray(factor.derivative(nodes)) + (op.drift(nodes) + op.constant) * vals
-    )
-
-
 def expectations(
     op: MomentumOperator, family: StateFamily, config: QuadratureConfig | None = None
 ) -> list[ExpectationReport]:
@@ -159,15 +152,18 @@ def expectations(
     """
     if not all([state.normalized for state in family.members]):
         raise PreconditionError("expectation values require a normalized state")
-    rules, values, norms = family.tabulate(config if config is not None else _DEFAULT_CONFIG)
+    cfg = config if config is not None else _DEFAULT_CONFIG
+    rules, values, norms = family.tabulate(cfg)
     rule, table, factor, k = rules[op.axis], values[op.axis], family.factors[op.axis], len(family.members)
-    moments = contract_rows(rule, _momentum_values(op, factor, rule.nodes, table))
+    # conj(f) (p f) on the axis's nodes, from the value and derivative tables
+    slopes, drift = family.derivative_table(op.axis, cfg), op.drift(rule.nodes) + op.constant
+    moments = contract_rows(rule, np.conj(table) * (-1j * op.hbar) * (slopes + drift * table))
     spec = family.system.coords[op.axis]
     zero_ends = measure_factor(spec).zero_ends
 
     def surface(end: float, node: int) -> list[float]:
         # w |f|^2 at one end of the operator's axis, one float per member
-        if end in zero_ends:  # w vanishes there exactly
+        if end in zero_ends or spec.topology == "compact-periodic":  # w vanishes, or both ends are one point
             return [0.0] * k
         if math.isfinite(end):
             w, ends = [float(spec.weight.value(end))] * k, factor.evaluate(end)

@@ -67,7 +67,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int | None = None
 
     def __post_init__(self) -> None:
         self.nodes.setflags(write=False)
@@ -111,7 +110,7 @@ def _gauss_rule(order: int) -> QuadratureRule:
     else:
         nodes = np.concatenate([-pos[::-1], pos])
         weights = np.concatenate([w_pos[::-1], w_pos])
-    return QuadratureRule(nodes, weights, exactness_degree=2 * order - 1)
+    return QuadratureRule(nodes, weights)
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
@@ -195,11 +194,11 @@ def _unit_rule(spec: CoordinateSpec, order: int) -> QuadratureRule:
         base = gauss_legendre(order)
         if spec.weight.ident == "sin" and (spec.lower, spec.upper) == (0.0, math.pi):
             # x = cos(theta): nodes arccos(x_i), weights unchanged, sin absorbed
-            return QuadratureRule(np.arccos(base.nodes), base.weights, base.exactness_degree)
+            return QuadratureRule(np.arccos(base.nodes), base.weights)
         halfwidth = 0.5 * (spec.upper - spec.lower)
         nodes = spec.lower + (base.nodes + 1.0) * halfwidth
         weights = base.weights * halfwidth
-    return QuadratureRule(nodes, weights * spec.weight.value(nodes), base.exactness_degree)
+    return QuadratureRule(nodes, weights * spec.weight.value(nodes))
 
 
 def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> QuadratureRule:

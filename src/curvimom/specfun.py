@@ -64,47 +64,27 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _legendre_ladder(L: int, m: int, xi: np.ndarray) -> list[np.ndarray]:
-    # [0, P_m^m, ..., P_L^m]: one climb in degree at order m >= 0, every row kept
-    # (the zero stands for P_{m-1}^m)
-    p = np.ones_like(xi)
-    if m > 0:  # P_m^m, built as a product so intermediates never overflow
+def _legendre_climb(L: int, M: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (P_L^M, P_{L-1}^M) from one climb in degree at |M|; the second is
+    # zero when |M| > L-1, and negative orders are scaled after the climb
+    m = abs(M)
+    # P_m^m, built as a product so intermediates never overflow
+    p_curr, p_prev = np.ones_like(xi), np.zeros_like(xi)
+    if m > 0:
         s = np.sqrt((1.0 - xi) * (1.0 + xi))
         for k in range(1, m + 1):
-            p = p * (-(2 * k - 1)) * s
-    rows = [np.zeros_like(xi), p]
+            p_curr = p_curr * (-(2 * k - 1)) * s
     # the first step subtracts an exact zero, so it is (2m+1) x P_m^m to the bit
     for degree in range(m + 1, L + 1):
-        rows.append(((2 * degree - 1) * xi * rows[-1] - (degree + m - 1) * rows[-2]) / (degree - m))
-    return rows
-
-
-def _legendre_climb(L: int, M: int, xi: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    # (P_L^M, P_{L-1}^M): the last rows of one climb at |M|, or those rows of a
-    # longer ladder at |M| given as ``rows``; the second is zero when
-    # |M| > L-1, and negative orders are scaled after the climb
-    m = abs(M)
-    rows = _legendre_ladder(L, m, xi) if rows is None else rows
-    p_curr, p_prev = rows[L - m + 1], rows[L - m]
+        p_curr, p_prev = (
+            ((2 * degree - 1) * xi * p_curr - (degree + m - 1) * p_prev) / (degree - m),
+            p_curr,
+        )
     if M < 0:
         p_curr = (-1) ** m * _factorial_ratio(L - m, L + m) * p_curr
         if L > m:
             p_prev = (-1) ** m * _factorial_ratio(L - 1 - m, L - 1 + m) * p_prev
     return p_curr, p_prev
-
-
-def _legendre_family(degree_orders, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (P_L^M, P_{L-1}^M) of every (L, M) as (k, ...) stacks, from one ladder per
-    # |M| to its highest degree; row i is _legendre_climb(*degree_orders[i], xi)
-    top = {abs(M): L for L, M in sorted(degree_orders)}
-    ladders = {m: _legendre_ladder(L, m, xi) for m, L in top.items()}
-    pairs = [_legendre_climb(L, M, xi, ladders[abs(M)]) for L, M in degree_orders]
-    return tuple(np.stack(rows).reshape(len(pairs), -1) for rows in zip(*pairs))
-
-
-def _legendre_slope(L, M, xi, p_l, p_lm1):
-    # dP_L^M/dx from (P_L^M, P_{L-1}^M): (x^2 - 1) dP_L^M/dx = L x P_L^M - (L + M) P_{L-1}^M
-    return (L * xi * p_l - (L + M) * p_lm1) / (xi * xi - 1.0)
 
 
 def assoc_legendre(L: int, M: int, x):
@@ -148,7 +128,8 @@ def assoc_legendre_deriv(L: int, M: int, x):
     xi, scalar = _as_float_array(x)
     if np.any(np.abs(xi) >= 1.0):
         raise DomainError("argument of assoc_legendre_deriv must lie in (-1, 1)")
-    out = _legendre_slope(L, M, xi, *_legendre_climb(L, M, xi))
+    p_l, p_lm1 = _legendre_climb(L, M, xi)
+    out = (L * xi * p_l - (L + M) * p_lm1) / (xi * xi - 1.0)
     return float(out) if scalar else out
 
 

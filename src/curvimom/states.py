@@ -2,10 +2,10 @@
 
 Every state is a product of one-coordinate factors, each carrying its own
 analytic derivative, so momentum operators act factor by factor without any
-numerical differentiation of the state itself.  Factors keep their own tables,
-and hydrogen factors come from bounded caches, so states share both.  Trial
-and hydrogen states come in families, whose factors evaluate every member at
-once.
+numerical differentiation of the state itself.  Factors keep their own value
+and derivative tables, and hydrogen factors come from bounded caches, so
+states share both.  A trial family's factors evaluate every member at once; a
+hydrogen family's stack its members' shared factors.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .quadrature import (
 )
 from .specfun import (
     QuantumNumbers,
-    _legendre_family,
-    _legendre_slope,
     _require_degree_order,
     assoc_laguerre,
     assoc_laguerre_deriv,
@@ -110,20 +108,20 @@ class FactorFunction:
     evaluate: Callable
     derivative: Callable
     parts: tuple = field(default=(), repr=False, compare=False)
-    # table's memo, keyed on (spec, order) plus the scale on line and half-line axes
+    # the tables' memos, keyed on (spec, order) plus the scale on line and half-line axes
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def table(self, spec: CoordinateSpec, order: int, scale) -> tuple[AxisRule, np.ndarray, list]:
         """``axis_rule(spec, order, scale)``, read-only values there and the
         |f|^2 pair of each row, once; a family's factor takes a tuple of scales,
         and a stack reads its parts' own tables, each part at its member's scale."""
-        key = (spec, order, scale) if spec.topology in ("line", "half-line") else (spec, order)
+        key = _table_key(spec, order, scale)
         entry = self._tables.get(key)
         if entry is None:
             rule = axis_rule(spec, order, scale)
             if self.parts:
-                scales = np.broadcast_to(scale, len(self.parts)).tolist()
-                rows = [f.table(spec, order, s) for f, s in zip(self.parts, scales)]
+                rows = [f.table(spec, order, s) for f, s in self._part_scales(scale)]
                 values, norms = np.stack([row[1] for row in rows]), [pair for row in rows for pair in row[2]]
             else:
                 values = np.asarray(self.evaluate(rule.nodes))
@@ -131,6 +129,27 @@ class FactorFunction:
             values.setflags(write=False)
             entry = self._tables[key] = (rule, values, norms)
         return entry
+
+    def derivative_table(self, spec: CoordinateSpec, order: int, scale) -> np.ndarray:
+        """The read-only derivative on ``table``'s nodes, once, and only when
+        asked for (a derived factor's may raise); a stack stacks its parts'."""
+        key = _table_key(spec, order, scale)
+        slopes = self._derivatives.get(key)
+        if slopes is None:
+            if self.parts:
+                slopes = np.stack([f.derivative_table(spec, order, s) for f, s in self._part_scales(scale)])
+            else:
+                slopes = np.asarray(self.derivative(self.table(spec, order, scale)[0].nodes))
+            slopes.setflags(write=False)
+            self._derivatives[key] = slopes
+        return slopes
+
+    def _part_scales(self, scale) -> list:
+        return list(zip(self.parts, np.broadcast_to(scale, len(self.parts)).tolist()))
+
+
+def _table_key(spec: CoordinateSpec, order: int, scale) -> tuple:
+    return (spec, order, scale) if spec.topology in ("line", "half-line") else (spec, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,13 +221,9 @@ def theta_eigenfactor(L: int, M: int) -> FactorFunction:
     return _theta_factor(int(L), int(M))
 
 
-def _theta_norm(L: int, M: int) -> float:
-    return math.sqrt(0.5 * (2 * L + 1)) * math.exp(0.5 * (math.lgamma(L - M + 1) - math.lgamma(L + M + 1)))
-
-
 @lru_cache(maxsize=256)
 def _theta_factor(L: int, M: int) -> FactorFunction:
-    norm = _theta_norm(L, M)
+    norm = math.sqrt(0.5 * (2 * L + 1)) * math.exp(0.5 * (math.lgamma(L - M + 1) - math.lgamma(L + M + 1)))
 
     def evaluate(theta):
         return norm * assoc_legendre(L, M, np.cos(theta))
@@ -220,33 +235,11 @@ def _theta_factor(L: int, M: int) -> FactorFunction:
     return FactorFunction(evaluate, derivative)
 
 
-def _theta_family(degree_orders: tuple[tuple[int, int], ...]) -> FactorFunction:
-    # Theta_LM of k members, (k, n), elementwise as each member's own factor:
-    # their P_L^M and P_{L-1}^M from one climb per |M|, kept for the last
-    # nodes so that the values and the derivative share it
-    L, M = (np.array(c, dtype=float)[:, None] for c in zip(*degree_orders))
-    norm = np.array([_theta_norm(l, m) for l, m in degree_orders])[:, None]
-    last: list = [None, None]
-
-    def climb(theta):
-        if last[0] is not theta:
-            xi = np.cos(np.asarray(theta, dtype=float))
-            last[:] = theta, (xi, *_legendre_family(degree_orders, xi))
-        return last[1]
-
-    def derivative(theta):
-        xi, p_l, p_lm1 = climb(theta)
-        return -norm * np.sin(np.asarray(theta, dtype=float)) * _legendre_slope(L, M, xi, p_l, p_lm1)
-
-    return FactorFunction(lambda theta: norm * climb(theta)[1], derivative)
-
-
 def _stacked(parts: Sequence[FactorFunction]) -> FactorFunction:
-    # k members' factors as one: its table stacks theirs, and a call evaluates
-    # each member on its own row of (k, n) nodes or on shared nodes
-    rows = lambda q: q if np.ndim(q) == 2 else [q] * len(parts)
-    evaluate = lambda q: np.stack([f.evaluate(qi) for f, qi in zip(parts, rows(q))])
-    derivative = lambda q: np.stack([f.derivative(qi) for f, qi in zip(parts, rows(q))])
+    # k members' factors as one: its tables stack theirs, and a call
+    # evaluates every member on the same nodes
+    evaluate = lambda q: np.stack([f.evaluate(q) for f in parts])
+    derivative = lambda q: np.stack([f.derivative(q) for f in parts])
     return FactorFunction(evaluate, derivative, parts=tuple(parts))
 
 
@@ -355,24 +348,30 @@ class StateFamily(NamedTuple):
     def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple, tuple]:
         """``(rules, values, norms)`` per coordinate, from the factors' tables at each
         member's radial scale: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
-        scales = [state.radial_scale for state in self.members]
-        scale = scales[0] if len(scales) == 1 else tuple(scales)  # a state's own factors key on one scale
-        specs = self.system.coords
+        specs, scale = self.system.coords, self._scale()
         return tuple(zip(*[f.table(s, config.order_for(s), scale) for f, s in zip(self.factors, specs)]))
+
+    def derivative_table(self, axis: int, config: QuadratureConfig) -> np.ndarray:
+        """The factor derivative on ``tabulate``'s nodes of one coordinate, (k, n) or (n,)."""
+        spec = self.system.coords[axis]
+        return self.factors[axis].derivative_table(spec, config.order_for(spec), self._scale())
+
+    def _scale(self):
+        # the tables' scale key: a state's own factors key on one float, a family's on a tuple
+        scales = tuple(state.radial_scale for state in self.members)
+        return scales[0] if len(scales) == 1 else scales
 
 
 def hydrogen_family(states: Sequence[SeparableState]) -> StateFamily:
     """Hydrogen ``states``, each built by ``hydrogen_state``, as one family:
-    the r and phi factors stack the members' shared ones and read their
-    tables; the theta factor takes every P_L^|M| and P_{L-1}^|M| from one
-    climb per |M|.  Every member's numbers are those of the state alone."""
+    each axis's factor stacks the members' shared ones and reads their
+    tables.  Every member's numbers are those of the state alone."""
     if not states or any(state.quantum_numbers is None for state in states):
         raise DomainError("a hydrogen family needs one or more states from hydrogen_state")
     if len(states) == 1:
         return StateFamily.of(states[0])
-    radial, _, phi = zip(*[state.factors for state in states])
-    theta = _theta_family(tuple((state.quantum_numbers.L, state.quantum_numbers.M) for state in states))
-    return StateFamily(states[0].system, tuple(states), (_stacked(radial), theta, _stacked(phi)))
+    axes = zip(*[state.factors for state in states])
+    return StateFamily(states[0].system, tuple(states), tuple(_stacked(parts) for parts in axes))
 
 
 def trial_family(

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from curvimom.errors import DomainError, PreconditionError, UnsupportedAxisError
+from curvimom.errors import DomainError, PreconditionError, UnsupportedAxisError, UnsupportedStateError
 from curvimom.geometry import (
     WEIGHTS,
     CoordinateSpec,
@@ -28,6 +28,7 @@ from curvimom.analysis import (
     ci_uniqueness_demo,
     drift_expectation,
     expectation,
+    expectations,
     force_balance,
     inv_r2_closed_form,
     inv_r3_closed_form,
@@ -39,7 +40,7 @@ from curvimom.analysis import (
     run_check_suites,
 )
 from curvimom import analysis, quadrature, specfun, states
-from curvimom.operators import canonical_momentum, naive_momentum
+from curvimom.operators import canonical_momentum, naive_momentum, operator_applied_state
 from curvimom.quadrature import QuadratureConfig, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
@@ -47,6 +48,7 @@ from curvimom.states import (
     FactorFunction,
     PhysicalConstants,
     SeparableState,
+    hydrogen_family,
     hydrogen_state,
     random_bound_trial,
     state_overlap,
@@ -140,29 +142,60 @@ def factor_calls(monkeypatch):
 
 
 def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
-    # 121 states share 11 radial and 21 phi factors: 11 + 21 tables, read by
-    # the family's stacked factors, plus one theta table and one theta
-    # derivative for the whole family, and no single-point probe of the
-    # surface term
+    # 121 states share 11 radial and 21 phi factors and hold 121 theta factors:
+    # one table each, which the family's stacked factors read, one derivative
+    # table per theta factor, and no single-point probe of the surface term
     p_theta_spectrum_scan(10)
-    assert factor_calls == {("evaluate", "array"): 33, ("derivative", "array"): 1}
-    # a warm scan climbs once per |M| <= 10 for the values and the derivative
+    assert factor_calls == {("evaluate", "array"): 153, ("derivative", "array"): 121}
+    # a warm scan reads every table from the shared factors' memos
+    factor_calls.clear()
     climbs = []
-    ladder = specfun._legendre_ladder
-    monkeypatch.setattr(specfun, "_legendre_ladder", lambda *args: climbs.append(args[:2]) or ladder(*args))
+    climb = specfun._legendre_climb
+    monkeypatch.setattr(specfun, "_legendre_climb", lambda *args: climbs.append(args[:2]) or climb(*args))
     p_theta_spectrum_scan(10)
-    assert sorted(climbs) == [(10, m) for m in range(11)]
-    # r = 0, theta = 0 and theta = pi are zero ends of the weight: no probe;
-    # phi = 0 and 2 pi have weight 1, so only there is the factor evaluated
+    assert factor_calls == {} and climbs == []
+    # r = 0, theta = 0 and theta = pi are zero ends of the weight, and phi = 0
+    # and 2 pi are one point: no end is probed
     system = make_spherical()
     for qn in (QuantumNumbers(1, 0, 0), QuantumNumbers(3, 2, -1), QuantumNumbers(4, 3, 3)):
         state = hydrogen_state(qn)
-        for axis, probes in ((0, 0), (1, 0), (2, 2)):
+        for axis in range(3):
             for op in (canonical_momentum(system, axis), naive_momentum(system, axis)):
                 factor_calls.clear()
                 expectation(op, state)
-                assert factor_calls[("evaluate", "point")] == probes, axis
-                assert factor_calls[("derivative", "point")] == 0
+                assert factor_calls[("evaluate", "point")] == factor_calls[("derivative", "point")] == 0, axis
+
+
+def test_derivative_table_is_memoised_with_the_values(factor_calls):
+    # canonical and naive operators on one axis of a family ask each distinct
+    # factor for its derivative once; the members (3, 2, -1) and (3, 2, 1)
+    # share their radial factor
+    system, cfg = make_spherical(), QuadratureConfig()
+    family = hydrogen_family([hydrogen_state(QuantumNumbers(*qn)) for qn in ((2, 1, 0), (3, 2, -1), (3, 2, 1))])
+    for op in (canonical_momentum(system, 0), naive_momentum(system, 0)):
+        expectations(op, family, cfg)
+    assert factor_calls[("derivative", "array")] == 2
+    # the table is the factor's own derivative on the value table's nodes,
+    # bit for bit, and read-only; the family's stacks its members'
+    spec, order = system.coords[0], cfg.order_for(system.coords[0])
+    stacked = family.derivative_table(0, cfg)
+    for state, row in zip(family.members, stacked):
+        factor = state.factors[0]
+        slopes = factor.derivative_table(spec, order, state.radial_scale)
+        assert np.array_equal(slopes, factor.derivative(factor.table(spec, order, state.radial_scale)[0].nodes))
+        assert np.array_equal(row, slopes)
+        with pytest.raises(ValueError):
+            slopes[0] = 0.0
+    assert not stacked.flags.writeable
+    # tabulating never asks for a derivative: a momentum-applied factor has
+    # none, yet <psi| (p_phi psi)> = M hbar
+    state = family.members[2]
+    applied = operator_applied_state(canonical_momentum(system, 2), state)
+    assert state_overlap(state, applied, cfg) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(UnsupportedStateError):
+        applied.factors[2].derivative_table(system.coords[2], cfg.phi_order, 1.0)
+    # test_reality_scan_evaluates_each_trial_axis_once_per_family pins the
+    # same one derivative per family and axis on trial families
 
 
 def test_boundary_term_matches_endpoint_probe():

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import curvimom.cli as cli_module
 from curvimom.cli import main
 from curvimom.errors import SingularityError
+from curvimom.geometry import preset_systems
 from curvimom.states import hydrogen_state
 
 
@@ -205,6 +206,36 @@ def test_cli_output_matches_fixture_byte_for_byte(fixture, args):
     result = invoke(*args)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (DATA / fixture).read_bytes()
+
+
+def _expect_grid() -> str:
+    # argv, exit code and stdout of `expect --format json` for canonical and
+    # naive r, theta and phi on every hydrogen level with n <= 4, and canonical
+    # momenta on every axis of every preset system for trial seeds 0-2
+    levels = [(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
+    argvs = [
+        ["expect", f"{kind}:{axis}", f"hydrogen:n={n},L={L},M={M}", "--format", "json"]
+        for n, L, M in levels
+        for kind in ("canonical", "naive")
+        for axis in ("r", "theta", "phi")
+    ]
+    argvs += [
+        ["expect", f"canonical:{spec.name}", f"trial:seed={seed}", "--system", name, "--format", "json"]
+        for name, system in sorted(preset_systems().items())
+        for spec in system.coords
+        for seed in range(3)
+    ]
+    records = []
+    for argv in argvs:
+        result = invoke(*argv)
+        records.append({"argv": argv, "exit_code": result.exit_code, "stdout": result.stdout_bytes.decode()})
+    return json.dumps(records, indent=1) + "\n"
+
+
+def test_expect_grid_matches_fixture_byte_for_byte():
+    # tests/data/expect_grid.json was written by _expect_grid() before the
+    # factors' derivative tables; every later change must print the same bytes
+    assert _expect_grid().encode() == (DATA / "expect_grid.json").read_bytes()
 
 
 def test_hydrogen_table_json_null_for_missing_moments():

@@ -48,7 +48,6 @@ def test_gauss_legendre_structure():
         assert np.all(rule.nodes == -rule.nodes[::-1])
         assert np.all(rule.weights == rule.weights[::-1])
         assert abs(np.sum(rule.weights) - 2.0) <= 1e-12 * 2.0
-        assert rule.exactness_degree == 2 * order - 1
 
 
 def test_gauss_legendre_polynomial_exactness():
