@@ -131,15 +131,24 @@ def _parse_operator(text: str, system, constants):
     return naive_momentum(system, axis, constants)
 
 
+_STATE_KEYS = {"hydrogen": ("n", "L", "M"), "trial": ("seed",)}
+
+
 def _parse_state(text: str, system, constants, default_seed: int):
     family, _, rest = text.partition(":")
+    if family not in _STATE_KEYS:
+        raise click.UsageError(
+            f"state must look like 'hydrogen:n=2,L=1,M=0' or 'trial:seed=42', got {text!r}"
+        )
     pairs: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
             key, sep, value = item.partition("=")
-            if not sep or not key:
-                raise click.UsageError(f"malformed state argument {text!r}")
-            pairs[key.strip()] = value.strip()
+            key = key.strip()
+            if not sep or key not in _STATE_KEYS[family] or key in pairs:
+                keys = ", ".join(_STATE_KEYS[family])
+                raise click.UsageError(f"malformed state {text!r}: {family} takes {keys}, each at most once")
+            pairs[key] = value.strip()
     if family == "hydrogen":
         if system.name != "spherical":
             raise click.UsageError("hydrogen states live on the spherical system")
@@ -150,15 +159,11 @@ def _parse_state(text: str, system, constants, default_seed: int):
         except (ValueError, DomainError) as exc:
             raise click.UsageError(f"invalid quantum numbers in {text!r}: {exc}")
         return hydrogen_state(qn, constants)
-    if family == "trial":
-        try:
-            seed = int(pairs.get("seed", default_seed))
-        except ValueError as exc:
-            raise click.UsageError(f"invalid trial seed in {text!r}: {exc}")
-        return random_bound_trial(system, seed, constants)
-    raise click.UsageError(
-        f"state must look like 'hydrogen:n=2,L=1,M=0' or 'trial:seed=42', got {text!r}"
-    )
+    try:
+        seed = int(pairs.get("seed", default_seed))
+    except ValueError as exc:
+        raise click.UsageError(f"invalid trial seed in {text!r}: {exc}")
+    return random_bound_trial(system, seed, constants)
 
 
 def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -113,15 +113,6 @@ class CoordinateSystem:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def volume_weight(self, point: Sequence) -> float | np.ndarray:
-        """sqrt(|g|) at ``point`` (per-coordinate scalars or equal-length
-        arrays): the product of coordinate weights."""
-        if len(point) != self.dim:
-            raise ConfigurationError(
-                f"point has {len(point)} components, system {self.name!r} has {self.dim}"
-            )
-        return math.prod((spec.weight.value(q) for spec, q in zip(self.coords, point)), start=1.0)
 
 
 class MeasureFactor:

@@ -16,7 +16,8 @@ One rule family per topology:
 ``axis_rule`` (the full- then the half-order nodes of a coordinate as one
 array, one weight row per order), summed by ``contract`` and combined by
 ``combine_axes``.  Both rules are cached per (coordinate, order) at unit
-scale in bounded caches; a line or half-line scale (or k of them) is applied per call.
+scale in bounded caches; a line or half-line scale (or k of them, each a
+state's ``radial_scale``) is applied per call, and a config holds only orders.
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
@@ -46,7 +47,6 @@ __all__ = [
     "coordinate_rule",
     "coordinate_integral",
     "axis_rule",
-    "axis_rules",
     "contract",
     "contract_rows",
     "combine_axes",
@@ -128,30 +128,26 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return _gauss_rule(int(order))
 
 
-def half_line_rule(order: int, scale: float = 1.0) -> QuadratureRule:
-    """Rule for (0, inf) via r = scale * t/(1 - t), t = (x + 1)/2.
+def half_line_rule(order: int) -> QuadratureRule:
+    """Unit-scale rule for (0, inf) via r = t/(1 - t), t = (x + 1)/2.
 
-    ``scale`` sets the node cluster (half the nodes fall below it); pick it
-    near the decay length of the integrand.
+    Half the nodes fall below r = 1; ``coordinate_rule`` scales the rule to
+    a map scale near the integrand's decay length.
 
     Raises:
-        DomainError: if ``scale`` <= 0 or ``order`` < 1.
+        DomainError: if ``order`` < 1.
     """
-    if not scale > 0.0:
-        raise DomainError(f"half-line scale must be positive, got {scale!r}")
     base = gauss_legendre(order)
     t = 0.5 * (base.nodes + 1.0)
-    nodes = scale * (t / (1.0 - t))
-    weights = scale * (base.weights * 0.5 / (1.0 - t) ** 2)
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(t / (1.0 - t), base.weights * 0.5 / (1.0 - t) ** 2)
 
 
-def line_rule(order: int, scale: float = 1.0) -> QuadratureRule:
-    """Rule for (-inf, inf): a half-line rule mirrored about zero.
+def line_rule(order: int) -> QuadratureRule:
+    """Unit-scale rule for (-inf, inf): a half-line rule mirrored about zero.
 
     The result carries 2 * order nodes, symmetric to the bit.
     """
-    half = half_line_rule(order, scale)
+    half = half_line_rule(order)
     nodes = np.concatenate([-half.nodes[::-1], half.nodes])
     weights = np.concatenate([half.weights[::-1], half.weights])
     return QuadratureRule(nodes, weights)
@@ -228,12 +224,11 @@ def _at_scale(spec: CoordinateSpec, base: QuadratureRule, scale) -> QuadratureRu
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Per-topology orders plus the half-line/line map scale."""
+    """Per-topology quadrature orders; the map scale belongs to the state."""
 
     radial_order: int = 120
     theta_order: int = 64
     phi_order: int = 32
-    radial_scale: float = 1.0
 
     def __post_init__(self) -> None:
         for label, order in (
@@ -243,8 +238,6 @@ class QuadratureConfig:
         ):
             if not isinstance(order, (int, np.integer)) or order < 1:
                 raise ConfigurationError(f"{label} must be an integer >= 1, got {order!r}")
-        if not self.radial_scale > 0.0:
-            raise ConfigurationError(f"radial_scale must be positive, got {self.radial_scale!r}")
 
     def order_for(self, spec: CoordinateSpec) -> int:
         if spec.topology in ("line", "half-line"):
@@ -291,11 +284,6 @@ def axis_rule(spec: CoordinateSpec, order: int, scale=1.0) -> AxisRule:
     return _at_scale(spec, _stacked_unit_rule(spec, order), scale)
 
 
-def axis_rules(system: CoordinateSystem, config: QuadratureConfig) -> list[AxisRule]:
-    """The stacked full- and half-order rule of each coordinate of ``system``."""
-    return [axis_rule(spec, config.order_for(spec), config.radial_scale) for spec in system.coords]
-
-
 def contract(rule: AxisRule, table: np.ndarray) -> tuple[complex, complex]:
     """(full-order, half-order) weighted sums of values on ``rule.nodes``: ``contract_rows``'s one pair."""
     return contract_rows(rule, table)[0]
@@ -329,8 +317,10 @@ def integrate_separable(
     system: CoordinateSystem,
     integrands: Sequence[Callable],
     config: QuadratureConfig | None = None,
+    scale: float = 1.0,
 ) -> tuple[complex, float]:
-    """Integral of prod_i f_i(q_i) against the volume weight prod_i w_i.
+    """Integral of prod_i f_i(q_i) against the volume weight prod_i w_i,
+    with the line and half-line rules at map ``scale``.
 
     Returns:
         (value, error_estimate), as ``combine_axes`` forms them.
@@ -338,10 +328,12 @@ def integrate_separable(
     Raises:
         ConfigurationError: if the integrand count differs from the system
             dimension.
+        DomainError: if ``scale`` <= 0.
     """
     if len(integrands) != system.dim:
         raise ConfigurationError(
             f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
         )
-    rules = axis_rules(system, config if config is not None else QuadratureConfig())
+    config = config if config is not None else QuadratureConfig()
+    rules = [axis_rule(spec, config.order_for(spec), scale) for spec in system.coords]
     return combine_axes([contract(rule, f(rule.nodes)) for f, rule in zip(integrands, rules)])

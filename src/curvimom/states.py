@@ -160,6 +160,7 @@ class SeparableState:
     system: CoordinateSystem
     quantum_numbers: QuantumNumbers | None = None
     normalized: bool = True
+    # the line and half-line map scale, near the decay length, of every table of the state
     radial_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -177,11 +178,6 @@ class SeparableState:
                 f"point has {len(point)} components, expected {self.system.dim}"
             )
         return math.prod((factor.evaluate(q) for factor, q in zip(self.factors, point)), start=1 + 0j)
-
-    def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple, tuple]:
-        """``(rules, values, norms)``: per coordinate, its factor's ``table``."""
-        specs, scale = self.system.coords, config.radial_scale
-        return tuple(zip(*(f.table(s, config.order_for(s), scale) for f, s in zip(self.factors, specs))))
 
 
 @lru_cache(maxsize=256)
@@ -461,13 +457,16 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
 def state_overlap(
     a: SeparableState, b: SeparableState, config: QuadratureConfig | None = None
 ) -> complex:
-    """Inner product <a|b> against the volume weight."""
+    """Inner product <a|b> against the volume weight, from both states'
+    factor tables at the larger of their two radial scales."""
     if a.system.name != b.system.name:
         raise ConfigurationError(
             f"overlap needs matching systems, got {a.system.name!r} and {b.system.name!r}"
         )
-    if config is None:
-        config = QuadratureConfig(radial_scale=max(a.radial_scale, b.radial_scale))
-    rules, values_a, _ = a.tabulate(config)
-    pairs = [contract(rule, np.conj(va) * vb) for rule, va, vb in zip(rules, values_a, b.tabulate(config)[1])]
+    config = config if config is not None else QuadratureConfig()
+    scale = max(a.radial_scale, b.radial_scale)
+    pairs = []
+    for spec, fa, fb in zip(a.system.coords, a.factors, b.factors):
+        rule, values_a, _ = fa.table(spec, config.order_for(spec), scale)
+        pairs.append(contract(rule, np.conj(values_a) * fb.table(spec, config.order_for(spec), scale)[1]))
     return combine_axes(pairs)[0]

@@ -73,6 +73,11 @@ def test_expect_usage_errors():
     assert invoke("expect", "canonical:r", "hydrogen:n=1,L=5,M=0").exit_code == 2
     assert invoke("expect", "canonical:x", "hydrogen:n=1,L=0,M=0", "--system", "cartesian").exit_code == 2
     assert invoke("expect", "canonical:r", "hydrogen:n=1,L=0,M=0", "--units", "si").exit_code == 2
+    # a state takes only its own keys, each at most once
+    assert invoke("expect", "canonical:x", "trial:sed=3", "--system", "cartesian").exit_code == 2
+    assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0,M=1").exit_code == 2
+    assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0,x=9").exit_code == 2
+    assert invoke("expect", "canonical:x", "trial:seed=1,seed=2", "--system", "cartesian").exit_code == 2
 
 
 def test_negative_trial_seed_is_a_usage_error():

@@ -53,19 +53,6 @@ def test_preset_shapes():
     assert [s.weight.ident for s in pol.coords] == ["q", "one"]
 
 
-def test_volume_weight_products():
-    r, theta, phi = 2.0, 0.8, 1.1
-    sph = make_spherical()
-    assert sph.volume_weight((r, theta, phi)) == pytest.approx(r * r * math.sin(theta))
-    cyl = make_cylindrical()
-    assert cyl.volume_weight((r, phi, 3.0)) == pytest.approx(r)
-    assert make_cartesian().volume_weight((1.0, 2.0, 3.0)) == 1.0
-    rs, thetas = np.array([2.0, 0.5]), np.array([0.8, 2.0])
-    assert sph.volume_weight((rs, thetas, np.zeros(2))) == pytest.approx(rs * rs * np.sin(thetas))
-    with pytest.raises(ConfigurationError):
-        sph.volume_weight((1.0, 2.0))
-
-
 def test_drift_closed_forms():
     sph = make_spherical()
     r = np.linspace(0.2, 5.0, 11)

@@ -16,7 +16,7 @@ from curvimom.geometry import (
 from curvimom import quadrature
 from curvimom.quadrature import (
     QuadratureConfig,
-    axis_rules,
+    axis_rule,
     contract,
     coordinate_integral,
     coordinate_rule,
@@ -64,7 +64,7 @@ def test_half_line_exponential_convergence():
     # per order doubling until the 1e-12 floor
     errors = []
     for order in (10, 20, 40, 80):
-        rule = half_line_rule(order, 1.0)
+        rule = half_line_rule(order)
         errors.append(abs(float(np.sum(rule.weights * np.exp(-rule.nodes))) - 1.0))
     for lo, hi in zip(errors[1:], errors[:-1]):
         if hi > 1e-12:
@@ -74,26 +74,27 @@ def test_half_line_exponential_convergence():
 
 def test_half_line_gamma_integral():
     # integral of r^2 exp(-2r) = 2/8 = 1/4
-    rule = half_line_rule(80, 1.0)
+    rule = half_line_rule(80)
     got = float(np.sum(rule.weights * rule.nodes**2 * np.exp(-2.0 * rule.nodes)))
     assert got == pytest.approx(0.25, abs=1e-13)
 
 
 def test_half_line_structure():
-    rule = half_line_rule(40, scale=2.5)
+    radial = make_spherical().coords[0]
+    rule = coordinate_rule(radial, 40, 2.5)
     assert np.all(rule.nodes > 0.0)
     assert np.all(rule.weights > 0.0)
     assert np.all(np.diff(rule.nodes) > 0.0)
     # the map sends x = 0 to r = scale, so half the nodes sit below scale
     assert int(np.sum(rule.nodes < 2.5)) == 20
     with pytest.raises(DomainError):
-        half_line_rule(40, scale=0.0)
+        coordinate_rule(radial, 40, 0.0)
     with pytest.raises(DomainError):
-        half_line_rule(0, scale=1.0)
+        half_line_rule(0)
 
 
 def test_line_rule_gaussian():
-    rule = line_rule(60, 1.0)
+    rule = line_rule(60)
     got = float(np.sum(rule.weights * np.exp(-rule.nodes**2)))
     assert got == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert np.all(rule.nodes == -rule.nodes[::-1])
@@ -151,9 +152,7 @@ def test_hydrogen_norms_via_integrate_separable():
                 (lambda f: (lambda q: np.abs(np.asarray(f.evaluate(q))) ** 2))(f)
                 for f in state.factors
             ]
-            value, err = integrate_separable(
-                state.system, densities, QuadratureConfig(radial_scale=state.radial_scale)
-            )
+            value, err = integrate_separable(state.system, densities, cfg, state.radial_scale)
             assert abs(value.real - 1.0) <= 1e-10, f"(n,L)=({n},{L})"
             assert abs(value.imag) <= 1e-14
 
@@ -194,8 +193,6 @@ def test_config_validation_and_dispatch():
     assert cfg.order_for(sph.coords[2]) == 32
     with pytest.raises(ConfigurationError):
         QuadratureConfig(radial_order=0)
-    with pytest.raises(ConfigurationError):
-        QuadratureConfig(radial_scale=-1.0)
     with pytest.raises(DomainError):
         gauss_legendre(-3)
 
@@ -241,10 +238,11 @@ def test_rule_cache_does_not_grow_with_scale():
             arr[0] = 0.0
     # the stacked rules of every axis: one cached unit rule per (spec, order)
     system = make_spherical()
-    stacked = axis_rules(system, QuadratureConfig())
+    cfg = QuadratureConfig()
+    stacked = [axis_rule(s, cfg.order_for(s), 1.0) for s in system.coords]
     size = quadrature._stacked_unit_rule.cache_info().currsize
     for k in range(1000):
-        rules = axis_rules(system, QuadratureConfig(radial_scale=0.5 + k * 1e-3))
+        rules = [axis_rule(s, cfg.order_for(s), 0.5 + k * 1e-3) for s in system.coords]
     assert quadrature._stacked_unit_rule.cache_info().currsize == size
     assert rules[1] is stacked[1] and rules[2] is stacked[2]
     full, half = coordinate_rule(spec, 120, 1.499), coordinate_rule(spec, 60, 1.499)
@@ -264,16 +262,17 @@ def test_contract_on_stacked_rules_matches_separate_sums():
         "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
     )
     systems = list(preset_systems().values()) + [ball]
-    cfg = QuadratureConfig(radial_order=40, theta_order=24, phi_order=16, radial_scale=1.3)
+    cfg, scale = QuadratureConfig(radial_order=40, theta_order=24, phi_order=16), 1.3
     integrands = [
         lambda q: np.exp(-0.5 * np.abs(q)) * (1.0 + np.cos(q)),
         lambda q: np.exp(-0.5 * np.abs(q) + 1j * q) * (2.0 + np.sin(q)),
     ]
     for system in systems:
-        for spec, rule in zip(system.coords, axis_rules(system, cfg)):
+        for spec in system.coords:
             order = cfg.order_for(spec)
-            full = coordinate_rule(spec, order, cfg.radial_scale)
-            half = coordinate_rule(spec, max(order // 2, 2), cfg.radial_scale)
+            rule = axis_rule(spec, order, scale)
+            full = coordinate_rule(spec, order, scale)
+            half = coordinate_rule(spec, max(order // 2, 2), scale)
             assert rule.full == len(full.nodes)
             assert np.array_equal(rule.nodes, np.concatenate([full.nodes, half.nodes]))
             assert rule.weights.shape == (2, len(rule.nodes))

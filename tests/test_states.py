@@ -26,6 +26,7 @@ from curvimom.states import (
     FactorFunction,
     PhysicalConstants,
     SeparableState,
+    StateFamily,
     apply_phase_twist,
     hydrogen_family,
     hydrogen_state,
@@ -158,8 +159,8 @@ def test_angular_tables_are_shared_across_radial_scales():
     factors = tuple(_counted(f, calls[axis]) for axis, f in enumerate(base.factors))
     near = SeparableState(factors, base.system, radial_scale=1.0)
     far = SeparableState(factors, base.system, radial_scale=3.0)
-    rules_n, values_n, norms_n = near.tabulate(QuadratureConfig(radial_scale=1.0))
-    rules_f, values_f, norms_f = far.tabulate(QuadratureConfig(radial_scale=3.0))
+    rules_n, values_n, norms_n = StateFamily.of(near).tabulate(QuadratureConfig())
+    rules_f, values_f, norms_f = StateFamily.of(far).tabulate(QuadratureConfig())
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
     for axis in (1, 2):
         assert values_n[axis] is values_f[axis] and norms_n[axis] == norms_f[axis]
@@ -170,7 +171,7 @@ def test_angular_tables_are_shared_across_radial_scales():
             with pytest.raises(ValueError):
                 vals[0] = 0.0
     # a second pass reads the memos
-    assert far.tabulate(QuadratureConfig(radial_scale=3.0))[1][0] is values_f[0]
+    assert StateFamily.of(far).tabulate(QuadratureConfig())[1][0] is values_f[0]
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
 
 
@@ -196,7 +197,7 @@ def test_each_order_and_radial_scale_gets_its_own_table():
     assert np.array_equal(coarse, base.evaluate(axis_rule(sph.coords[1], 32).nodes))
     # a derived factor starts with its own, empty memo
     trial = random_bound_trial(make_cartesian(), 3)
-    trial.tabulate(QuadratureConfig(radial_scale=trial.radial_scale))
+    StateFamily.of(trial).tabulate(QuadratureConfig())
     twisted = apply_phase_twist(trial, 0, 1.5)
     spec = trial.system.coords[0]
     rule, values, _ = twisted.factors[0].table(spec, 120, trial.radial_scale)
@@ -289,7 +290,7 @@ def test_phase_twist_preserves_magnitude_and_shifts_derivative():
 
 
 def test_hydrogen_orthogonality():
-    cfg = QuadratureConfig(radial_scale=2.0)
+    cfg = QuadratureConfig()
     s100 = hydrogen_state(QuantumNumbers(1, 0, 0))
     s200 = hydrogen_state(QuantumNumbers(2, 0, 0))
     s210 = hydrogen_state(QuantumNumbers(2, 1, 0))
@@ -298,6 +299,11 @@ def test_hydrogen_orthogonality():
     assert abs(state_overlap(s200, s210, cfg)) <= 1e-12
     assert abs(state_overlap(s210, s211, cfg)) <= 1e-12
     assert state_overlap(s210, s210, cfg).real == pytest.approx(1.0, abs=1e-12)
+    # a config carries no map scale: each level is read at its own n a0
+    for n in range(1, 9):
+        for L in range(n):
+            s = hydrogen_state(QuantumNumbers(n, L, 0))
+            assert abs(state_overlap(s, s, cfg) - 1.0) <= 1e-12, (n, L)
 
 
 def test_state_shape_errors():
