@@ -20,7 +20,6 @@ from .analysis import (
     force_balance,
     inv_r2_closed_form,
     inv_r3_closed_form,
-    momentum_unit,
     naive_ehrenfest_residual,
     p_theta_spectrum_scan,
     radial_moment,
@@ -57,6 +56,7 @@ from .operators import (
     commutator_qp_residual,
     coordinate_scaled_state,
     l_squared_expectation,
+    momentum_unit,
     naive_momentum,
     operator_applied_state,
 )

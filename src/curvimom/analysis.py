@@ -6,11 +6,15 @@ defect reduces to the surface term -(hbar/2) [w |psi|^2] at the domain
 ends, while the naive operator picks up the bulk term hbar <g> on top.
 The hydrogen checks close the loop against closed forms: <1/r^2>, <1/r^3>
 and the circular-orbit force balance hbar^2 L(L+1)/m <1/r^3> = e^2 <1/r^2>.
+
+Everything is computed, and every suite checks, in units of a0 and hbar; a function
+returning a physical number takes ``constants`` and applies its unit once, on return.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +34,7 @@ from .operators import (
     commutator_pp_residual,
     commutator_qp_residual,
     l_squared_expectation,
+    momentum_unit,
     naive_momentum,
 )
 from .quadrature import QuadratureConfig, combine_axes, contract, contract_rows, coordinate_integral
@@ -56,7 +61,6 @@ __all__ = [
     "ForceBalanceReport",
     "ScanRow",
     "SuiteResult",
-    "momentum_unit",
     "expectation",
     "expectations",
     "reality_tolerance",
@@ -133,19 +137,25 @@ class SuiteResult:
     worst: float
 
 
-def momentum_unit(kind: str, constants: PhysicalConstants = ATOMIC) -> float:
-    """Natural momentum scale: hbar/a0 on linear axes, hbar on angular."""
-    if kind == "linear":
-        return constants.hbar / constants.a0
-    return constants.hbar
+def _in_units(value, unit: float):
+    # a natural-unit output times its unit (in atomic units, the number itself); a complex part
+    # by part, as a complex times a float would flip the sign of a zero part; a normal part stays normal
+    if unit == 1.0:
+        return value
+    if isinstance(value, complex):
+        return complex(_in_units(value.real, unit), _in_units(value.imag, unit))
+    scaled = value * unit
+    if sys.float_info.min <= abs(value) < math.inf and not sys.float_info.min <= abs(scaled) < math.inf:
+        raise DomainError(f"{value!r} in natural units over- or underflows at the unit {unit!r}")
+    return scaled
 
 
 def expectations(
     op: MomentumOperator, family: StateFamily, config: QuadratureConfig | None = None
 ) -> list[ExpectationReport]:
-    """<psi| p |psi> with reality diagnostics on every member of ``family``:
-    one table and one contraction per axis, then each member's report from
-    Python scalars, at the member's own radial scale and the config's orders.
+    """<psi| p |psi> with reality diagnostics on every member of ``family``: one table
+    and one contraction per axis, then each member's report from Python scalars in
+    natural units, times ``op.unit``, at the member's radial scale and the config's orders.
 
     Raises:
         PreconditionError: if a member is not normalized.
@@ -157,7 +167,7 @@ def expectations(
     rule, table, factor, k = rules[op.axis], values[op.axis], family.factors[op.axis], len(family.members)
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
     slopes, drift = family.derivative_table(op.axis, cfg), op.drift(rule.nodes) + op.constant
-    moments = contract_rows(rule, np.conj(table) * (-1j * op.hbar) * (slopes + drift * table))
+    moments = contract_rows(rule, np.conj(table) * -1j * (slopes + drift * table))
     spec = family.system.coords[op.axis]
     zero_ends = measure_factor(spec).zero_ends
 
@@ -179,8 +189,8 @@ def expectations(
         pairs[op.axis] = moments[i]
         value, qerr = combine_axes(pairs)
         # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
-        boundary = -0.5 * op.hbar * (upper[i] - lower[i]) * other
-        reports.append(ExpectationReport(value=value, boundary_term=boundary, quadrature_error=qerr))
+        boundary = -0.5 * (upper[i] - lower[i]) * other
+        reports.append(ExpectationReport(*[_in_units(x, op.unit) for x in (value, boundary, qerr)]))
     return reports
 
 
@@ -238,15 +248,14 @@ def ci_uniqueness_demo(
         raise UnsupportedAxisError(
             f"the additive-constant demo needs a linear axis, {spec.name!r} is {spec.kind}"
         )
-    family = trial_family(system, (seed_a, seed_b), constants)
+    family = trial_family(system, (seed_a, seed_b))
     rep_a, rep_b = expectations(canonical_momentum(system, axis, constants), family, config)
     return abs(rep_a.value), abs(rep_b.value)
 
 
 def inv_r2_closed_form(qn: QuantumNumbers, constants: PhysicalConstants = ATOMIC) -> float:
     """<1/r^2> = 1 / (n^3 a0^2 (L + 1/2))."""
-    a0 = constants.a0
-    return 1.0 / (qn.n**3 * a0**2 * (qn.L + 0.5))
+    return _in_units(1.0 / (qn.n**3 * (qn.L + 0.5)), constants.length_unit(-2))
 
 
 def inv_r3_closed_form(qn: QuantumNumbers, constants: PhysicalConstants = ATOMIC) -> float:
@@ -257,8 +266,7 @@ def inv_r3_closed_form(qn: QuantumNumbers, constants: PhysicalConstants = ATOMIC
     """
     if qn.L < 1:
         raise DomainError("<1/r^3> diverges for L = 0")
-    a0 = constants.a0
-    return 1.0 / (a0**3 * qn.n**3 * qn.L * (qn.L + 0.5) * (qn.L + 1))
+    return _in_units(1.0 / (qn.n**3 * qn.L * (qn.L + 0.5) * (qn.L + 1)), constants.length_unit(-3))
 
 
 def radial_moment(
@@ -267,13 +275,14 @@ def radial_moment(
     constants: PhysicalConstants = ATOMIC,
     config: QuadratureConfig | None = None,
 ) -> float:
-    """<r^power> on the hydrogen level (n, L) by half-line quadrature."""
-    return _radial_moments([(hydrogen_state(qn, constants), power)], config)[0]
+    """<r^power> on the hydrogen level (n, L) by half-line quadrature, in units of
+    a0^power; DomainError where it leaves the normal floats at that unit."""
+    return _in_units(_radial_moments([(hydrogen_state(qn), power)], config)[0], constants.length_unit(power))
 
 
 def _radial_moments(asks: Sequence[tuple[SeparableState, int]], config: QuadratureConfig | None) -> list[float]:
-    # <r^power> of each (state, power) by one coordinate_integral, a row per ask
-    # at its state's scale; the factors are evaluated afresh, not read from tables
+    # <r^power> of each (state, power) in units of a0^power by one coordinate_integral,
+    # a row per ask at its state's scale; the factors are evaluated afresh, not read from tables
     spec = asks[0][0].system.coords[0]
     cfg = config if config is not None else QuadratureConfig()
 
@@ -297,31 +306,30 @@ def force_balance(
     """
     if qn.L < 1:
         raise DomainError("force balance needs L >= 1")
-    state = hydrogen_state(qn, constants)
+    state = hydrogen_state(qn)
     return _force_balance(state, constants, *_radial_moments([(state, -2), (state, -3)], config))
 
 
 def _force_balance(
     state: SeparableState, constants: PhysicalConstants, inv_r2_q: float, inv_r3_q: float
 ) -> ForceBalanceReport:
-    # force_balance on a hydrogen state the caller already holds, from its
-    # quadrature <1/r^2> and <1/r^3>
+    # force_balance on a hydrogen state the caller already holds, from its quadrature <1/r^2>
+    # and <1/r^3> in natural units; both forces are in e^2 / a0^2, which is hbar^2 / (m a0^3)
     qn = state.quantum_numbers
-    lsq = l_squared_expectation(state, constants)
-    centrifugal = lsq / constants.m * inv_r3_q
-    coulomb = constants.e2 * inv_r2_q
-    residual = centrifugal - coulomb
+    centrifugal = l_squared_expectation(state) * inv_r3_q
+    residual = centrifugal - inv_r2_q
+    force = constants.e2 * constants.length_unit(-2)
     return ForceBalanceReport(
         n=qn.n,
         L=qn.L,
-        inv_r2_quad=inv_r2_q,
+        inv_r2_quad=_in_units(inv_r2_q, constants.length_unit(-2)),
         inv_r2_closed=inv_r2_closed_form(qn, constants),
-        inv_r3_quad=inv_r3_q,
+        inv_r3_quad=_in_units(inv_r3_q, constants.length_unit(-3)),
         inv_r3_closed=inv_r3_closed_form(qn, constants),
-        centrifugal=centrifugal,
-        coulomb=coulomb,
-        residual=residual,
-        relative_residual=residual / abs(coulomb),
+        centrifugal=_in_units(centrifugal, force),
+        coulomb=_in_units(inv_r2_q, force),
+        residual=_in_units(residual, force),
+        relative_residual=residual / abs(inv_r2_q),
     )
 
 
@@ -335,7 +343,7 @@ def naive_ehrenfest_residual(
     Strictly negative: with the drift dropped, nothing cancels the Coulomb
     pull on a stationary state.
     """
-    return -constants.e2 * radial_moment(qn, -2, constants, config)
+    return _in_units(-radial_moment(qn, -2, config=config), constants.e2 * constants.length_unit(-2))
 
 
 def p_theta_spectrum_scan(
@@ -354,7 +362,7 @@ def p_theta_spectrum_scan(
     if not isinstance(l_max, (int, np.integer)) or not 0 <= l_max <= 10:
         raise DomainError(f"l_max must be an integer in [0, 10], got {l_max!r}")
     qns = [QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)]
-    family = hydrogen_family([hydrogen_state(qn, constants) for qn in qns])
+    family = hydrogen_family([hydrogen_state(qn) for qn in qns])
     reports = expectations(canonical_momentum(make_spherical(), 1, constants), family, config)
     return [ScanRow(qn.L, qn.M, rep.value, rep.quadrature_error) for qn, rep in zip(qns, reports)]
 
@@ -369,11 +377,12 @@ def cartesian_reality_check(
 
     With a twist e^(i k x) the expectation moves to hbar k exactly while
     the defect stays at the boundary-term level: the zero-drift limit of
-    the ansatz reproduces the textbook operator.
+    the ansatz reproduces the textbook operator.  The trial state is in
+    units of a0, so it is twisted by k a0.
     """
-    trial = random_bound_trial(make_cartesian(), seed, constants)
+    trial = random_bound_trial(make_cartesian(), seed)
     if wavenumber != 0.0:
-        trial = apply_phase_twist(trial, 0, wavenumber)
+        trial = apply_phase_twist(trial, 0, wavenumber * constants.a0)
     return expectation(canonical_momentum(make_cartesian(), 0, constants), trial, config)
 
 
@@ -436,10 +445,10 @@ def _suite_fd_derivative() -> SuiteResult:
     return t.result()
 
 
-def _suite_normalization(cfg: QuadratureConfig, constants: PhysicalConstants) -> SuiteResult:
+def _suite_normalization(cfg: QuadratureConfig) -> SuiteResult:
     t = _Tally("normalization")
-    families = [hydrogen_family([hydrogen_state(qn, constants) for qn in _LEVELS])]
-    families += [trial_family(system, range(900, 903), constants) for system in preset_systems().values()]
+    families = [hydrogen_family([hydrogen_state(qn) for qn in _LEVELS])]
+    families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
     for family in families:
         for member_norms in zip(*family.tabulate(cfg)[2]):
             norm_sq, _ = combine_axes(member_norms)
@@ -456,100 +465,87 @@ _SAMPLE = {
 }
 
 
-def _suite_commutators(constants: PhysicalConstants, seed: int) -> SuiteResult:
+def _suite_commutators(seed: int) -> SuiteResult:
     t = _Tally("commutators")
     rng = np.random.default_rng(seed + 170)
     for k, system in enumerate(preset_systems().values()):
-        # each residual in the units of q_i p_j or p_i p_j, so the bound is
-        # the same relative precision in every unit system
-        q_unit = [constants.a0 if spec.kind == "linear" else 1.0 for spec in system.coords]
-        p_unit = [momentum_unit(spec.kind, constants) for spec in system.coords]
         first = 3000 + 100 * seed + 5 * k
-        for state in trial_family(system, range(first, first + 5), constants).members:
+        for state in trial_family(system, range(first, first + 5)).members:
             # five points, one row each: the draws come in point-by-point order
             draws = rng.random((5, system.dim))
             point = [_SAMPLE[spec.topology](u, state.radial_scale) for spec, u in zip(system.coords, draws.T)]
             psi_mag = np.maximum(np.abs(state.evaluate(point)), 1e-30)
             for i in range(system.dim):
                 for j in range(system.dim):
-                    res = commutator_qp_residual(system, i, j, state, point, constants)
-                    t.add(res, 1e-7 * q_unit[i] * p_unit[j] * psi_mag)
+                    t.add(commutator_qp_residual(system, i, j, state, point), 1e-7 * psi_mag)
             for i in range(system.dim):
                 for j in range(i + 1, system.dim):
-                    res = commutator_pp_residual(system, i, j, state, point, constants)
-                    t.add(res, 1e-7 * p_unit[i] * p_unit[j] * psi_mag)
+                    t.add(commutator_pp_residual(system, i, j, state, point), 1e-7 * psi_mag)
     return t.result()
 
 
-def _suite_reality(
-    cfg: QuadratureConfig, constants: PhysicalConstants, seed: int, trials: int
-) -> SuiteResult:
+def _suite_reality(cfg: QuadratureConfig, seed: int, trials: int) -> SuiteResult:
     t = _Tally("reality-scan")
-    hbar = constants.hbar
-    a0 = constants.a0
     system = make_spherical()
-    states = [hydrogen_state(qn, constants) for qn in _LEVELS]
-    ops = [canonical_momentum(system, axis, constants) for axis in range(3)]
-    ops += [naive_momentum(system, axis, constants) for axis in (0, 1)]
+    states = [hydrogen_state(qn) for qn in _LEVELS]
+    ops = [canonical_momentum(system, axis) for axis in range(3)]
+    ops += [naive_momentum(system, axis) for axis in (0, 1)]
     family = hydrogen_family(states)
     reports = zip(*[expectations(op, family, cfg) for op in ops])
     inv_rs = _radial_moments([(state, -1) for state in states], cfg)
 
     for state, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r in zip(states, reports, inv_rs):
         n, M = state.quantum_numbers.n, state.quantum_numbers.M
-        t.add(abs(rep_r.value), _REALITY_FLOOR * hbar / a0)
-        t.add(abs(rep_th.value), _REALITY_FLOOR * hbar)
-        t.add(abs(rep_ph.value - M * hbar), 1e-10 * hbar * max(1, abs(M)))
+        t.add(abs(rep_r.value), _REALITY_FLOOR)
+        t.add(abs(rep_th.value), _REALITY_FLOOR)
+        t.add(abs(rep_ph.value - M), 1e-10 * max(1, abs(M)))
 
         # naive radial defect law: Im<p'_r> = hbar <1/r> = hbar/(n^2 a0)
-        closed = 1.0 / (n * n * a0)
-        law_scale = hbar * closed
-        t.add(rep_naive.hermiticity_defect - hbar * inv_r, 1e-9 * law_scale)
-        t.add(rep_naive.hermiticity_defect - hbar * closed, 1e-8 * law_scale)
+        closed = 1.0 / (n * n)
+        t.add(rep_naive.hermiticity_defect - inv_r, 1e-9 * closed)
+        t.add(rep_naive.hermiticity_defect - closed, 1e-8 * closed)
 
         # naive polar defect law: Im<p'_theta> = hbar <cot(theta)/2>
         g_th = drift_expectation(state, 1, cfg)
-        t.add(rep_naive_th.hermiticity_defect - hbar * g_th, _REALITY_FLOOR * hbar)
+        t.add(rep_naive_th.hermiticity_defect - g_th, _REALITY_FLOOR)
 
     seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + trials)
     for sys_obj in preset_systems().values():
         for start in range(0, trials, _FAMILY_SIZE):
-            family = trial_family(sys_obj, seeds[start : start + _FAMILY_SIZE], constants)
+            family = trial_family(sys_obj, seeds[start : start + _FAMILY_SIZE])
             for axis, spec in enumerate(sys_obj.coords):
-                reps = expectations(canonical_momentum(sys_obj, axis, constants), family, cfg)
-                tols = [reality_tolerance(rep, spec.kind, constants) for rep in reps]
-                t.add(np.array([rep.hermiticity_defect for rep in reps]), np.array(tols))
+                reps = expectations(canonical_momentum(sys_obj, axis), family, cfg)
+                tols = [reality_tolerance(rep, spec.kind) for rep in reps]
+                # the canonical defect and its distance from the surface term -(hbar/2) [w |psi|^2], 0 at
+                # every end of these bound states (a zero weight, an underflowed state or a periodic
+                # axis): this guards the term's code path, not its magnitude
+                defects, surface = np.array([(rep.hermiticity_defect, rep.boundary_term) for rep in reps]).T
+                t.add(np.maximum(np.abs(defects), np.abs(defects - surface)), np.array(tols))
     return t.result()
 
 
-def _suite_ci_uniqueness(
-    cfg: QuadratureConfig, constants: PhysicalConstants, seed: int
-) -> SuiteResult:
+def _suite_ci_uniqueness(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     t = _Tally("ci-uniqueness")
-    tol = 1e-8 * constants.hbar / constants.a0
     for system in (make_spherical(), make_cartesian()):
         # the seed pairs of ci_uniqueness_demo, as one family per system
-        family = trial_family(system, range(500 + 20 * seed, 520 + 20 * seed), constants)
-        reps = expectations(canonical_momentum(system, 0, constants), family, cfg)
-        t.add(np.array([abs(rep.value) for rep in reps]), tol)
+        family = trial_family(system, range(500 + 20 * seed, 520 + 20 * seed))
+        reps = expectations(canonical_momentum(system, 0), family, cfg)
+        t.add(np.array([abs(rep.value) for rep in reps]), 1e-8)
     return t.result()
 
 
 def run_check_suites(
-    config: QuadratureConfig | None = None,
-    constants: PhysicalConstants = ATOMIC,
-    seed: int = 0,
-    reality_trials: int = 50,
+    config: QuadratureConfig | None = None, seed: int = 0, reality_trials: int = 50
 ) -> list[SuiteResult]:
-    """Run every invariant suite; quadrature-sensitive ones use the
-    acceptance tolerances, so degraded orders fail honestly."""
+    """Run every invariant suite in units of a0 and hbar, so the results hold in every unit
+    system; quadrature-sensitive ones use the acceptance tolerances, so degraded orders fail honestly."""
     cfg = config if config is not None else QuadratureConfig()
     return [
         _suite_parity(),
         _suite_recurrence(),
         _suite_fd_derivative(),
-        _suite_normalization(cfg, constants),
-        _suite_commutators(constants, seed),
-        _suite_reality(cfg, constants, seed, reality_trials),
-        _suite_ci_uniqueness(cfg, constants, seed),
+        _suite_normalization(cfg),
+        _suite_commutators(seed),
+        _suite_reality(cfg, seed, reality_trials),
+        _suite_ci_uniqueness(cfg, seed),
     ]

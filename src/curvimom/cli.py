@@ -22,19 +22,19 @@ import numpy as np
 
 from .analysis import (
     _force_balance,
+    _in_units,
     _radial_moments,
     expectation,
     expectations,
     inv_r2_closed_form,
-    momentum_unit,
     p_theta_spectrum_scan,
     reality_tolerance,
     run_check_suites,
 )
 from .errors import ConfigurationError, DomainError, SingularityError
 from .geometry import preset_systems
-from .operators import canonical_momentum, naive_momentum
-from .quadrature import QuadratureConfig
+from .operators import canonical_momentum, momentum_unit, naive_momentum
+from .quadrature import ORDER_RANGE, QuadratureConfig
 from .specfun import QuantumNumbers
 from .states import ATOMIC, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
 
@@ -65,8 +65,7 @@ def _common_options(fn):
         show_default=True,
         help="Output format.",
     )(fn)
-    # the Newton node solve is O(order^2); 4096 is measured exact to rounding
-    order = click.IntRange(8, 4096)
+    order = click.IntRange(*ORDER_RANGE)
     fn = click.option("--phi-order", type=order, default=32, show_default=True, help="Azimuthal quadrature points.")(fn)
     fn = click.option("--theta-order", type=order, default=64, show_default=True, help="Polar quadrature order.")(fn)
     fn = click.option("--radial-order", type=order, default=120, show_default=True, help="Radial quadrature order.")(fn)
@@ -134,7 +133,7 @@ def _parse_operator(text: str, system, constants):
 _STATE_KEYS = {"hydrogen": ("n", "L", "M"), "trial": ("seed",)}
 
 
-def _parse_state(text: str, system, constants, default_seed: int):
+def _parse_state(text: str, system, default_seed: int):
     family, _, rest = text.partition(":")
     if family not in _STATE_KEYS:
         raise click.UsageError(
@@ -158,12 +157,12 @@ def _parse_state(text: str, system, constants, default_seed: int):
             raise click.UsageError(f"hydrogen state needs n, L and M, missing {exc}")
         except (ValueError, DomainError) as exc:
             raise click.UsageError(f"invalid quantum numbers in {text!r}: {exc}")
-        return hydrogen_state(qn, constants)
+        return hydrogen_state(qn)
     try:
         seed = int(pairs.get("seed", default_seed))
     except ValueError as exc:
         raise click.UsageError(f"invalid trial seed in {text!r}: {exc}")
-    return random_bound_trial(system, seed, constants)
+    return random_bound_trial(system, seed)
 
 
 def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
@@ -211,7 +210,7 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()[system_name]
     op = _parse_operator(operator, system, constants)
-    st = _parse_state(state, system, constants, seed)
+    st = _parse_state(state, system, seed)
     report = expectation(op, st, config)
     tol = reality_tolerance(report, op.kind, constants)
 
@@ -263,20 +262,20 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()["spherical"]
 
-    states = [hydrogen_state(QuantumNumbers(n, L, 0), constants) for n in range(1, nmax + 1) for L in range(n)]
+    states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, nmax + 1) for L in range(n)]
     family = hydrogen_family(states)
     p_r, p_theta = (expectations(canonical_momentum(system, axis, constants), family, config) for axis in (0, 1))
-    # <1/r^2> on every level and <1/r^3> where L >= 1, in level order: one quadrature
+    # <1/r^2> on every level and <1/r^3> where L >= 1, in level order and natural units: one quadrature
     asks = [(state, power) for state in states for power in ((-2, -3) if state.quantum_numbers.L else (-2,))]
     moments = iter(_radial_moments(asks, config))
 
     rows = []
     for state, rep_r, rep_theta in zip(states, p_r, p_theta):
-        qn = state.quantum_numbers
-        row = {"n": qn.n, "L": qn.L, "inv_r2_quad": next(moments), "inv_r2_closed": inv_r2_closed_form(qn, constants)}
-        row.update(inv_r3_quad=None, inv_r3_closed=None, residual=None)
+        qn, inv_r2 = state.quantum_numbers, next(moments)
+        row = {"n": qn.n, "L": qn.L, "inv_r2_quad": _in_units(inv_r2, constants.length_unit(-2))}
+        row.update(inv_r2_closed=inv_r2_closed_form(qn, constants), inv_r3_quad=None, inv_r3_closed=None, residual=None)
         if qn.L >= 1:
-            fb = _force_balance(state, constants, row["inv_r2_quad"], next(moments))
+            fb = _force_balance(state, constants, inv_r2, next(moments))
             row.update(inv_r3_quad=fb.inv_r3_quad, inv_r3_closed=fb.inv_r3_closed, residual=fb.residual)
         row.update(p_r=rep_r.value.real, p_theta=rep_theta.value.real)
         rows.append(row)
@@ -289,8 +288,8 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
 @_translate_errors
 def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
     """Run the full invariant suite; exits 1 if any suite fails."""
-    config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
-    results = run_check_suites(config, constants, seed)
+    config, _ = _resolve(units, radial_order, theta_order, phi_order, si_constants)  # suites need no units
+    results = run_check_suites(config, seed)
 
     if fmt != "text":
         columns = ["suite", "passed", "checks", "failures", "worst"]

@@ -7,6 +7,8 @@ The canonical momentum along coordinate q_i is
 with drift g_i = w_i'/(2 w_i) induced by the coordinate weight; the naive
 operator drops the drift.  Applied to a separable state, either operator
 only touches the factor on its own axis, so the result stays separable.
+Operators act in natural units (hbar = 1, lengths in a0); each carries the
+unit that converts an expectation to physical units.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .states import ATOMIC, FactorFunction, PhysicalConstants, SeparableState
 
 __all__ = [
     "MomentumOperator",
+    "momentum_unit",
     "canonical_momentum",
     "naive_momentum",
     "apply",
@@ -39,13 +42,20 @@ def _zero_drift(q):
 
 @dataclass(frozen=True, eq=False)
 class MomentumOperator:
-    """-i hbar (d/dq + drift(q) + constant) along one coordinate axis."""
+    """-i (d/dq + drift(q) + constant) along one coordinate axis, in natural
+    units (on a linear axis q is in a0 and the constant in 1/a0); an expectation
+    times ``unit``, the axis's ``momentum_unit``, is in physical units."""
 
     axis: int
     drift: Callable
     constant: float
-    hbar: float
+    unit: float
     kind: str
+
+
+def momentum_unit(kind: str, constants: PhysicalConstants = ATOMIC) -> float:
+    """Natural momentum scale: hbar/a0 on linear axes, hbar on angular."""
+    return constants.hbar * constants.length_unit(-1) if kind == "linear" else constants.hbar
 
 
 def canonical_momentum(
@@ -56,33 +66,23 @@ def canonical_momentum(
 ) -> MomentumOperator:
     """Canonical momentum for one axis, drift from the coordinate weight."""
     spec = system.coords[axis]
-    mf = measure_factor(spec)
     return MomentumOperator(
         axis=axis,
-        drift=mf.drift,
+        drift=measure_factor(spec).drift,
         constant=float(constant),
-        hbar=constants.hbar,
+        unit=momentum_unit(spec.kind, constants),
         kind=spec.kind,
     )
 
 
-def naive_momentum(
-    system: CoordinateSystem, axis: int, constants: PhysicalConstants = ATOMIC
-) -> MomentumOperator:
+def naive_momentum(system: CoordinateSystem, axis: int, constants: PhysicalConstants = ATOMIC) -> MomentumOperator:
     """Plain -i hbar d/dq along one axis (no drift)."""
-    spec = system.coords[axis]
-    return MomentumOperator(
-        axis=axis,
-        drift=_zero_drift,
-        constant=0.0,
-        hbar=constants.hbar,
-        kind=spec.kind,
-    )
+    return replace(canonical_momentum(system, axis, constants), drift=_zero_drift)
 
 
 def apply(op: MomentumOperator, state: SeparableState, point: Sequence) -> complex | np.ndarray:
-    """(p psi)(point) for a separable state; ``point`` holds per-coordinate
-    scalars, or equal-length arrays for a batch of points.
+    """(p psi)(point) for a separable state, in natural units; ``point`` holds
+    per-coordinate scalars, or equal-length arrays for a batch of points.
 
     The drift goes first, so a zero of the weight raises SingularityError;
     in a batch, one such point raises for the whole call.
@@ -96,23 +96,23 @@ def apply(op: MomentumOperator, state: SeparableState, point: Sequence) -> compl
     g = op.drift(q)
     axis_part = factor.derivative(q) + (g + op.constant) * factor.evaluate(q)
     rest = (f.evaluate(qj) for j, (f, qj) in enumerate(zip(state.factors, point)) if j != op.axis)
-    return -1j * op.hbar * axis_part * math.prod(rest, start=1 + 0j)
+    return -1j * axis_part * math.prod(rest, start=1 + 0j)
 
 
 def operator_applied_state(op: MomentumOperator, state: SeparableState) -> SeparableState:
     """p acting on a separable state, returned as a separable state.
 
-    The new axis factor is -i hbar (f' + (g + c) f).  Its derivative would
+    The new axis factor is -i (f' + (g + c) f), in natural units.  Its derivative would
     need f'', which no factor carries, so asking for it raises
     UnsupportedStateError; the other factors keep their analytic
     derivatives.
     """
     factor = state.factors[op.axis]
     ev, dv = factor.evaluate, factor.derivative
-    drift, c, hbar = op.drift, op.constant, op.hbar
+    drift, c = op.drift, op.constant
 
     def evaluate(q):
-        return -1j * hbar * (np.asarray(dv(q)) + (drift(q) + c) * np.asarray(ev(q)))
+        return -1j * (np.asarray(dv(q)) + (drift(q) + c) * np.asarray(ev(q)))
 
     def derivative(q):
         raise UnsupportedStateError(
@@ -141,43 +141,33 @@ def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
 
 
 def commutator_qp_residual(
-    system: CoordinateSystem,
-    i: int,
-    j: int,
-    state: SeparableState,
-    point: Sequence,
-    constants: PhysicalConstants = ATOMIC,
+    system: CoordinateSystem, i: int, j: int, state: SeparableState, point: Sequence
 ) -> complex | np.ndarray:
     """([q_i, p_j] - i hbar delta_ij) psi at a point (or a batch, as in
-    ``apply``); zero up to rounding.
+    ``apply``), in natural units; zero up to rounding.
 
     Holds for any drift, so the canonical operator is used.
     """
-    p = canonical_momentum(system, j, constants)
+    p = canonical_momentum(system, j)
     first = point[i] * apply(p, state, point)
     second = apply(p, coordinate_scaled_state(state, i), point)
     delta = 1.0 if i == j else 0.0
-    return first - second - 1j * constants.hbar * delta * state.evaluate(point)
+    return first - second - 1j * delta * state.evaluate(point)
 
 
 def commutator_pp_residual(
-    system: CoordinateSystem,
-    i: int,
-    j: int,
-    state: SeparableState,
-    point: Sequence,
-    constants: PhysicalConstants = ATOMIC,
+    system: CoordinateSystem, i: int, j: int, state: SeparableState, point: Sequence
 ) -> complex | np.ndarray:
-    """[p_i, p_j] psi at a point (or a batch, as in ``apply``); distinct
-    axes commute exactly.
+    """[p_i, p_j] psi at a point (or a batch, as in ``apply``), in natural
+    units; distinct axes commute exactly.
 
     For i == j the residual is exactly zero and nothing is applied.  For
     i != j each operator only differentiates the other's untouched factor.
     """
     if i == j:
         return np.zeros(np.shape(point[i]), dtype=complex)[()]
-    p_i = canonical_momentum(system, i, constants)
-    p_j = canonical_momentum(system, j, constants)
+    p_i = canonical_momentum(system, i)
+    p_j = canonical_momentum(system, j)
     first = apply(p_i, operator_applied_state(p_j, state), point)
     second = apply(p_j, operator_applied_state(p_i, state), point)
     return first - second

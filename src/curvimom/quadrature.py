@@ -40,6 +40,7 @@ __all__ = [
     "QuadratureRule",
     "AxisRule",
     "QuadratureConfig",
+    "ORDER_RANGE",
     "gauss_legendre",
     "half_line_rule",
     "line_rule",
@@ -55,6 +56,9 @@ __all__ = [
 
 # Newton step tolerance for Legendre root polishing
 _ROOT_TOL = 1e-15
+# the verified orders: at order 2 the half order equals the full one, so the error estimate
+# compares a rule with itself; the node solve is O(order^2), and 4096 is exact to rounding
+ORDER_RANGE = (8, 4096)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +228,7 @@ def _at_scale(spec: CoordinateSpec, base: QuadratureRule, scale) -> QuadratureRu
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Per-topology quadrature orders; the map scale belongs to the state."""
+    """Per-topology quadrature orders, each in ``ORDER_RANGE``; the map scale belongs to the state."""
 
     radial_order: int = 120
     theta_order: int = 64
@@ -236,8 +240,8 @@ class QuadratureConfig:
             ("theta_order", self.theta_order),
             ("phi_order", self.phi_order),
         ):
-            if not isinstance(order, (int, np.integer)) or order < 1:
-                raise ConfigurationError(f"{label} must be an integer >= 1, got {order!r}")
+            if not isinstance(order, (int, np.integer)) or not ORDER_RANGE[0] <= order <= ORDER_RANGE[1]:
+                raise ConfigurationError(f"{label} must be an integer in {list(ORDER_RANGE)}, got {order!r}")
 
     def order_for(self, spec: CoordinateSpec) -> int:
         if spec.topology in ("line", "half-line"):

@@ -5,13 +5,15 @@ analytic derivative, so momentum operators act factor by factor without any
 numerical differentiation of the state itself.  Factors keep their own value
 and derivative tables, and hydrogen factors come from bounded caches, so
 states share both.  A trial family's factors evaluate every member at once; a
-hydrogen family's stack its members' shared factors.
+hydrogen family's stack its members' shared factors.  Lengths are in units of
+a0: no state reads the physical constants, which only convert outputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -51,7 +53,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """hbar, electron mass and squared charge e^2 (Gaussian convention)."""
+    """hbar, electron mass and squared charge e^2 (Gaussian convention).
+
+    States and suites work in units of a0 and hbar, so the constants only convert
+    outputs; they are refused when an output unit is not a finite normal float.
+    """
 
     hbar: float
     m: float
@@ -61,15 +67,23 @@ class PhysicalConstants:
         for label, value in (("hbar", self.hbar), ("m", self.m), ("e2", self.e2)):
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(f"{label} must be positive and finite, got {value!r}")
-        # |psi|^2 scales as a0^-3 and the volume element as a0^3
-        a0_cubed = self.a0 * self.a0 * self.a0
-        if not (0.0 < a0_cubed < math.inf and 1.0 / a0_cubed < math.inf):
-            raise ConfigurationError(f"a0^3 and a0^-3 must be finite and nonzero, a0 = {self.a0!r}")
+        units = {"a0": self.a0, "hbar/a0": self.hbar * self.length_unit(-1), "a0^-2": self.length_unit(-2),
+                 "a0^-3": self.length_unit(-3), "e2/a0^2": self.e2 * self.length_unit(-2)}
+        for label, unit in units.items():
+            if not sys.float_info.min <= unit < math.inf:
+                raise ConfigurationError(f"the unit {label} must be a finite normal float, got {unit!r}")
 
     @property
     def a0(self) -> float:
         """Bohr radius hbar^2 / (m e^2)."""
-        return self.hbar * self.hbar / (self.m * self.e2)
+        return self.hbar * self.hbar / self.m / self.e2
+
+    def length_unit(self, power: int) -> float:
+        """a0^power, the unit of <r^power>; inf where it overflows."""
+        try:
+            return self.a0**power
+        except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: a0 underflowed to 0
+            return math.inf
 
     @classmethod
     def atomic(cls) -> "PhysicalConstants":
@@ -181,10 +195,10 @@ class SeparableState:
 
 
 @lru_cache(maxsize=256)
-def _hydrogen_radial(n: int, L: int, a0: float) -> FactorFunction:
+def _hydrogen_radial(n: int, L: int) -> FactorFunction:
     k = n - L - 1
     a = 2 * L + 1
-    beta = 2.0 / (n * a0)  # rho = beta * r
+    beta = 2.0 / n  # rho = beta * r, r in units of a0
     log_norm = 1.5 * math.log(beta) + 0.5 * (
         math.lgamma(k + 1) - math.lgamma(n + L + 1) - math.log(2.0 * n)
     )
@@ -259,25 +273,23 @@ def _phi_factor(M: int) -> FactorFunction:
     return FactorFunction(evaluate, derivative)
 
 
-def hydrogen_state(
-    qn: QuantumNumbers, constants: PhysicalConstants = ATOMIC
-) -> SeparableState:
-    """Bound hydrogen eigenstate (n, L, M) on the spherical system.
+def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
+    """Bound hydrogen eigenstate (n, L, M) on the spherical system, r in units of a0.
 
     All three factors are individually unit-norm against their coordinate
     weights, so the product is normalized with no cross terms.  The factors
-    are shared with every other state of the same (n, L, a0), (L, M) or M.
+    are shared with every other state of the same (n, L), (L, M) or M.
     """
     return SeparableState(
         factors=(
-            _hydrogen_radial(int(qn.n), int(qn.L), constants.a0),
+            _hydrogen_radial(int(qn.n), int(qn.L)),
             theta_eigenfactor(qn.L, qn.M),
             phi_eigenfactor(qn.M),
         ),
         system=make_spherical(),
         quantum_numbers=qn,
         normalized=True,
-        radial_scale=qn.n * constants.a0,
+        radial_scale=float(qn.n),
     )
 
 
@@ -370,27 +382,26 @@ def hydrogen_family(states: Sequence[SeparableState]) -> StateFamily:
     return StateFamily(states[0].system, tuple(states), tuple(_stacked(parts) for parts in axes))
 
 
-def trial_family(
-    system: CoordinateSystem, seeds: Sequence[int], constants: PhysicalConstants = ATOMIC
-) -> StateFamily:
-    """The random trial states of one or more ``seeds`` on ``system``, as one family:
-    each axis's raw profile is evaluated once for all members, on (k, 1) parameter
-    columns (one seed keeps its floats), to fold each member's normalisation
-    constant, against the factor's own weight at its own scale, into its factor."""
+def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
+    """The random trial states of one or more ``seeds`` on ``system``, lengths in
+    units of a0, as one family: each axis's raw profile is evaluated once for all
+    members, on (k, 1) parameter columns (one seed keeps its floats), to fold each
+    member's normalisation constant, against the factor's own weight at its own
+    scale, into its factor."""
     if not seeds:
         raise DomainError("a trial family needs at least one seed")
     for seed in seeds:
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    a0, one = constants.a0, len(rngs) == 1
-    radial = [a0] * len(rngs)  # each member's radial scale: a0 or its largest linear scale
+    one = len(rngs) == 1
+    radial = [1.0] * len(rngs)  # each member's radial scale: 1 or its largest linear scale
     axes = []  # per coordinate: builder, each member's parameters, the family's ones, 1 / norms
     for spec in system.coords:
         if spec.topology in ("line", "half-line"):
             # scale, center, coefficients: a lone state's draw order
             line = spec.topology == "line"
-            rows = [[a0 * (0.8 + 0.4 * rng.random()), a0 * rng.uniform(-0.5, 0.5) if line else 0.0,
+            rows = [[0.8 + 0.4 * rng.random(), rng.uniform(-0.5, 0.5) if line else 0.0,
                      *rng.uniform(0.4, 1.0, 3).tolist()] for rng in rngs]
             radial = [max(r, row[0]) for r, row in zip(radial, rows)]
             builder, params = _poly_gaussian, rows[0] if one else tuple(np.array(rows).T[:, :, None])
@@ -415,21 +426,19 @@ def trial_family(
     return StateFamily(system, members, tuple(b(*params, np.array(inv)[:, None]) for b, _, params, inv in axes))
 
 
-def random_bound_trial(
-    system: CoordinateSystem, seed: int, constants: PhysicalConstants = ATOMIC
-) -> SeparableState:
+def random_bound_trial(system: CoordinateSystem, seed: int) -> SeparableState:
     """Random admissible trial state on ``system``, reproducible from ``seed``.
 
     Linear axes get polynomial-times-Gaussian profiles, the polar angle a
     truncated sine sum (vanishing at the poles), the azimuth a short Fourier
     sum.  Each factor is normalized by quadrature against its own weight.
-    This is the one member of ``trial_family(system, [seed], constants)``.
+    This is the one member of ``trial_family(system, [seed])``.
     """
-    return trial_family(system, (seed,), constants).members[0]
+    return trial_family(system, (seed,)).members[0]
 
 
 def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> SeparableState:
-    """Multiply the factor on a line axis by e^(i k q).
+    """Multiply the factor on a line axis by e^(i k q), k in units of 1/a0.
 
     Leaves |psi| and therefore the normalization untouched.
     """

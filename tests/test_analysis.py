@@ -6,13 +6,19 @@ route (the defect law checked against <g> computed separately).
 """
 
 import collections
+import json
 import math
+import struct
 import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from curvimom.errors import DomainError, PreconditionError, UnsupportedAxisError, UnsupportedStateError
+from curvimom.cli import main
+from curvimom.errors import (
+    ConfigurationError, DomainError, PreconditionError, UnsupportedAxisError, UnsupportedStateError
+)
 from curvimom.geometry import (
     WEIGHTS,
     CoordinateSpec,
@@ -44,7 +50,6 @@ from curvimom.operators import canonical_momentum, naive_momentum, operator_appl
 from curvimom.quadrature import QuadratureConfig, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
-    ATOMIC,
     FactorFunction,
     PhysicalConstants,
     SeparableState,
@@ -413,7 +418,7 @@ def test_ci_uniqueness_demo_recovers_zero_constant():
 
 def test_defect_law_carries_physical_units():
     si = PhysicalConstants(hbar=1.054571817e-34, m=9.1093837015e-31, e2=2.3070775523e-28)
-    state = hydrogen_state(QuantumNumbers(2, 0, 0), si)
+    state = hydrogen_state(QuantumNumbers(2, 0, 0))
     naive = naive_momentum(make_spherical(), 0, si)
     defect = expectation(naive, state).hermiticity_defect
     assert defect == pytest.approx(si.hbar / (4.0 * si.a0), rel=1e-9)
@@ -422,18 +427,76 @@ def test_defect_law_carries_physical_units():
     assert abs(rep.hermiticity_defect) <= reality_tolerance(rep, "linear", si)
 
 
-def test_check_suites_are_unit_covariant():
-    # every bound is written in the natural units of what it compares, so
-    # SI and any positive (hbar, m, e2) give the atomic-unit verdicts
-    rng = np.random.default_rng(2024)
-    constants = [PhysicalConstants(1.054571817e-34, 9.1093837015e-31, 2.3070775523e-28)]
-    constants += [PhysicalConstants(*(10.0 ** rng.uniform(-3.0, 3.0, 3))) for _ in range(4)]
-    atomic = run_check_suites(seed=3, reality_trials=5)
-    for c in constants:
-        results = run_check_suites(constants=c, seed=3, reality_trials=5)
-        for res, ref in zip(results, atomic, strict=True):
-            assert res.passed, (c, res)
-            assert (res.name, res.checks) == (ref.name, ref.checks), c
+def _as_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _last_accepted_m(accepted: float, refused: float) -> float:
+    # the accepted m nearest ``refused`` for (hbar, m, e2) = (1, m, 1), so a0 = 1/m:
+    # a bisection on the bit patterns, which order the positive floats
+    lo, hi = (struct.unpack("<q", struct.pack("<d", m))[0] for m in (accepted, refused))
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        try:
+            PhysicalConstants(1.0, _as_float(mid), 1.0)
+            lo = mid
+        except ConfigurationError:
+            hi = mid
+    return _as_float(lo)
+
+
+# SI, a0 = 1e-100 and 1e100, and the smallest and largest a0 that PhysicalConstants accepts
+_UNIT_SYSTEMS = {
+    "si": (1.054571817e-34, 9.1093837015e-31, 2.3070775523e-28),
+    "a0=1e-100": (1.0, 1e100, 1.0),
+    "a0=1e100": (1.0, 1e-100, 1.0),
+    "smallest-a0": (1.0, _last_accepted_m(1.0, 1e300), 1.0),
+    "largest-a0": (1.0, _last_accepted_m(1.0, 1e-300), 1.0),
+}
+
+
+def test_check_suites_are_unit_covariant(tmp_path):
+    # the suites work in units of a0 and hbar, so check prints the atomic
+    # bytes in every unit system the constants check accepts
+    runner = CliRunner()
+    atomic = runner.invoke(main, ["check", "--seed", "3", "--format", "json"])
+    assert atomic.exit_code == 0, atomic.output
+    for label, (hbar, m, e2) in _UNIT_SYSTEMS.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"hbar": hbar, "m": m, "e2": e2}))
+        argv = ["check", "--seed", "3", "--format", "json", "--units", "si", "--si-constants", str(path)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, (label, result.output)
+        assert result.stdout_bytes == atomic.stdout_bytes, label
+    for end in ("smallest-a0", "largest-a0"):  # one float further is refused
+        m = _UNIT_SYSTEMS[end][1]
+        with pytest.raises(ConfigurationError):
+            PhysicalConstants(1.0, math.nextafter(m, math.inf if end == "smallest-a0" else 0.0), 1.0)
+
+
+@pytest.mark.parametrize("label", sorted(_UNIT_SYSTEMS))
+def test_outputs_are_finite_or_refused_in_every_accepted_unit_system(label):
+    # units enter once, at the output: an output is a finite number, or a
+    # DomainError where it leaves the normal floats, never NaN or a numpy warning
+    c = PhysicalConstants(*_UNIT_SYSTEMS[label])
+    sph = make_spherical()
+    outputs = [lambda n=n: [radial_moment(QuantumNumbers(n, 0, 0), -2, c)] for n in range(1, 7)]
+    outputs += [lambda n=n, L=L: vars(force_balance(QuantumNumbers(n, L, 0), c)).values()
+                for n in range(2, 7) for L in range(1, n)]
+    outputs += [lambda: [naive_ehrenfest_residual(QuantumNumbers(2, 1, 0), c)]]
+    outputs += [lambda: [row.value for row in p_theta_spectrum_scan(10, c)]]
+    for op in [f(sph, axis, c) for f in (canonical_momentum, naive_momentum) for axis in range(3)]:
+        outputs += [lambda op=op: [*vars(expectation(op, hydrogen_state(QuantumNumbers(3, 2, 1)))).values()]]
+    outputs += [lambda: [cartesian_reality_check(0, 1.0, c).value, *ci_uniqueness_demo(make_cartesian(), 0, 1, 2, c)]]
+    values, refused = [], 0
+    for output in outputs:
+        try:
+            values += output()
+        except DomainError:
+            refused += 1
+    assert all(np.isfinite(values)), label
+    # only at the ends of the range does an output leave the normal floats
+    assert refused == 0 or label.endswith("-a0"), (label, refused)
 
 
 def test_run_check_suites_all_green():
@@ -498,13 +561,13 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
     axes = sum(system.dim for system in preset_systems().values())
     for trials in (50, 5):
         counts.clear()
-        result = analysis._suite_reality(QuadratureConfig(), ATOMIC, 0, trials)
+        result = analysis._suite_reality(QuadratureConfig(), 0, trials)
         assert result.passed and result.checks == 6 * 30 + axes * trials  # 730 at 50 trials
         families = -(-trials // analysis._FAMILY_SIZE)  # per system
         assert counts == {"evaluate": 2 * axes * families, "derivative": axes * families}, trials
     cfg = QuadratureConfig()
-    assert analysis._suite_ci_uniqueness(cfg, ATOMIC, 0).checks == 40
-    assert analysis._suite_normalization(cfg, ATOMIC).checks == 42
+    assert analysis._suite_ci_uniqueness(cfg, 0).checks == 40
+    assert analysis._suite_normalization(cfg).checks == 42
 
 
 def test_recurrence_suite_fails_without_condon_shortley_phase(monkeypatch):

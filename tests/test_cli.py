@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -11,7 +12,8 @@ import curvimom.cli as cli_module
 from curvimom.cli import main
 from curvimom.errors import SingularityError
 from curvimom.geometry import preset_systems
-from curvimom.states import hydrogen_state
+from curvimom.operators import momentum_unit
+from curvimom.states import hydrogen_state, load_constants
 
 
 def invoke(*args, **kwargs):
@@ -101,8 +103,9 @@ def test_seed_is_only_accepted_where_it_is_used():
         '{"hbar": 1e999, "m": 1.0, "e2": 1.0}',
         '{"hbar": 1e200, "m": 1.0, "e2": 1.0}',
         '{"hbar": 1e-200, "m": 1.0, "e2": 1.0}',
+        '{"hbar": 1.0, "m": 1e-200, "e2": 1e-200}',
     ],
-    ids=["not-json", "json-list", "non-numeric", "infinite", "a0-overflow", "a0-underflow"],
+    ids=["not-json", "json-list", "non-numeric", "infinite", "a0-overflow", "a0-underflow", "m-e2-underflow"],
 )
 def test_malformed_constants_file_is_a_usage_error(tmp_path, text):
     path = tmp_path / "si.json"
@@ -114,29 +117,48 @@ def test_malformed_constants_file_is_a_usage_error(tmp_path, text):
     assert result.output.startswith("error: ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_defect_breaks_reality_contract(tmp_path):
-    # hbar = 1e-45 is accepted, but the radial integrand overflows to NaN
+def test_non_finite_defect_breaks_reality_contract(tmp_path, monkeypatch):
+    # hbar = 1e-45 once overflowed the radial integrand to NaN; states are now
+    # in units of a0, so the defect is finite
     path = tmp_path / "si.json"
     path.write_text('{"hbar": 1e-45, "m": 1.0, "e2": 1.0}')
-    result = invoke(
-        "expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--units", "si", "--si-constants", str(path),
-        "--format", "json",
-    )
+    argv = ("expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--units", "si", "--si-constants", str(path),
+            "--format", "json")
+    result = invoke(*argv)
+    assert result.exit_code == 0, result.output
+    assert math.isfinite(json.loads(result.stdout)["defect"])
+    # a NaN defect still breaks the contract
+    report = cli_module.expectation
+
+    def nan_defect(*args):
+        rep = report(*args)
+        return type(rep)(complex(rep.value.real, math.nan), rep.boundary_term, rep.quadrature_error)
+
+    monkeypatch.setattr(cli_module, "expectation", nan_defect)
+    result = invoke(*argv)
     assert result.exit_code == 3, result.output
     assert math.isnan(json.loads(result.stdout)["defect"])
 
 
-def test_failing_suite_never_reports_a_passing_worst(tmp_path):
-    # hbar = 1e-51 overflows integrands to NaN; a NaN ratio must reach worst,
-    # and numpy's overflow warnings must not reach stderr
+def test_failing_suite_never_reports_a_passing_worst(tmp_path, monkeypatch):
+    # hbar = 1e-51 once overflowed integrands to NaN; the suites now work in
+    # units of a0 and hbar and pass
     path = tmp_path / "si.json"
     path.write_text('{"hbar": 1e-51, "m": 1, "e2": 1}')
-    result = invoke("check", "--units", "si", "--si-constants", str(path), "--format", "json")
+    argv = ("check", "--units", "si", "--si-constants", str(path), "--format", "json")
+    result = invoke(*argv)
+    assert result.exit_code == 0, result.output
+    assert all(math.isfinite(row["worst"]) for row in map(json.loads, result.stdout.splitlines()))
+    # a NaN ratio must reach worst, and numpy's invalid-value warnings must not reach stderr
+    from curvimom import analysis
+
+    residual = analysis.commutator_qp_residual
+    monkeypatch.setattr(analysis, "commutator_qp_residual", lambda *args: residual(*args) * np.inf * 0.0)
+    result = invoke(*argv)
     assert result.exit_code == 1, result.output
     assert result.stderr == ""
     failing = [row for row in map(json.loads, result.stdout.splitlines()) if not row["passed"]]
-    assert failing
+    assert [row["suite"] for row in failing] == ["commutators"]
     for row in failing:
         assert not row["worst"] <= 1.0, row
 
@@ -199,18 +221,35 @@ DATA = Path(__file__).parent / "data"
     ]
     + [
         (
-            "hydrogen-table_nmax6_si.csv",
+            fixture,
             ("hydrogen-table", "--nmax", "6", "--format", "csv", "--units", "si",
              "--si-constants", str(DATA / "si_constants.json")),
         )
+        for fixture in ("hydrogen-table_nmax6_si.csv", "atomic-table-times-units")
     ],
 )
 def test_cli_output_matches_fixture_byte_for_byte(fixture, args):
-    # the files under tests/data were written by the CLI before hydrogen
-    # families; every later change must print the same bytes
+    # the atomic files under tests/data were written by the CLI before hydrogen
+    # families, the SI one when units moved to the output; every later change
+    # must print the same bytes.  The SI table is also the atomic one with
+    # each cell times its unit, once.
     result = invoke(*args)
     assert result.exit_code == 0, result.output
-    assert result.stdout_bytes == (DATA / fixture).read_bytes()
+    expected = _atomic_table_times_units() if fixture == "atomic-table-times-units" else (DATA / fixture).read_bytes()
+    assert result.stdout_bytes == expected
+
+
+def _atomic_table_times_units() -> bytes:
+    c = load_constants(str(DATA / "si_constants.json"))
+    lengths = {"inv_r2_quad": -2, "inv_r2_closed": -2, "inv_r3_quad": -3, "inv_r3_closed": -3}
+    units = {key: c.length_unit(power) for key, power in lengths.items()}
+    units.update(residual=c.e2 * c.length_unit(-2), p_r=momentum_unit("linear", c), p_theta=momentum_unit("angular", c))
+    atomic = invoke("hydrogen-table", "--nmax", "6", "--format", "json").stdout.splitlines()
+    lines = ["n,L," + ",".join(units)]
+    for row in map(json.loads, atomic):
+        cells = [row["n"], row["L"]] + [None if row[k] is None else row[k] * unit for k, unit in units.items()]
+        lines.append(",".join(map(cli_module._fmt, cells)))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _expect_grid() -> str:

@@ -191,8 +191,9 @@ def test_config_validation_and_dispatch():
     assert cfg.order_for(sph.coords[0]) == 120
     assert cfg.order_for(sph.coords[1]) == 64
     assert cfg.order_for(sph.coords[2]) == 32
-    with pytest.raises(ConfigurationError):
-        QuadratureConfig(radial_order=0)
+    for orders in ((0, 64, 32), (2, 2, 2), (120, 64, 4097)):
+        with pytest.raises(ConfigurationError):
+            QuadratureConfig(*orders)
     with pytest.raises(DomainError):
         gauss_legendre(-3)
 
