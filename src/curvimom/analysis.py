@@ -7,14 +7,15 @@ ends, while the naive operator picks up the bulk term hbar <g> on top.
 The hydrogen checks close the loop against closed forms: <1/r^2>, <1/r^3>
 and the circular-orbit force balance hbar^2 L(L+1)/m <1/r^3> = e^2 <1/r^2>.
 
-Everything is computed, and every suite checks, in units of a0 and hbar; a function
-returning a physical number takes ``constants`` and applies its unit once, on return.
+Everything is computed, returned and checked in natural units: lengths in a0,
+momenta in hbar/a0 on a linear axis and in hbar on an angular one, <r^p> in
+a0^p and forces in e^2/a0^2.  No function here takes physical constants; the
+command line applies the units to the numbers it prints.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +35,6 @@ from .operators import (
     commutator_pp_residual,
     commutator_qp_residual,
     l_squared_expectation,
-    momentum_unit,
     naive_momentum,
 )
 from .quadrature import QuadratureConfig, combine_axes, contract, contract_rows, coordinate_integral
@@ -45,8 +45,6 @@ from .specfun import (
     legendre_parity,
 )
 from .states import (
-    ATOMIC,
-    PhysicalConstants,
     SeparableState,
     StateFamily,
     apply_phase_twist,
@@ -78,6 +76,8 @@ __all__ = [
 
 # absolute floor of the reality contract, in natural momentum units
 _REALITY_FLOOR = 1e-9
+# the largest power radial_moment accepts, from measured accuracy (see its docstring)
+_MAX_RADIAL_POWER = 20
 _DEFAULT_CONFIG = QuadratureConfig()
 # members per reality-scan trial family: a family holds a (k, n) table per axis,
 # and 25 members keep the Cartesian one (three line axes) under a megabyte
@@ -88,7 +88,7 @@ _LEVELS = [QuantumNumbers(n, L, M) for n in range(1, 5) for L in range(n) for M 
 
 @dataclass(frozen=True)
 class ExpectationReport:
-    """One expectation value with its reality diagnostics."""
+    """One expectation value with its reality diagnostics, in natural momentum units."""
 
     value: complex
     boundary_term: float
@@ -102,7 +102,8 @@ class ExpectationReport:
 
 @dataclass(frozen=True)
 class ForceBalanceReport:
-    """Centrifugal-vs-Coulomb balance on one hydrogen level."""
+    """Centrifugal-vs-Coulomb balance on one hydrogen level: the moments <1/r^2>
+    and <1/r^3> in a0^-2 and a0^-3, the forces and the residual in e^2/a0^2."""
 
     n: int
     L: int
@@ -118,7 +119,7 @@ class ForceBalanceReport:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One <p_theta> entry of the spectrum scan."""
+    """One <p_theta> entry of the spectrum scan, in units of hbar."""
 
     L: int
     M: int
@@ -137,25 +138,12 @@ class SuiteResult:
     worst: float
 
 
-def _in_units(value, unit: float):
-    # a natural-unit output times its unit (in atomic units, the number itself); a complex part
-    # by part, as a complex times a float would flip the sign of a zero part; a normal part stays normal
-    if unit == 1.0:
-        return value
-    if isinstance(value, complex):
-        return complex(_in_units(value.real, unit), _in_units(value.imag, unit))
-    scaled = value * unit
-    if sys.float_info.min <= abs(value) < math.inf and not sys.float_info.min <= abs(scaled) < math.inf:
-        raise DomainError(f"{value!r} in natural units over- or underflows at the unit {unit!r}")
-    return scaled
-
-
 def expectations(
     op: MomentumOperator, family: StateFamily, config: QuadratureConfig | None = None
 ) -> list[ExpectationReport]:
     """<psi| p |psi> with reality diagnostics on every member of ``family``: one table
     and one contraction per axis, then each member's report from Python scalars in
-    natural units, times ``op.unit``, at the member's radial scale and the config's orders.
+    natural units, at the member's radial scale and the config's orders.
 
     Raises:
         PreconditionError: if a member is not normalized.
@@ -190,7 +178,7 @@ def expectations(
         value, qerr = combine_axes(pairs)
         # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
         boundary = -0.5 * (upper[i] - lower[i]) * other
-        reports.append(ExpectationReport(*[_in_units(x, op.unit) for x in (value, boundary, qerr)]))
+        reports.append(ExpectationReport(value, boundary, qerr))
     return reports
 
 
@@ -206,17 +194,15 @@ def expectation(
     return expectations(op, StateFamily.of(state), config)[0]
 
 
-def reality_tolerance(
-    report: ExpectationReport, kind: str, constants: PhysicalConstants = ATOMIC
-) -> float:
-    """Reality-contract bound: max(10 x quadrature error, 1e-9 natural)."""
-    return max(10.0 * report.quadrature_error, _REALITY_FLOOR * momentum_unit(kind, constants))
+def reality_tolerance(report: ExpectationReport) -> float:
+    """Reality-contract bound in natural momentum units: max(10 x quadrature error, 1e-9)."""
+    return max(10.0 * report.quadrature_error, _REALITY_FLOOR)
 
 
 def drift_expectation(
     state: SeparableState, axis: int, config: QuadratureConfig | None = None
 ) -> float:
-    """<g_axis>: the bulk piece of the naive operator's defect law."""
+    """<g_axis>: the bulk piece of the naive operator's defect law, in natural units."""
     g = measure_factor(state.system.coords[axis]).drift
     rules, values, norms = StateFamily.of(state).tabulate(config if config is not None else _DEFAULT_CONFIG)
     pairs = [pair for pair, in norms]
@@ -229,13 +215,12 @@ def ci_uniqueness_demo(
     axis: int,
     seed_a: int,
     seed_b: int,
-    constants: PhysicalConstants = ATOMIC,
     config: QuadratureConfig | None = None,
 ) -> tuple[float, float]:
     """Recovered additive constants for two independent trial states.
 
     The constant that would force <p_axis> = 0 in the momentum ansatz is
-    c = -<p_canonical>; its magnitude is returned for each seed.  For bound
+    c = -<p_canonical>; its magnitude, in 1/a0, is returned for each seed.  For bound
     trial states on a linear axis both magnitudes vanish (to quadrature
     accuracy), which is the uniqueness argument: no state-independent
     nonzero constant survives.
@@ -249,35 +234,39 @@ def ci_uniqueness_demo(
             f"the additive-constant demo needs a linear axis, {spec.name!r} is {spec.kind}"
         )
     family = trial_family(system, (seed_a, seed_b))
-    rep_a, rep_b = expectations(canonical_momentum(system, axis, constants), family, config)
+    rep_a, rep_b = expectations(canonical_momentum(system, axis), family, config)
     return abs(rep_a.value), abs(rep_b.value)
 
 
-def inv_r2_closed_form(qn: QuantumNumbers, constants: PhysicalConstants = ATOMIC) -> float:
-    """<1/r^2> = 1 / (n^3 a0^2 (L + 1/2))."""
-    return _in_units(1.0 / (qn.n**3 * (qn.L + 0.5)), constants.length_unit(-2))
+def inv_r2_closed_form(qn: QuantumNumbers) -> float:
+    """<1/r^2> = 1 / (n^3 (L + 1/2)), in a0^-2."""
+    return 1.0 / (qn.n**3 * (qn.L + 0.5))
 
 
-def inv_r3_closed_form(qn: QuantumNumbers, constants: PhysicalConstants = ATOMIC) -> float:
-    """<1/r^3> = 1 / (a0^3 n^3 L (L + 1/2) (L + 1)); needs L >= 1.
+def inv_r3_closed_form(qn: QuantumNumbers) -> float:
+    """<1/r^3> = 1 / (n^3 L (L + 1/2) (L + 1)), in a0^-3; needs L >= 1.
 
     Raises:
         DomainError: for L = 0, where the moment diverges.
     """
     if qn.L < 1:
         raise DomainError("<1/r^3> diverges for L = 0")
-    return _in_units(1.0 / (qn.n**3 * qn.L * (qn.L + 0.5) * (qn.L + 1)), constants.length_unit(-3))
+    return 1.0 / (qn.n**3 * qn.L * (qn.L + 0.5) * (qn.L + 1))
 
 
-def radial_moment(
-    qn: QuantumNumbers,
-    power: int,
-    constants: PhysicalConstants = ATOMIC,
-    config: QuadratureConfig | None = None,
-) -> float:
-    """<r^power> on the hydrogen level (n, L) by half-line quadrature, in units of
-    a0^power; DomainError where it leaves the normal floats at that unit."""
-    return _in_units(_radial_moments([(hydrogen_state(qn), power)], config)[0], constants.length_unit(power))
+def radial_moment(qn: QuantumNumbers, power: int, config: QuadratureConfig | None = None) -> float:
+    """<r^power> on the hydrogen level (n, L) by half-line quadrature, in a0^power.
+
+    Raises:
+        DomainError: below -(2L + 2), where the moment diverges at r = 0, and
+            above 20, the largest power within 1e-9 of the exact moment on
+            every level with n <= 6 at the default orders.
+    """
+    if not -(2 * qn.L + 2) <= power <= _MAX_RADIAL_POWER:
+        raise DomainError(
+            f"<r^{power}> on L = {qn.L} needs a power in [{-(2 * qn.L + 2)}, {_MAX_RADIAL_POWER}]"
+        )
+    return _radial_moments([(hydrogen_state(qn), power)], config)[0]
 
 
 def _radial_moments(asks: Sequence[tuple[SeparableState, int]], config: QuadratureConfig | None) -> list[float]:
@@ -294,11 +283,7 @@ def _radial_moments(asks: Sequence[tuple[SeparableState, int]], config: Quadratu
     return coordinate_integral(spec, integrand, cfg.radial_order, scales).real.tolist()
 
 
-def force_balance(
-    qn: QuantumNumbers,
-    constants: PhysicalConstants = ATOMIC,
-    config: QuadratureConfig | None = None,
-) -> ForceBalanceReport:
+def force_balance(qn: QuantumNumbers, config: QuadratureConfig | None = None) -> ForceBalanceReport:
     """Circular-orbit balance hbar^2 L(L+1)/m <1/r^3> = e^2 <1/r^2>.
 
     The moments come from quadrature; the closed forms ride along for
@@ -307,51 +292,40 @@ def force_balance(
     if qn.L < 1:
         raise DomainError("force balance needs L >= 1")
     state = hydrogen_state(qn)
-    return _force_balance(state, constants, *_radial_moments([(state, -2), (state, -3)], config))
+    return _force_balance(state, *_radial_moments([(state, -2), (state, -3)], config))
 
 
-def _force_balance(
-    state: SeparableState, constants: PhysicalConstants, inv_r2_q: float, inv_r3_q: float
-) -> ForceBalanceReport:
+def _force_balance(state: SeparableState, inv_r2_q: float, inv_r3_q: float) -> ForceBalanceReport:
     # force_balance on a hydrogen state the caller already holds, from its quadrature <1/r^2>
-    # and <1/r^3> in natural units; both forces are in e^2 / a0^2, which is hbar^2 / (m a0^3)
+    # and <1/r^3>; both forces are in e^2 / a0^2, which is hbar^2 / (m a0^3)
     qn = state.quantum_numbers
     centrifugal = l_squared_expectation(state) * inv_r3_q
     residual = centrifugal - inv_r2_q
-    force = constants.e2 * constants.length_unit(-2)
     return ForceBalanceReport(
         n=qn.n,
         L=qn.L,
-        inv_r2_quad=_in_units(inv_r2_q, constants.length_unit(-2)),
-        inv_r2_closed=inv_r2_closed_form(qn, constants),
-        inv_r3_quad=_in_units(inv_r3_q, constants.length_unit(-3)),
-        inv_r3_closed=inv_r3_closed_form(qn, constants),
-        centrifugal=_in_units(centrifugal, force),
-        coulomb=_in_units(inv_r2_q, force),
-        residual=_in_units(residual, force),
+        inv_r2_quad=inv_r2_q,
+        inv_r2_closed=inv_r2_closed_form(qn),
+        inv_r3_quad=inv_r3_q,
+        inv_r3_closed=inv_r3_closed_form(qn),
+        centrifugal=centrifugal,
+        coulomb=inv_r2_q,
+        residual=residual,
         relative_residual=residual / abs(inv_r2_q),
     )
 
 
-def naive_ehrenfest_residual(
-    qn: QuantumNumbers,
-    constants: PhysicalConstants = ATOMIC,
-    config: QuadratureConfig | None = None,
-) -> float:
-    """Unbalanced radial force <-e^2/r^2> left by the naive operator.
+def naive_ehrenfest_residual(qn: QuantumNumbers, config: QuadratureConfig | None = None) -> float:
+    """Unbalanced radial force <-e^2/r^2> left by the naive operator, in e^2/a0^2.
 
     Strictly negative: with the drift dropped, nothing cancels the Coulomb
     pull on a stationary state.
     """
-    return _in_units(-radial_moment(qn, -2, config=config), constants.e2 * constants.length_unit(-2))
+    return -radial_moment(qn, -2, config=config)
 
 
-def p_theta_spectrum_scan(
-    l_max: int = 6,
-    constants: PhysicalConstants = ATOMIC,
-    config: QuadratureConfig | None = None,
-) -> list[ScanRow]:
-    """<p_theta> on the circular-ish levels (n = L+1) for L <= l_max.
+def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig | None = None) -> list[ScanRow]:
+    """<p_theta> on the circular-ish levels (n = L+1) for L <= l_max, in units of hbar.
 
     A hermitian p_theta must average to zero on every real-sector
     eigenstate; the scan exposes any residual.
@@ -363,27 +337,25 @@ def p_theta_spectrum_scan(
         raise DomainError(f"l_max must be an integer in [0, 10], got {l_max!r}")
     qns = [QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)]
     family = hydrogen_family([hydrogen_state(qn) for qn in qns])
-    reports = expectations(canonical_momentum(make_spherical(), 1, constants), family, config)
+    reports = expectations(canonical_momentum(make_spherical(), 1), family, config)
     return [ScanRow(qn.L, qn.M, rep.value, rep.quadrature_error) for qn, rep in zip(qns, reports)]
 
 
 def cartesian_reality_check(
     seed: int,
     wavenumber: float = 0.0,
-    constants: PhysicalConstants = ATOMIC,
     config: QuadratureConfig | None = None,
 ) -> ExpectationReport:
-    """<p_x> on a random Cartesian trial state, optionally phase-twisted.
+    """<p_x> on a random Cartesian trial state, optionally phase-twisted, in hbar/a0.
 
-    With a twist e^(i k x) the expectation moves to hbar k exactly while
-    the defect stays at the boundary-term level: the zero-drift limit of
-    the ansatz reproduces the textbook operator.  The trial state is in
-    units of a0, so it is twisted by k a0.
+    With a twist e^(i k x), k in 1/a0, the expectation moves to hbar k exactly
+    while the defect stays at the boundary-term level: the zero-drift limit of
+    the ansatz reproduces the textbook operator.
     """
     trial = random_bound_trial(make_cartesian(), seed)
     if wavenumber != 0.0:
-        trial = apply_phase_twist(trial, 0, wavenumber * constants.a0)
-    return expectation(canonical_momentum(make_cartesian(), 0, constants), trial, config)
+        trial = apply_phase_twist(trial, 0, wavenumber)
+    return expectation(canonical_momentum(make_cartesian(), 0), trial, config)
 
 
 class _Tally:
@@ -513,9 +485,9 @@ def _suite_reality(cfg: QuadratureConfig, seed: int, trials: int) -> SuiteResult
     for sys_obj in preset_systems().values():
         for start in range(0, trials, _FAMILY_SIZE):
             family = trial_family(sys_obj, seeds[start : start + _FAMILY_SIZE])
-            for axis, spec in enumerate(sys_obj.coords):
+            for axis in range(sys_obj.dim):
                 reps = expectations(canonical_momentum(sys_obj, axis), family, cfg)
-                tols = [reality_tolerance(rep, spec.kind) for rep in reps]
+                tols = [reality_tolerance(rep) for rep in reps]
                 # the canonical defect and its distance from the surface term -(hbar/2) [w |psi|^2], 0 at
                 # every end of these bound states (a zero weight, an underflowed state or a periodic
                 # axis): this guards the term's code path, not its magnitude

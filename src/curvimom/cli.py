@@ -7,6 +7,9 @@ Subcommands:
 - check: the full invariant suite;
 - p-theta-scan: <p_theta> across angular eigenstates.
 
+The library returns natural units (lengths in a0, momenta in hbar/a0 or
+hbar); each command applies the chosen units once, to the cells it prints.
+
 Exit codes: 0 success, 1 suite or scan failure, 2 usage error,
 3 reality-contract failure, 4 singular evaluation.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -22,7 +26,6 @@ import numpy as np
 
 from .analysis import (
     _force_balance,
-    _in_units,
     _radial_moments,
     expectation,
     expectations,
@@ -48,6 +51,17 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return _FLOAT_FMT.format(value)
     return str(value)
+
+
+def _in_units(value: float, unit: float) -> float:
+    """A natural-unit cell times its unit: in atomic units the number itself,
+    and DomainError where a normal number leaves the normal floats."""
+    if unit == 1.0:
+        return value
+    scaled = value * unit
+    if sys.float_info.min <= abs(value) < math.inf and not sys.float_info.min <= abs(scaled) < math.inf:
+        raise DomainError(f"{value!r} in natural units over- or underflows at the unit {unit!r}")
+    return scaled
 
 
 def _common_options(fn):
@@ -113,7 +127,7 @@ def _translate_errors(fn):
     return wrapper
 
 
-def _parse_operator(text: str, system, constants):
+def _parse_operator(text: str, system):
     family, _, axis_name = text.partition(":")
     if family not in ("canonical", "naive") or not axis_name:
         raise click.UsageError(
@@ -126,8 +140,8 @@ def _parse_operator(text: str, system, constants):
         )
     axis = names.index(axis_name)
     if family == "canonical":
-        return canonical_momentum(system, axis, constants)
-    return naive_momentum(system, axis, constants)
+        return canonical_momentum(system, axis)
+    return naive_momentum(system, axis)
 
 
 _STATE_KEYS = {"hydrogen": ("n", "L", "M"), "trial": ("seed",)}
@@ -209,46 +223,32 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
     """
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()[system_name]
-    op = _parse_operator(operator, system, constants)
+    op = _parse_operator(operator, system)
     st = _parse_state(state, system, seed)
     report = expectation(op, st, config)
-    tol = reality_tolerance(report, op.kind, constants)
 
-    payload = {
-        "command": "expect",
+    unit = momentum_unit(op.kind, constants)
+    natural = {
         "value_re": report.value.real,
         "value_im": report.value.imag,
         "defect": report.hermiticity_defect,
         "boundary_term": report.boundary_term,
         "quad_error": report.quadrature_error,
-        "units": units,
     }
+    payload = {"command": "expect", **{key: _in_units(x, unit) for key, x in natural.items()}, "units": units}
     if fmt != "text":
         _emit_rows(fmt, list(payload), [payload])
     else:
         click.echo(f"operator:      {operator}")
         click.echo(f"state:         {state}")
         click.echo(f"system:        {system_name}")
-        click.echo(f"value:         {_fmt(report.value.real)} + {_fmt(report.value.imag)} i")
-        click.echo(f"defect:        {_fmt(report.hermiticity_defect)}")
-        click.echo(f"boundary_term: {_fmt(report.boundary_term)}")
-        click.echo(f"quad_error:    {_fmt(report.quadrature_error)}")
+        click.echo(f"value:         {_fmt(payload['value_re'])} + {_fmt(payload['value_im'])} i")
+        click.echo(f"defect:        {_fmt(payload['defect'])}")
+        click.echo(f"boundary_term: {_fmt(payload['boundary_term'])}")
+        click.echo(f"quad_error:    {_fmt(payload['quad_error'])}")
         click.echo(f"units:         {units}")
-    if not abs(report.hermiticity_defect) <= tol:  # a NaN defect fails too
+    if not abs(report.hermiticity_defect) <= reality_tolerance(report):  # a NaN defect fails too
         sys.exit(3)
-
-
-_TABLE_COLUMNS = [
-    "n",
-    "L",
-    "inv_r2_quad",
-    "inv_r2_closed",
-    "inv_r3_quad",
-    "inv_r3_closed",
-    "residual",
-    "p_r",
-    "p_theta",
-]
 
 
 @main.command("hydrogen-table")
@@ -261,25 +261,30 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
     """Hydrogen moment table: quadrature vs closed forms per (n, L) level."""
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()["spherical"]
+    # the unit of each number column, in column order
+    lengths = {"inv_r2_quad": -2, "inv_r2_closed": -2, "inv_r3_quad": -3, "inv_r3_closed": -3}
+    column_units = {key: constants.length_unit(power) for key, power in lengths.items()}
+    column_units.update(residual=constants.e2 * constants.length_unit(-2), p_r=momentum_unit("linear", constants),
+                        p_theta=momentum_unit("angular", constants))
 
     states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, nmax + 1) for L in range(n)]
     family = hydrogen_family(states)
-    p_r, p_theta = (expectations(canonical_momentum(system, axis, constants), family, config) for axis in (0, 1))
-    # <1/r^2> on every level and <1/r^3> where L >= 1, in level order and natural units: one quadrature
+    p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
+    # <1/r^2> on every level and <1/r^3> where L >= 1, in level order: one quadrature
     asks = [(state, power) for state in states for power in ((-2, -3) if state.quantum_numbers.L else (-2,))]
     moments = iter(_radial_moments(asks, config))
 
     rows = []
     for state, rep_r, rep_theta in zip(states, p_r, p_theta):
         qn, inv_r2 = state.quantum_numbers, next(moments)
-        row = {"n": qn.n, "L": qn.L, "inv_r2_quad": _in_units(inv_r2, constants.length_unit(-2))}
-        row.update(inv_r2_closed=inv_r2_closed_form(qn, constants), inv_r3_quad=None, inv_r3_closed=None, residual=None)
+        row = {"inv_r2_quad": inv_r2, "inv_r2_closed": inv_r2_closed_form(qn)}
         if qn.L >= 1:
-            fb = _force_balance(state, constants, inv_r2, next(moments))
+            fb = _force_balance(state, inv_r2, next(moments))
             row.update(inv_r3_quad=fb.inv_r3_quad, inv_r3_closed=fb.inv_r3_closed, residual=fb.residual)
         row.update(p_r=rep_r.value.real, p_theta=rep_theta.value.real)
-        rows.append(row)
-    _emit_rows(fmt, _TABLE_COLUMNS, rows)
+        cells = {key: _in_units(row[key], unit) if key in row else None for key, unit in column_units.items()}
+        rows.append({"n": qn.n, "L": qn.L, **cells})
+    _emit_rows(fmt, ["n", "L", *column_units], rows)
 
 
 @main.command()
@@ -325,22 +330,22 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
 def p_theta_scan(lmax, units, radial_order, theta_order, phi_order, fmt, si_constants):
     """Scan <p_theta> over eigenstates up to --lmax; exits 1 on any residual."""
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
-    rows = p_theta_spectrum_scan(lmax, constants, config)
+    rows = p_theta_spectrum_scan(lmax, config)
 
     columns = ["L", "M", "p_theta_re", "p_theta_im", "quad_error"]
+    hbar = momentum_unit("angular", constants)
     table = [
         {
             "L": row.L,
             "M": row.M,
-            "p_theta_re": row.value.real,
-            "p_theta_im": row.value.imag,
-            "quad_error": row.quadrature_error,
+            "p_theta_re": _in_units(row.value.real, hbar),
+            "p_theta_im": _in_units(row.value.imag, hbar),
+            "quad_error": _in_units(row.quadrature_error, hbar),
         }
         for row in rows
     ]
     _emit_rows(fmt, columns, table)
-    tol = 1e-9 * momentum_unit("angular", constants)
-    if any(not abs(row.value) <= tol for row in rows):  # a NaN value fails too
+    if any(not abs(row.value) <= 1e-9 for row in rows):  # a NaN value fails too
         sys.exit(1)
 
 

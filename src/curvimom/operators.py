@@ -7,8 +7,8 @@ The canonical momentum along coordinate q_i is
 with drift g_i = w_i'/(2 w_i) induced by the coordinate weight; the naive
 operator drops the drift.  Applied to a separable state, either operator
 only touches the factor on its own axis, so the result stays separable.
-Operators act in natural units (hbar = 1, lengths in a0); each carries the
-unit that converts an expectation to physical units.
+Operators act in natural units (hbar = 1, lengths in a0): an expectation
+is in hbar/a0 on a linear axis and in hbar on an angular one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedStateError
 from .geometry import CoordinateSystem, measure_factor
-from .states import ATOMIC, FactorFunction, PhysicalConstants, SeparableState
+from .states import FactorFunction, PhysicalConstants, SeparableState
 
 __all__ = [
     "MomentumOperator",
@@ -43,41 +43,35 @@ def _zero_drift(q):
 @dataclass(frozen=True, eq=False)
 class MomentumOperator:
     """-i (d/dq + drift(q) + constant) along one coordinate axis, in natural
-    units (on a linear axis q is in a0 and the constant in 1/a0); an expectation
-    times ``unit``, the axis's ``momentum_unit``, is in physical units."""
+    units: on a linear axis q is in a0, the constant in 1/a0 and an expectation
+    in hbar/a0; on an angular axis an expectation is in hbar."""
 
     axis: int
     drift: Callable
     constant: float
-    unit: float
     kind: str
 
 
-def momentum_unit(kind: str, constants: PhysicalConstants = ATOMIC) -> float:
-    """Natural momentum scale: hbar/a0 on linear axes, hbar on angular."""
+def momentum_unit(kind: str, constants: PhysicalConstants) -> float:
+    """The physical unit of a natural momentum: hbar/a0 on linear axes, hbar on angular."""
     return constants.hbar * constants.length_unit(-1) if kind == "linear" else constants.hbar
 
 
-def canonical_momentum(
-    system: CoordinateSystem,
-    axis: int,
-    constants: PhysicalConstants = ATOMIC,
-    constant: float = 0.0,
-) -> MomentumOperator:
-    """Canonical momentum for one axis, drift from the coordinate weight."""
+def canonical_momentum(system: CoordinateSystem, axis: int, constant: float = 0.0) -> MomentumOperator:
+    """Canonical momentum for one axis, drift from the coordinate weight; the
+    constant is in 1/a0 on a linear axis."""
     spec = system.coords[axis]
     return MomentumOperator(
         axis=axis,
         drift=measure_factor(spec).drift,
         constant=float(constant),
-        unit=momentum_unit(spec.kind, constants),
         kind=spec.kind,
     )
 
 
-def naive_momentum(system: CoordinateSystem, axis: int, constants: PhysicalConstants = ATOMIC) -> MomentumOperator:
+def naive_momentum(system: CoordinateSystem, axis: int) -> MomentumOperator:
     """Plain -i hbar d/dq along one axis (no drift)."""
-    return replace(canonical_momentum(system, axis, constants), drift=_zero_drift)
+    return replace(canonical_momentum(system, axis), drift=_zero_drift)
 
 
 def apply(op: MomentumOperator, state: SeparableState, point: Sequence) -> complex | np.ndarray:
@@ -173,10 +167,8 @@ def commutator_pp_residual(
     return first - second
 
 
-def l_squared_expectation(
-    state: SeparableState, constants: PhysicalConstants = ATOMIC
-) -> float:
-    """<L^2> = hbar^2 L(L+1) for an angular-momentum eigenstate.
+def l_squared_expectation(state: SeparableState) -> float:
+    """<L^2> = L(L+1), in units of hbar^2, for an angular-momentum eigenstate.
 
     Raises:
         UnsupportedStateError: if the state carries no quantum numbers.
@@ -186,4 +178,4 @@ def l_squared_expectation(
             "L^2 expectation needs a state with hydrogenic quantum numbers"
         )
     L = state.quantum_numbers.L
-    return constants.hbar**2 * L * (L + 1)
+    return float(L * (L + 1))

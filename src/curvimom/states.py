@@ -55,8 +55,9 @@ __all__ = [
 class PhysicalConstants:
     """hbar, electron mass and squared charge e^2 (Gaussian convention).
 
-    States and suites work in units of a0 and hbar, so the constants only convert
-    outputs; they are refused when an output unit is not a finite normal float.
+    The library works in units of a0 and hbar, so the constants only convert what
+    the command line prints; they are refused when an output unit is not a finite
+    normal float.
     """
 
     hbar: float

@@ -10,6 +10,7 @@ import json
 import math
 import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from curvimom.geometry import (
     preset_systems,
 )
 from curvimom.analysis import (
+    ExpectationReport,
     cartesian_reality_check,
     ci_uniqueness_demo,
     drift_expectation,
@@ -38,7 +40,6 @@ from curvimom.analysis import (
     force_balance,
     inv_r2_closed_form,
     inv_r3_closed_form,
-    momentum_unit,
     naive_ehrenfest_residual,
     p_theta_spectrum_scan,
     radial_moment,
@@ -46,7 +47,7 @@ from curvimom.analysis import (
     run_check_suites,
 )
 from curvimom import analysis, quadrature, specfun, states
-from curvimom.operators import canonical_momentum, naive_momentum, operator_applied_state
+from curvimom.operators import canonical_momentum, momentum_unit, naive_momentum, operator_applied_state
 from curvimom.quadrature import QuadratureConfig, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
@@ -308,7 +309,7 @@ def test_trial_defect_law_on_every_linear_axis():
             tol = max(10.0 * rep.quadrature_error, 1e-10)
             assert abs(rep.hermiticity_defect - bulk) <= tol, (system.name, axis, seed)
             can = expectation(canonical_momentum(system, axis), trial)
-            assert abs(can.hermiticity_defect) <= reality_tolerance(can, "linear"), (
+            assert abs(can.hermiticity_defect) <= reality_tolerance(can), (
                 system.name,
                 axis,
                 seed,
@@ -316,9 +317,13 @@ def test_trial_defect_law_on_every_linear_axis():
 
 
 def test_reality_tolerance_floor_and_scaling():
+    # in natural momentum units the floor is 1e-9 on every axis
     state = hydrogen_state(QuantumNumbers(1, 0, 0))
-    rep = expectation(canonical_momentum(state.system, 0), state)
-    assert reality_tolerance(rep, "linear") >= 1e-9 * momentum_unit("linear")
+    for axis in range(3):
+        rep = expectation(canonical_momentum(state.system, axis), state)
+        assert reality_tolerance(rep) == max(10.0 * rep.quadrature_error, 1e-9), axis
+    assert reality_tolerance(ExpectationReport(0j, 0.0, 0.0)) == 1e-9
+    assert reality_tolerance(ExpectationReport(0j, 0.0, 0.5)) == 5.0
     si = PhysicalConstants(hbar=1.054571817e-34, m=9.1093837015e-31, e2=2.3070775523e-28)
     assert momentum_unit("linear", si) == pytest.approx(si.hbar / si.a0)
     assert momentum_unit("angular", si) == si.hbar
@@ -416,15 +421,22 @@ def test_ci_uniqueness_demo_recovers_zero_constant():
         ci_uniqueness_demo(sph, 2, 1, 2)
 
 
-def test_defect_law_carries_physical_units():
+def test_defect_law_carries_physical_units(tmp_path):
+    # the library's defect is hbar/(n^2 a0) in natural units; expect --units si prints it in SI
     si = PhysicalConstants(hbar=1.054571817e-34, m=9.1093837015e-31, e2=2.3070775523e-28)
-    state = hydrogen_state(QuantumNumbers(2, 0, 0))
-    naive = naive_momentum(make_spherical(), 0, si)
-    defect = expectation(naive, state).hermiticity_defect
-    assert defect == pytest.approx(si.hbar / (4.0 * si.a0), rel=1e-9)
-    can = canonical_momentum(make_spherical(), 0, si)
-    rep = expectation(can, state)
-    assert abs(rep.hermiticity_defect) <= reality_tolerance(rep, "linear", si)
+    path = tmp_path / "si.json"
+    path.write_text(json.dumps({"hbar": si.hbar, "m": si.m, "e2": si.e2}))
+    runner = CliRunner()
+    rows = {}
+    for kind in ("naive", "canonical"):
+        argv = ["expect", f"{kind}:r", "hydrogen:n=2,L=0,M=0", "--format", "json", "--units", "si",
+                "--si-constants", str(path)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == (3 if kind == "naive" else 0), result.output
+        rows[kind] = json.loads(result.stdout)
+    assert rows["naive"]["defect"] == pytest.approx(si.hbar / (4.0 * si.a0), rel=1e-9)
+    can = rows["canonical"]
+    assert abs(can["defect"]) <= max(10.0 * can["quad_error"], 1e-9 * momentum_unit("linear", si))
 
 
 def _as_float(bits: int) -> float:
@@ -475,26 +487,29 @@ def test_check_suites_are_unit_covariant(tmp_path):
 
 
 @pytest.mark.parametrize("label", sorted(_UNIT_SYSTEMS))
-def test_outputs_are_finite_or_refused_in_every_accepted_unit_system(label):
-    # units enter once, at the output: an output is a finite number, or a
-    # DomainError where it leaves the normal floats, never NaN or a numpy warning
-    c = PhysicalConstants(*_UNIT_SYSTEMS[label])
-    sph = make_spherical()
-    outputs = [lambda n=n: [radial_moment(QuantumNumbers(n, 0, 0), -2, c)] for n in range(1, 7)]
-    outputs += [lambda n=n, L=L: vars(force_balance(QuantumNumbers(n, L, 0), c)).values()
-                for n in range(2, 7) for L in range(1, n)]
-    outputs += [lambda: [naive_ehrenfest_residual(QuantumNumbers(2, 1, 0), c)]]
-    outputs += [lambda: [row.value for row in p_theta_spectrum_scan(10, c)]]
-    for op in [f(sph, axis, c) for f in (canonical_momentum, naive_momentum) for axis in range(3)]:
-        outputs += [lambda op=op: [*vars(expectation(op, hydrogen_state(QuantumNumbers(3, 2, 1)))).values()]]
-    outputs += [lambda: [cartesian_reality_check(0, 1.0, c).value, *ci_uniqueness_demo(make_cartesian(), 0, 1, 2, c)]]
-    values, refused = [], 0
-    for output in outputs:
-        try:
-            values += output()
-        except DomainError:
+def test_outputs_are_finite_or_refused_in_every_accepted_unit_system(label, tmp_path):
+    # the CLI applies the units once, to the numbers it prints: each is finite, or
+    # the command exits 2 with nothing on stdout, never NaN or a numpy warning
+    hbar, m, e2 = _UNIT_SYSTEMS[label]
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"hbar": hbar, "m": m, "e2": e2}))
+    units = ["--format", "json", "--units", "si", "--si-constants", str(path)]
+    argvs = [["hydrogen-table", "--nmax", "6", *units], ["p-theta-scan", "--lmax", "10", *units]]
+    argvs += [["expect", f"{kind}:{axis}", "hydrogen:n=3,L=2,M=1", *units]
+              for kind in ("canonical", "naive") for axis in ("r", "theta", "phi")]
+    argvs += [["expect", "canonical:x", f"trial:seed={seed}", "--system", "cartesian", *units] for seed in (0, 1)]
+    runner, refused = CliRunner(), 0
+    for argv in argvs:
+        result = runner.invoke(main, argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
+        if result.exit_code == 2:
+            assert result.stdout == "", argv
             refused += 1
-    assert all(np.isfinite(values)), label
+            continue
+        assert result.exit_code in (0, 3), (argv, result.output)
+        values = [x for row in map(json.loads, result.stdout.splitlines()) for x in row.values()
+                  if isinstance(x, float)]
+        assert values and all(map(math.isfinite, values)), argv
     # only at the ends of the range does an output leave the normal floats
     assert refused == 0 or label.endswith("-a0"), (label, refused)
 
@@ -532,6 +547,36 @@ def test_radial_moment_positive_power():
     # <r> on the ground state is 1.5 a0, a classic hand value
     assert radial_moment(QuantumNumbers(1, 0, 0), 1) == pytest.approx(1.5, rel=1e-12)
     assert radial_moment(QuantumNumbers(2, 1, 0), 0) == pytest.approx(1.0, rel=1e-12)
+
+
+def _exact_radial_moments(n: int, L: int) -> dict[int, Fraction]:
+    # <r^s> in units of a0^s for s in [-(2L + 2), 20], exact, from Kramers' relation
+    # (s+1)/n^2 <r^s> - (2s+1) <r^(s-1)> + s/4 ((2L+1)^2 - s^2) <r^(s-2)> = 0,
+    # climbing from <r^0> = 1 and <r^-1> = 1/n^2, and falling from <r^-2> = 1/(n^3 (L + 1/2))
+    moments = {0: Fraction(1), -1: Fraction(1, n * n), -2: Fraction(2, n**3 * (2 * L + 1))}
+    for s in range(1, 21):
+        lower = Fraction(s, 4) * ((2 * L + 1) ** 2 - s * s) * moments[s - 2]
+        moments[s] = ((2 * s + 1) * moments[s - 1] - lower) * Fraction(n * n, s + 1)
+    for s in range(-1, -(2 * L + 1), -1):
+        higher = (2 * s + 1) * moments[s - 1] - Fraction(s + 1, n * n) * moments[s]
+        moments[s - 2] = higher / (Fraction(s, 4) * ((2 * L + 1) ** 2 - s * s))
+    return moments
+
+
+def test_radial_moment_refuses_powers_it_cannot_honour():
+    # every accepted power is within 1e-9 of the exact moment on every level with n <= 6
+    # at the default orders; below -(2L + 2) the moment diverges at r = 0, and above 20
+    # the quadrature leaves the tolerance (<r^21> is off by 1.0e-9 at (6, 0))
+    for n in range(1, 7):
+        for L in range(n):
+            qn = QuantumNumbers(n, L, 0)
+            exact = _exact_radial_moments(n, L)
+            assert sorted(exact) == list(range(-(2 * L + 2), 21))
+            for power, value in exact.items():
+                assert radial_moment(qn, power) == pytest.approx(float(value), rel=1e-9), (n, L, power)
+            for power in (-(2 * L + 3), 21, 80):
+                with pytest.raises(DomainError):
+                    radial_moment(qn, power)
 
 
 def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):

@@ -226,11 +226,19 @@ DATA = Path(__file__).parent / "data"
              "--si-constants", str(DATA / "si_constants.json")),
         )
         for fixture in ("hydrogen-table_nmax6_si.csv", "atomic-table-times-units")
+    ]
+    + [
+        (
+            "p-theta-scan_lmax10_si.json",
+            ("p-theta-scan", "--lmax", "10", "--format", "json", "--units", "si",
+             "--si-constants", str(DATA / "si_constants.json")),
+        )
     ],
 )
 def test_cli_output_matches_fixture_byte_for_byte(fixture, args):
     # the atomic files under tests/data were written by the CLI before hydrogen
-    # families, the SI one when units moved to the output; every later change
+    # families, the SI table when units moved to the output and the SI scan
+    # before units moved from the library to the CLI; every later change
     # must print the same bytes.  The SI table is also the atomic one with
     # each cell times its unit, once.
     result = invoke(*args)
@@ -252,19 +260,20 @@ def _atomic_table_times_units() -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _expect_grid() -> str:
+def _expect_grid(units: tuple = ()) -> str:
     # argv, exit code and stdout of `expect --format json` for canonical and
     # naive r, theta and phi on every hydrogen level with n <= 4, and canonical
-    # momenta on every axis of every preset system for trial seeds 0-2
+    # momenta on every axis of every preset system for trial seeds 0-2, each
+    # with ``units`` appended
     levels = [(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
     argvs = [
-        ["expect", f"{kind}:{axis}", f"hydrogen:n={n},L={L},M={M}", "--format", "json"]
+        ["expect", f"{kind}:{axis}", f"hydrogen:n={n},L={L},M={M}", "--format", "json", *units]
         for n, L, M in levels
         for kind in ("canonical", "naive")
         for axis in ("r", "theta", "phi")
     ]
     argvs += [
-        ["expect", f"canonical:{spec.name}", f"trial:seed={seed}", "--system", name, "--format", "json"]
+        ["expect", f"canonical:{spec.name}", f"trial:seed={seed}", "--system", name, "--format", "json", *units]
         for name, system in sorted(preset_systems().items())
         for spec in system.coords
         for seed in range(3)
@@ -276,10 +285,15 @@ def _expect_grid() -> str:
     return json.dumps(records, indent=1) + "\n"
 
 
-def test_expect_grid_matches_fixture_byte_for_byte():
+def test_expect_grid_matches_fixture_byte_for_byte(monkeypatch):
     # tests/data/expect_grid.json was written by _expect_grid() before the
-    # factors' derivative tables; every later change must print the same bytes
-    assert _expect_grid().encode() == (DATA / "expect_grid.json").read_bytes()
+    # factors' derivative tables, and expect_grid_si.json before units moved
+    # from the library to the CLI; every later change must print the same bytes.
+    # The SI argv names the constants file relative to the repository root.
+    monkeypatch.chdir(DATA.parent.parent)
+    si = ("--units", "si", "--si-constants", "tests/data/si_constants.json")
+    for fixture, units in (("expect_grid.json", ()), ("expect_grid_si.json", si)):
+        assert _expect_grid(units).encode() == (DATA / fixture).read_bytes(), fixture
 
 
 def test_hydrogen_table_json_null_for_missing_moments():

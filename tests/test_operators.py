@@ -1,14 +1,18 @@
 """Operators: pointwise action, drift shift, commutators, L^2 shortcut."""
 
 import cmath
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import curvimom
 from curvimom.errors import SingularityError, UnsupportedStateError
 from curvimom.geometry import make_cartesian, make_spherical, preset_systems
 from curvimom.operators import (
+    MomentumOperator,
     apply,
     canonical_momentum,
     commutator_pp_residual,
@@ -225,3 +229,28 @@ def test_constant_offset_shifts_action():
     diff = apply(shifted, state, point) - apply(base, state, point)
     expected = -1j * ATOMIC.hbar * 0.25 * state.evaluate(point)
     assert diff == pytest.approx(expected, rel=1e-12)
+
+
+def test_only_the_unit_definitions_take_physical_constants():
+    # the library works in natural units and the CLI applies physical ones, so
+    # no public callable but the definitions of the units takes constants
+    modules = [curvimom] + [vars(curvimom)[name] for name in
+                            ("analysis", "geometry", "operators", "quadrature", "specfun", "states")]
+    callables = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and callable(obj):
+                callables[name] = obj
+                if inspect.isclass(obj):
+                    callables.update({f"{name}.{attr}": fn for attr, fn in vars(obj).items()
+                                      if not attr.startswith("_") and inspect.isfunction(fn)})
+    taking = set()
+    for name, obj in callables.items():
+        try:
+            if "constants" in inspect.signature(obj).parameters:
+                taking.add(name)
+        except (TypeError, ValueError):  # a builtin without a signature
+            pass
+    assert "canonical_momentum" in callables and "momentum_unit" in taking
+    assert taking <= {"momentum_unit", "load_constants", "PhysicalConstants"}, taking
+    assert "unit" not in {field.name for field in dataclasses.fields(MomentumOperator)}
