@@ -18,7 +18,7 @@ from curvimom.errors import (
     UnsupportedAxisError,
 )
 from curvimom.geometry import make_cartesian, make_spherical, preset_systems
-from curvimom.operators import canonical_momentum, naive_momentum
+from curvimom.operators import canonical_momentum, momentum_unit, naive_momentum
 from curvimom.quadrature import QuadratureConfig, axis_rule, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
@@ -329,10 +329,14 @@ def test_trial_family_members_match_single_seed():
                     assert rep.boundary_term == alone.boundary_term, (system.name, axis, seed)
 
 
-def test_hydrogen_family_members_match_single_state():
+@pytest.mark.parametrize(
+    "constants", [ATOMIC, PhysicalConstants(1.054571817e-34, 9.1093837015e-31, 2.3070775523e-28)], ids=["atomic", "si"]
+)
+def test_hydrogen_family_members_match_single_state(constants):
     # a hydrogen family member's report is bit for bit the lone state's on
     # every axis, wherever the member sits in the family: the n <= 4 levels
-    # and the p_theta scan's n = L + 1 levels up to L = 10
+    # and the p_theta scan's n = L + 1 levels up to L = 10; the natural
+    # values, and so the values in either set of units
     system = make_spherical()
     levels = [(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
     scan = [(L + 1, L, M) for L in range(11) for M in range(-L, L + 1)]
@@ -343,11 +347,13 @@ def test_hydrogen_family_members_match_single_state():
             for op in (canonical_momentum(system, axis), naive_momentum(system, axis)):
                 reports = expectations(op, family)
                 assert reports[::-1] == expectations(op, reversed_family)
+                unit = momentum_unit(op.kind, constants)
                 for qn, state, rep in zip(qns, states, reports):
                     alone = expectation(op, state)
                     assert rep.value == alone.value, (qn, axis)
                     assert rep.quadrature_error == alone.quadrature_error, (qn, axis)
                     assert rep.boundary_term == alone.boundary_term, (qn, axis)
+                    assert rep.value * unit == alone.value * unit, (qn, axis)
 
 
 def test_hydrogen_family_needs_hydrogen_states():
