@@ -6,6 +6,8 @@ defect reduces to the surface term -(hbar/2) [w |psi|^2] at the domain
 ends, while the naive operator picks up the bulk term hbar <g> on top.
 The hydrogen checks close the loop against closed forms: <1/r^2>, <1/r^3>
 and the circular-orbit force balance hbar^2 L(L+1)/m <1/r^3> = e^2 <1/r^2>.
+Every one-axis moment, <r^p> and <g> alike, is ``StateFamily.moments``: a
+sum over the factor's value table, the table the expectations read.
 
 Everything is computed, returned and checked in natural units: lengths in a0,
 momenta in hbar/a0 on a linear axis and in hbar on an angular one, <r^p> in
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .operators import (
     l_squared_expectation,
     naive_momentum,
 )
-from .quadrature import QuadratureConfig, combine_axes, contract, contract_rows, coordinate_integral
+from .quadrature import QuadratureConfig, combine_axes, contract_rows
 from .specfun import (
     QuantumNumbers,
     assoc_legendre,
@@ -82,6 +83,8 @@ _DEFAULT_CONFIG = QuadratureConfig()
 # members per reality-scan trial family: a family holds a (k, n) table per axis,
 # and 25 members keep the Cartesian one (three line axes) under a megabyte
 _FAMILY_SIZE = 25
+# trial states per system in the reality scan
+_REALITY_TRIALS = 50
 # the hydrogen levels the suites check: every (n, L, M) with n <= 4
 _LEVELS = [QuantumNumbers(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
 
@@ -112,7 +115,6 @@ class ForceBalanceReport:
     inv_r3_quad: float
     inv_r3_closed: float
     centrifugal: float
-    coulomb: float
     residual: float
     relative_residual: float
 
@@ -202,12 +204,12 @@ def reality_tolerance(report: ExpectationReport) -> float:
 def drift_expectation(
     state: SeparableState, axis: int, config: QuadratureConfig | None = None
 ) -> float:
-    """<g_axis>: the bulk piece of the naive operator's defect law, in natural units."""
+    """<g_axis>: the bulk piece of the naive operator's defect law, in natural units.
+
+    The moment is taken on the axis alone: the other axes' norms, which are 1 to
+    about 1e-15 on the normalized states this is meant for, are not multiplied in."""
     g = measure_factor(state.system.coords[axis]).drift
-    rules, values, norms = StateFamily.of(state).tabulate(config if config is not None else _DEFAULT_CONFIG)
-    pairs = [pair for pair, in norms]
-    pairs[axis] = contract(rules[axis], g(rules[axis].nodes) * np.abs(values[axis]) ** 2)
-    return combine_axes(pairs)[0].real
+    return StateFamily.of(state).moments(axis, g, config if config is not None else _DEFAULT_CONFIG)[0]
 
 
 def ci_uniqueness_demo(
@@ -266,21 +268,8 @@ def radial_moment(qn: QuantumNumbers, power: int, config: QuadratureConfig | Non
         raise DomainError(
             f"<r^{power}> on L = {qn.L} needs a power in [{-(2 * qn.L + 2)}, {_MAX_RADIAL_POWER}]"
         )
-    return _radial_moments([(hydrogen_state(qn), power)], config)[0]
-
-
-def _radial_moments(asks: Sequence[tuple[SeparableState, int]], config: QuadratureConfig | None) -> list[float]:
-    # <r^power> of each (state, power) in units of a0^power by one coordinate_integral,
-    # a row per ask at its state's scale; the factors are evaluated afresh, not read from tables
-    spec = asks[0][0].system.coords[0]
-    cfg = config if config is not None else QuadratureConfig()
-
-    def integrand(r):
-        rows = [np.abs(np.asarray(s.factors[0].evaluate(rr))) ** 2 * rr ** float(p) for (s, p), rr in zip(asks, r)]
-        return np.stack(rows)
-
-    scales = tuple(state.radial_scale for state, _ in asks)
-    return coordinate_integral(spec, integrand, cfg.radial_order, scales).real.tolist()
+    cfg = config if config is not None else _DEFAULT_CONFIG
+    return StateFamily.of(hydrogen_state(qn)).moments(0, lambda r: r ** float(power), cfg)[0]
 
 
 def force_balance(qn: QuantumNumbers, config: QuadratureConfig | None = None) -> ForceBalanceReport:
@@ -291,8 +280,9 @@ def force_balance(qn: QuantumNumbers, config: QuadratureConfig | None = None) ->
     """
     if qn.L < 1:
         raise DomainError("force balance needs L >= 1")
-    state = hydrogen_state(qn)
-    return _force_balance(state, *_radial_moments([(state, -2), (state, -3)], config))
+    state, cfg = hydrogen_state(qn), config if config is not None else _DEFAULT_CONFIG
+    inv_r2, inv_r3 = (StateFamily.of(state).moments(0, lambda r: r**p, cfg)[0] for p in (-2.0, -3.0))
+    return _force_balance(state, inv_r2, inv_r3)
 
 
 def _force_balance(state: SeparableState, inv_r2_q: float, inv_r3_q: float) -> ForceBalanceReport:
@@ -309,7 +299,6 @@ def _force_balance(state: SeparableState, inv_r2_q: float, inv_r3_q: float) -> F
         inv_r3_quad=inv_r3_q,
         inv_r3_closed=inv_r3_closed_form(qn),
         centrifugal=centrifugal,
-        coulomb=inv_r2_q,
         residual=residual,
         relative_residual=residual / abs(inv_r2_q),
     )
@@ -456,7 +445,7 @@ def _suite_commutators(seed: int) -> SuiteResult:
     return t.result()
 
 
-def _suite_reality(cfg: QuadratureConfig, seed: int, trials: int) -> SuiteResult:
+def _suite_reality(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     t = _Tally("reality-scan")
     system = make_spherical()
     states = [hydrogen_state(qn) for qn in _LEVELS]
@@ -464,9 +453,10 @@ def _suite_reality(cfg: QuadratureConfig, seed: int, trials: int) -> SuiteResult
     ops += [naive_momentum(system, axis) for axis in (0, 1)]
     family = hydrogen_family(states)
     reports = zip(*[expectations(op, family, cfg) for op in ops])
-    inv_rs = _radial_moments([(state, -1) for state in states], cfg)
+    inv_rs = family.moments(0, lambda r: r**-1.0, cfg)
+    g_ths = family.moments(1, measure_factor(system.coords[1]).drift, cfg)
 
-    for state, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r in zip(states, reports, inv_rs):
+    for state, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r, g_th in zip(states, reports, inv_rs, g_ths):
         n, M = state.quantum_numbers.n, state.quantum_numbers.M
         t.add(abs(rep_r.value), _REALITY_FLOOR)
         t.add(abs(rep_th.value), _REALITY_FLOOR)
@@ -478,12 +468,11 @@ def _suite_reality(cfg: QuadratureConfig, seed: int, trials: int) -> SuiteResult
         t.add(rep_naive.hermiticity_defect - closed, 1e-8 * closed)
 
         # naive polar defect law: Im<p'_theta> = hbar <cot(theta)/2>
-        g_th = drift_expectation(state, 1, cfg)
         t.add(rep_naive_th.hermiticity_defect - g_th, _REALITY_FLOOR)
 
-    seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + trials)
+    seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + _REALITY_TRIALS)
     for sys_obj in preset_systems().values():
-        for start in range(0, trials, _FAMILY_SIZE):
+        for start in range(0, _REALITY_TRIALS, _FAMILY_SIZE):
             family = trial_family(sys_obj, seeds[start : start + _FAMILY_SIZE])
             for axis in range(sys_obj.dim):
                 reps = expectations(canonical_momentum(sys_obj, axis), family, cfg)
@@ -506,9 +495,7 @@ def _suite_ci_uniqueness(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     return t.result()
 
 
-def run_check_suites(
-    config: QuadratureConfig | None = None, seed: int = 0, reality_trials: int = 50
-) -> list[SuiteResult]:
+def run_check_suites(config: QuadratureConfig | None = None, seed: int = 0) -> list[SuiteResult]:
     """Run every invariant suite in units of a0 and hbar, so the results hold in every unit
     system; quadrature-sensitive ones use the acceptance tolerances, so degraded orders fail honestly."""
     cfg = config if config is not None else QuadratureConfig()
@@ -518,6 +505,6 @@ def run_check_suites(
         _suite_fd_derivative(),
         _suite_normalization(cfg),
         _suite_commutators(seed),
-        _suite_reality(cfg, seed, reality_trials),
+        _suite_reality(cfg, seed),
         _suite_ci_uniqueness(cfg, seed),
     ]

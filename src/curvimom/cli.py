@@ -26,7 +26,6 @@ import numpy as np
 
 from .analysis import (
     _force_balance,
-    _radial_moments,
     expectation,
     expectations,
     inv_r2_closed_form,
@@ -270,16 +269,15 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
     states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, nmax + 1) for L in range(n)]
     family = hydrogen_family(states)
     p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
-    # <1/r^2> on every level and <1/r^3> where L >= 1, in level order: one quadrature
-    asks = [(state, power) for state in states for power in ((-2, -3) if state.quantum_numbers.L else (-2,))]
-    moments = iter(_radial_moments(asks, config))
+    # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>
+    inv_r2s, inv_r3s = (family.moments(0, lambda r: r**p, config) for p in (-2.0, -3.0))
 
     rows = []
-    for state, rep_r, rep_theta in zip(states, p_r, p_theta):
-        qn, inv_r2 = state.quantum_numbers, next(moments)
+    for state, rep_r, rep_theta, inv_r2, inv_r3 in zip(states, p_r, p_theta, inv_r2s, inv_r3s):
+        qn = state.quantum_numbers
         row = {"inv_r2_quad": inv_r2, "inv_r2_closed": inv_r2_closed_form(qn)}
         if qn.L >= 1:
-            fb = _force_balance(state, inv_r2, next(moments))
+            fb = _force_balance(state, inv_r2, inv_r3)
             row.update(inv_r3_quad=fb.inv_r3_quad, inv_r3_closed=fb.inv_r3_closed, residual=fb.residual)
         row.update(p_r=rep_r.value.real, p_theta=rep_theta.value.real)
         cells = {key: _in_units(row[key], unit) if key in row else None for key, unit in column_units.items()}

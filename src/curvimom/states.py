@@ -5,8 +5,9 @@ analytic derivative, so momentum operators act factor by factor without any
 numerical differentiation of the state itself.  Factors keep their own value
 and derivative tables, and hydrogen factors come from bounded caches, so
 states share both.  A trial family's factors evaluate every member at once; a
-hydrogen family's stack its members' shared factors.  Lengths are in units of
-a0: no state reads the physical constants, which only convert outputs.
+hydrogen family's stack its members' shared factors.  A family's one-axis
+moments, such as <1/r^p>, are sums over those same value tables.  Lengths are
+in units of a0: no state reads the physical constants, which only convert outputs.
 """
 
 from __future__ import annotations
@@ -364,6 +365,17 @@ class StateFamily(NamedTuple):
         """The factor derivative on ``tabulate``'s nodes of one coordinate, (k, n) or (n,)."""
         spec = self.system.coords[axis]
         return self.factors[axis].derivative_table(spec, config.order_for(spec), self._scale())
+
+    def moments(self, axis: int, kernel: Callable, config: QuadratureConfig) -> list[float]:
+        """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate:
+        |f|^2 is read from the value table's full-order nodes, which are those of
+        ``coordinate_integral``, so no factor is evaluated again."""
+        spec, scale = self.system.coords[axis], self._scale()
+        order = config.order_for(spec)
+        rule, values, _ = self.factors[axis].table(spec, order, scale)
+        full = np.abs(values[..., : rule.full]) ** 2
+        total = coordinate_integral(spec, lambda q: full * kernel(q), order, scale)
+        return np.reshape(total.real, -1).tolist()
 
     def _scale(self):
         # the tables' scale key: a state's own factors key on one float, a family's on a tuple

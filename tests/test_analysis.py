@@ -353,7 +353,7 @@ def test_force_balance_holds_per_level():
         for L in range(1, n):
             report = force_balance(QuantumNumbers(n, L, 0))
             assert abs(report.relative_residual) <= 1e-10, (n, L)
-            assert report.centrifugal == pytest.approx(report.coulomb, rel=1e-10)
+            assert report.centrifugal == pytest.approx(report.inv_r2_quad, rel=1e-10)
     with pytest.raises(DomainError):
         force_balance(QuantumNumbers(3, 0, 0))
 
@@ -515,7 +515,7 @@ def test_outputs_are_finite_or_refused_in_every_accepted_unit_system(label, tmp_
 
 
 def test_run_check_suites_all_green():
-    results = run_check_suites(reality_trials=6)
+    results = run_check_suites()
     assert [r.name for r in results] == [
         "legendre-parity",
         "legendre-recurrence",
@@ -533,7 +533,7 @@ def test_run_check_suites_all_green():
 
 def test_degraded_orders_fail_honestly():
     cfg = QuadratureConfig(radial_order=8, theta_order=8, phi_order=8)
-    results = run_check_suites(cfg, reality_trials=6)
+    results = run_check_suites(cfg)
     assert any(not r.passed for r in results)
 
 
@@ -583,7 +583,7 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
     # the trial builders count array evaluations of the factors they make:
     # per family and axis, one raw-profile evaluation for the normalisation,
     # one table and one derivative, however many states the family has
-    counts = collections.Counter()
+    counts, calls = collections.Counter(), collections.Counter()
 
     def counted(builder):
         def build(*args):
@@ -601,15 +601,28 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
 
         return build
 
+    def tally(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or fn(*args))
+
     for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
         monkeypatch.setattr(states, name, counted(getattr(states, name)))
+    # the hydrogen moments read the tables the expectations made: a cold scan evaluates
+    # each of the 10 radial factors for one value and one derivative table, a warm one none
+    tally(states, "assoc_laguerre")
+    tally(analysis, "drift_expectation")
+    for cache in (states._hydrogen_radial, states._theta_factor, states._phi_factor):
+        cache.cache_clear()
     axes = sum(system.dim for system in preset_systems().values())
-    for trials in (50, 5):
+    for trials, laguerre in ((50, 20), (5, 0)):
         counts.clear()
-        result = analysis._suite_reality(QuadratureConfig(), 0, trials)
+        calls.clear()
+        monkeypatch.setattr(analysis, "_REALITY_TRIALS", trials)
+        result = analysis._suite_reality(QuadratureConfig(), 0)
         assert result.passed and result.checks == 6 * 30 + axes * trials  # 730 at 50 trials
         families = -(-trials // analysis._FAMILY_SIZE)  # per system
         assert counts == {"evaluate": 2 * axes * families, "derivative": axes * families}, trials
+        assert (calls["assoc_laguerre"], calls["drift_expectation"]) == (laguerre, 0), trials
     cfg = QuadratureConfig()
     assert analysis._suite_ci_uniqueness(cfg, 0).checks == 40
     assert analysis._suite_normalization(cfg).checks == 42

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import curvimom.cli as cli_module
+from curvimom import states
 from curvimom.cli import main
 from curvimom.errors import SingularityError
 from curvimom.geometry import preset_systems
@@ -190,10 +191,13 @@ def test_hydrogen_table_csv_shape():
 
 
 def test_hydrogen_table_builds_each_level_once(monkeypatch):
-    # the moments and the force balance read the state the row already holds
+    # the moments and the force balance read the state the row already holds,
+    # and the moments read its radial table: a cold table evaluates each of the
+    # 21 radial factors for one value and one derivative table, a warm one none
     from curvimom import analysis
 
-    built = []
+    built, laguerre = [], []
+    assoc_laguerre = states.assoc_laguerre
 
     def counted(qn, *args, **kwargs):
         built.append((qn.n, qn.L))
@@ -201,9 +205,16 @@ def test_hydrogen_table_builds_each_level_once(monkeypatch):
 
     for module in (cli_module, analysis):
         monkeypatch.setattr(module, "hydrogen_state", counted)
-    result = invoke("hydrogen-table", "--nmax", "6", "--format", "csv")
-    assert result.exit_code == 0, result.output
-    assert built == [(n, L) for n in range(1, 7) for L in range(n)]
+    monkeypatch.setattr(states, "assoc_laguerre", lambda *args: laguerre.append(args) or assoc_laguerre(*args))
+    for cache in (states._hydrogen_radial, states._theta_factor, states._phi_factor):
+        cache.cache_clear()
+    for calls in (42, 0):
+        built.clear()
+        laguerre.clear()
+        result = invoke("hydrogen-table", "--nmax", "6", "--format", "csv")
+        assert result.exit_code == 0, result.output
+        assert built == [(n, L) for n in range(1, 7) for L in range(n)]
+        assert len(laguerre) == calls
 
 
 DATA = Path(__file__).parent / "data"

@@ -62,6 +62,17 @@ def _scale_radial_norm(monkeypatch):
     monkeypatch.setattr(states, "_hydrogen_radial", scaled)
 
 
+def _scale_radial_derivative(monkeypatch):
+    # the values stay, so the moments that read only them stay too
+    radial = states._hydrogen_radial
+
+    def scaled(n, L):
+        f = radial(n, L)
+        return FactorFunction(f.evaluate, lambda r: f.derivative(r) * (1 + 1e-6))
+
+    monkeypatch.setattr(states, "_hydrogen_radial", scaled)
+
+
 def _drop_trial_norm(monkeypatch):
     # each builder takes its profile's parameters, then 1 / norm last
     for name, params in (("_poly_gaussian", 5), ("_sine_sum", 1), ("_fourier_sum", 1)):
@@ -109,6 +120,7 @@ DEFECTS = {
     "drift-doubled": (_double_drift, {"reality-scan", "ci-uniqueness"}),
     "half-order-sums-equal-full": (_half_order_is_full_order, {"reality-scan"}),
     "radial-norm-off-by-1e-6": (_scale_radial_norm, {"normalization", "reality-scan"}),
+    "radial-derivative-off-by-1e-6": (_scale_radial_derivative, {"reality-scan"}),
     "trial-norm-dropped": (_drop_trial_norm, {"normalization"}),
     "product-rule-broken": (_break_product_rule, {"commutators"}),
     "phi-derivative-sign-flipped": (_flip_phi_derivative, {"reality-scan"}),
