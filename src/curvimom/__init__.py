@@ -76,6 +76,7 @@ from .specfun import (
     assoc_laguerre,
     assoc_laguerre_deriv,
     assoc_legendre,
+    assoc_legendre_and_deriv,
     assoc_legendre_deriv,
     legendre_parity,
 )

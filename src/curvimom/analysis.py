@@ -42,7 +42,7 @@ from .quadrature import QuadratureConfig, combine_axes, contract_rows
 from .specfun import (
     QuantumNumbers,
     assoc_legendre,
-    assoc_legendre_deriv,
+    assoc_legendre_and_deriv,
     legendre_parity,
 )
 from .states import (
@@ -206,8 +206,10 @@ def drift_expectation(
 ) -> float:
     """<g_axis>: the bulk piece of the naive operator's defect law, in natural units.
 
-    The moment is taken on the axis alone: the other axes' norms, which are 1 to
-    about 1e-15 on the normalized states this is meant for, are not multiplied in."""
+    The moment is taken on the axis alone, without the other axes' norms (1 to about
+    1e-15 on a normalized state); a state that is not normalized raises PreconditionError."""
+    if not state.normalized:
+        raise PreconditionError("expectation values require a normalized state")
     g = measure_factor(state.system.coords[axis]).drift
     return StateFamily.of(state).moments(axis, g, config if config is not None else _DEFAULT_CONFIG)[0]
 
@@ -384,23 +386,24 @@ def _suite_recurrence() -> SuiteResult:
     x = np.linspace(-0.995, 0.995, 101)
     for L in range(11):
         for M in range(-L, L + 1):
-            lhs = (x * x - 1.0) * assoc_legendre_deriv(L, M, x)
+            values, slopes = assoc_legendre_and_deriv(L, M, x)
+            lhs = (x * x - 1.0) * slopes
             raised = np.sqrt(1.0 - x * x) * assoc_legendre(L, M + 1, x) if M < L else np.zeros_like(x)
-            term = M * x * assoc_legendre(L, M, x)
+            term = M * x * values
             scale = max(float(np.max(np.abs(raised))), float(np.max(np.abs(term))), 1e-30)
             t.add(float(np.max(np.abs(lhs - (raised + term)))), 1e-10 * scale)
     return t.result()
 
 
 def _suite_fd_derivative() -> SuiteResult:
-    # derivative against a central difference of the function itself
+    # derivative against a central difference of the function itself, all from one climb on x +- h and x
     t = _Tally("legendre-fd-derivative")
     x = np.linspace(-0.99, 0.99, 51)
     h = float(np.finfo(float).eps) ** (1.0 / 3.0)
     for L in range(9):
         for M in range(-L, L + 1):
-            fd = (assoc_legendre(L, M, x + h) - assoc_legendre(L, M, x - h)) / (2.0 * h)
-            dv = assoc_legendre_deriv(L, M, x)
+            values, slopes = assoc_legendre_and_deriv(L, M, np.stack([x + h, x - h, x]))
+            fd, dv = (values[0] - values[1]) / (2.0 * h), slopes[2]
             scale = max(float(np.max(np.abs(dv))), 1.0)
             t.add(float(np.max(np.abs(fd - dv))), 1e-6 * scale)
     return t.result()
@@ -431,17 +434,19 @@ def _suite_commutators(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 170)
     for k, system in enumerate(preset_systems().values()):
         first = 3000 + 100 * seed + 5 * k
-        for state in trial_family(system, range(first, first + 5)).members:
-            # five points, one row each: the draws come in point-by-point order
-            draws = rng.random((5, system.dim))
-            point = [_SAMPLE[spec.topology](u, state.radial_scale) for spec, u in zip(system.coords, draws.T)]
-            psi_mag = np.maximum(np.abs(state.evaluate(point)), 1e-30)
-            for i in range(system.dim):
-                for j in range(system.dim):
-                    t.add(commutator_qp_residual(system, i, j, state, point), 1e-7 * psi_mag)
-            for i in range(system.dim):
-                for j in range(i + 1, system.dim):
-                    t.add(commutator_pp_residual(system, i, j, state, point), 1e-7 * psi_mag)
+        family = trial_family(system, range(first, first + 5))
+        # the family as one pointwise state on (5, 5) points, a row per member: the stream of five (5, dim) draws
+        state = SeparableState(family.factors, system)
+        scales = np.array([[member.radial_scale] for member in family.members])
+        draws = rng.random((5, 5, system.dim))
+        point = [_SAMPLE[spec.topology](draws[..., a], scales) for a, spec in enumerate(system.coords)]
+        psi_mag = np.maximum(np.abs(state.evaluate(point)), 1e-30)
+        for i in range(system.dim):
+            for j in range(system.dim):
+                t.add(commutator_qp_residual(system, i, j, state, point), 1e-7 * psi_mag)
+        for i in range(system.dim):
+            for j in range(i + 1, system.dim):
+                t.add(commutator_pp_residual(system, i, j, state, point), 1e-7 * psi_mag)
     return t.result()
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "QuantumNumbers",
     "assoc_legendre",
     "assoc_legendre_deriv",
+    "assoc_legendre_and_deriv",
     "legendre_parity",
     "assoc_laguerre",
     "assoc_laguerre_deriv",
@@ -113,11 +114,11 @@ def assoc_legendre(L: int, M: int, x):
     return float(out) if scalar else out
 
 
-def assoc_legendre_deriv(L: int, M: int, x):
-    """Derivative dP_L^M/dx via the degree-lowering recurrence.
+def assoc_legendre_and_deriv(L: int, M: int, x):
+    """(P_L^M(x), dP_L^M/dx) from one climb, the derivative via the degree-lowering recurrence.
 
     Uses (x^2 - 1) dP_L^M/dx = L x P_L^M - (L + M) P_{L-1}^M, the standard
-    indexing (degree lowered, order kept), with both functions from one
+    indexing (degree lowered, order kept), with both functions from the
     climb.  The endpoint factor (x^2 - 1) makes |x| = 1 a genuine
     singularity of the formula, so the open interval is enforced.
 
@@ -127,24 +128,27 @@ def assoc_legendre_deriv(L: int, M: int, x):
     _require_degree_order(L, M)
     xi, scalar = _as_float_array(x)
     if np.any(np.abs(xi) >= 1.0):
-        raise DomainError("argument of assoc_legendre_deriv must lie in (-1, 1)")
+        raise DomainError("argument of a Legendre derivative must lie in (-1, 1)")
     p_l, p_lm1 = _legendre_climb(L, M, xi)
-    out = (L * xi * p_l - (L + M) * p_lm1) / (xi * xi - 1.0)
-    return float(out) if scalar else out
+    slope = (L * xi * p_l - (L + M) * p_lm1) / (xi * xi - 1.0)
+    return (float(p_l), float(slope)) if scalar else (p_l, slope)
+
+
+def assoc_legendre_deriv(L: int, M: int, x):
+    """dP_L^M/dx on (-1, 1): the second of ``assoc_legendre_and_deriv``'s pair."""
+    return assoc_legendre_and_deriv(L, M, x)[1]
 
 
 def legendre_parity(L: int, M: int, x):
-    """Both sides of the parity identity P_L^M(x) = (-1)^(L+M) P_L^M(-x).
+    """Both sides of the parity identity P_L^M(x) = (-1)^(L+M) P_L^M(-x), from one climb.
 
     Returns:
         Tuple (lhs, rhs); equality of the two is the caller's check.
     """
     xi, scalar = _as_float_array(x)
-    lhs = assoc_legendre(L, M, xi)
-    rhs = (-1) ** (L + M) * assoc_legendre(L, M, -xi)
-    if scalar:
-        return float(lhs), float(rhs)
-    return lhs, rhs
+    lhs, mirrored = assoc_legendre(L, M, np.stack([xi, -xi]))
+    rhs = (-1) ** (L + M) * mirrored
+    return (float(lhs), float(rhs)) if scalar else (lhs, rhs)
 
 
 def assoc_laguerre(k: int, a: int, x):

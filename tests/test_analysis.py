@@ -46,8 +46,10 @@ from curvimom.analysis import (
     reality_tolerance,
     run_check_suites,
 )
-from curvimom import analysis, quadrature, specfun, states
-from curvimom.operators import canonical_momentum, momentum_unit, naive_momentum, operator_applied_state
+from curvimom import analysis, operators, quadrature, specfun, states
+from curvimom.operators import (
+    canonical_momentum, coordinate_scaled_state, momentum_unit, naive_momentum, operator_applied_state
+)
 from curvimom.quadrature import QuadratureConfig, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
@@ -72,6 +74,12 @@ def test_expectation_requires_normalized_state():
     )
     with pytest.raises(PreconditionError):
         expectation(canonical_momentum(state.system, 0), denorm)
+    # the drift moment is an expectation value too: r psi on (2, 1, 0) once read 5.0 for
+    # <1/r>, the unnormalised integral, where the true value is <r>/<r^2> = 1/6
+    for unnormalised in (denorm, coordinate_scaled_state(hydrogen_state(QuantumNumbers(2, 1, 0)), 0)):
+        with pytest.raises(PreconditionError):
+            drift_expectation(unnormalised, 0)
+    assert abs(drift_expectation(state, 0) - 1.0) <= 1e-12
 
 
 def test_expectation_evaluates_each_other_axis_once(monkeypatch):
@@ -626,6 +634,20 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
     cfg = QuadratureConfig()
     assert analysis._suite_ci_uniqueness(cfg, 0).checks == 40
     assert analysis._suite_normalization(cfg).checks == 42
+
+
+def test_check_suites_climb_and_apply_once_per_identity(monkeypatch):
+    # on a warm run the Legendre suites climb once per identity and the commutator
+    # suite applies each operator once per trial family: 727 climbs and 410 applies
+    # when each side of an identity and each trial state ran on its own
+    run_check_suites(seed=1)
+    calls = collections.Counter()
+    for module, name in ((specfun, "_legendre_climb"), (operators, "apply")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+    assert all(result.passed for result in run_check_suites(seed=1))
+    assert calls["_legendre_climb"] <= 378
+    assert calls["apply"] == 82
 
 
 def test_recurrence_suite_fails_without_condon_shortley_phase(monkeypatch):

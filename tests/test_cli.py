@@ -289,6 +289,11 @@ def _expect_grid(units: tuple = ()) -> str:
         for spec in system.coords
         for seed in range(3)
     ]
+    return _records(argvs)
+
+
+def _records(argvs: list) -> str:
+    # each argv with its exit code and stdout, as the fixtures under tests/data hold them
     records = []
     for argv in argvs:
         result = invoke(*argv)
@@ -305,6 +310,23 @@ def test_expect_grid_matches_fixture_byte_for_byte(monkeypatch):
     si = ("--units", "si", "--si-constants", "tests/data/si_constants.json")
     for fixture, units in (("expect_grid.json", ()), ("expect_grid_si.json", si)):
         assert _expect_grid(units).encode() == (DATA / fixture).read_bytes(), fixture
+
+
+def _check_seeds() -> str:
+    # argv, exit code and stdout of `check --seed s --format json` at five seeds in
+    # atomic units and two in SI units
+    si = ("--units", "si", "--si-constants", "tests/data/si_constants.json")
+    argvs = [["check", "--seed", str(seed), "--format", "json"] for seed in (0, 1, 5, 42, 99)]
+    argvs += [["check", "--seed", str(seed), "--format", "json", *si] for seed in (3, 7)]
+    return _records(argvs)
+
+
+def test_check_seeds_match_fixture_byte_for_byte(monkeypatch):
+    # tests/data/check_seeds.json was written by _check_seeds() before the
+    # commutator suite moved onto trial families and the Legendre suites onto
+    # one climb per identity; every later change must print the same bytes
+    monkeypatch.chdir(DATA.parent.parent)
+    assert _check_seeds().encode() == (DATA / "check_seeds.json").read_bytes()
 
 
 def test_hydrogen_table_json_null_for_missing_moments():

@@ -21,6 +21,7 @@ from curvimom.specfun import (
     assoc_laguerre,
     assoc_laguerre_deriv,
     assoc_legendre,
+    assoc_legendre_and_deriv,
     assoc_legendre_deriv,
     legendre_parity,
 )
@@ -156,6 +157,22 @@ def test_legendre_deriv_is_the_recurrence_of_two_legendre_calls(case):
     assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
 
 
+def test_one_climb_gives_the_separate_calls_bit_for_bit():
+    # the pair and both sides of the parity identity come from one climb each,
+    # with the numbers of separate calls; a scalar gives floats
+    inner, closed = np.linspace(-0.995, 0.995, 41), np.linspace(-1.0, 1.0, 41)
+    for L in range(11):
+        for M in range(-L, L + 1):
+            for x, y in ((inner, closed), (0.3, 1.0), (-0.7, -0.25)):
+                got = (*assoc_legendre_and_deriv(L, M, x), *legendre_parity(L, M, y))
+                expected = (assoc_legendre(L, M, x), assoc_legendre_deriv(L, M, x),
+                            assoc_legendre(L, M, y), (-1) ** (L + M) * assoc_legendre(L, M, -np.asarray(y)))
+                for g, e in zip(got, expected):
+                    assert type(g) is type(e) and np.asarray(g).tobytes() == np.asarray(e).tobytes(), (L, M, x)
+                if np.ndim(x) == 0:
+                    assert all(type(g) is float for g in got)
+
+
 def test_legendre_deriv_spec_value():
     got = assoc_legendre_deriv(1, 1, 0.0)
     # P_1^1 = -sqrt(1-x^2), derivative at 0 is 0
@@ -177,6 +194,8 @@ def test_legendre_domain_errors():
         assoc_legendre_deriv(2, 1, 1.0)
     with pytest.raises(DomainError):
         assoc_legendre_deriv(2, 1, -1.0)
+    with pytest.raises(DomainError):
+        assoc_legendre_and_deriv(2, 1, np.array([0.0, 1.0]))
 
 
 def test_legendre_large_degree_stays_finite():
