@@ -78,7 +78,6 @@ from .specfun import (
     assoc_legendre,
     assoc_legendre_and_deriv,
     assoc_legendre_deriv,
-    legendre_parity,
 )
 from .states import (
     ATOMIC,

@@ -39,12 +39,8 @@ from .operators import (
     naive_momentum,
 )
 from .quadrature import QuadratureConfig, combine_axes, contract_rows
-from .specfun import (
-    QuantumNumbers,
-    assoc_legendre,
-    assoc_legendre_and_deriv,
-    legendre_parity,
-)
+from . import specfun  # the Legendre suites read the climb through the module, so a patched one shows
+from .specfun import QuantumNumbers
 from .states import (
     SeparableState,
     StateFamily,
@@ -153,8 +149,8 @@ def expectations(
     if not all([state.normalized for state in family.members]):
         raise PreconditionError("expectation values require a normalized state")
     cfg = config if config is not None else _DEFAULT_CONFIG
-    rules, values, norms = family.tabulate(cfg)
-    rule, table, factor, k = rules[op.axis], values[op.axis], family.factors[op.axis], len(family.members)
+    values, norms = family.tabulate(cfg)
+    rule, table, factor, k = family.rule(op.axis, cfg), values[op.axis], family.factors[op.axis], len(family.members)
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
     slopes, drift = family.derivative_table(op.axis, cfg), op.drift(rule.nodes) + op.constant
     moments = contract_rows(rule, np.conj(table) * -1j * (slopes + drift * table))
@@ -368,44 +364,41 @@ class _Tally:
 
 
 def _suite_parity() -> SuiteResult:
+    # P_L^M(x) = (-1)^(L+M) P_L^M(-x) on every degree of one climb per order on x and -x
     t = _Tally("legendre-parity")
     x = np.linspace(-1.0, 1.0, 101)
-    for L in range(11):
-        for M in range(0, L + 1):
-            lhs, rhs = legendre_parity(L, M, x)
-            scale = max(float(np.max(np.abs(lhs))), 1e-30)
-            t.add(float(np.max(np.abs(lhs - rhs))), 1e-12 * scale)
+    for M in range(11):
+        rows = specfun._legendre_climb(10, M, np.stack([x, -x]))[M:]
+        lhs, rhs = rows[:, 0], (-1) ** np.arange(2 * M, M + 11)[:, None] * rows[:, 1]
+        t.add(np.abs(lhs - rhs).max(-1), 1e-12 * np.maximum(np.abs(lhs).max(-1), 1e-30))
     return t.result()
 
 
 def _suite_recurrence() -> SuiteResult:
     # order-raising identity (x^2 - 1) dP_L^M/dx = sqrt(1 - x^2) P_L^{M+1} + M x P_L^M,
-    # with P_L^{L+1} = 0; P_L^{M+1} comes from a climb with another seed than
-    # the derivative's, so a wrong phase or seed shows
+    # with P_L^{L+1} = 0; P_L^{M+1} comes from the next order's climb, with another seed
+    # than the derivative's, so a wrong phase or seed shows
     t = _Tally("legendre-recurrence")
     x = np.linspace(-0.995, 0.995, 101)
-    for L in range(11):
-        for M in range(-L, L + 1):
-            values, slopes = assoc_legendre_and_deriv(L, M, x)
-            lhs = (x * x - 1.0) * slopes
-            raised = np.sqrt(1.0 - x * x) * assoc_legendre(L, M + 1, x) if M < L else np.zeros_like(x)
-            term = M * x * values
-            scale = max(float(np.max(np.abs(raised))), float(np.max(np.abs(term))), 1e-30)
-            t.add(float(np.max(np.abs(lhs - (raised + term)))), 1e-10 * scale)
+    climbs = {M: specfun._legendre_climb(10, M, x) for M in range(-10, 11)}
+    for M, rows in climbs.items():
+        m = abs(M)
+        lhs = (x * x - 1.0) * specfun._degree_lowering(rows, M, x)[m:]
+        raised, term = np.sqrt(1.0 - x * x) * climbs.get(M + 1, np.zeros_like(rows))[m:], M * x * rows[m:]
+        scale = np.maximum(np.maximum(np.abs(raised).max(-1), np.abs(term).max(-1)), 1e-30)
+        t.add(np.abs(lhs - (raised + term)).max(-1), 1e-10 * scale)
     return t.result()
 
 
 def _suite_fd_derivative() -> SuiteResult:
-    # derivative against a central difference of the function itself, all from one climb on x +- h and x
+    # the derivative against a central difference, every degree from one climb per order on x +- h and x
     t = _Tally("legendre-fd-derivative")
     x = np.linspace(-0.99, 0.99, 51)
     h = float(np.finfo(float).eps) ** (1.0 / 3.0)
-    for L in range(9):
-        for M in range(-L, L + 1):
-            values, slopes = assoc_legendre_and_deriv(L, M, np.stack([x + h, x - h, x]))
-            fd, dv = (values[0] - values[1]) / (2.0 * h), slopes[2]
-            scale = max(float(np.max(np.abs(dv))), 1.0)
-            t.add(float(np.max(np.abs(fd - dv))), 1e-6 * scale)
+    for M in range(-8, 9):
+        rows, m = specfun._legendre_climb(8, M, np.stack([x + h, x - h, x])), abs(M)
+        fd, dv = (rows[m:, 0] - rows[m:, 1]) / (2.0 * h), specfun._degree_lowering(rows[:, 2], M, x)[m:]
+        t.add(np.abs(fd - dv).max(-1), 1e-6 * np.maximum(np.abs(dv).max(-1), 1.0))
     return t.result()
 
 
@@ -414,7 +407,7 @@ def _suite_normalization(cfg: QuadratureConfig) -> SuiteResult:
     families = [hydrogen_family([hydrogen_state(qn) for qn in _LEVELS])]
     families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
     for family in families:
-        for member_norms in zip(*family.tabulate(cfg)[2]):
+        for member_norms in zip(*family.tabulate(cfg)[1]):
             norm_sq, _ = combine_axes(member_norms)
             t.add(norm_sq.real - 1.0, 1e-10)
     return t.result()

@@ -20,7 +20,6 @@ __all__ = [
     "assoc_legendre",
     "assoc_legendre_deriv",
     "assoc_legendre_and_deriv",
-    "legendre_parity",
     "assoc_laguerre",
     "assoc_laguerre_deriv",
 ]
@@ -65,27 +64,32 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _legendre_climb(L: int, M: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (P_L^M, P_{L-1}^M) from one climb in degree at |M|; the second is
-    # zero when |M| > L-1, and negative orders are scaled after the climb
+def _legendre_climb(L: int, M: int, xi: np.ndarray) -> np.ndarray:
+    # P_d^M for every degree d <= L from one climb in degree at |M|, one row per
+    # degree: zero below |M|, and negative orders scaled row by row after the climb
     m = abs(M)
+    rows = np.zeros((L + 1,) + xi.shape)
     # P_m^m, built as a product so intermediates never overflow
-    p_curr, p_prev = np.ones_like(xi), np.zeros_like(xi)
+    rows[m] = 1.0
     if m > 0:
         s = np.sqrt((1.0 - xi) * (1.0 + xi))
         for k in range(1, m + 1):
-            p_curr = p_curr * (-(2 * k - 1)) * s
-    # the first step subtracts an exact zero, so it is (2m+1) x P_m^m to the bit
-    for degree in range(m + 1, L + 1):
-        p_curr, p_prev = (
-            ((2 * degree - 1) * xi * p_curr - (degree + m - 1) * p_prev) / (degree - m),
-            p_curr,
-        )
+            rows[m] = rows[m] * (-(2 * k - 1)) * s
+    # the first step reads a zero row (below |M|, or at m = 0 row L, not yet reached),
+    # so it is (2m+1) x P_m^m to the bit
+    for d in range(m + 1, L + 1):
+        rows[d] = ((2 * d - 1) * xi * rows[d - 1] - (d + m - 1) * rows[d - 2]) / (d - m)
     if M < 0:
-        p_curr = (-1) ** m * _factorial_ratio(L - m, L + m) * p_curr
-        if L > m:
-            p_prev = (-1) ** m * _factorial_ratio(L - 1 - m, L - 1 + m) * p_prev
-    return p_curr, p_prev
+        for d in range(m, L + 1):
+            rows[d] *= (-1) ** m * _factorial_ratio(d - m, d + m)
+    return rows
+
+
+def _degree_lowering(rows: np.ndarray, M: int, xi: np.ndarray) -> np.ndarray:
+    # dP_d^M/dx of every row of a climb: (x^2 - 1) dP_d^M/dx = d x P_d^M - (d + M) P_{d-1}^M
+    d = np.arange(len(rows)).reshape((-1,) + (1,) * xi.ndim)
+    lowered = np.concatenate([np.zeros_like(rows[:1]), rows[:-1]])
+    return (d * xi * rows - (d + M) * lowered) / (xi * xi - 1.0)
 
 
 def assoc_legendre(L: int, M: int, x):
@@ -110,7 +114,7 @@ def assoc_legendre(L: int, M: int, x):
     xi, scalar = _as_float_array(x)
     if np.any(np.abs(xi) > 1.0):
         raise DomainError("argument of assoc_legendre must lie in [-1, 1]")
-    out = _legendre_climb(L, M, xi)[0]
+    out = _legendre_climb(L, M, xi)[L]
     return float(out) if scalar else out
 
 
@@ -129,26 +133,14 @@ def assoc_legendre_and_deriv(L: int, M: int, x):
     xi, scalar = _as_float_array(x)
     if np.any(np.abs(xi) >= 1.0):
         raise DomainError("argument of a Legendre derivative must lie in (-1, 1)")
-    p_l, p_lm1 = _legendre_climb(L, M, xi)
-    slope = (L * xi * p_l - (L + M) * p_lm1) / (xi * xi - 1.0)
+    rows = _legendre_climb(L, M, xi)
+    p_l, slope = rows[L], _degree_lowering(rows, M, xi)[L]
     return (float(p_l), float(slope)) if scalar else (p_l, slope)
 
 
 def assoc_legendre_deriv(L: int, M: int, x):
     """dP_L^M/dx on (-1, 1): the second of ``assoc_legendre_and_deriv``'s pair."""
     return assoc_legendre_and_deriv(L, M, x)[1]
-
-
-def legendre_parity(L: int, M: int, x):
-    """Both sides of the parity identity P_L^M(x) = (-1)^(L+M) P_L^M(-x), from one climb.
-
-    Returns:
-        Tuple (lhs, rhs); equality of the two is the caller's check.
-    """
-    xi, scalar = _as_float_array(x)
-    lhs, mirrored = assoc_legendre(L, M, np.stack([xi, -xi]))
-    rhs = (-1) ** (L + M) * mirrored
-    return (float(lhs), float(rhs)) if scalar else (lhs, rhs)
 
 
 def assoc_laguerre(k: int, a: int, x):

@@ -124,26 +124,37 @@ class FactorFunction:
     evaluate: Callable
     derivative: Callable
     parts: tuple = field(default=(), repr=False, compare=False)
-    # the tables' memos, keyed on (spec, order) plus the scale on line and half-line axes
+    # the rules' and tables' memos, keyed on (spec, order) plus the scale on line and half-line axes
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def table(self, spec: CoordinateSpec, order: int, scale) -> tuple[AxisRule, np.ndarray, list]:
-        """``axis_rule(spec, order, scale)``, read-only values there and the
-        |f|^2 pair of each row, once; a family's factor takes a tuple of scales,
-        and a stack reads its parts' own tables, each part at its member's scale."""
+    def rule(self, spec: CoordinateSpec, order: int, scale) -> AxisRule:
+        """``axis_rule(spec, order, scale)``, the nodes of ``table``, once; a stack's
+        parts tabulate on their own rules, so a stack builds one only when asked."""
+        key = _table_key(spec, order, scale)
+        rule = self._rules.get(key)
+        if rule is None:
+            # a compact axis's key drops the scale, which its rule ignores
+            rule = self._rules[key] = axis_rule(*key)
+        return rule
+
+    def table(self, spec: CoordinateSpec, order: int, scale) -> tuple[np.ndarray, list]:
+        """Read-only values on ``rule``'s nodes and the |f|^2 pair of each row, once;
+        a family's factor takes a tuple of scales, and a stack reads its parts' own
+        tables, each part at its member's scale."""
         key = _table_key(spec, order, scale)
         entry = self._tables.get(key)
         if entry is None:
-            rule = axis_rule(spec, order, scale)
             if self.parts:
                 rows = [f.table(spec, order, s) for f, s in self._part_scales(scale)]
-                values, norms = np.stack([row[1] for row in rows]), [pair for row in rows for pair in row[2]]
+                values, norms = np.stack([row[0] for row in rows]), [pair for row in rows for pair in row[1]]
             else:
+                rule = self.rule(spec, order, scale)
                 values = np.asarray(self.evaluate(rule.nodes))
                 norms = contract_rows(rule, np.abs(values) ** 2)
             values.setflags(write=False)
-            entry = self._tables[key] = (rule, values, norms)
+            entry = self._tables[key] = (values, norms)
         return entry
 
     def derivative_table(self, spec: CoordinateSpec, order: int, scale) -> np.ndarray:
@@ -155,7 +166,7 @@ class FactorFunction:
             if self.parts:
                 slopes = np.stack([f.derivative_table(spec, order, s) for f, s in self._part_scales(scale)])
             else:
-                slopes = np.asarray(self.derivative(self.table(spec, order, scale)[0].nodes))
+                slopes = np.asarray(self.derivative(self.rule(spec, order, scale).nodes))
             slopes.setflags(write=False)
             self._derivatives[key] = slopes
         return slopes
@@ -355,11 +366,16 @@ class StateFamily(NamedTuple):
     def of(cls, state: SeparableState) -> "StateFamily":
         return cls(state.system, (state,), state.factors)
 
-    def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple, tuple]:
-        """``(rules, values, norms)`` per coordinate, from the factors' tables at each
-        member's radial scale: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
+    def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple]:
+        """``(values, norms)`` per coordinate, from the factors' tables at each member's
+        radial scale: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
         specs, scale = self.system.coords, self._scale()
         return tuple(zip(*[f.table(s, config.order_for(s), scale) for f, s in zip(self.factors, specs)]))
+
+    def rule(self, axis: int, config: QuadratureConfig) -> AxisRule:
+        """The rule of ``tabulate``'s tables on one coordinate; k radial scales give k rows."""
+        spec = self.system.coords[axis]
+        return self.factors[axis].rule(spec, config.order_for(spec), self._scale())
 
     def derivative_table(self, axis: int, config: QuadratureConfig) -> np.ndarray:
         """The factor derivative on ``tabulate``'s nodes of one coordinate, (k, n) or (n,)."""
@@ -372,8 +388,8 @@ class StateFamily(NamedTuple):
         ``coordinate_integral``, so no factor is evaluated again."""
         spec, scale = self.system.coords[axis], self._scale()
         order = config.order_for(spec)
-        rule, values, _ = self.factors[axis].table(spec, order, scale)
-        full = np.abs(values[..., : rule.full]) ** 2
+        values = self.factors[axis].table(spec, order, scale)[0]
+        full = np.abs(values[..., : self.rule(axis, config).full]) ** 2
         total = coordinate_integral(spec, lambda q: full * kernel(q), order, scale)
         return np.reshape(total.real, -1).tolist()
 
@@ -489,6 +505,6 @@ def state_overlap(
     scale = max(a.radial_scale, b.radial_scale)
     pairs = []
     for spec, fa, fb in zip(a.system.coords, a.factors, b.factors):
-        rule, values_a, _ = fa.table(spec, config.order_for(spec), scale)
-        pairs.append(contract(rule, np.conj(values_a) * fb.table(spec, config.order_for(spec), scale)[1]))
+        args = (spec, config.order_for(spec), scale)
+        pairs.append(contract(fa.rule(*args), np.conj(fa.table(*args)[0]) * fb.table(*args)[0]))
     return combine_axes(pairs)[0]

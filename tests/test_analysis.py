@@ -180,6 +180,17 @@ def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
                 assert factor_calls[("evaluate", "point")] == factor_calls[("derivative", "point")] == 0, axis
 
 
+def test_warm_scan_builds_no_family_rule(monkeypatch):
+    # the family's stacked factors read their parts' tables, and the theta axis's rule
+    # ignores the scale: no rule is built for the tuple of the members' radial scales
+    expected = p_theta_spectrum_scan(10)
+    scales = []
+    rule = states.axis_rule
+    monkeypatch.setattr(states, "axis_rule", lambda *args: scales.append(args[2:]) or rule(*args))
+    assert p_theta_spectrum_scan(10) == expected
+    assert not [s for s in scales if s and isinstance(s[0], tuple)]
+
+
 def test_derivative_table_is_memoised_with_the_values(factor_calls):
     # canonical and naive operators on one axis of a family ask each distinct
     # factor for its derivative once; the members (3, 2, -1) and (3, 2, 1)
@@ -196,7 +207,7 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     for state, row in zip(family.members, stacked):
         factor = state.factors[0]
         slopes = factor.derivative_table(spec, order, state.radial_scale)
-        assert np.array_equal(slopes, factor.derivative(factor.table(spec, order, state.radial_scale)[0].nodes))
+        assert np.array_equal(slopes, factor.derivative(factor.rule(spec, order, state.radial_scale).nodes))
         assert np.array_equal(row, slopes)
         with pytest.raises(ValueError):
             slopes[0] = 0.0
@@ -637,16 +648,16 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
 
 
 def test_check_suites_climb_and_apply_once_per_identity(monkeypatch):
-    # on a warm run the Legendre suites climb once per identity and the commutator
-    # suite applies each operator once per trial family: 727 climbs and 410 applies
-    # when each side of an identity and each trial state ran on its own
+    # on a warm run the Legendre suites climb once per order, 11 + 21 + 17, and the
+    # commutator suite applies each operator once per trial family: 378 climbs when
+    # each (L, M) climbed on its own, and 410 applies when each trial state ran alone
     run_check_suites(seed=1)
     calls = collections.Counter()
     for module, name in ((specfun, "_legendre_climb"), (operators, "apply")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
     assert all(result.passed for result in run_check_suites(seed=1))
-    assert calls["_legendre_climb"] <= 378
+    assert calls["_legendre_climb"] == 49
     assert calls["apply"] == 82
 
 
@@ -657,8 +668,7 @@ def test_recurrence_suite_fails_without_condon_shortley_phase(monkeypatch):
     climb = specfun._legendre_climb
 
     def no_phase(L, M, xi):
-        p_l, p_lm1 = climb(L, M, xi)
-        return (-1) ** abs(M) * p_l, (-1) ** abs(M) * p_lm1
+        return (-1) ** abs(M) * climb(L, M, xi)
 
     monkeypatch.setattr(specfun, "_legendre_climb", no_phase)
     result = analysis._suite_recurrence()

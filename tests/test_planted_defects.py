@@ -31,8 +31,7 @@ def _drop_condon_shortley(monkeypatch):
     climb = specfun._legendre_climb
 
     def no_phase(L, M, xi):
-        p_l, p_lm1 = climb(L, M, xi)
-        return (-1) ** abs(M) * p_l, (-1) ** abs(M) * p_lm1
+        return (-1) ** abs(M) * climb(L, M, xi)
 
     monkeypatch.setattr(specfun, "_legendre_climb", no_phase)
 

@@ -23,8 +23,8 @@ from curvimom.specfun import (
     assoc_legendre,
     assoc_legendre_and_deriv,
     assoc_legendre_deriv,
-    legendre_parity,
 )
+from curvimom.specfun import _degree_lowering, _legendre_climb
 
 
 def laguerre_series_oracle(k, a, x):
@@ -104,12 +104,14 @@ def test_legendre_vs_scipy():
 
 
 def test_legendre_parity_identity():
+    # P_L^M(x) = (-1)^(L+M) P_L^M(-x) on every degree of one climb per order on x and -x
     x = np.linspace(-1.0, 1.0, 101)
-    for L in range(11):
-        for M in range(-L, L + 1):
-            lhs, rhs = legendre_parity(L, M, x)
+    for M in range(-10, 11):
+        rows = _legendre_climb(10, M, np.stack([x, -x]))
+        for L in range(abs(M), 11):
+            lhs, rhs = rows[L, 0], (-1) ** (L + M) * rows[L, 1]
             scale = max(float(np.max(np.abs(lhs))), 1e-30)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
+            assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale, (L, M)
 
 
 def test_legendre_deriv_vs_finite_difference():
@@ -158,19 +160,32 @@ def test_legendre_deriv_is_the_recurrence_of_two_legendre_calls(case):
 
 
 def test_one_climb_gives_the_separate_calls_bit_for_bit():
-    # the pair and both sides of the parity identity come from one climb each,
-    # with the numbers of separate calls; a scalar gives floats
+    # the pair comes from one climb; each row d of a climb to L, and its slope, are the
+    # numbers of separate calls at degree d, on x alone and on x and -x climbed together;
+    # rows below |M| are zero, and a scalar gives floats
     inner, closed = np.linspace(-0.995, 0.995, 41), np.linspace(-1.0, 1.0, 41)
+
+    def same(got, expected):
+        return np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     for L in range(11):
         for M in range(-L, L + 1):
             for x, y in ((inner, closed), (0.3, 1.0), (-0.7, -0.25)):
-                got = (*assoc_legendre_and_deriv(L, M, x), *legendre_parity(L, M, y))
-                expected = (assoc_legendre(L, M, x), assoc_legendre_deriv(L, M, x),
-                            assoc_legendre(L, M, y), (-1) ** (L + M) * assoc_legendre(L, M, -np.asarray(y)))
+                got = assoc_legendre_and_deriv(L, M, x)
+                expected = (assoc_legendre(L, M, x), assoc_legendre_deriv(L, M, x))
                 for g, e in zip(got, expected):
-                    assert type(g) is type(e) and np.asarray(g).tobytes() == np.asarray(e).tobytes(), (L, M, x)
+                    assert type(g) is type(e) and same(g, e), (L, M, x)
                 if np.ndim(x) == 0:
                     assert all(type(g) is float for g in got)
+                xi = np.asarray(x, dtype=float)
+                rows = _legendre_climb(L, M, xi)
+                slopes, mirrored = _degree_lowering(rows, M, xi), _legendre_climb(L, M, np.stack([y, -np.asarray(y)]))
+                assert not rows[: abs(M)].any() and not mirrored[: abs(M)].any()
+                for d in range(abs(M), L + 1):
+                    assert same(rows[d], assoc_legendre(d, M, x)), (d, M, x)
+                    assert same(slopes[d], assoc_legendre_and_deriv(d, M, x)[1]), (d, M, x)
+                    assert same(mirrored[d, 0], assoc_legendre(d, M, y)), (d, M, y)
+                    assert same(mirrored[d, 1], assoc_legendre(d, M, -np.asarray(y))), (d, M, y)
 
 
 def test_legendre_deriv_spec_value():

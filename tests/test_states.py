@@ -153,19 +153,19 @@ def test_angular_tables_are_shared_across_radial_scales():
     factors = tuple(_counted(f, calls[axis]) for axis, f in enumerate(base.factors))
     near = SeparableState(factors, base.system, radial_scale=1.0)
     far = SeparableState(factors, base.system, radial_scale=3.0)
-    rules_n, values_n, norms_n = StateFamily.of(near).tabulate(QuadratureConfig())
-    rules_f, values_f, norms_f = StateFamily.of(far).tabulate(QuadratureConfig())
+    values_n, norms_n = StateFamily.of(near).tabulate(QuadratureConfig())
+    values_f, norms_f = StateFamily.of(far).tabulate(QuadratureConfig())
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
     for axis in (1, 2):
         assert values_n[axis] is values_f[axis] and norms_n[axis] == norms_f[axis]
     assert not np.array_equal(values_n[0], values_f[0])
-    for rules, values in ((rules_n, values_n), (rules_f, values_f)):
-        for f, rule, vals in zip(base.factors, rules, values):
-            assert np.array_equal(vals, f.evaluate(rule.nodes))
+    for state, values in ((near, values_n), (far, values_f)):
+        for axis, (f, vals) in enumerate(zip(base.factors, values)):
+            assert np.array_equal(vals, f.evaluate(StateFamily.of(state).rule(axis, QuadratureConfig()).nodes))
             with pytest.raises(ValueError):
                 vals[0] = 0.0
     # a second pass reads the memos
-    assert StateFamily.of(far).tabulate(QuadratureConfig())[1][0] is values_f[0]
+    assert StateFamily.of(far).tabulate(QuadratureConfig())[0][0] is values_f[0]
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
 
 
@@ -176,7 +176,7 @@ def test_each_order_and_radial_scale_gets_its_own_table():
     radial = _counted(base, calls)
     seen = []
     for order, scale in ((120, 2.0), (120, 5.0), (60, 2.0)):
-        rule, values, _ = radial.table(sph.coords[0], order, scale)
+        rule, (values, _) = radial.rule(sph.coords[0], order, scale), radial.table(sph.coords[0], order, scale)
         assert np.array_equal(rule.nodes, axis_rule(sph.coords[0], order, scale).nodes)
         assert np.array_equal(values, base.evaluate(rule.nodes))
         seen.append(values)
@@ -184,9 +184,9 @@ def test_each_order_and_radial_scale_gets_its_own_table():
     calls.clear()
     base = theta_eigenfactor(2, 1)
     theta = _counted(base, calls)
-    fine = theta.table(sph.coords[1], 64, 1.0)[1]
-    assert theta.table(sph.coords[1], 64, 7.0)[1] is fine  # compact axes ignore the scale
-    coarse = theta.table(sph.coords[1], 32, 1.0)[1]
+    fine = theta.table(sph.coords[1], 64, 1.0)[0]
+    assert theta.table(sph.coords[1], 64, 7.0)[0] is fine  # compact axes ignore the scale
+    coarse = theta.table(sph.coords[1], 32, 1.0)[0]
     assert calls == [1, 1] and len(coarse) < len(fine)
     assert np.array_equal(coarse, base.evaluate(axis_rule(sph.coords[1], 32).nodes))
     # a derived factor starts with its own, empty memo
@@ -194,9 +194,9 @@ def test_each_order_and_radial_scale_gets_its_own_table():
     StateFamily.of(trial).tabulate(QuadratureConfig())
     twisted = apply_phase_twist(trial, 0, 1.5)
     spec = trial.system.coords[0]
-    rule, values, _ = twisted.factors[0].table(spec, 120, trial.radial_scale)
-    assert np.array_equal(values, twisted.factors[0].evaluate(rule.nodes))
-    assert not np.array_equal(values, trial.factors[0].table(spec, 120, trial.radial_scale)[1])
+    values = twisted.factors[0].table(spec, 120, trial.radial_scale)[0]
+    assert np.array_equal(values, twisted.factors[0].evaluate(twisted.factors[0].rule(spec, 120, trial.radial_scale).nodes))
+    assert not np.array_equal(values, trial.factors[0].table(spec, 120, trial.radial_scale)[0])
 
 
 def test_constants_atomic_and_file_loading(tmp_path):
