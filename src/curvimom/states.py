@@ -115,11 +115,12 @@ def load_constants(path: str) -> PhysicalConstants:
     return PhysicalConstants(*values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorFunction:
     """One coordinate factor: value and analytic derivative callables, and
     its tables, which every state holding the factor shares.  A family's
-    factor may stack the ``parts`` of its members, one per row."""
+    factor may stack the ``parts`` of its members, one per row.  Factors
+    compare by identity."""
 
     evaluate: Callable
     derivative: Callable
@@ -258,12 +259,14 @@ def _theta_factor(L: int, M: int) -> FactorFunction:
     return FactorFunction(evaluate, derivative)
 
 
-def _stacked(parts: Sequence[FactorFunction]) -> FactorFunction:
+@lru_cache(maxsize=32)
+def _stacked(parts: tuple[FactorFunction, ...]) -> FactorFunction:
     # k members' factors as one: its tables stack theirs, and a call
-    # evaluates every member on the same nodes
+    # evaluates every member on the same nodes; kept per tuple of parts, so a
+    # repeated family reads the stacked tables and rule it built before
     evaluate = lambda q: np.stack([f.evaluate(q) for f in parts])
     derivative = lambda q: np.stack([f.derivative(q) for f in parts])
-    return FactorFunction(evaluate, derivative, parts=tuple(parts))
+    return FactorFunction(evaluate, derivative, parts=parts)
 
 
 def phi_eigenfactor(M: int) -> FactorFunction:
@@ -402,7 +405,9 @@ class StateFamily(NamedTuple):
 def hydrogen_family(states: Sequence[SeparableState]) -> StateFamily:
     """Hydrogen ``states``, each built by ``hydrogen_state``, as one family:
     each axis's factor stacks the members' shared ones and reads their
-    tables.  Every member's numbers are those of the state alone."""
+    tables.  The stacks of the last 32 tuples of member factors are kept, so
+    a repeated family stacks nothing.  Every member's numbers are those of the
+    state alone."""
     if not states or any(state.quantum_numbers is None for state in states):
         raise DomainError("a hydrogen family needs one or more states from hydrogen_state")
     if len(states) == 1:

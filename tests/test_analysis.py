@@ -132,8 +132,8 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
 @pytest.fixture
 def factor_calls(monkeypatch):
     # counts every factor's evaluate/derivative calls on arrays and on single
-    # points, from empty hydrogen constructor caches
-    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor)
+    # points, from empty hydrogen constructor and family stack caches
+    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked)
     for cache in caches:
         cache.cache_clear()
     counts = collections.Counter()
@@ -161,8 +161,10 @@ def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
     # table per theta factor, and no single-point probe of the surface term
     p_theta_spectrum_scan(10)
     assert factor_calls == {("evaluate", "array"): 153, ("derivative", "array"): 121}
-    # a warm scan reads every table from the shared factors' memos
+    # a warm scan reads every table from the shared factors' memos, also when
+    # its family's stacks are built again
     factor_calls.clear()
+    states._stacked.cache_clear()
     climbs = []
     climb = specfun._legendre_climb
     monkeypatch.setattr(specfun, "_legendre_climb", lambda *args: climbs.append(args[:2]) or climb(*args))
@@ -182,13 +184,34 @@ def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
 
 def test_warm_scan_builds_no_family_rule(monkeypatch):
     # the family's stacked factors read their parts' tables, and the theta axis's rule
-    # ignores the scale: no rule is built for the tuple of the members' radial scales
+    # ignores the scale: no rule is built for the tuple of the members' radial scales,
+    # also by stacks built again for the warm scan
     expected = p_theta_spectrum_scan(10)
+    states._stacked.cache_clear()
     scales = []
     rule = states.axis_rule
     monkeypatch.setattr(states, "axis_rule", lambda *args: scales.append(args[2:]) or rule(*args))
     assert p_theta_spectrum_scan(10) == expected
     assert not [s for s in scales if s and isinstance(s[0], tuple)]
+
+
+def test_warm_scan_reads_the_stacks_it_built(monkeypatch):
+    # a repeated family gets the stacked factors it built before, so a warm scan
+    # asks no member factor for a table and stacks nothing
+    families, calls = [], collections.Counter()
+    run = analysis.expectations
+    monkeypatch.setattr(analysis, "expectations", lambda op, family, *a: families.append(family) or run(op, family, *a))
+    expected = p_theta_spectrum_scan(10)
+    for name in ("table", "derivative_table"):
+        fn = getattr(FactorFunction, name)
+        counted = lambda f, *args, fn=fn, name=name: calls.update([name] * (not f.parts)) or fn(f, *args)
+        monkeypatch.setattr(FactorFunction, name, counted)
+    stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda *args, **kwargs: calls.update(["stack"]) or stack(*args, **kwargs))
+    assert p_theta_spectrum_scan(10) == expected
+    assert calls == {}
+    first, warm = families
+    assert all(a is b for a, b in zip(first.factors, warm.factors))
 
 
 def test_derivative_table_is_memoised_with_the_values(factor_calls):

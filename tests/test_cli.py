@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -81,6 +82,18 @@ def test_expect_usage_errors():
     assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0,M=1").exit_code == 2
     assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0,x=9").exit_code == 2
     assert invoke("expect", "canonical:x", "trial:seed=1,seed=2", "--system", "cartesian").exit_code == 2
+
+
+def test_expect_refuses_hydrogen_states_above_n_9():
+    # n <= 9 is the range measured against the acceptance tolerances
+    for L in (0, 8):
+        result = invoke("expect", "canonical:r", f"hydrogen:n=9,L={L},M=0", "--format", "json")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert abs(payload["value_re"]) <= 1e-9 and abs(payload["defect"]) <= 1e-9
+    for args in ((), ("--radial-order", "4096")):
+        result = invoke("expect", "canonical:r", "hydrogen:n=10,L=0,M=0", *args)
+        assert result.exit_code == 2 and "n <= 9" in result.output
 
 
 def test_negative_trial_seed_is_a_usage_error():
@@ -215,6 +228,18 @@ def test_hydrogen_table_builds_each_level_once(monkeypatch):
         assert result.exit_code == 0, result.output
         assert built == [(n, L) for n in range(1, 7) for L in range(n)]
         assert len(laguerre) == calls
+
+
+def test_tables_are_written_at_once(monkeypatch):
+    echoes = []
+    echo = click.echo
+    monkeypatch.setattr(click, "echo", lambda *args, **kwargs: echoes.append(args) or echo(*args, **kwargs))
+    for args in (("hydrogen-table", "--nmax", "6"), ("p-theta-scan", "--lmax", "10")):
+        for fmt in ("text", "csv", "json"):
+            echoes.clear()
+            result = invoke(*args, "--format", fmt)
+            assert result.exit_code == 0, result.output
+            assert len(echoes) == 1, (args, fmt)
 
 
 DATA = Path(__file__).parent / "data"

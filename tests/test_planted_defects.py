@@ -17,9 +17,9 @@ from curvimom.states import FactorFunction
 
 @pytest.fixture(autouse=True)
 def fresh_factors():
-    # hydrogen factors and their tables are cached per process: a row must
-    # build its own, and leave none of them behind
-    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor)
+    # hydrogen factors, their tables and their families' stacks are cached per
+    # process: a row must build its own, and leave none of them behind
+    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -15,9 +15,11 @@ from curvimom.geometry import (
 )
 from curvimom import quadrature
 from curvimom.quadrature import (
+    AxisRule,
     QuadratureConfig,
     axis_rule,
     contract,
+    contract_rows,
     coordinate_integral,
     coordinate_rule,
     gauss_legendre,
@@ -284,3 +286,15 @@ def test_contract_on_stacked_rules_matches_separate_sums():
                 for value, single in zip(got, (full, half)):
                     expected = complex(np.sum(single.weights * f(single.nodes)))
                     assert abs(value - expected) <= 1e-14 * abs(expected), (system.name, spec.name)
+
+
+def test_each_row_contracts_as_it_would_alone():
+    # a k-row table, on one shared rule (compact axis) or on k scaled rules
+    # (half-line axis), gives each row the bits of that row contracted alone
+    rng = np.random.default_rng(7)
+    r, theta = make_spherical().coords[:2]
+    for spec, scale in ((theta, 1.0), (r, (0.5, 1.0, 2.0, 3.5))):
+        rule = axis_rule(spec, 40, scale)
+        rules = [rule] * 4 if np.ndim(scale) == 0 else [AxisRule(*p, full=rule.full) for p in zip(rule.nodes, rule.weights)]
+        for table in (rng.random((4, rule.nodes.shape[-1])), rng.random((4, rule.nodes.shape[-1])) * (1 + 2j)):
+            assert contract_rows(rule, table) == [contract(one, row) for one, row in zip(rules, table)]

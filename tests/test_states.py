@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from curvimom import states
 from curvimom.analysis import expectation, expectations, radial_moment
 from curvimom.errors import (
     ConfigurationError,
@@ -354,6 +355,19 @@ def test_hydrogen_family_members_match_single_state(constants):
                     assert rep.quadrature_error == alone.quadrature_error, (qn, axis)
                     assert rep.boundary_term == alone.boundary_term, (qn, axis)
                     assert rep.value * unit == alone.value * unit, (qn, axis)
+
+
+def test_stacked_factors_are_kept_within_their_bound():
+    # each new tuple of members' factors is a new stack, and no more stacks
+    # are kept than the bound, however many families are built
+    bound = states._stacked.cache_info().maxsize
+    assert bound is not None
+    for n in range(2, 2 + bound):
+        hydrogen_family([hydrogen_state(QuantumNumbers(n, L, 0)) for L in (0, 1)])
+        assert states._stacked.cache_info().currsize <= bound
+    assert states._stacked.cache_info().currsize == bound
+    pair = [hydrogen_state(QuantumNumbers(2, L, 0)) for L in (0, 1)]
+    assert all(a is b for a, b in zip(hydrogen_family(pair).factors, hydrogen_family(pair).factors))
 
 
 def test_hydrogen_family_needs_hydrogen_states():
