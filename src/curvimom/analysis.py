@@ -42,6 +42,7 @@ from .quadrature import QuadratureConfig, combine_axes, contract_rows
 from . import specfun  # the Legendre suites read the climb through the module, so a patched one shows
 from .specfun import QuantumNumbers
 from .states import (
+    FactorFunction,
     SeparableState,
     StateFamily,
     apply_phase_twist,
@@ -73,6 +74,8 @@ __all__ = [
 
 # absolute floor of the reality contract, in natural momentum units
 _REALITY_FLOOR = 1e-9
+# the largest |<psi|psi> - 1| a state may show at the orders in use
+_NORM_TOL = 1e-10
 # the largest power radial_moment accepts, from measured accuracy (see its docstring)
 _MAX_RADIAL_POWER = 20
 _DEFAULT_CONFIG = QuadratureConfig()
@@ -168,15 +171,15 @@ def expectations(
         return [wi * abs(v) ** 2 for wi, v in zip(w, np.reshape(ends, -1).tolist())]
 
     upper, lower = surface(spec.upper, rule.full - 1), surface(spec.lower, 0)
+    other_norms = norms[: op.axis] + norms[op.axis + 1 :]
     reports = []
-    for i in range(k):
+    for i, moment in enumerate(moments):
         pairs = [axis_norms[i] for axis_norms in norms]
-        other = math.prod(full.real for j, (full, _) in enumerate(pairs) if j != op.axis)
-        pairs[op.axis] = moments[i]
+        pairs[op.axis] = moment
         value, qerr = combine_axes(pairs)
         # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
-        boundary = -0.5 * (upper[i] - lower[i]) * other
-        reports.append(ExpectationReport(value, boundary, qerr))
+        other = math.prod(axis_norms[i][0].real for axis_norms in other_norms)
+        reports.append(ExpectationReport(value, -0.5 * (upper[i] - lower[i]) * other, qerr))
     return reports
 
 
@@ -409,7 +412,7 @@ def _suite_normalization(cfg: QuadratureConfig) -> SuiteResult:
     for family in families:
         for member_norms in zip(*family.tabulate(cfg)[1]):
             norm_sq, _ = combine_axes(member_norms)
-            t.add(norm_sq.real - 1.0, 1e-10)
+            t.add(norm_sq.real - 1.0, _NORM_TOL)
     return t.result()
 
 
@@ -422,17 +425,26 @@ _SAMPLE = {
 }
 
 
+def _on_points(factor: FactorFunction, q: np.ndarray) -> FactorFunction:
+    # the factor with its values and slopes on the sample array q computed once: called on that
+    # same array object it returns them, called on anything else it evaluates as before
+    values, slopes = factor.evaluate(q), factor.derivative(q)
+    return FactorFunction(lambda x: values if x is q else factor.evaluate(x),
+                          lambda x: slopes if x is q else factor.derivative(x))
+
+
 def _suite_commutators(seed: int) -> SuiteResult:
     t = _Tally("commutators")
     rng = np.random.default_rng(seed + 170)
     for k, system in enumerate(preset_systems().values()):
         first = 3000 + 100 * seed + 5 * k
         family = trial_family(system, range(first, first + 5))
-        # the family as one pointwise state on (5, 5) points, a row per member: the stream of five (5, dim) draws
-        state = SeparableState(family.factors, system)
+        # (5, 5) points, a row per member: the stream of five (5, dim) draws
         scales = np.array([[member.radial_scale] for member in family.members])
         draws = rng.random((5, 5, system.dim))
         point = [_SAMPLE[spec.topology](draws[..., a], scales) for a, spec in enumerate(system.coords)]
+        # the family as one pointwise state, each factor tabulated once on its axis's points
+        state = SeparableState(tuple(_on_points(f, q) for f, q in zip(family.factors, point)), system)
         psi_mag = np.maximum(np.abs(state.evaluate(point)), 1e-30)
         for i in range(system.dim):
             for j in range(system.dim):
@@ -454,19 +466,18 @@ def _suite_reality(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     inv_rs = family.moments(0, lambda r: r**-1.0, cfg)
     g_ths = family.moments(1, measure_factor(system.coords[1]).drift, cfg)
 
+    # six checks per level, one row each: <p_r> = <p_theta> = 0, <p_phi> = M hbar, the naive radial
+    # defect law Im<p'_r> = hbar <1/r> = hbar/(n^2 a0) on both sides, and the naive polar one
+    # Im<p'_theta> = hbar <cot(theta)/2>
+    residuals, tols = [], []
     for state, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r, g_th in zip(states, reports, inv_rs, g_ths):
         n, M = state.quantum_numbers.n, state.quantum_numbers.M
-        t.add(abs(rep_r.value), _REALITY_FLOOR)
-        t.add(abs(rep_th.value), _REALITY_FLOOR)
-        t.add(abs(rep_ph.value - M), 1e-10 * max(1, abs(M)))
-
-        # naive radial defect law: Im<p'_r> = hbar <1/r> = hbar/(n^2 a0)
-        closed = 1.0 / (n * n)
-        t.add(rep_naive.hermiticity_defect - inv_r, 1e-9 * closed)
-        t.add(rep_naive.hermiticity_defect - closed, 1e-8 * closed)
-
-        # naive polar defect law: Im<p'_theta> = hbar <cot(theta)/2>
-        t.add(rep_naive_th.hermiticity_defect - g_th, _REALITY_FLOOR)
+        closed, defect = 1.0 / (n * n), rep_naive.hermiticity_defect
+        residuals.append([abs(rep_r.value), abs(rep_th.value), abs(rep_ph.value - M),
+                          defect - inv_r, defect - closed, rep_naive_th.hermiticity_defect - g_th])
+        tols.append([_REALITY_FLOOR, _REALITY_FLOOR, 1e-10 * max(1, abs(M)), 1e-9 * closed, 1e-8 * closed,
+                     _REALITY_FLOOR])
+    t.add(np.array(residuals), np.array(tols))
 
     seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + _REALITY_TRIALS)
     for sys_obj in preset_systems().values():

@@ -25,6 +25,7 @@ import click
 import numpy as np
 
 from .analysis import (
+    _NORM_TOL,
     _force_balance,
     expectation,
     expectations,
@@ -36,9 +37,9 @@ from .analysis import (
 from .errors import ConfigurationError, DomainError, SingularityError
 from .geometry import preset_systems
 from .operators import canonical_momentum, momentum_unit, naive_momentum
-from .quadrature import ORDER_RANGE, QuadratureConfig
+from .quadrature import ORDER_RANGE, QuadratureConfig, combine_axes
 from .specfun import QuantumNumbers
-from .states import ATOMIC, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
+from .states import ATOMIC, StateFamily, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
 
 _FLOAT_FMT = "{:.12e}"
 
@@ -145,7 +146,8 @@ def _parse_operator(text: str, system):
 
 _STATE_KEYS = {"hydrogen": ("n", "L", "M"), "trial": ("seed",)}
 # the largest n at which hydrogen norms met the acceptance tolerances on every L
-# (1.5e-12 at n = 9, 1.1e-10 at n = 10, default orders); expect refuses larger n
+# (1.5e-12 at n = 9, 1.1e-10 at n = 10, default orders); expect refuses larger n,
+# and at any order a hydrogen state whose norm misses _NORM_TOL
 _EXPECT_NMAX = 9
 
 
@@ -220,12 +222,18 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
 
     OPERATOR looks like 'canonical:r' or 'naive:theta'; STATE like
     'hydrogen:n=2,L=1,M=0' or 'trial:seed=42'.  Exits 3 when the
-    hermiticity defect breaks the reality contract.
+    hermiticity defect breaks the reality contract, and 2 when a hydrogen
+    state's norm misses 1 by more than 1e-10 at the orders in use.
     """
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()[system_name]
     op = _parse_operator(operator, system)
     st = _parse_state(state, system, seed)
+    if st.quantum_numbers is not None:  # the norm from the |f|^2 pairs of the tables expectation reads
+        norm_sq, _ = combine_axes([pairs[0] for pairs in StateFamily.of(st).tabulate(config)[1]])
+        if not abs(norm_sq.real - 1.0) <= _NORM_TOL:  # a NaN norm is refused too
+            raise DomainError(f"{state} is not normalised to {_NORM_TOL:g} at these orders: "
+                              f"|<psi|psi> - 1| = {abs(norm_sq.real - 1.0):.2e}")
     report = expectation(op, st, config)
 
     unit = momentum_unit(op.kind, constants)
@@ -240,14 +248,10 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
     if fmt != "text":
         _emit_rows(fmt, list(payload), [payload])
     else:
-        click.echo(f"operator:      {operator}")
-        click.echo(f"state:         {state}")
-        click.echo(f"system:        {system_name}")
-        click.echo(f"value:         {_fmt(payload['value_re'])} + {_fmt(payload['value_im'])} i")
-        click.echo(f"defect:        {_fmt(payload['defect'])}")
-        click.echo(f"boundary_term: {_fmt(payload['boundary_term'])}")
-        click.echo(f"quad_error:    {_fmt(payload['quad_error'])}")
-        click.echo(f"units:         {units}")
+        fields = {"operator": operator, "state": state, "system": system_name,
+                  "value": f"{_fmt(payload['value_re'])} + {_fmt(payload['value_im'])} i",
+                  **{key: _fmt(payload[key]) for key in ("defect", "boundary_term", "quad_error")}, "units": units}
+        click.echo("\n".join(f"{key + ':':<15}{text}" for key, text in fields.items()))
     if not abs(report.hermiticity_defect) <= reality_tolerance(report):  # a NaN defect fails too
         sys.exit(3)
 
@@ -306,17 +310,14 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
         # json rows name their command; the csv header does not
         _emit_rows(fmt, ["command"] + columns if fmt == "json" else columns, rows)
     else:
-        for res in results:
-            status = "PASS" if res.passed else "FAIL"
-            click.echo(
-                f"{res.name:<24} {status}  checks={res.checks:<5d} "
-                f"failures={res.failures:<4d} worst={_fmt(res.worst)}"
-            )
+        lines = [
+            f"{res.name:<24} {'PASS' if res.passed else 'FAIL'}  checks={res.checks:<5d} "
+            f"failures={res.failures:<4d} worst={_fmt(res.worst)}"
+            for res in results
+        ]
         failed = sum(1 for res in results if not res.passed)
-        if failed:
-            click.echo(f"{failed} suite(s) failed")
-        else:
-            click.echo("all suites passed")
+        lines.append(f"{failed} suite(s) failed" if failed else "all suites passed")
+        click.echo("\n".join(lines))
     if any(not res.passed for res in results):
         sys.exit(1)
 

@@ -310,8 +310,9 @@ def combine_axes(pairs: Sequence[tuple[complex, complex]]) -> tuple[complex, flo
     not a proof.
     """
     fulls = [full for full, _ in pairs]
+    mags = [abs(f) for f in fulls]
     error = sum(
-        abs(full - half) * math.prod(abs(f) for j, f in enumerate(fulls) if j != i)
+        abs(full - half) * math.prod(m for j, m in enumerate(mags) if j != i)
         for i, (full, half) in enumerate(pairs)
     )
     return complex(math.prod(fulls)), float(error)

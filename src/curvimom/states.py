@@ -310,6 +310,15 @@ def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
 
 
 _SINE_KS, _FOURIER_MS = np.arange(1.0, 5.0), np.arange(-2.0, 3.0)  # the trial harmonics
+# per topology, the uniforms a trial factor draws, in a lone state's order, as (low, high - low)
+# columns: Generator.uniform(low, high) gives low + (high - low) u, bit for bit.  A linear factor
+# draws its scale (0.8 + 0.4 u), its center (line only) and 3 coefficients; an angular one its harmonics'
+_TRIAL_DRAWS = {topology: np.array(draws).T for topology, draws in {
+    "line": [(0.8, 0.4), (-0.5, 0.5 - -0.5)] + [(0.4, 1.0 - 0.4)] * 3,
+    "half-line": [(0.8, 0.4)] + [(0.4, 1.0 - 0.4)] * 3,
+    "compact-periodic": [(0.2, 1.0 - 0.2)] * 5,
+    "compact-nonperiodic": [(0.2, 1.0 - 0.2)] * 4,
+}.items()}
 _NORM_CONFIG = QuadratureConfig()  # trial factors are normalised at the default orders
 
 
@@ -427,24 +436,30 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
     for seed in seeds:
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    one = len(rngs) == 1
-    radial = [1.0] * len(rngs)  # each member's radial scale: 1 or its largest linear scale
+    # one generator call per member gives all its uniforms u, in a lone state's order
+    bounds = [_TRIAL_DRAWS[spec.topology] for spec in system.coords]
+    low, span = np.concatenate(bounds, axis=1)
+    drawn = low + span * np.array([np.random.default_rng(seed).random(len(low)) for seed in seeds])
+    members_drawn = drawn.tolist()
+    one = len(seeds) == 1
+    radial = [1.0] * len(seeds)  # each member's radial scale: 1 or its largest linear scale
     axes = []  # per coordinate: builder, each member's parameters, the family's ones, 1 / norms
-    for spec in system.coords:
+    start = 0
+    for spec, axis_bounds in zip(system.coords, bounds):
+        block = slice(start, start + axis_bounds.shape[1])
+        start = block.stop
         if spec.topology in ("line", "half-line"):
-            # scale, center, coefficients: a lone state's draw order
-            line = spec.topology == "line"
-            rows = [[0.8 + 0.4 * rng.random(), rng.uniform(-0.5, 0.5) if line else 0.0,
-                     *rng.uniform(0.4, 1.0, 3).tolist()] for rng in rngs]
+            rows = [row[block] for row in members_drawn]  # Python floats, as a lone state's
+            if spec.topology == "half-line":  # centered at 0, so no center is drawn
+                rows = [[row[0], 0.0, *row[1:]] for row in rows]
             radial = [max(r, row[0]) for r, row in zip(radial, rows)]
             builder, params = _poly_gaussian, rows[0] if one else tuple(np.array(rows).T[:, :, None])
             scale = params[0] if one else params[0][:, 0]
         else:
             periodic = spec.topology == "compact-periodic"
-            coeffs = [rng.uniform(0.2, 1.0, 5 if periodic else 4) for rng in rngs]
-            rows = [(c / math.sqrt(2.0 * math.pi) if periodic else c,) for c in coeffs]
-            params = rows[0] if one else (np.array([c for c, in rows])[:, None],)  # k rows: (k, 1, m)
+            coeffs = drawn[:, block] / math.sqrt(2.0 * math.pi) if periodic else drawn[:, block]
+            rows = [(c,) for c in coeffs]
+            params = rows[0] if one else (coeffs[:, None],)  # k rows: (k, 1, m)
             builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
         raw = builder(*params).evaluate
         norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, _NORM_CONFIG.order_for(spec), scale)

@@ -621,12 +621,8 @@ def test_radial_moment_refuses_powers_it_cannot_honour():
                     radial_moment(qn, power)
 
 
-def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
-    # the trial builders count array evaluations of the factors they make:
-    # per family and axis, one raw-profile evaluation for the normalisation,
-    # one table and one derivative, however many states the family has
-    counts, calls = collections.Counter(), collections.Counter()
-
+def _count_trial_factor_calls(monkeypatch, counts: collections.Counter) -> None:
+    # the trial builders count array evaluations of the factors they make
     def counted(builder):
         def build(*args):
             factor = builder(*args)
@@ -643,12 +639,20 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
 
         return build
 
+    for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
+        monkeypatch.setattr(states, name, counted(getattr(states, name)))
+
+
+def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
+    # per family and axis, one raw-profile evaluation for the normalisation,
+    # one table and one derivative, however many states the family has
+    counts, calls = collections.Counter(), collections.Counter()
+
     def tally(module, name):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or fn(*args))
 
-    for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
-        monkeypatch.setattr(states, name, counted(getattr(states, name)))
+    _count_trial_factor_calls(monkeypatch, counts)
     # the hydrogen moments read the tables the expectations made: a cold scan evaluates
     # each of the 10 radial factors for one value and one derivative table, a warm one none
     tally(states, "assoc_laguerre")
@@ -668,6 +672,21 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
     cfg = QuadratureConfig()
     assert analysis._suite_ci_uniqueness(cfg, 0).checks == 40
     assert analysis._suite_normalization(cfg).checks == 42
+
+
+def test_commutators_tabulate_each_trial_factor_once_per_point_set(monkeypatch):
+    # per axis of the four systems: one raw-profile evaluation for the normalisation, then
+    # one value and one slope array on the axis's sample points, read by all 82 applies
+    # (358 evaluations and 102 derivatives when each apply evaluated the factors again)
+    expected = {seed: analysis._suite_commutators(seed) for seed in (0, 1)}
+    counts = collections.Counter()
+    _count_trial_factor_calls(monkeypatch, counts)
+    axes = sum(system.dim for system in preset_systems().values())
+    for seed, result in expected.items():
+        counts.clear()
+        assert analysis._suite_commutators(seed) == result
+        assert counts == {"evaluate": 2 * axes, "derivative": axes}, seed
+    assert expected[0].passed and expected[0].checks == 1025
 
 
 def test_check_suites_climb_and_apply_once_per_identity(monkeypatch):

@@ -96,6 +96,19 @@ def test_expect_refuses_hydrogen_states_above_n_9():
         assert result.exit_code == 2 and "n <= 9" in result.output
 
 
+def test_expect_refuses_hydrogen_states_off_norm_at_the_orders_in_use():
+    # |<psi|psi> - 1| over 1e-10, the normalization suite's tolerance, is refused (exit 2):
+    # n = 9 at radial orders 8, 16 and 24 (worst over L 1.0, 0.89 and 0.75), n = 6 at 8 (1.25)
+    for n, L, order in ((9, 0, 8), (9, 1, 16), (9, 0, 24), (6, 1, 8)):
+        result = invoke("expect", "canonical:r", f"hydrogen:n={n},L={L},M=0", "--radial-order", str(order))
+        assert result.exit_code == 2, (n, L, order, result.output)
+        assert "not normalised" in result.output
+    # at the default orders every n <= 9 passes (at worst 1.5e-12 at n = 9, 3.1e-15 at n <= 6)
+    for n, L in [(9, L) for L in range(9)] + [(n, L) for n in range(1, 7) for L in range(n)]:
+        result = invoke("expect", "canonical:theta", f"hydrogen:n={n},L={L},M=0")
+        assert result.exit_code == 0, (n, L, result.output)
+
+
 def test_negative_trial_seed_is_a_usage_error():
     result = invoke("expect", "canonical:r", "trial:seed=-1")
     assert result.exit_code == 2, result.output
@@ -240,6 +253,14 @@ def test_tables_are_written_at_once(monkeypatch):
             result = invoke(*args, "--format", fmt)
             assert result.exit_code == 0, result.output
             assert len(echoes) == 1, (args, fmt)
+    # check and expect write their text at once too, passing or not
+    for args, code in ((("check",), 0), (("check", "--radial-order", "8"), 1),
+                       (("expect", "canonical:r", "hydrogen:n=2,L=1,M=0"), 0),
+                       (("expect", "naive:r", "hydrogen:n=1,L=0,M=0"), 3)):
+        echoes.clear()
+        result = invoke(*args, "--format", "text")
+        assert result.exit_code == code, result.output
+        assert len(echoes) == 1, args
 
 
 DATA = Path(__file__).parent / "data"

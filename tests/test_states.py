@@ -411,6 +411,51 @@ def test_trial_states_keep_their_draws():
             assert complex(state.evaluate(point)) == expected[name][k], (name, k)
 
 
+def _lone_state_draws(system, seed) -> list:
+    # each axis's parameters from a lone state's generator calls, one call per parameter
+    # group: a scale, a center (line only) and three coefficients, or the harmonics' coefficients
+    rng = np.random.default_rng(seed)
+    params = []
+    for spec in system.coords:
+        if spec.topology in ("line", "half-line"):
+            scale = 0.8 + 0.4 * rng.random()
+            center = rng.uniform(-0.5, 0.5) if spec.topology == "line" else 0.0
+            params.append([scale, center, *rng.uniform(0.4, 1.0, 3).tolist()])
+        else:
+            periodic = spec.topology == "compact-periodic"
+            coeffs = rng.uniform(0.2, 1.0, 5 if periodic else 4)
+            params.append([coeffs / math.sqrt(2.0 * math.pi) if periodic else coeffs])
+    return params
+
+
+def test_trial_members_keep_the_lone_state_stream(monkeypatch):
+    # one generator call per member gives every member, in a family or alone, the
+    # parameters of the per-axis calls above, bit for bit, and Python floats on linear axes
+    made = {}
+    for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
+        builder = getattr(states, name)
+
+        def build(*args, builder=builder):
+            factor = builder(*args)
+            made[factor] = args[:-1]  # the parameters, without the normalisation constant
+            return factor
+
+        monkeypatch.setattr(states, name, build)
+    seeds = range(200)
+    for system in preset_systems().values():
+        family = trial_family(system, seeds)
+        for seed, member in zip(seeds, family.members):
+            alone = random_bound_trial(system, seed) if seed % 10 == 0 else member
+            for state in (member, alone):
+                for spec, factor, expected in zip(system.coords, state.factors, _lone_state_draws(system, seed)):
+                    params = made[factor]
+                    assert len(params) == len(expected), (system.name, seed)
+                    if spec.kind == "linear":
+                        assert list(params) == expected and all(type(p) is float for p in params), (system.name, seed)
+                    else:
+                        assert np.array_equal(params[0], expected[0]), (system.name, seed, spec.name)
+
+
 def test_trial_family_needs_valid_seeds():
     with pytest.raises(DomainError):
         trial_family(make_cartesian(), [])
