@@ -222,18 +222,18 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
 
     OPERATOR looks like 'canonical:r' or 'naive:theta'; STATE like
     'hydrogen:n=2,L=1,M=0' or 'trial:seed=42'.  Exits 3 when the
-    hermiticity defect breaks the reality contract, and 2 when a hydrogen
-    state's norm misses 1 by more than 1e-10 at the orders in use.
+    hermiticity defect breaks the reality contract, and 2 when the state's
+    norm misses 1 by more than 1e-10 at the orders in use.
     """
     config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
     system = preset_systems()[system_name]
     op = _parse_operator(operator, system)
     st = _parse_state(state, system, seed)
-    if st.quantum_numbers is not None:  # the norm from the |f|^2 pairs of the tables expectation reads
-        norm_sq, _ = combine_axes([pairs[0] for pairs in StateFamily.of(st).tabulate(config)[1]])
-        if not abs(norm_sq.real - 1.0) <= _NORM_TOL:  # a NaN norm is refused too
-            raise DomainError(f"{state} is not normalised to {_NORM_TOL:g} at these orders: "
-                              f"|<psi|psi> - 1| = {abs(norm_sq.real - 1.0):.2e}")
+    # the norm from the |f|^2 pairs of the tables expectation reads
+    norm_sq, _ = combine_axes([pairs[0] for pairs in StateFamily.of(st).tabulate(config)[1]])
+    if not abs(norm_sq.real - 1.0) <= _NORM_TOL:  # a NaN norm is refused too
+        raise DomainError(f"{state} is not normalised to {_NORM_TOL:g} at these orders: "
+                          f"|<psi|psi> - 1| = {abs(norm_sq.real - 1.0):.2e}")
     report = expectation(op, st, config)
 
     unit = momentum_unit(op.kind, constants)

@@ -11,13 +11,14 @@ One rule family per topology:
   sin(theta) d(theta) exactly for polynomial integrands in cos(theta);
 - any other compact interval: affine-mapped Gauss-Legendre.
 
-``coordinate_rule`` folds the weight w(q) into every rule it returns, so a
-1-D integral is one weighted sum.  Separable integrals are tabulated on
-``axis_rule`` (the full- then the half-order nodes of a coordinate as one
-array, one weight row per order), summed by ``contract`` and combined by
-``combine_axes``.  Both rules are cached per (coordinate, order) at unit
-scale in bounded caches; a line or half-line scale (or k of them, each a
-state's ``radial_scale``) is applied per call, and a config holds only orders.
+Every coordinate has one scaled rule, ``axis_rule``: the full- then the
+half-order nodes as one array, one weight row per order, with the weight w(q)
+folded in, so a 1-D integral is one weighted sum.  Its unit rule is cached per
+(coordinate, order) in one bounded cache; a line or half-line scale (or k of
+them, each a state's ``radial_scale``) is applied per call, and a config holds
+only orders.  Separable integrals are tabulated on it, summed by
+``contract_rows`` and combined by ``combine_axes``; ``coordinate_rule`` and
+``coordinate_integral`` read its full-order rows.
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
@@ -48,7 +49,6 @@ __all__ = [
     "coordinate_rule",
     "coordinate_integral",
     "axis_rule",
-    "contract",
     "contract_rows",
     "combine_axes",
     "integrate_separable",
@@ -65,8 +65,8 @@ ORDER_RANGE = (8, 4096)
 class QuadratureRule:
     """Nodes and weights for one coordinate; both arrays are made read-only.
 
-    Rules from ``coordinate_rule`` carry the coordinate weight w(q) in their
-    weights; the topology rules (``half_line_rule`` and friends) do not.
+    ``coordinate_rule``'s are the full-order rows of ``axis_rule``, w(q) in their
+    weights; the topology rules (``half_line_rule`` and friends) carry no w(q).
     """
 
     nodes: np.ndarray
@@ -135,7 +135,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
 def half_line_rule(order: int) -> QuadratureRule:
     """Unit-scale rule for (0, inf) via r = t/(1 - t), t = (x + 1)/2.
 
-    Half the nodes fall below r = 1; ``coordinate_rule`` scales the rule to
+    Half the nodes fall below r = 1; ``axis_rule`` scales the rule to
     a map scale near the integrand's decay length.
 
     Raises:
@@ -175,9 +175,8 @@ def periodic_rule(points: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-@lru_cache(maxsize=128)
 def _unit_rule(spec: CoordinateSpec, order: int) -> QuadratureRule:
-    # line and half-line rules at scale 1 without w(q), which _at_scale folds
+    # line and half-line rules at scale 1 without w(q), which axis_rule folds
     # in after scaling; every compact rule already carries w(q)
     if spec.topology == "line":
         return line_rule(order)
@@ -202,28 +201,10 @@ def _unit_rule(spec: CoordinateSpec, order: int) -> QuadratureRule:
 
 
 def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> QuadratureRule:
-    """The rule for one coordinate; its weights already include w(q).
-
-    Rules are cached per (spec, order) at unit scale; the line and
-    half-line ``scale`` is applied on each call, so the cache does not grow
-    with the scales asked for.
-    """
-    return _at_scale(spec, _unit_rule(spec, order), scale)
-
-
-def _at_scale(spec: CoordinateSpec, base: QuadratureRule, scale) -> QuadratureRule:
-    # a cached unit rule at ``scale`` on a line or half-line, w(q) folded in; k scales give k rows
-    if spec.topology not in ("line", "half-line"):
-        return base
-    rows = isinstance(scale, (tuple, np.ndarray)) and np.ndim(scale) > 0
-    s = np.asarray(scale, dtype=float)[:, None] if rows else scale
-    if not ((s > 0.0).all() if rows else s > 0.0):
-        raise DomainError(f"map scale must be positive, got {scale!r}")
-    nodes = s * base.nodes
-    w = spec.weight.value(nodes)
-    if isinstance(base, AxisRule):  # (2, n) weights, one row per order
-        return AxisRule(nodes, (s[..., None] if rows else s) * base.weights * w[..., None, :], full=base.full)
-    return QuadratureRule(nodes, s * base.weights * w)
+    """The full-order rule for one coordinate, w(q) in its weights: the first
+    ``full`` nodes and weight row 0 of ``axis_rule(spec, order, scale)``, as views."""
+    rule = axis_rule(spec, order, scale)
+    return QuadratureRule(rule.nodes[..., : rule.full], rule.weights[..., 0, : rule.full])
 
 
 @dataclass(frozen=True)
@@ -252,11 +233,13 @@ class QuadratureConfig:
 
 
 def coordinate_integral(spec: CoordinateSpec, integrand: Callable, order: int, scale=1.0):
-    """1-D integral of integrand(q) * w(q) dq over one coordinate, a complex;
-    an integrand giving k rows of values (k scales, or a compact axis's shared
-    nodes) gives the k integrals as an array, each row summed as one would be."""
-    rule = _at_scale(spec, _unit_rule(spec, order), scale)
-    total = (rule.weights * np.asarray(integrand(rule.nodes))).sum(-1)
+    """1-D integral of integrand(q) * w(q) dq over one coordinate, a complex, on
+    the full-order rows of ``axis_rule``; an integrand giving k rows of values
+    (k scales, or a compact axis's shared nodes) gives the k integrals as an
+    array, each row summed as one would be."""
+    rule = axis_rule(spec, order, scale)
+    nodes, weights = rule.nodes[..., : rule.full], rule.weights[..., 0, : rule.full]
+    total = (weights * np.asarray(integrand(nodes))).sum(-1)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -283,14 +266,19 @@ def _stacked_unit_rule(spec: CoordinateSpec, order: int) -> AxisRule:
 
 
 def axis_rule(spec: CoordinateSpec, order: int, scale=1.0) -> AxisRule:
-    """One coordinate's stacked rule, elementwise as ``coordinate_rule`` builds
-    it; k scales give (k, n) nodes and (k, 2, n) weights on a line or half-line."""
-    return _at_scale(spec, _stacked_unit_rule(spec, order), scale)
-
-
-def contract(rule: AxisRule, table: np.ndarray) -> tuple[complex, complex]:
-    """(full-order, half-order) weighted sums of values on ``rule.nodes``: ``contract_rows``'s one pair."""
-    return contract_rows(rule, table)[0]
+    """One coordinate's rule, w(q) folded in: the cached unit rule of (spec, order),
+    shared as it is on a compact axis and taken to the map ``scale`` on each call on
+    a line or half-line, where k scales give (k, n) nodes and (k, 2, n) weights."""
+    base = _stacked_unit_rule(spec, order)
+    if spec.topology not in ("line", "half-line"):
+        return base
+    rows = isinstance(scale, (tuple, np.ndarray)) and np.ndim(scale) > 0
+    s = np.asarray(scale, dtype=float)[:, None] if rows else scale
+    if not ((s > 0.0).all() if rows else s > 0.0):
+        raise DomainError(f"map scale must be positive, got {scale!r}")
+    nodes = s * base.nodes
+    weights = (s[..., None] if rows else s) * base.weights * spec.weight.value(nodes)[..., None, :]
+    return AxisRule(nodes, weights, full=base.full)
 
 
 def contract_rows(rule: AxisRule, table: np.ndarray) -> list[tuple[complex, complex]]:
@@ -341,4 +329,4 @@ def integrate_separable(
         )
     config = config if config is not None else QuadratureConfig()
     rules = [axis_rule(spec, config.order_for(spec), scale) for spec in system.coords]
-    return combine_axes([contract(rule, f(rule.nodes)) for f, rule in zip(integrands, rules)])
+    return combine_axes([contract_rows(rule, f(rule.nodes))[0] for f, rule in zip(integrands, rules)])

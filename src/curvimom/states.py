@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError
 from .geometry import CoordinateSpec, CoordinateSystem, make_spherical
 from .quadrature import (
-    AxisRule, QuadratureConfig, axis_rule, combine_axes, contract, contract_rows, coordinate_integral
+    AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
 )
 from .specfun import (
     QuantumNumbers,
@@ -419,8 +419,6 @@ def hydrogen_family(states: Sequence[SeparableState]) -> StateFamily:
     state alone."""
     if not states or any(state.quantum_numbers is None for state in states):
         raise DomainError("a hydrogen family needs one or more states from hydrogen_state")
-    if len(states) == 1:
-        return StateFamily.of(states[0])
     axes = zip(*[state.factors for state in states])
     return StateFamily(states[0].system, tuple(states), tuple(_stacked(parts) for parts in axes))
 
@@ -526,5 +524,5 @@ def state_overlap(
     pairs = []
     for spec, fa, fb in zip(a.system.coords, a.factors, b.factors):
         args = (spec, config.order_for(spec), scale)
-        pairs.append(contract(fa.rule(*args), np.conj(fa.table(*args)[0]) * fb.table(*args)[0]))
+        pairs.append(contract_rows(fa.rule(*args), np.conj(fa.table(*args)[0]) * fb.table(*args)[0])[0])
     return combine_axes(pairs)[0]

@@ -60,6 +60,7 @@ from curvimom.states import (
     hydrogen_state,
     random_bound_trial,
     state_overlap,
+    trial_family,
 )
 
 
@@ -127,6 +128,13 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
     assert drift_expectation(counted_state, 1) == drift_expectation(state, 1)
     assert state_overlap(counted_state, counted_state) == state_overlap(state, state)
     assert calls == [1, 1, 1]
+    # no production path calls coordinate_rule: each reads axis_rule's rows
+    family = hydrogen_family([hydrogen_state(QuantumNumbers(n, 1, 0)) for n in (2, 3)])
+    family.moments(0, np.reciprocal, QuadratureConfig())
+    trial_family(make_spherical(), range(4))
+    assert all(result.passed for result in run_check_suites())
+    assert CliRunner().invoke(main, ["hydrogen-table"]).exit_code == 0
+    assert rule_calls == [0]
 
 
 @pytest.fixture

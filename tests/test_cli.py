@@ -107,6 +107,14 @@ def test_expect_refuses_hydrogen_states_off_norm_at_the_orders_in_use():
     for n, L in [(9, L) for L in range(9)] + [(n, L) for n in range(1, 7) for L in range(n)]:
         result = invoke("expect", "canonical:theta", f"hydrogen:n={n},L={L},M=0")
         assert result.exit_code == 0, (n, L, result.output)
+    # so is a trial state, normalised at the default orders: at order 8 on every axis the
+    # norm of seed 3 misses 1 by 6.1e-2 to 1.1e-1 over the four systems
+    for name, system in preset_systems().items():
+        args = ("expect", f"canonical:{system.coords[0].name}", "trial:seed=3", "--system", name)
+        result = invoke(*args, "--radial-order", "8", "--theta-order", "8", "--phi-order", "8")
+        assert result.exit_code == 2, (name, result.output)
+        assert "not normalised" in result.output
+        assert invoke(*args).exit_code == 0, name
 
 
 def test_negative_trial_seed_is_a_usage_error():

@@ -17,8 +17,8 @@ from curvimom import quadrature
 from curvimom.quadrature import (
     AxisRule,
     QuadratureConfig,
+    QuadratureRule,
     axis_rule,
-    contract,
     contract_rows,
     coordinate_integral,
     coordinate_rule,
@@ -226,17 +226,19 @@ def test_coordinate_integral_includes_weight():
 def test_rule_cache_does_not_grow_with_scale():
     spec = make_spherical().coords[0]
     first = coordinate_rule(spec, 120, 1.0)
-    size = quadrature._unit_rule.cache_info().currsize
+    size = quadrature._stacked_unit_rule.cache_info().currsize
     for k in range(1000):
         rule = coordinate_rule(spec, 120, 0.5 + k * 1e-3)
-    assert quadrature._unit_rule.cache_info().currsize == size
+    assert quadrature._stacked_unit_rule.cache_info().currsize == size
     assert rule.nodes[0] == pytest.approx(1.499 * first.nodes[0], rel=1e-15)
     with pytest.raises(DomainError):
         coordinate_rule(spec, 120, 0.0)
-    # cached rules are shared, so nothing may write into them
-    polar = coordinate_rule(make_spherical().coords[1], 64)
-    assert polar is coordinate_rule(make_spherical().coords[1], 64)
-    for arr in (first.nodes, first.weights, polar.weights, gauss_legendre(16).nodes):
+    # cached rules are shared, so nothing may write into them: a compact axis's
+    # rule is a view of its one cached stacked rule
+    polar_spec = make_spherical().coords[1]
+    polar, cached = coordinate_rule(polar_spec, 64), quadrature._stacked_unit_rule(polar_spec, 64)
+    assert np.shares_memory(polar.nodes, cached.nodes) and np.shares_memory(polar.weights, cached.weights)
+    for arr in (first.nodes, first.weights, polar.nodes, polar.weights, gauss_legendre(16).nodes):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # the stacked rules of every axis: one cached unit rule per (spec, order)
@@ -258,9 +260,19 @@ def test_rule_cache_does_not_grow_with_scale():
                 arr[0] = 0.0
 
 
+def _scaled_unit_rule(spec, order, scale):
+    # a unit rule taken to ``scale`` by hand, w(q) folded in on a line or half-line
+    unit = quadrature._unit_rule(spec, order)
+    if spec.topology not in ("line", "half-line"):
+        return unit
+    nodes = scale * unit.nodes
+    return QuadratureRule(nodes, scale * unit.weights * spec.weight.value(nodes))
+
+
 def test_contract_on_stacked_rules_matches_separate_sums():
     # every topology: half-line, line, periodic, polar (sine absorbed) and an
-    # affine compact axis; each table real and complex, at a non-unit scale
+    # affine compact axis; each table real and complex, at a non-unit scale;
+    # the full- and half-order references are built here, not by the package
     ball = CoordinateSystem(
         "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
     )
@@ -274,15 +286,18 @@ def test_contract_on_stacked_rules_matches_separate_sums():
         for spec in system.coords:
             order = cfg.order_for(spec)
             rule = axis_rule(spec, order, scale)
-            full = coordinate_rule(spec, order, scale)
-            half = coordinate_rule(spec, max(order // 2, 2), scale)
-            assert rule.full == len(full.nodes)
+            full = _scaled_unit_rule(spec, order, scale)
+            half = _scaled_unit_rule(spec, max(order // 2, 2), scale)
+            n = rule.full
+            assert n == len(full.nodes)
             assert np.array_equal(rule.nodes, np.concatenate([full.nodes, half.nodes]))
             assert rule.weights.shape == (2, len(rule.nodes))
+            assert np.array_equal(rule.weights[0], np.concatenate([full.weights, np.zeros(len(half.nodes))]))
+            assert np.array_equal(rule.weights[1], np.concatenate([np.zeros(n), half.weights]))
             with pytest.raises(ValueError):
                 rule.nodes[0] = 0.0
             for f in integrands:
-                got = contract(rule, f(rule.nodes))
+                got = contract_rows(rule, f(rule.nodes))[0]
                 for value, single in zip(got, (full, half)):
                     expected = complex(np.sum(single.weights * f(single.nodes)))
                     assert abs(value - expected) <= 1e-14 * abs(expected), (system.name, spec.name)
@@ -297,4 +312,4 @@ def test_each_row_contracts_as_it_would_alone():
         rule = axis_rule(spec, 40, scale)
         rules = [rule] * 4 if np.ndim(scale) == 0 else [AxisRule(*p, full=rule.full) for p in zip(rule.nodes, rule.weights)]
         for table in (rng.random((4, rule.nodes.shape[-1])), rng.random((4, rule.nodes.shape[-1])) * (1 + 2j)):
-            assert contract_rows(rule, table) == [contract(one, row) for one, row in zip(rules, table)]
+            assert contract_rows(rule, table) == [contract_rows(one, row)[0] for one, row in zip(rules, table)]
