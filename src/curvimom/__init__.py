@@ -76,7 +76,6 @@ from .specfun import (
     assoc_laguerre,
     assoc_laguerre_deriv,
     assoc_legendre,
-    assoc_legendre_and_deriv,
     assoc_legendre_deriv,
 )
 from .states import (

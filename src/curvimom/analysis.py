@@ -155,7 +155,7 @@ def expectations(
     values, norms = family.tabulate(cfg)
     rule, table, factor, k = family.rule(op.axis, cfg), values[op.axis], family.factors[op.axis], len(family.members)
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
-    slopes, drift = family.derivative_table(op.axis, cfg), op.drift(rule.nodes) + op.constant
+    slopes, drift = family.derivative_table(op.axis, cfg), op.drift(rule.nodes)
     moments = contract_rows(rule, np.conj(table) * -1j * (slopes + drift * table))
     spec = family.system.coords[op.axis]
     zero_ends = measure_factor(spec).zero_ends

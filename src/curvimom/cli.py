@@ -37,7 +37,7 @@ from .analysis import (
 from .errors import ConfigurationError, DomainError, SingularityError
 from .geometry import preset_systems
 from .operators import canonical_momentum, momentum_unit, naive_momentum
-from .quadrature import ORDER_RANGE, QuadratureConfig, combine_axes
+from .quadrature import ORDER_RANGE, QuadratureConfig
 from .specfun import QuantumNumbers
 from .states import ATOMIC, StateFamily, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
 
@@ -80,9 +80,12 @@ def _common_options(fn):
         help="Output format.",
     )(fn)
     order = click.IntRange(*ORDER_RANGE)
-    fn = click.option("--phi-order", type=order, default=32, show_default=True, help="Azimuthal quadrature points.")(fn)
-    fn = click.option("--theta-order", type=order, default=64, show_default=True, help="Polar quadrature order.")(fn)
-    fn = click.option("--radial-order", type=order, default=120, show_default=True, help="Radial quadrature order.")(fn)
+    fn = click.option("--phi-order", type=order, default=QuadratureConfig.phi_order, show_default=True,
+                      help="Azimuthal quadrature points.")(fn)
+    fn = click.option("--theta-order", type=order, default=QuadratureConfig.theta_order, show_default=True,
+                      help="Polar quadrature order.")(fn)
+    fn = click.option("--radial-order", type=order, default=QuadratureConfig.radial_order, show_default=True,
+                      help="Radial quadrature order.")(fn)
     fn = click.option(
         "--units",
         type=click.Choice(["atomic", "si"]),
@@ -185,6 +188,16 @@ def _parse_state(text: str, system, default_seed: int):
     return random_bound_trial(system, seed)
 
 
+def _require_normalised(family: StateFamily, config: QuadratureConfig, label: str) -> None:
+    """DomainError unless every member's |<psi|psi> - 1| is within _NORM_TOL at the orders in
+    use: each norm is the product of the full-order |f|^2 sums of the tables expectations read."""
+    member_pairs = zip(*family.tabulate(config)[1])  # each member's |f|^2 pair on every axis
+    misses = [abs(math.prod(full.real for full, _ in pairs) - 1.0) for pairs in member_pairs]
+    if not all(miss <= _NORM_TOL for miss in misses):  # a NaN norm is refused too
+        raise DomainError(f"{label} is not normalised to {_NORM_TOL:g} at these orders: "
+                          f"|<psi|psi> - 1| = {np.max(misses):.2e}")
+
+
 def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
     if fmt == "json":
         lines = [json.dumps({k: row[k] for k in columns}) for row in rows]
@@ -229,11 +242,7 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
     system = preset_systems()[system_name]
     op = _parse_operator(operator, system)
     st = _parse_state(state, system, seed)
-    # the norm from the |f|^2 pairs of the tables expectation reads
-    norm_sq, _ = combine_axes([pairs[0] for pairs in StateFamily.of(st).tabulate(config)[1]])
-    if not abs(norm_sq.real - 1.0) <= _NORM_TOL:  # a NaN norm is refused too
-        raise DomainError(f"{state} is not normalised to {_NORM_TOL:g} at these orders: "
-                          f"|<psi|psi> - 1| = {abs(norm_sq.real - 1.0):.2e}")
+    _require_normalised(StateFamily.of(st), config, state)
     report = expectation(op, st, config)
 
     unit = momentum_unit(op.kind, constants)
@@ -274,6 +283,7 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
 
     states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, nmax + 1) for L in range(n)]
     family = hydrogen_family(states)
+    _require_normalised(family, config, f"a state of the n <= {nmax} hydrogen table")
     p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
     # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>
     inv_r2s, inv_r3s = (family.moments(0, lambda r: r**p, config) for p in (-2.0, -3.0))

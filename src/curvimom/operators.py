@@ -2,13 +2,15 @@
 
 The canonical momentum along coordinate q_i is
 
-    p_i = -i hbar ( d/dq_i + g_i(q_i) + c_i ),
+    p_i = -i hbar ( d/dq_i + g_i(q_i) ),
 
 with drift g_i = w_i'/(2 w_i) induced by the coordinate weight; the naive
-operator drops the drift.  Applied to a separable state, either operator
-only touches the factor on its own axis, so the result stays separable.
-Operators act in natural units (hbar = 1, lengths in a0): an expectation
-is in hbar/a0 on a linear axis and in hbar on an angular one.
+operator drops the drift.  Hermiticity leaves no free additive constant:
+``ci_uniqueness_demo`` recovers any such constant as zero.  Applied to a
+separable state, either operator only touches the factor on its own axis,
+so the result stays separable.  Operators act in natural units (hbar = 1,
+lengths in a0): an expectation is in hbar/a0 on a linear axis and in hbar
+on an angular one.
 """
 
 from __future__ import annotations
@@ -42,13 +44,12 @@ def _zero_drift(q):
 
 @dataclass(frozen=True, eq=False)
 class MomentumOperator:
-    """-i (d/dq + drift(q) + constant) along one coordinate axis, in natural
-    units: on a linear axis q is in a0, the constant in 1/a0 and an expectation
-    in hbar/a0; on an angular axis an expectation is in hbar."""
+    """-i (d/dq + drift(q)) along one coordinate axis, with no additive constant
+    (``ci_uniqueness_demo`` shows it is zero), in natural units: on a linear axis
+    q is in a0 and an expectation in hbar/a0; on an angular axis it is in hbar."""
 
     axis: int
     drift: Callable
-    constant: float
     kind: str
 
 
@@ -57,16 +58,10 @@ def momentum_unit(kind: str, constants: PhysicalConstants) -> float:
     return constants.hbar * constants.length_unit(-1) if kind == "linear" else constants.hbar
 
 
-def canonical_momentum(system: CoordinateSystem, axis: int, constant: float = 0.0) -> MomentumOperator:
-    """Canonical momentum for one axis, drift from the coordinate weight; the
-    constant is in 1/a0 on a linear axis."""
+def canonical_momentum(system: CoordinateSystem, axis: int) -> MomentumOperator:
+    """Canonical momentum for one axis, drift from the coordinate weight."""
     spec = system.coords[axis]
-    return MomentumOperator(
-        axis=axis,
-        drift=measure_factor(spec).drift,
-        constant=float(constant),
-        kind=spec.kind,
-    )
+    return MomentumOperator(axis=axis, drift=measure_factor(spec).drift, kind=spec.kind)
 
 
 def naive_momentum(system: CoordinateSystem, axis: int) -> MomentumOperator:
@@ -88,7 +83,7 @@ def apply(op: MomentumOperator, state: SeparableState, point: Sequence) -> compl
     q = point[op.axis]
     factor = state.factors[op.axis]
     g = op.drift(q)
-    axis_part = factor.derivative(q) + (g + op.constant) * factor.evaluate(q)
+    axis_part = factor.derivative(q) + g * factor.evaluate(q)
     rest = (f.evaluate(qj) for j, (f, qj) in enumerate(zip(state.factors, point)) if j != op.axis)
     return -1j * axis_part * math.prod(rest, start=1 + 0j)
 
@@ -96,17 +91,16 @@ def apply(op: MomentumOperator, state: SeparableState, point: Sequence) -> compl
 def operator_applied_state(op: MomentumOperator, state: SeparableState) -> SeparableState:
     """p acting on a separable state, returned as a separable state.
 
-    The new axis factor is -i (f' + (g + c) f), in natural units.  Its derivative would
+    The new axis factor is -i (f' + g f), in natural units.  Its derivative would
     need f'', which no factor carries, so asking for it raises
     UnsupportedStateError; the other factors keep their analytic
     derivatives.
     """
     factor = state.factors[op.axis]
     ev, dv = factor.evaluate, factor.derivative
-    drift, c = op.drift, op.constant
 
     def evaluate(q):
-        return -1j * (np.asarray(dv(q)) + (drift(q) + c) * np.asarray(ev(q)))
+        return -1j * (np.asarray(dv(q)) + op.drift(q) * np.asarray(ev(q)))
 
     def derivative(q):
         raise UnsupportedStateError(

@@ -19,7 +19,6 @@ __all__ = [
     "QuantumNumbers",
     "assoc_legendre",
     "assoc_legendre_deriv",
-    "assoc_legendre_and_deriv",
     "assoc_laguerre",
     "assoc_laguerre_deriv",
 ]
@@ -52,6 +51,13 @@ def _require_degree_order(L: int, M: int) -> None:
         raise DomainError(f"degree L must be >= 0, got {L}")
     if abs(M) > L:
         raise DomainError(f"order must satisfy |M| <= L, got M={M}, L={L}")
+
+
+def _require_laguerre_indices(k: int, a: int) -> None:
+    if not isinstance(k, (int, np.integer)) or not isinstance(a, (int, np.integer)):
+        raise DomainError(f"Laguerre indices must be integers, got k={k!r}, a={a!r}")
+    if k < 0 or a < 0:
+        raise DomainError(f"Laguerre indices must be >= 0, got k={k}, a={a}")
 
 
 def _factorial_ratio(num: int, den: int) -> float:
@@ -118,8 +124,8 @@ def assoc_legendre(L: int, M: int, x):
     return float(out) if scalar else out
 
 
-def assoc_legendre_and_deriv(L: int, M: int, x):
-    """(P_L^M(x), dP_L^M/dx) from one climb, the derivative via the degree-lowering recurrence.
+def assoc_legendre_deriv(L: int, M: int, x):
+    """dP_L^M/dx on (-1, 1), from one climb by the degree-lowering recurrence.
 
     Uses (x^2 - 1) dP_L^M/dx = L x P_L^M - (L + M) P_{L-1}^M, the standard
     indexing (degree lowered, order kept), with both functions from the
@@ -133,14 +139,8 @@ def assoc_legendre_and_deriv(L: int, M: int, x):
     xi, scalar = _as_float_array(x)
     if np.any(np.abs(xi) >= 1.0):
         raise DomainError("argument of a Legendre derivative must lie in (-1, 1)")
-    rows = _legendre_climb(L, M, xi)
-    p_l, slope = rows[L], _degree_lowering(rows, M, xi)[L]
-    return (float(p_l), float(slope)) if scalar else (p_l, slope)
-
-
-def assoc_legendre_deriv(L: int, M: int, x):
-    """dP_L^M/dx on (-1, 1): the second of ``assoc_legendre_and_deriv``'s pair."""
-    return assoc_legendre_and_deriv(L, M, x)[1]
+    out = _degree_lowering(_legendre_climb(L, M, xi), M, xi)[L]
+    return float(out) if scalar else out
 
 
 def assoc_laguerre(k: int, a: int, x):
@@ -152,10 +152,7 @@ def assoc_laguerre(k: int, a: int, x):
     Raises:
         DomainError: if k or a is negative or non-integer.
     """
-    if not isinstance(k, (int, np.integer)) or not isinstance(a, (int, np.integer)):
-        raise DomainError(f"Laguerre indices must be integers, got k={k!r}, a={a!r}")
-    if k < 0 or a < 0:
-        raise DomainError(f"Laguerre indices must be >= 0, got k={k}, a={a}")
+    _require_laguerre_indices(k, a)
     xi, scalar = _as_float_array(x)
 
     p_prev = np.ones_like(xi)
@@ -171,13 +168,9 @@ def assoc_laguerre(k: int, a: int, x):
 
 
 def assoc_laguerre_deriv(k: int, a: int, x):
-    """Derivative d/dx L_k^a(x) = -L_{k-1}^{a+1}(x) (zero for k = 0)."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"Laguerre index k must be an integer >= 0, got {k!r}")
+    """Derivative d/dx L_k^a(x) = -L_{k-1}^{a+1}(x) (zero for k = 0); DomainError as in ``assoc_laguerre``."""
+    _require_laguerre_indices(k, a)
     xi, scalar = _as_float_array(x)
-    if k == 0:
-        out = np.zeros_like(xi)
-        return float(out) if scalar else out
-    out = -assoc_laguerre(k - 1, a + 1, xi)
+    out = -assoc_laguerre(k - 1, a + 1, xi) if k else np.zeros_like(xi)
     return float(out) if scalar else out
 

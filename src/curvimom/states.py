@@ -87,12 +87,8 @@ class PhysicalConstants:
         except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: a0 underflowed to 0
             return math.inf
 
-    @classmethod
-    def atomic(cls) -> "PhysicalConstants":
-        return cls(1.0, 1.0, 1.0)
 
-
-ATOMIC = PhysicalConstants.atomic()
+ATOMIC = PhysicalConstants(1.0, 1.0, 1.0)
 
 
 def load_constants(path: str) -> PhysicalConstants:
@@ -310,6 +306,7 @@ def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
 
 
 _SINE_KS, _FOURIER_MS = np.arange(1.0, 5.0), np.arange(-2.0, 3.0)  # the trial harmonics
+_FOURIER_SLOPES = 1j * _FOURIER_MS  # d/dphi e^(i m phi) = (i m) e^(i m phi)
 # per topology, the uniforms a trial factor draws, in a lone state's order, as (low, high - low)
 # columns: Generator.uniform(low, high) gives low + (high - low) u, bit for bit.  A linear factor
 # draws its scale (0.8 + 0.4 u), its center (line only) and 3 coefficients; an angular one its harmonics'
@@ -338,32 +335,28 @@ def _poly_gaussian(scale, center, c0, c1, c2, inv=1.0) -> FactorFunction:
     return FactorFunction(evaluate, derivative)
 
 
-def _sine_sum(coeffs, inv=1.0) -> FactorFunction:
-    # sum of c_k sin(k theta), k = 1..4: vanishes at both poles, so the polar
-    # drift stays integrable; coeffs (4,), or (k, 1, 4) for k members
-    def evaluate(theta):
-        th = np.asarray(theta, dtype=float)
-        return inv * np.sum(coeffs * np.sin(np.multiply.outer(th, _SINE_KS)), axis=-1)
+def _harmonic_sum(coeffs, inv, ks, slopes, basis, slope_basis) -> FactorFunction:
+    # sum of c_j basis(k_j q), with derivative sum of slope_j c_j slope_basis(k_j q);
+    # coeffs (m,), or (k, 1, m) for k members
+    def evaluate(q):
+        return inv * np.sum(coeffs * basis(np.multiply.outer(np.asarray(q, dtype=float), ks)), axis=-1)
 
-    def derivative(theta):
-        th = np.asarray(theta, dtype=float)
-        return inv * np.sum(coeffs * _SINE_KS * np.cos(np.multiply.outer(th, _SINE_KS)), axis=-1)
+    def derivative(q):
+        return inv * np.sum(slopes * coeffs * slope_basis(np.multiply.outer(np.asarray(q, dtype=float), ks)), axis=-1)
 
     return FactorFunction(evaluate, derivative)
+
+
+def _sine_sum(coeffs, inv=1.0) -> FactorFunction:
+    # sum of c_k sin(k theta), k = 1..4: vanishes at both poles, so the polar
+    # drift stays integrable
+    return _harmonic_sum(coeffs, inv, _SINE_KS, _SINE_KS, np.sin, np.cos)
 
 
 def _fourier_sum(cs, inv=1.0) -> FactorFunction:
-    # sum of c_m e^(i m phi), m = -2..2, the c_m already divided by sqrt(2 pi);
-    # cs (5,), or (k, 1, 5) for k members
-    def evaluate(phi):
-        ph = np.asarray(phi, dtype=float)
-        return inv * np.sum(cs * np.exp(1j * np.multiply.outer(ph, _FOURIER_MS)), axis=-1)
-
-    def derivative(phi):
-        ph = np.asarray(phi, dtype=float)
-        return inv * np.sum(1j * _FOURIER_MS * cs * np.exp(1j * np.multiply.outer(ph, _FOURIER_MS)), axis=-1)
-
-    return FactorFunction(evaluate, derivative)
+    # sum of c_m e^(i m phi), m = -2..2, the c_m already divided by sqrt(2 pi)
+    phase = lambda x: np.exp(1j * x)
+    return _harmonic_sum(cs, inv, _FOURIER_MS, _FOURIER_SLOPES, phase, phase)
 
 
 class StateFamily(NamedTuple):

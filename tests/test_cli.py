@@ -115,6 +115,12 @@ def test_expect_refuses_hydrogen_states_off_norm_at_the_orders_in_use():
         assert result.exit_code == 2, (name, result.output)
         assert "not normalised" in result.output
         assert invoke(*args).exit_code == 0, name
+    # so is a hydrogen table with a member off norm (1.6e-7 at n = 6, radial order 60), which
+    # the default orders resolve (at worst 3.1e-15 at --nmax 6, 1.7e-15 at --nmax 4)
+    result = invoke("hydrogen-table", "--nmax", "6", "--radial-order", "60")
+    assert result.exit_code == 2 and "not normalised" in result.output, result.output
+    for nmax in ("4", "6"):
+        assert invoke("hydrogen-table", "--nmax", nmax).exit_code == 0, nmax
 
 
 def test_negative_trial_seed_is_a_usage_error():

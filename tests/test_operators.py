@@ -10,7 +10,7 @@ import pytest
 
 import curvimom
 from curvimom.errors import SingularityError, UnsupportedStateError
-from curvimom.geometry import make_cartesian, make_spherical, preset_systems
+from curvimom.geometry import make_spherical, preset_systems
 from curvimom.operators import (
     MomentumOperator,
     apply,
@@ -220,17 +220,6 @@ def test_apply_raises_at_measure_zeros():
     assert values.shape == (3,) and np.all(np.isfinite(values))
 
 
-def test_constant_offset_shifts_action():
-    cart = make_cartesian()
-    state = random_bound_trial(cart, 41)
-    base = canonical_momentum(cart, 1)
-    shifted = canonical_momentum(cart, 1, constant=0.25)
-    point = (0.3, -0.6, 1.1)
-    diff = apply(shifted, state, point) - apply(base, state, point)
-    expected = -1j * ATOMIC.hbar * 0.25 * state.evaluate(point)
-    assert diff == pytest.approx(expected, rel=1e-12)
-
-
 def test_only_the_unit_definitions_take_physical_constants():
     # the library works in natural units and the CLI applies physical ones, so
     # no public callable but the definitions of the units takes constants
@@ -254,3 +243,18 @@ def test_only_the_unit_definitions_take_physical_constants():
     assert "canonical_momentum" in callables and "momentum_unit" in taking
     assert taking <= {"momentum_unit", "load_constants", "PhysicalConstants"}, taking
     assert "unit" not in {field.name for field in dataclasses.fields(MomentumOperator)}
+
+
+def test_every_public_name_resolves_and_is_exported_by_its_module():
+    # each module's __all__ names what it defines, and the package re-exports only those
+    # names and the error types, so a deleted name cannot linger in either list
+    exported = {}
+    for name in ("analysis", "geometry", "operators", "quadrature", "specfun", "states"):
+        module = vars(curvimom)[name]
+        for entry in module.__all__:
+            assert hasattr(module, entry), (name, entry)
+            exported[entry] = getattr(module, entry)
+    exported.update((name, obj) for name, obj in vars(curvimom.errors).items() if inspect.isclass(obj))
+    stray = [name for name, obj in vars(curvimom).items()
+             if not name.startswith("_") and not inspect.ismodule(obj) and exported.get(name) is not obj]
+    assert stray == []

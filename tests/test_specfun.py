@@ -21,7 +21,6 @@ from curvimom.specfun import (
     assoc_laguerre,
     assoc_laguerre_deriv,
     assoc_legendre,
-    assoc_legendre_and_deriv,
     assoc_legendre_deriv,
 )
 from curvimom.specfun import _degree_lowering, _legendre_climb
@@ -160,9 +159,9 @@ def test_legendre_deriv_is_the_recurrence_of_two_legendre_calls(case):
 
 
 def test_one_climb_gives_the_separate_calls_bit_for_bit():
-    # the pair comes from one climb; each row d of a climb to L, and its slope, are the
-    # numbers of separate calls at degree d, on x alone and on x and -x climbed together;
-    # rows below |M| are zero, and a scalar gives floats
+    # each row d of a climb to L, and its slope, are the numbers of separate calls at
+    # degree d, on x alone and on x and -x climbed together; rows below |M| are zero,
+    # and a scalar gives floats
     inner, closed = np.linspace(-0.995, 0.995, 41), np.linspace(-1.0, 1.0, 41)
 
     def same(got, expected):
@@ -171,19 +170,15 @@ def test_one_climb_gives_the_separate_calls_bit_for_bit():
     for L in range(11):
         for M in range(-L, L + 1):
             for x, y in ((inner, closed), (0.3, 1.0), (-0.7, -0.25)):
-                got = assoc_legendre_and_deriv(L, M, x)
-                expected = (assoc_legendre(L, M, x), assoc_legendre_deriv(L, M, x))
-                for g, e in zip(got, expected):
-                    assert type(g) is type(e) and same(g, e), (L, M, x)
-                if np.ndim(x) == 0:
-                    assert all(type(g) is float for g in got)
+                got = (assoc_legendre(L, M, x), assoc_legendre_deriv(L, M, x))
+                assert all(type(g) is (float if np.ndim(x) == 0 else np.ndarray) for g in got), (L, M, x)
                 xi = np.asarray(x, dtype=float)
                 rows = _legendre_climb(L, M, xi)
                 slopes, mirrored = _degree_lowering(rows, M, xi), _legendre_climb(L, M, np.stack([y, -np.asarray(y)]))
                 assert not rows[: abs(M)].any() and not mirrored[: abs(M)].any()
                 for d in range(abs(M), L + 1):
                     assert same(rows[d], assoc_legendre(d, M, x)), (d, M, x)
-                    assert same(slopes[d], assoc_legendre_and_deriv(d, M, x)[1]), (d, M, x)
+                    assert same(slopes[d], assoc_legendre_deriv(d, M, x)), (d, M, x)
                     assert same(mirrored[d, 0], assoc_legendre(d, M, y)), (d, M, y)
                     assert same(mirrored[d, 1], assoc_legendre(d, M, -np.asarray(y))), (d, M, y)
 
@@ -210,7 +205,7 @@ def test_legendre_domain_errors():
     with pytest.raises(DomainError):
         assoc_legendre_deriv(2, 1, -1.0)
     with pytest.raises(DomainError):
-        assoc_legendre_and_deriv(2, 1, np.array([0.0, 1.0]))
+        assoc_legendre_deriv(2, 1, np.array([0.0, 1.0]))
 
 
 def test_legendre_large_degree_stays_finite():
@@ -268,6 +263,10 @@ def test_laguerre_domain_errors():
         assoc_laguerre(2, -1, 1.0)
     with pytest.raises(DomainError):
         assoc_laguerre(2.5, 0, 1.0)
+    # the derivative checks a as assoc_laguerre does, also at k = 0 where it reads no polynomial
+    for k, a in ((0, -1), (2, -1), (0, 1.5)):
+        with pytest.raises(DomainError):
+            assoc_laguerre_deriv(k, a, 0.5)
 
 
 def test_spherical_harmonic_known_values(spherical_harmonic):
