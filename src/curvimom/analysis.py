@@ -38,7 +38,7 @@ from .operators import (
     l_squared_expectation,
     naive_momentum,
 )
-from .quadrature import QuadratureConfig, combine_axes, contract_rows
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, combine_axes, contract_rows
 from . import specfun  # the Legendre suites read the climb through the module, so a patched one shows
 from .specfun import QuantumNumbers
 from .states import (
@@ -60,6 +60,7 @@ __all__ = [
     "expectation",
     "expectations",
     "reality_tolerance",
+    "require_normalised",
     "drift_expectation",
     "ci_uniqueness_demo",
     "inv_r2_closed_form",
@@ -78,7 +79,8 @@ _REALITY_FLOOR = 1e-9
 _NORM_TOL = 1e-10
 # the largest power radial_moment accepts, from measured accuracy (see its docstring)
 _MAX_RADIAL_POWER = 20
-_DEFAULT_CONFIG = QuadratureConfig()
+# the L range p_theta_spectrum_scan and the command's --lmax accept (n = L + 1 <= 11)
+LMAX_RANGE = (0, 10)
 # members per reality-scan trial family: a family holds a (k, n) table per axis,
 # and 25 members keep the Cartesian one (three line axes) under a megabyte
 _FAMILY_SIZE = 25
@@ -140,7 +142,7 @@ class SuiteResult:
 
 
 def expectations(
-    op: MomentumOperator, family: StateFamily, config: QuadratureConfig | None = None
+    op: MomentumOperator, family: StateFamily, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> list[ExpectationReport]:
     """<psi| p |psi> with reality diagnostics on every member of ``family``: one table
     and one contraction per axis, then each member's report from Python scalars in
@@ -151,11 +153,10 @@ def expectations(
     """
     if not all([state.normalized for state in family.members]):
         raise PreconditionError("expectation values require a normalized state")
-    cfg = config if config is not None else _DEFAULT_CONFIG
-    values, norms = family.tabulate(cfg)
-    rule, table, factor, k = family.rule(op.axis, cfg), values[op.axis], family.factors[op.axis], len(family.members)
+    values, norms = family.tabulate(config)
+    rule, table, factor, k = family.rule(op.axis, config), values[op.axis], family.factors[op.axis], len(family.members)
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
-    slopes, drift = family.derivative_table(op.axis, cfg), op.drift(rule.nodes)
+    slopes, drift = family.derivative_table(op.axis, config), op.drift(rule.nodes)
     moments = contract_rows(rule, np.conj(table) * -1j * (slopes + drift * table))
     spec = family.system.coords[op.axis]
     zero_ends = measure_factor(spec).zero_ends
@@ -184,7 +185,7 @@ def expectations(
 
 
 def expectation(
-    op: MomentumOperator, state: SeparableState, config: QuadratureConfig | None = None
+    op: MomentumOperator, state: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExpectationReport:
     """<psi| p |psi> by separable quadrature, with reality diagnostics: the
     family-of-one case of ``expectations``.
@@ -200,8 +201,17 @@ def reality_tolerance(report: ExpectationReport) -> float:
     return max(10.0 * report.quadrature_error, _REALITY_FLOOR)
 
 
+def require_normalised(family: StateFamily, config: QuadratureConfig, label: str) -> None:
+    """DomainError unless every member's |<psi|psi> - 1|, from ``family.norms`` at the
+    orders in use, is within the normalization suite's tolerance 1e-10."""
+    misses = [abs(norm - 1.0) for norm in family.norms(config)]
+    if not all(miss <= _NORM_TOL for miss in misses):  # a NaN norm is refused too
+        raise DomainError(f"{label} is not normalised to {_NORM_TOL:g} at these orders: "
+                          f"|<psi|psi> - 1| = {np.max(misses):.2e}")
+
+
 def drift_expectation(
-    state: SeparableState, axis: int, config: QuadratureConfig | None = None
+    state: SeparableState, axis: int, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """<g_axis>: the bulk piece of the naive operator's defect law, in natural units.
 
@@ -210,7 +220,7 @@ def drift_expectation(
     if not state.normalized:
         raise PreconditionError("expectation values require a normalized state")
     g = measure_factor(state.system.coords[axis]).drift
-    return StateFamily.of(state).moments(axis, g, config if config is not None else _DEFAULT_CONFIG)[0]
+    return StateFamily.of(state).moments(axis, g, config)[0]
 
 
 def ci_uniqueness_demo(
@@ -218,7 +228,7 @@ def ci_uniqueness_demo(
     axis: int,
     seed_a: int,
     seed_b: int,
-    config: QuadratureConfig | None = None,
+    config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> tuple[float, float]:
     """Recovered additive constants for two independent trial states.
 
@@ -257,7 +267,7 @@ def inv_r3_closed_form(qn: QuantumNumbers) -> float:
     return 1.0 / (qn.n**3 * qn.L * (qn.L + 0.5) * (qn.L + 1))
 
 
-def radial_moment(qn: QuantumNumbers, power: int, config: QuadratureConfig | None = None) -> float:
+def radial_moment(qn: QuantumNumbers, power: int, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """<r^power> on the hydrogen level (n, L) by half-line quadrature, in a0^power.
 
     Raises:
@@ -269,11 +279,10 @@ def radial_moment(qn: QuantumNumbers, power: int, config: QuadratureConfig | Non
         raise DomainError(
             f"<r^{power}> on L = {qn.L} needs a power in [{-(2 * qn.L + 2)}, {_MAX_RADIAL_POWER}]"
         )
-    cfg = config if config is not None else _DEFAULT_CONFIG
-    return StateFamily.of(hydrogen_state(qn)).moments(0, lambda r: r ** float(power), cfg)[0]
+    return StateFamily.of(hydrogen_state(qn)).moments(0, lambda r: r ** float(power), config)[0]
 
 
-def force_balance(qn: QuantumNumbers, config: QuadratureConfig | None = None) -> ForceBalanceReport:
+def force_balance(qn: QuantumNumbers, config: QuadratureConfig = DEFAULT_CONFIG) -> ForceBalanceReport:
     """Circular-orbit balance hbar^2 L(L+1)/m <1/r^3> = e^2 <1/r^2>.
 
     The moments come from quadrature; the closed forms ride along for
@@ -281,8 +290,8 @@ def force_balance(qn: QuantumNumbers, config: QuadratureConfig | None = None) ->
     """
     if qn.L < 1:
         raise DomainError("force balance needs L >= 1")
-    state, cfg = hydrogen_state(qn), config if config is not None else _DEFAULT_CONFIG
-    inv_r2, inv_r3 = (StateFamily.of(state).moments(0, lambda r: r**p, cfg)[0] for p in (-2.0, -3.0))
+    state = hydrogen_state(qn)
+    inv_r2, inv_r3 = (StateFamily.of(state).moments(0, lambda r: r**p, config)[0] for p in (-2.0, -3.0))
     return _force_balance(state, inv_r2, inv_r3)
 
 
@@ -305,7 +314,7 @@ def _force_balance(state: SeparableState, inv_r2_q: float, inv_r3_q: float) -> F
     )
 
 
-def naive_ehrenfest_residual(qn: QuantumNumbers, config: QuadratureConfig | None = None) -> float:
+def naive_ehrenfest_residual(qn: QuantumNumbers, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Unbalanced radial force <-e^2/r^2> left by the naive operator, in e^2/a0^2.
 
     Strictly negative: with the drift dropped, nothing cancels the Coulomb
@@ -314,19 +323,20 @@ def naive_ehrenfest_residual(qn: QuantumNumbers, config: QuadratureConfig | None
     return -radial_moment(qn, -2, config=config)
 
 
-def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig | None = None) -> list[ScanRow]:
+def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CONFIG) -> list[ScanRow]:
     """<p_theta> on the circular-ish levels (n = L+1) for L <= l_max, in units of hbar.
 
     A hermitian p_theta must average to zero on every real-sector
-    eigenstate; the scan exposes any residual.
+    eigenstate, and only on normalised ones; the scan exposes any residual.
 
     Raises:
-        DomainError: if l_max is negative or exceeds 10.
+        DomainError: if l_max is outside [0, 10], or a member's norm misses 1 at these orders.
     """
-    if not isinstance(l_max, (int, np.integer)) or not 0 <= l_max <= 10:
-        raise DomainError(f"l_max must be an integer in [0, 10], got {l_max!r}")
+    if not isinstance(l_max, (int, np.integer)) or not LMAX_RANGE[0] <= l_max <= LMAX_RANGE[1]:
+        raise DomainError(f"l_max must be an integer in {list(LMAX_RANGE)}, got {l_max!r}")
     qns = [QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)]
     family = hydrogen_family([hydrogen_state(qn) for qn in qns])
+    require_normalised(family, config, f"a state of the L <= {l_max} scan")
     reports = expectations(canonical_momentum(make_spherical(), 1), family, config)
     return [ScanRow(qn.L, qn.M, rep.value, rep.quadrature_error) for qn, rep in zip(qns, reports)]
 
@@ -334,7 +344,7 @@ def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig | None = None
 def cartesian_reality_check(
     seed: int,
     wavenumber: float = 0.0,
-    config: QuadratureConfig | None = None,
+    config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> ExpectationReport:
     """<p_x> on a random Cartesian trial state, optionally phase-twisted, in hbar/a0.
 
@@ -410,9 +420,7 @@ def _suite_normalization(cfg: QuadratureConfig) -> SuiteResult:
     families = [hydrogen_family([hydrogen_state(qn) for qn in _LEVELS])]
     families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
     for family in families:
-        for member_norms in zip(*family.tabulate(cfg)[1]):
-            norm_sq, _ = combine_axes(member_norms)
-            t.add(norm_sq.real - 1.0, _NORM_TOL)
+        t.add(np.array(family.norms(cfg)) - 1.0, _NORM_TOL)
     return t.result()
 
 
@@ -504,16 +512,15 @@ def _suite_ci_uniqueness(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     return t.result()
 
 
-def run_check_suites(config: QuadratureConfig | None = None, seed: int = 0) -> list[SuiteResult]:
+def run_check_suites(config: QuadratureConfig = DEFAULT_CONFIG, seed: int = 0) -> list[SuiteResult]:
     """Run every invariant suite in units of a0 and hbar, so the results hold in every unit
     system; quadrature-sensitive ones use the acceptance tolerances, so degraded orders fail honestly."""
-    cfg = config if config is not None else QuadratureConfig()
     return [
         _suite_parity(),
         _suite_recurrence(),
         _suite_fd_derivative(),
-        _suite_normalization(cfg),
+        _suite_normalization(config),
         _suite_commutators(seed),
-        _suite_reality(cfg, seed),
-        _suite_ci_uniqueness(cfg, seed),
+        _suite_reality(config, seed),
+        _suite_ci_uniqueness(config, seed),
     ]

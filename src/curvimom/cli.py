@@ -24,14 +24,16 @@ import sys
 import click
 import numpy as np
 
+from . import __version__
 from .analysis import (
-    _NORM_TOL,
+    LMAX_RANGE,
     _force_balance,
     expectation,
     expectations,
     inv_r2_closed_form,
     p_theta_spectrum_scan,
     reality_tolerance,
+    require_normalised,
     run_check_suites,
 )
 from .errors import ConfigurationError, DomainError, SingularityError
@@ -102,12 +104,9 @@ _seed_option = click.option(
 
 
 def _resolve(units, radial_order, theta_order, phi_order, si_constants):
-    if units == "si":
-        if si_constants is None:
-            raise click.UsageError("--units si requires --si-constants FILE")
-        constants = load_constants(si_constants)
-    else:
-        constants = ATOMIC
+    if (units == "si") != (si_constants is not None):
+        raise click.UsageError("--units si and --si-constants FILE must be given together")
+    constants = load_constants(si_constants) if units == "si" else ATOMIC
     return QuadratureConfig(radial_order, theta_order, phi_order), constants
 
 
@@ -150,7 +149,7 @@ def _parse_operator(text: str, system):
 _STATE_KEYS = {"hydrogen": ("n", "L", "M"), "trial": ("seed",)}
 # the largest n at which hydrogen norms met the acceptance tolerances on every L
 # (1.5e-12 at n = 9, 1.1e-10 at n = 10, default orders); expect refuses larger n,
-# and at any order a hydrogen state whose norm misses _NORM_TOL
+# and at any order a state that require_normalised refuses
 _EXPECT_NMAX = 9
 
 
@@ -188,16 +187,6 @@ def _parse_state(text: str, system, default_seed: int):
     return random_bound_trial(system, seed)
 
 
-def _require_normalised(family: StateFamily, config: QuadratureConfig, label: str) -> None:
-    """DomainError unless every member's |<psi|psi> - 1| is within _NORM_TOL at the orders in
-    use: each norm is the product of the full-order |f|^2 sums of the tables expectations read."""
-    member_pairs = zip(*family.tabulate(config)[1])  # each member's |f|^2 pair on every axis
-    misses = [abs(math.prod(full.real for full, _ in pairs) - 1.0) for pairs in member_pairs]
-    if not all(miss <= _NORM_TOL for miss in misses):  # a NaN norm is refused too
-        raise DomainError(f"{label} is not normalised to {_NORM_TOL:g} at these orders: "
-                          f"|<psi|psi> - 1| = {np.max(misses):.2e}")
-
-
 def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
     if fmt == "json":
         lines = [json.dumps({k: row[k] for k in columns}) for row in rows]
@@ -211,7 +200,7 @@ def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
 
 
 @click.group()
-@click.version_option("0.1.0", prog_name="curvimom")
+@click.version_option(__version__, prog_name="curvimom")
 def main() -> None:
     """Canonical momentum operators on curvilinear coordinates, checked by quadrature."""
 
@@ -242,7 +231,7 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
     system = preset_systems()[system_name]
     op = _parse_operator(operator, system)
     st = _parse_state(state, system, seed)
-    _require_normalised(StateFamily.of(st), config, state)
+    require_normalised(StateFamily.of(st), config, state)
     report = expectation(op, st, config)
 
     unit = momentum_unit(op.kind, constants)
@@ -283,7 +272,7 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
 
     states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, nmax + 1) for L in range(n)]
     family = hydrogen_family(states)
-    _require_normalised(family, config, f"a state of the n <= {nmax} hydrogen table")
+    require_normalised(family, config, f"a state of the n <= {nmax} hydrogen table")
     p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
     # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>
     inv_r2s, inv_r3s = (family.moments(0, lambda r: r**p, config) for p in (-2.0, -3.0))
@@ -334,7 +323,7 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
 
 @main.command("p-theta-scan")
 @click.option(
-    "--lmax", type=click.IntRange(0, 10), default=6, show_default=True, help="Largest angular momentum L."
+    "--lmax", type=click.IntRange(*LMAX_RANGE), default=6, show_default=True, help="Largest angular momentum L."
 )
 @_common_options
 @_translate_errors

@@ -41,6 +41,7 @@ __all__ = [
     "QuadratureRule",
     "AxisRule",
     "QuadratureConfig",
+    "DEFAULT_CONFIG",
     "ORDER_RANGE",
     "gauss_legendre",
     "half_line_rule",
@@ -232,6 +233,10 @@ class QuadratureConfig:
         return self.phi_order
 
 
+# the one default of every config parameter, and the orders trial factors are normalised at
+DEFAULT_CONFIG = QuadratureConfig()
+
+
 def coordinate_integral(spec: CoordinateSpec, integrand: Callable, order: int, scale=1.0):
     """1-D integral of integrand(q) * w(q) dq over one coordinate, a complex, on
     the full-order rows of ``axis_rule``; an integrand giving k rows of values
@@ -309,7 +314,7 @@ def combine_axes(pairs: Sequence[tuple[complex, complex]]) -> tuple[complex, flo
 def integrate_separable(
     system: CoordinateSystem,
     integrands: Sequence[Callable],
-    config: QuadratureConfig | None = None,
+    config: QuadratureConfig = DEFAULT_CONFIG,
     scale: float = 1.0,
 ) -> tuple[complex, float]:
     """Integral of prod_i f_i(q_i) against the volume weight prod_i w_i,
@@ -327,6 +332,5 @@ def integrate_separable(
         raise ConfigurationError(
             f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
         )
-    config = config if config is not None else QuadratureConfig()
     rules = [axis_rule(spec, config.order_for(spec), scale) for spec in system.coords]
     return combine_axes([contract_rows(rule, f(rule.nodes))[0] for f, rule in zip(integrands, rules)])

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError
 from .geometry import CoordinateSpec, CoordinateSystem, make_spherical
 from .quadrature import (
-    AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
+    DEFAULT_CONFIG, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
 )
 from .specfun import (
     QuantumNumbers,
@@ -292,12 +292,9 @@ def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
     weights, so the product is normalized with no cross terms.  The factors
     are shared with every other state of the same (n, L), (L, M) or M.
     """
+    L, M = int(qn.L), int(qn.M)  # checked by qn, so the caches are read without another check
     return SeparableState(
-        factors=(
-            _hydrogen_radial(int(qn.n), int(qn.L)),
-            theta_eigenfactor(qn.L, qn.M),
-            phi_eigenfactor(qn.M),
-        ),
+        factors=(_hydrogen_radial(int(qn.n), L), _theta_factor(L, M), _phi_factor(M)),
         system=make_spherical(),
         quantum_numbers=qn,
         normalized=True,
@@ -316,7 +313,6 @@ _TRIAL_DRAWS = {topology: np.array(draws).T for topology, draws in {
     "compact-periodic": [(0.2, 1.0 - 0.2)] * 5,
     "compact-nonperiodic": [(0.2, 1.0 - 0.2)] * 4,
 }.items()}
-_NORM_CONFIG = QuadratureConfig()  # trial factors are normalised at the default orders
 
 
 def _poly_gaussian(scale, center, c0, c1, c2, inv=1.0) -> FactorFunction:
@@ -376,6 +372,11 @@ class StateFamily(NamedTuple):
         radial scale: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
         specs, scale = self.system.coords, self._scale()
         return tuple(zip(*[f.table(s, config.order_for(s), scale) for f, s in zip(self.factors, specs)]))
+
+    def norms(self, config: QuadratureConfig) -> list[float]:
+        """Each member's <psi|psi>: the product, over the axes in order, of its full-order
+        |f|^2 sums from ``tabulate``, the tables every expectation of the family reads."""
+        return [math.prod(full.real for full, _ in pairs) for pairs in zip(*self.tabulate(config)[1])]
 
     def rule(self, axis: int, config: QuadratureConfig) -> AxisRule:
         """The rule of ``tabulate``'s tables on one coordinate; k radial scales give k rows."""
@@ -453,7 +454,7 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
             params = rows[0] if one else (coeffs[:, None],)  # k rows: (k, 1, m)
             builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
         raw = builder(*params).evaluate
-        norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, _NORM_CONFIG.order_for(spec), scale)
+        norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, DEFAULT_CONFIG.order_for(spec), scale)
         inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
         axes.append((builder, rows, params, inv))
 
@@ -504,7 +505,7 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
 
 
 def state_overlap(
-    a: SeparableState, b: SeparableState, config: QuadratureConfig | None = None
+    a: SeparableState, b: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> complex:
     """Inner product <a|b> against the volume weight, from both states'
     factor tables at the larger of their two radial scales."""
@@ -512,7 +513,6 @@ def state_overlap(
         raise ConfigurationError(
             f"overlap needs matching systems, got {a.system.name!r} and {b.system.name!r}"
         )
-    config = config if config is not None else QuadratureConfig()
     scale = max(a.radial_scale, b.radial_scale)
     pairs = []
     for spec, fa, fb in zip(a.system.coords, a.factors, b.factors):

@@ -442,6 +442,12 @@ def test_p_theta_scan_covers_all_m_and_stays_flat():
         p_theta_spectrum_scan(11)
     with pytest.raises(DomainError):
         p_theta_spectrum_scan(-1)
+    # members off norm are refused: an 8-node polar rule cannot resolve P_10^M
+    # (worst |<psi|psi> - 1| = 1.0), 16 nodes can
+    with pytest.raises(DomainError, match="not normalised"):
+        p_theta_spectrum_scan(10, QuadratureConfig(theta_order=8))
+    rows = p_theta_spectrum_scan(10, QuadratureConfig(theta_order=16))
+    assert len(rows) == 121 and max(abs(row.value) for row in rows) <= 1e-9
 
 
 def test_cartesian_reality_and_traveling_wave():

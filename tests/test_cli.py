@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import curvimom
 import curvimom.cli as cli_module
 from curvimom import states
+from curvimom.analysis import LMAX_RANGE, ScanRow
 from curvimom.cli import main
 from curvimom.errors import SingularityError
 from curvimom.geometry import preset_systems
@@ -73,6 +75,7 @@ def test_expect_usage_errors():
     assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--radial-order", "4").exit_code == 2
     assert invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--radial-order", "4097").exit_code == 2
     assert invoke("expect", "bogus:r", "hydrogen:n=1,L=0,M=0").exit_code == 2
+    assert invoke("expect", "canonical:r", "helium:n=1").exit_code == 2
     assert invoke("expect", "canonical:z", "hydrogen:n=1,L=0,M=0").exit_code == 2
     assert invoke("expect", "canonical:r", "hydrogen:n=1,L=5,M=0").exit_code == 2
     assert invoke("expect", "canonical:x", "hydrogen:n=1,L=0,M=0", "--system", "cartesian").exit_code == 2
@@ -494,3 +497,40 @@ def test_module_entry_point_help():
     assert result.exit_code == 0
     for sub in ("expect", "hydrogen-table", "check", "p-theta-scan"):
         assert sub in result.output
+
+
+def test_p_theta_scan_exits_1_on_a_nonzero_or_nan_value(monkeypatch):
+    # the rows are printed either way; only a |<p_theta>| within 1e-9 exits 0
+    for value, code in ((0j, 0), (complex(0.0, 1e-6), 1), (complex(math.nan, 0.0), 1)):
+        rows = [ScanRow(0, 0, 0j, 0.0), ScanRow(1, 0, value, 0.0)]
+        monkeypatch.setattr(cli_module, "p_theta_spectrum_scan", lambda l_max, config, rows=rows: rows)
+        result = invoke("p-theta-scan", "--lmax", "1", "--format", "csv")
+        assert result.exit_code == code, (value, result.output)
+        assert len(result.stdout.splitlines()) == 3
+
+
+def test_p_theta_scan_refuses_members_off_norm_at_the_orders_in_use():
+    # an 8-node polar rule misses the L <= 10 norms by up to 1.0, and radial order 60 the
+    # n = 11 ones by 2.9e-6: refused with nothing printed; 16 polar nodes resolve them (8.7e-14)
+    for args in (("--theta-order", "8"), ("--radial-order", "60")):
+        result = invoke("p-theta-scan", "--lmax", "10", *args)
+        assert result.exit_code == 2 and result.stdout == "", (args, result.output)
+        assert "not normalised" in result.output
+    assert invoke("p-theta-scan", "--lmax", "10", "--theta-order", "16").exit_code == 0
+
+
+def test_si_constants_without_si_units_is_a_usage_error():
+    # the file would be dropped and the numbers printed in atomic units
+    si = str(Path(__file__).parent / "data" / "si_constants.json")
+    for args in (("expect", "canonical:r", "hydrogen:n=2,L=1,M=0"), ("hydrogen-table",), ("check",),
+                 ("p-theta-scan",)):
+        for units in ((), ("--units", "atomic")):
+            result = invoke(*args, *units, "--si-constants", si, "--format", "json")
+            assert result.exit_code == 2 and result.stdout == "", (args, result.output)
+            assert "--units si" in result.output
+
+
+def test_version_and_lmax_cap_come_from_the_library():
+    assert invoke("--version").stdout == f"curvimom, version {curvimom.__version__}\n"
+    lmax = next(p for p in main.commands["p-theta-scan"].params if p.name == "lmax")
+    assert (lmax.type.min, lmax.type.max) == LMAX_RANGE

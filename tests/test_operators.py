@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import curvimom
-from curvimom.errors import SingularityError, UnsupportedStateError
+from curvimom.errors import ConfigurationError, SingularityError, UnsupportedStateError
 from curvimom.geometry import make_spherical, preset_systems
 from curvimom.operators import (
     MomentumOperator,
@@ -258,3 +258,12 @@ def test_every_public_name_resolves_and_is_exported_by_its_module():
     stray = [name for name, obj in vars(curvimom).items()
              if not name.startswith("_") and not inspect.ismodule(obj) and exported.get(name) is not obj]
     assert stray == []
+
+
+def test_apply_refuses_a_point_of_the_wrong_length():
+    # zip would drop the missing coordinate and return a number
+    state = hydrogen_state(QuantumNumbers(2, 1, 0))
+    op = canonical_momentum(make_spherical(), 0)
+    for point in ((1.0, 0.5), (1.0, 0.5, 0.3, 0.2)):
+        with pytest.raises(ConfigurationError, match=f"point has {len(point)} components"):
+            apply(op, state, point)

@@ -1,5 +1,7 @@
 """Quadrature rules against analytic integrals and numpy's own solver."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -13,8 +15,10 @@ from curvimom.geometry import (
     make_spherical,
     preset_systems,
 )
+import curvimom
 from curvimom import quadrature
 from curvimom.quadrature import (
+    DEFAULT_CONFIG,
     AxisRule,
     QuadratureConfig,
     QuadratureRule,
@@ -313,3 +317,24 @@ def test_each_row_contracts_as_it_would_alone():
         rules = [rule] * 4 if np.ndim(scale) == 0 else [AxisRule(*p, full=rule.full) for p in zip(rule.nodes, rule.weights)]
         for table in (rng.random((4, rule.nodes.shape[-1])), rng.random((4, rule.nodes.shape[-1])) * (1 + 2j)):
             assert contract_rows(rule, table) == [contract_rows(one, row)[0] for one, row in zip(rules, table)]
+
+
+def test_periodic_coordinate_must_span_a_full_turn():
+    # the periodic rule's nodes always cover (0, 2 pi), whatever the coordinate's bounds
+    phi = make_spherical().coords[2]
+    for lower, upper in ((0.0, math.pi), (-math.pi, math.pi)):
+        with pytest.raises(ConfigurationError, match="must span"):
+            axis_rule(dataclasses.replace(phi, lower=lower, upper=upper), 32)
+
+
+def test_every_config_parameter_defaults_to_the_one_default_config():
+    params = [
+        (name, param)
+        for name, fn in inspect.getmembers(curvimom, inspect.isfunction)
+        for param in inspect.signature(fn).parameters.values()
+        if param.name == "config"
+    ]
+    assert len(params) == 12
+    for name, param in params:
+        assert param.default is DEFAULT_CONFIG, name
+    assert DEFAULT_CONFIG == QuadratureConfig()

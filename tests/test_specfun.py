@@ -323,6 +323,11 @@ def test_quantum_numbers_validation():
         QuantumNumbers(2, 1, 2)
     with pytest.raises(DomainError):
         QuantumNumbers(2, -1, 0)
+    # a float or a string would pass the range checks or fail them with a TypeError
+    for qn in ((2.0, 1, 0), (2, 1.0, 0), (2, 1, 0.0), (2, "1", 0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            QuantumNumbers(*qn)
+    assert QuantumNumbers(np.int64(2), np.int64(1), np.int64(-1)).M == -1
 
 
 def test_scalar_and_array_shapes_agree(spherical_harmonic):

@@ -20,7 +20,7 @@ from curvimom.errors import (
 )
 from curvimom.geometry import make_cartesian, make_spherical, preset_systems
 from curvimom.operators import canonical_momentum, momentum_unit, naive_momentum
-from curvimom.quadrature import QuadratureConfig, axis_rule, coordinate_integral
+from curvimom.quadrature import QuadratureConfig, axis_rule, combine_axes, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
     ATOMIC,
@@ -137,6 +137,11 @@ def test_cached_constructors_validate_before_lookup():
     a, b, c = (hydrogen_state(QuantumNumbers(*qn)) for qn in ((3, 2, 1), (4, 2, 1), (3, 2, -1)))
     assert a.factors[1] is b.factors[1] and a.factors[2] is b.factors[2]
     assert a.factors[0] is c.factors[0] and a.factors[0] is not b.factors[0]
+    # a hydrogen state reads the caches unchecked (its QuantumNumbers checked (L, M)),
+    # so it holds the factors the checked constructors return, for numpy integers too
+    for qn in (QuantumNumbers(3, 2, -1), QuantumNumbers(np.int64(3), np.int64(2), np.int64(-1))):
+        state = hydrogen_state(qn)
+        assert state.factors[1] is theta_eigenfactor(2, -1) and state.factors[2] is phi_eigenfactor(-1)
 
 
 def _counted(factor, calls):
@@ -309,6 +314,10 @@ def test_state_shape_errors():
         state_overlap(trial, random_bound_trial(make_spherical(), 1))
     with pytest.raises(DomainError):
         random_bound_trial(make_cartesian(), 1.5)
+    factors = hydrogen_state(QuantumNumbers(2, 1, 0)).factors
+    for wrong in (factors[:2], factors + factors[:1]):
+        with pytest.raises(ConfigurationError, match=f"{len(wrong)} factors"):
+            SeparableState(wrong, make_spherical())
 
 
 def test_trial_family_members_match_single_seed():
@@ -461,3 +470,17 @@ def test_trial_family_needs_valid_seeds():
         trial_family(make_cartesian(), [])
     with pytest.raises(DomainError):
         trial_family(make_cartesian(), [3, -1])
+
+
+def test_family_norms_are_the_combined_full_order_sums():
+    # <psi|psi> is the product of the full-order |f|^2 sums in axis order, bit for bit
+    # what combine_axes makes of them, on a family and on a lone state
+    qns = [QuantumNumbers(L + 1, L, M) for L in range(11) for M in range(-L, L + 1)]
+    families = [hydrogen_family([hydrogen_state(qn) for qn in qns])]
+    families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
+    families.append(StateFamily.of(random_bound_trial(make_cartesian(), 4)))
+    for cfg in (QuadratureConfig(), QuadratureConfig(8, 8, 8)):
+        for family in families:
+            expected = [combine_axes(pairs)[0].real for pairs in zip(*family.tabulate(cfg)[1])]
+            assert [x.hex() for x in family.norms(cfg)] == [x.hex() for x in expected]
+    assert max(abs(x - 1.0) for x in families[0].norms(QuadratureConfig(theta_order=8))) > 0.5
