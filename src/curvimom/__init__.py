@@ -88,10 +88,8 @@ from .states import (
     hydrogen_family,
     hydrogen_state,
     load_constants,
-    phi_eigenfactor,
     random_bound_trial,
     state_overlap,
-    theta_eigenfactor,
     trial_family,
 )
 

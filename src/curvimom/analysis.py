@@ -146,7 +146,7 @@ def expectations(
 ) -> list[ExpectationReport]:
     """<psi| p |psi> with reality diagnostics on every member of ``family``: one table
     and one contraction per axis, then each member's report from Python scalars in
-    natural units, at the member's radial scale and the config's orders.
+    natural units, on each factor's own rule at the config's orders.
 
     Raises:
         PreconditionError: if a member is not normalized.
@@ -438,7 +438,7 @@ def _on_points(factor: FactorFunction, q: np.ndarray) -> FactorFunction:
     # same array object it returns them, called on anything else it evaluates as before
     values, slopes = factor.evaluate(q), factor.derivative(q)
     return FactorFunction(lambda x: values if x is q else factor.evaluate(x),
-                          lambda x: slopes if x is q else factor.derivative(x))
+                          lambda x: slopes if x is q else factor.derivative(x), scale=factor.scale)
 
 
 def _suite_commutators(seed: int) -> SuiteResult:
@@ -447,10 +447,10 @@ def _suite_commutators(seed: int) -> SuiteResult:
     for k, system in enumerate(preset_systems().values()):
         first = 3000 + 100 * seed + 5 * k
         family = trial_family(system, range(first, first + 5))
-        # (5, 5) points, a row per member: the stream of five (5, dim) draws
-        scales = np.array([[member.radial_scale] for member in family.members])
+        # (5, 5) points, a row per member: the stream of five (5, dim) draws, at each factor's scales
         draws = rng.random((5, 5, system.dim))
-        point = [_SAMPLE[spec.topology](draws[..., a], scales) for a, spec in enumerate(system.coords)]
+        point = [_SAMPLE[spec.topology](draws[..., a], np.reshape(f.scale, (-1, 1)))
+                 for a, (spec, f) in enumerate(zip(system.coords, family.factors))]
         # the family as one pointwise state, each factor tabulated once on its axis's points
         state = SeparableState(tuple(_on_points(f, q) for f, q in zip(family.factors, point)), system)
         psi_mag = np.maximum(np.abs(state.evaluate(point)), 1e-30)

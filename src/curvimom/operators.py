@@ -108,7 +108,7 @@ def operator_applied_state(op: MomentumOperator, state: SeparableState) -> Separ
         )
 
     factors = list(state.factors)
-    factors[op.axis] = FactorFunction(evaluate, derivative)
+    factors[op.axis] = FactorFunction(evaluate, derivative, scale=factor.scale)
     return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
 
@@ -124,7 +124,7 @@ def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
         return np.asarray(ev(q)) + np.asarray(q, dtype=float) * np.asarray(dv(q))
 
     factors = list(state.factors)
-    factors[axis] = FactorFunction(evaluate, derivative)
+    factors[axis] = FactorFunction(evaluate, derivative, scale=factor.scale)
     return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
 

@@ -15,7 +15,7 @@ Every coordinate has one scaled rule, ``axis_rule``: the full- then the
 half-order nodes as one array, one weight row per order, with the weight w(q)
 folded in, so a 1-D integral is one weighted sum.  Its unit rule is cached per
 (coordinate, order) in one bounded cache; a line or half-line scale (or k of
-them, each a state's ``radial_scale``) is applied per call, and a config holds
+them, each a factor's own ``scale``) is applied per call, and a config holds
 only orders.  Separable integrals are tabulated on it, summed by
 ``contract_rows`` and combined by ``combine_axes``; ``coordinate_rule`` and
 ``coordinate_integral`` read its full-order rows.
@@ -210,7 +210,7 @@ def coordinate_rule(spec: CoordinateSpec, order: int, scale: float = 1.0) -> Qua
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Per-topology quadrature orders, each in ``ORDER_RANGE``; the map scale belongs to the state."""
+    """Per-topology quadrature orders, each in ``ORDER_RANGE``; the map scale belongs to the factor."""
 
     radial_order: int = 120
     theta_order: int = 64

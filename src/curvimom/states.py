@@ -28,7 +28,6 @@ from .quadrature import (
 )
 from .specfun import (
     QuantumNumbers,
-    _require_degree_order,
     assoc_laguerre,
     assoc_laguerre_deriv,
     assoc_legendre,
@@ -44,8 +43,6 @@ __all__ = [
     "StateFamily",
     "hydrogen_state",
     "hydrogen_family",
-    "theta_eigenfactor",
-    "phi_eigenfactor",
     "random_bound_trial",
     "trial_family",
     "apply_phase_twist",
@@ -96,15 +93,18 @@ def load_constants(path: str) -> PhysicalConstants:
 
     Raises:
         ConfigurationError: if the file is not a JSON object holding a
-            positive number under each key.
+            positive number under each key; a boolean or a string is not a number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        values = [float(raw[key]) for key in ("hbar", "m", "e2")]
+        values = [raw[key] for key in ("hbar", "m", "e2")]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise TypeError(f"got {values!r}")
+        values = [float(v) for v in values]
     except KeyError as exc:
         raise ConfigurationError(f"constants file {path!r} is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(
             f"constants file {path!r} is not a JSON object of numbers: {exc}"
         ) from exc
@@ -113,67 +113,56 @@ def load_constants(path: str) -> PhysicalConstants:
 
 @dataclass(frozen=True, eq=False)
 class FactorFunction:
-    """One coordinate factor: value and analytic derivative callables, and
-    its tables, which every state holding the factor shares.  A family's
-    factor may stack the ``parts`` of its members, one per row.  Factors
-    compare by identity."""
+    """One coordinate factor: value and analytic derivative callables, the map
+    ``scale`` of its line or half-line rule (required, as it picks the rule), and
+    its tables, which every state holding the factor shares.  A family's factor may
+    stack the ``parts`` of its members, one per row, scales too.  Factors compare by identity."""
 
     evaluate: Callable
     derivative: Callable
     parts: tuple = field(default=(), repr=False, compare=False)
-    # the rules' and tables' memos, keyed on (spec, order) plus the scale on line and half-line axes
+    scale: float | tuple = field(kw_only=True)
+    # the rules' and tables' memos, keyed on (spec, order)
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def rule(self, spec: CoordinateSpec, order: int, scale) -> AxisRule:
+    def rule(self, spec: CoordinateSpec, order: int) -> AxisRule:
         """``axis_rule(spec, order, scale)``, the nodes of ``table``, once; a stack's
         parts tabulate on their own rules, so a stack builds one only when asked."""
-        key = _table_key(spec, order, scale)
-        rule = self._rules.get(key)
+        rule = self._rules.get((spec, order))
         if rule is None:
-            # a compact axis's key drops the scale, which its rule ignores
-            rule = self._rules[key] = axis_rule(*key)
+            rule = self._rules[spec, order] = axis_rule(spec, order, self.scale)
         return rule
 
-    def table(self, spec: CoordinateSpec, order: int, scale) -> tuple[np.ndarray, list]:
+    def table(self, spec: CoordinateSpec, order: int) -> tuple[np.ndarray, list]:
         """Read-only values on ``rule``'s nodes and the |f|^2 pair of each row, once;
-        a family's factor takes a tuple of scales, and a stack reads its parts' own
-        tables, each part at its member's scale."""
-        key = _table_key(spec, order, scale)
-        entry = self._tables.get(key)
+        a stack reads its parts' own tables."""
+        entry = self._tables.get((spec, order))
         if entry is None:
             if self.parts:
-                rows = [f.table(spec, order, s) for f, s in self._part_scales(scale)]
+                rows = [f.table(spec, order) for f in self.parts]
                 values, norms = np.stack([row[0] for row in rows]), [pair for row in rows for pair in row[1]]
             else:
-                rule = self.rule(spec, order, scale)
+                rule = self.rule(spec, order)
                 values = np.asarray(self.evaluate(rule.nodes))
                 norms = contract_rows(rule, np.abs(values) ** 2)
             values.setflags(write=False)
-            entry = self._tables[key] = (values, norms)
+            entry = self._tables[spec, order] = (values, norms)
         return entry
 
-    def derivative_table(self, spec: CoordinateSpec, order: int, scale) -> np.ndarray:
+    def derivative_table(self, spec: CoordinateSpec, order: int) -> np.ndarray:
         """The read-only derivative on ``table``'s nodes, once, and only when
         asked for (a derived factor's may raise); a stack stacks its parts'."""
-        key = _table_key(spec, order, scale)
-        slopes = self._derivatives.get(key)
+        slopes = self._derivatives.get((spec, order))
         if slopes is None:
             if self.parts:
-                slopes = np.stack([f.derivative_table(spec, order, s) for f, s in self._part_scales(scale)])
+                slopes = np.stack([f.derivative_table(spec, order) for f in self.parts])
             else:
-                slopes = np.asarray(self.derivative(self.rule(spec, order, scale).nodes))
+                slopes = np.asarray(self.derivative(self.rule(spec, order).nodes))
             slopes.setflags(write=False)
-            self._derivatives[key] = slopes
+            self._derivatives[spec, order] = slopes
         return slopes
-
-    def _part_scales(self, scale) -> list:
-        return list(zip(self.parts, np.broadcast_to(scale, len(self.parts)).tolist()))
-
-
-def _table_key(spec: CoordinateSpec, order: int, scale) -> tuple:
-    return (spec, order, scale) if spec.topology in ("line", "half-line") else (spec, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +173,6 @@ class SeparableState:
     system: CoordinateSystem
     quantum_numbers: QuantumNumbers | None = None
     normalized: bool = True
-    # the line and half-line map scale, near the decay length, of every table of the state
-    radial_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.factors) != self.system.dim:
@@ -227,18 +214,7 @@ def _hydrogen_radial(n: int, L: int) -> FactorFunction:
             poly = poly + L * rho ** (L - 1) * lag
         return norm * beta * np.exp(-0.5 * rho) * poly
 
-    return FactorFunction(evaluate, derivative)
-
-
-def theta_eigenfactor(L: int, M: int) -> FactorFunction:
-    """Normalized polar factor Theta_LM(theta) proportional to P_L^M(cos theta).
-
-    Unit norm against the sin(theta) measure on (0, pi); the derivative is
-    analytic via the chain rule through x = cos(theta).  One shared factor
-    per (L, M); DomainError unless L and M are integers with |M| <= L.
-    """
-    _require_degree_order(L, M)  # before the cache, which takes 1.0 for 1
-    return _theta_factor(int(L), int(M))
+    return FactorFunction(evaluate, derivative, scale=float(n))
 
 
 @lru_cache(maxsize=256)
@@ -252,7 +228,7 @@ def _theta_factor(L: int, M: int) -> FactorFunction:
         th = np.asarray(theta, dtype=float)
         return -norm * np.sin(th) * assoc_legendre_deriv(L, M, np.cos(th))
 
-    return FactorFunction(evaluate, derivative)
+    return FactorFunction(evaluate, derivative, scale=1.0)  # a compact axis's rule ignores its scale
 
 
 @lru_cache(maxsize=32)
@@ -262,14 +238,7 @@ def _stacked(parts: tuple[FactorFunction, ...]) -> FactorFunction:
     # repeated family reads the stacked tables and rule it built before
     evaluate = lambda q: np.stack([f.evaluate(q) for f in parts])
     derivative = lambda q: np.stack([f.derivative(q) for f in parts])
-    return FactorFunction(evaluate, derivative, parts=parts)
-
-
-def phi_eigenfactor(M: int) -> FactorFunction:
-    """Azimuthal factor e^(i M phi) / sqrt(2 pi), one shared factor per M."""
-    if not isinstance(M, (int, np.integer)):  # before the cache, which takes 1.0 for 1
-        raise DomainError(f"azimuthal index must be an integer, got {M!r}")
-    return _phi_factor(int(M))
+    return FactorFunction(evaluate, derivative, parts=parts, scale=tuple(f.scale for f in parts))
 
 
 @lru_cache(maxsize=256)
@@ -282,7 +251,7 @@ def _phi_factor(M: int) -> FactorFunction:
     def derivative(phi):
         return 1j * M * evaluate(phi)
 
-    return FactorFunction(evaluate, derivative)
+    return FactorFunction(evaluate, derivative, scale=1.0)
 
 
 def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
@@ -298,7 +267,6 @@ def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
         system=make_spherical(),
         quantum_numbers=qn,
         normalized=True,
-        radial_scale=float(qn.n),
     )
 
 
@@ -315,23 +283,23 @@ _TRIAL_DRAWS = {topology: np.array(draws).T for topology, draws in {
 }.items()}
 
 
-def _poly_gaussian(scale, center, c0, c1, c2, inv=1.0) -> FactorFunction:
-    # (c0 + c1 u + c2 u^2) e^(-u^2/2), u = (q - center)/scale, times the
+def _poly_gaussian(width, center, c0, c1, c2, inv=1.0, *, scale) -> FactorFunction:
+    # (c0 + c1 u + c2 u^2) e^(-u^2/2), u = (q - center)/width, times the
     # normalisation constant inv; each parameter a float, or a (k, 1) column
 
     def evaluate(q):
-        u = (np.asarray(q, dtype=float) - center) / scale
+        u = (np.asarray(q, dtype=float) - center) / width
         return inv * ((c0 + c1 * u + c2 * u * u) * np.exp(-0.5 * u * u))
 
     def derivative(q):
-        u = (np.asarray(q, dtype=float) - center) / scale
-        val = ((c1 + 2.0 * c2 * u) - u * (c0 + c1 * u + c2 * u * u)) / scale
+        u = (np.asarray(q, dtype=float) - center) / width
+        val = ((c1 + 2.0 * c2 * u) - u * (c0 + c1 * u + c2 * u * u)) / width
         return inv * (val * np.exp(-0.5 * u * u))
 
-    return FactorFunction(evaluate, derivative)
+    return FactorFunction(evaluate, derivative, scale=scale)
 
 
-def _harmonic_sum(coeffs, inv, ks, slopes, basis, slope_basis) -> FactorFunction:
+def _harmonic_sum(coeffs, inv, scale, ks, slopes, basis, slope_basis) -> FactorFunction:
     # sum of c_j basis(k_j q), with derivative sum of slope_j c_j slope_basis(k_j q);
     # coeffs (m,), or (k, 1, m) for k members
     def evaluate(q):
@@ -340,19 +308,19 @@ def _harmonic_sum(coeffs, inv, ks, slopes, basis, slope_basis) -> FactorFunction
     def derivative(q):
         return inv * np.sum(slopes * coeffs * slope_basis(np.multiply.outer(np.asarray(q, dtype=float), ks)), axis=-1)
 
-    return FactorFunction(evaluate, derivative)
+    return FactorFunction(evaluate, derivative, scale=scale)
 
 
-def _sine_sum(coeffs, inv=1.0) -> FactorFunction:
+def _sine_sum(coeffs, inv=1.0, *, scale) -> FactorFunction:
     # sum of c_k sin(k theta), k = 1..4: vanishes at both poles, so the polar
     # drift stays integrable
-    return _harmonic_sum(coeffs, inv, _SINE_KS, _SINE_KS, np.sin, np.cos)
+    return _harmonic_sum(coeffs, inv, scale, _SINE_KS, _SINE_KS, np.sin, np.cos)
 
 
-def _fourier_sum(cs, inv=1.0) -> FactorFunction:
+def _fourier_sum(cs, inv=1.0, *, scale) -> FactorFunction:
     # sum of c_m e^(i m phi), m = -2..2, the c_m already divided by sqrt(2 pi)
     phase = lambda x: np.exp(1j * x)
-    return _harmonic_sum(cs, inv, _FOURIER_MS, _FOURIER_SLOPES, phase, phase)
+    return _harmonic_sum(cs, inv, scale, _FOURIER_MS, _FOURIER_SLOPES, phase, phase)
 
 
 class StateFamily(NamedTuple):
@@ -368,10 +336,9 @@ class StateFamily(NamedTuple):
         return cls(state.system, (state,), state.factors)
 
     def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple]:
-        """``(values, norms)`` per coordinate, from the factors' tables at each member's
-        radial scale: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
-        specs, scale = self.system.coords, self._scale()
-        return tuple(zip(*[f.table(s, config.order_for(s), scale) for f, s in zip(self.factors, specs)]))
+        """``(values, norms)`` per coordinate, from the factors' tables, each on its factor's
+        own rule: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
+        return tuple(zip(*[f.table(s, config.order_for(s)) for f, s in zip(self.factors, self.system.coords)]))
 
     def norms(self, config: QuadratureConfig) -> list[float]:
         """Each member's <psi|psi>: the product, over the axes in order, of its full-order
@@ -379,30 +346,24 @@ class StateFamily(NamedTuple):
         return [math.prod(full.real for full, _ in pairs) for pairs in zip(*self.tabulate(config)[1])]
 
     def rule(self, axis: int, config: QuadratureConfig) -> AxisRule:
-        """The rule of ``tabulate``'s tables on one coordinate; k radial scales give k rows."""
+        """The rule of ``tabulate``'s tables on one coordinate; a factor's k scales give k rows."""
         spec = self.system.coords[axis]
-        return self.factors[axis].rule(spec, config.order_for(spec), self._scale())
+        return self.factors[axis].rule(spec, config.order_for(spec))
 
     def derivative_table(self, axis: int, config: QuadratureConfig) -> np.ndarray:
         """The factor derivative on ``tabulate``'s nodes of one coordinate, (k, n) or (n,)."""
         spec = self.system.coords[axis]
-        return self.factors[axis].derivative_table(spec, config.order_for(spec), self._scale())
+        return self.factors[axis].derivative_table(spec, config.order_for(spec))
 
     def moments(self, axis: int, kernel: Callable, config: QuadratureConfig) -> list[float]:
         """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate:
         |f|^2 is read from the value table's full-order nodes, which are those of
         ``coordinate_integral``, so no factor is evaluated again."""
-        spec, scale = self.system.coords[axis], self._scale()
+        spec, factor = self.system.coords[axis], self.factors[axis]
         order = config.order_for(spec)
-        values = self.factors[axis].table(spec, order, scale)[0]
-        full = np.abs(values[..., : self.rule(axis, config).full]) ** 2
-        total = coordinate_integral(spec, lambda q: full * kernel(q), order, scale)
+        full = np.abs(factor.table(spec, order)[0][..., : factor.rule(spec, order).full]) ** 2
+        total = coordinate_integral(spec, lambda q: full * kernel(q), order, factor.scale)
         return np.reshape(total.real, -1).tolist()
-
-    def _scale(self):
-        # the tables' scale key: a state's own factors key on one float, a family's on a tuple
-        scales = tuple(state.radial_scale for state in self.members)
-        return scales[0] if len(scales) == 1 else scales
 
 
 def hydrogen_family(states: Sequence[SeparableState]) -> StateFamily:
@@ -422,7 +383,8 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
     units of a0, as one family: each axis's raw profile is evaluated once for all
     members, on (k, 1) parameter columns (one seed keeps its floats), to fold each
     member's normalisation constant, against the factor's own weight at its own
-    scale, into its factor."""
+    width, into its factor.  A member's factors name its radial scale, a family's
+    the tuple of its members'."""
     if not seeds:
         raise DomainError("a trial family needs at least one seed")
     for seed in seeds:
@@ -434,7 +396,7 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
     drawn = low + span * np.array([np.random.default_rng(seed).random(len(low)) for seed in seeds])
     members_drawn = drawn.tolist()
     one = len(seeds) == 1
-    radial = [1.0] * len(seeds)  # each member's radial scale: 1 or its largest linear scale
+    radial = [1.0] * len(seeds)  # each member's radial scale: 1 or its largest linear width
     axes = []  # per coordinate: builder, each member's parameters, the family's ones, 1 / norms
     start = 0
     for spec, axis_bounds in zip(system.coords, bounds):
@@ -453,18 +415,19 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
             rows = [(c,) for c in coeffs]
             params = rows[0] if one else (coeffs[:, None],)  # k rows: (k, 1, m)
             builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
-        raw = builder(*params).evaluate
+        raw = builder(*params, scale=scale).evaluate
         norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, DEFAULT_CONFIG.order_for(spec), scale)
         inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
         axes.append((builder, rows, params, inv))
 
     members = tuple(
-        SeparableState(tuple([b(*rows[i], inv[i]) for b, rows, _, inv in axes]), system, radial_scale=r)
+        SeparableState(tuple([b(*rows[i], inv[i], scale=r) for b, rows, _, inv in axes]), system)
         for i, r in enumerate(radial)
     )
     if one:  # a family of one reads its member's factors
         return StateFamily.of(members[0])
-    return StateFamily(system, members, tuple(b(*params, np.array(inv)[:, None]) for b, _, params, inv in axes))
+    factors = [b(*params, np.array(inv)[:, None], scale=tuple(radial)) for b, _, params, inv in axes]
+    return StateFamily(system, members, tuple(factors))
 
 
 def random_bound_trial(system: CoordinateSystem, seed: int) -> SeparableState:
@@ -500,22 +463,24 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
         return (np.asarray(dv(q)) + 1j * k * np.asarray(ev(q))) * phase
 
     factors = list(state.factors)
-    factors[axis] = FactorFunction(evaluate, derivative)
+    factors[axis] = FactorFunction(evaluate, derivative, scale=base.scale)
     return replace(state, factors=tuple(factors), quantum_numbers=None)
 
 
 def state_overlap(
     a: SeparableState, b: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> complex:
-    """Inner product <a|b> against the volume weight, from both states'
-    factor tables at the larger of their two radial scales."""
+    """Inner product <a|b> against the volume weight: each axis on the rule of
+    the factor with the larger scale, from both factors' tables when they share
+    it, else from the other factor evaluated on that rule's nodes."""
     if a.system.name != b.system.name:
         raise ConfigurationError(
             f"overlap needs matching systems, got {a.system.name!r} and {b.system.name!r}"
         )
-    scale = max(a.radial_scale, b.radial_scale)
     pairs = []
     for spec, fa, fb in zip(a.system.coords, a.factors, b.factors):
-        args = (spec, config.order_for(spec), scale)
-        pairs.append(contract_rows(fa.rule(*args), np.conj(fa.table(*args)[0]) * fb.table(*args)[0])[0])
+        order, wide = config.order_for(spec), max(fa, fb, key=lambda f: f.scale)
+        rule = wide.rule(spec, order)
+        va, vb = [f.table(spec, order)[0] if f.scale == wide.scale else f.evaluate(rule.nodes) for f in (fa, fb)]
+        pairs.append(contract_rows(rule, np.conj(va) * vb)[0])
     return combine_axes(pairs)[0]

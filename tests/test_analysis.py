@@ -71,7 +71,6 @@ def test_expectation_requires_normalized_state():
         system=state.system,
         quantum_numbers=state.quantum_numbers,
         normalized=False,
-        radial_scale=state.radial_scale,
     )
     with pytest.raises(PreconditionError):
         expectation(canonical_momentum(state.system, 0), denorm)
@@ -99,12 +98,10 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
         return evaluate
 
     factors = tuple(
-        FactorFunction(counted(axis, f.evaluate), f.derivative)
+        FactorFunction(counted(axis, f.evaluate), f.derivative, scale=f.scale)
         for axis, f in enumerate(state.factors)
     )
-    counted_state = SeparableState(
-        factors=factors, system=state.system, radial_scale=state.radial_scale
-    )
+    counted_state = SeparableState(factors=factors, system=state.system)
     rule_calls = [0]
     coordinate_rule = quadrature.coordinate_rule
 
@@ -192,15 +189,15 @@ def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
 
 def test_warm_scan_builds_no_family_rule(monkeypatch):
     # the family's stacked factors read their parts' tables, and the theta axis's rule
-    # ignores the scale: no rule is built for the tuple of the members' radial scales,
-    # also by stacks built again for the warm scan
+    # ignores the scale: the theta stack's tuple of scales gets the shared unit rule and
+    # no (k, n) rule is built, also by stacks built again for the warm scan
     expected = p_theta_spectrum_scan(10)
     states._stacked.cache_clear()
-    scales = []
+    built = []
     rule = states.axis_rule
-    monkeypatch.setattr(states, "axis_rule", lambda *args: scales.append(args[2:]) or rule(*args))
+    monkeypatch.setattr(states, "axis_rule", lambda *args: built.append(rule(*args)) or built[-1])
     assert p_theta_spectrum_scan(10) == expected
-    assert not [s for s in scales if s and isinstance(s[0], tuple)]
+    assert built and all(r.nodes.ndim == 1 for r in built)
 
 
 def test_warm_scan_reads_the_stacks_it_built(monkeypatch):
@@ -237,8 +234,8 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     stacked = family.derivative_table(0, cfg)
     for state, row in zip(family.members, stacked):
         factor = state.factors[0]
-        slopes = factor.derivative_table(spec, order, state.radial_scale)
-        assert np.array_equal(slopes, factor.derivative(factor.rule(spec, order, state.radial_scale).nodes))
+        slopes = factor.derivative_table(spec, order)
+        assert np.array_equal(slopes, factor.derivative(factor.rule(spec, order).nodes))
         assert np.array_equal(row, slopes)
         with pytest.raises(ValueError):
             slopes[0] = 0.0
@@ -249,7 +246,7 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     applied = operator_applied_state(canonical_momentum(system, 2), state)
     assert state_overlap(state, applied, cfg) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UnsupportedStateError):
-        applied.factors[2].derivative_table(system.coords[2], cfg.phi_order, 1.0)
+        applied.factors[2].derivative_table(system.coords[2], cfg.phi_order)
     # test_reality_scan_evaluates_each_trial_axis_once_per_family pins the
     # same one derivative per family and axis on trial families
 
@@ -261,7 +258,7 @@ def test_boundary_term_matches_endpoint_probe():
     ball = CoordinateSystem(
         "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
     )
-    decay = FactorFunction(lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)))
+    decay = FactorFunction(lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)), scale=1.0)
     cases = [SeparableState((decay,), ball)]  # nonzero weight and value at r = 1.7
     cases += [
         hydrogen_state(QuantumNumbers(n, L, M))
@@ -274,18 +271,19 @@ def test_boundary_term_matches_endpoint_probe():
         lambda q: (2.0 + np.tanh(q)) / np.sqrt(1.0 + np.asarray(q) ** 2),
         lambda q: (1.0 - np.tanh(q) ** 2 - (2.0 + np.tanh(q)) * q / (1.0 + np.asarray(q) ** 2))
         / np.sqrt(1.0 + np.asarray(q) ** 2),
+        scale=1.0,
     )
     cases.append(SeparableState((lopsided,) + random_bound_trial(make_cartesian(), 0).factors[1:], make_cartesian()))
     for state in cases:
         coords = state.system.coords
         norms = [
             coordinate_integral(
-                spec, lambda q, f=f: np.abs(np.asarray(f.evaluate(q))) ** 2, cfg.order_for(spec), state.radial_scale
+                spec, lambda q, f=f: np.abs(np.asarray(f.evaluate(q))) ** 2, cfg.order_for(spec), f.scale
             ).real
             for spec, f in zip(coords, state.factors)
         ]
         for axis, spec in enumerate(coords):
-            nodes = quadrature.coordinate_rule(spec, cfg.order_for(spec), state.radial_scale).nodes
+            nodes = quadrature.coordinate_rule(spec, cfg.order_for(spec), state.factors[axis].scale).nodes
             lo = spec.lower if math.isfinite(spec.lower) else float(np.min(nodes))
             hi = spec.upper if math.isfinite(spec.upper) else float(np.max(nodes))
 
@@ -638,8 +636,8 @@ def test_radial_moment_refuses_powers_it_cannot_honour():
 def _count_trial_factor_calls(monkeypatch, counts: collections.Counter) -> None:
     # the trial builders count array evaluations of the factors they make
     def counted(builder):
-        def build(*args):
-            factor = builder(*args)
+        def build(*args, scale):
+            factor = builder(*args, scale=scale)
 
             def wrap(name, fn):
                 def call(q):
@@ -649,7 +647,7 @@ def _count_trial_factor_calls(monkeypatch, counts: collections.Counter) -> None:
 
                 return call
 
-            return FactorFunction(wrap("evaluate", factor.evaluate), wrap("derivative", factor.derivative))
+            return FactorFunction(wrap("evaluate", factor.evaluate), wrap("derivative", factor.derivative), scale=scale)
 
         return build
 

@@ -148,8 +148,12 @@ def test_seed_is_only_accepted_where_it_is_used():
         '{"hbar": 1e200, "m": 1.0, "e2": 1.0}',
         '{"hbar": 1e-200, "m": 1.0, "e2": 1.0}',
         '{"hbar": 1.0, "m": 1e-200, "e2": 1e-200}',
+        '{"hbar": true, "m": 1, "e2": 1}',
+        '{"hbar": "1.0", "m": 1, "e2": 1}',
+        '{"hbar": 1' + "0" * 400 + ', "m": 1, "e2": 1}',
     ],
-    ids=["not-json", "json-list", "non-numeric", "infinite", "a0-overflow", "a0-underflow", "m-e2-underflow"],
+    ids=["not-json", "json-list", "non-numeric", "infinite", "a0-overflow", "a0-underflow", "m-e2-underflow",
+         "boolean", "numeric-string", "integer-overflow"],
 )
 def test_malformed_constants_file_is_a_usage_error(tmp_path, text):
     path = tmp_path / "si.json"

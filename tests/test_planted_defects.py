@@ -56,7 +56,8 @@ def _scale_radial_norm(monkeypatch):
 
     def scaled(n, L):
         f = radial(n, L)
-        return FactorFunction(lambda r: f.evaluate(r) * (1 + 1e-6), lambda r: f.derivative(r) * (1 + 1e-6))
+        return FactorFunction(lambda r: f.evaluate(r) * (1 + 1e-6), lambda r: f.derivative(r) * (1 + 1e-6),
+                              scale=f.scale)
 
     monkeypatch.setattr(states, "_hydrogen_radial", scaled)
 
@@ -67,23 +68,23 @@ def _scale_radial_derivative(monkeypatch):
 
     def scaled(n, L):
         f = radial(n, L)
-        return FactorFunction(f.evaluate, lambda r: f.derivative(r) * (1 + 1e-6))
+        return FactorFunction(f.evaluate, lambda r: f.derivative(r) * (1 + 1e-6), scale=f.scale)
 
     monkeypatch.setattr(states, "_hydrogen_radial", scaled)
 
 
 def _drop_trial_norm(monkeypatch):
-    # each builder takes its profile's parameters, then 1 / norm last
+    # each builder takes its profile's parameters, then 1 / norm, then its map scale by keyword
     for name, params in (("_poly_gaussian", 5), ("_sine_sum", 1), ("_fourier_sum", 1)):
         builder = getattr(states, name)
-        monkeypatch.setattr(states, name, lambda *args, b=builder, k=params: b(*args[:k]))
+        monkeypatch.setattr(states, name, lambda *args, b=builder, k=params, **scale: b(*args[:k], **scale))
 
 
 def _break_product_rule(monkeypatch):
     def scaled_state(state, axis):
         f = state.factors[axis]
         factors = list(state.factors)
-        factors[axis] = FactorFunction(lambda q: q * f.evaluate(q), lambda q: q * f.derivative(q))
+        factors[axis] = FactorFunction(lambda q: q * f.evaluate(q), lambda q: q * f.derivative(q), scale=f.scale)
         return dataclasses.replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
     monkeypatch.setattr(operators, "coordinate_scaled_state", scaled_state)
@@ -94,7 +95,7 @@ def _flip_phi_derivative(monkeypatch):
 
     def flipped(M):
         f = phi(M)
-        return FactorFunction(f.evaluate, lambda q: -f.derivative(q))
+        return FactorFunction(f.evaluate, lambda q: -f.derivative(q), scale=f.scale)
 
     monkeypatch.setattr(states, "_phi_factor", flipped)
 

@@ -158,7 +158,7 @@ def test_hydrogen_norms_via_integrate_separable():
                 (lambda f: (lambda q: np.abs(np.asarray(f.evaluate(q))) ** 2))(f)
                 for f in state.factors
             ]
-            value, err = integrate_separable(state.system, densities, cfg, state.radial_scale)
+            value, err = integrate_separable(state.system, densities, cfg, state.factors[0].scale)
             assert abs(value.real - 1.0) <= 1e-10, f"(n,L)=({n},{L})"
             assert abs(value.imag) <= 1e-14
 

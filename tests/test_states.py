@@ -19,8 +19,14 @@ from curvimom.errors import (
     UnsupportedAxisError,
 )
 from curvimom.geometry import make_cartesian, make_spherical, preset_systems
-from curvimom.operators import canonical_momentum, momentum_unit, naive_momentum
-from curvimom.quadrature import QuadratureConfig, axis_rule, combine_axes, coordinate_integral
+from curvimom.operators import (
+    canonical_momentum,
+    coordinate_scaled_state,
+    momentum_unit,
+    naive_momentum,
+    operator_applied_state,
+)
+from curvimom.quadrature import QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
     ATOMIC,
@@ -32,10 +38,8 @@ from curvimom.states import (
     hydrogen_family,
     hydrogen_state,
     load_constants,
-    phi_eigenfactor,
     random_bound_trial,
     state_overlap,
-    theta_eigenfactor,
     trial_family,
 )
 
@@ -98,17 +102,15 @@ def test_angular_factors_are_unit_norm():
     sph = make_spherical()
     for L in range(0, 7):
         for M in range(-L, L + 1):
-            th = theta_eigenfactor(L, M)
+            _, th, ph = hydrogen_state(QuantumNumbers(L + 1, L, M)).factors
             norm = coordinate_integral(
                 sph.coords[1], lambda q: np.abs(np.asarray(th.evaluate(q))) ** 2, 64
             )
             assert norm.real == pytest.approx(1.0, abs=1e-12), f"(L,M)=({L},{M})"
-    for M in range(-5, 6):
-        ph = phi_eigenfactor(M)
-        norm = coordinate_integral(
-            sph.coords[2], lambda q: np.abs(np.asarray(ph.evaluate(q))) ** 2, 32
-        )
-        assert norm.real == pytest.approx(1.0, abs=1e-13)
+            norm = coordinate_integral(
+                sph.coords[2], lambda q: np.abs(np.asarray(ph.evaluate(q))) ** 2, 32
+            )
+            assert norm.real == pytest.approx(1.0, abs=1e-13), f"M={M}"
 
 
 def test_hydrogen_state_equals_radial_times_spherical_harmonic(spherical_harmonic):
@@ -120,52 +122,43 @@ def test_hydrogen_state_equals_radial_times_spherical_harmonic(spherical_harmoni
         assert got == pytest.approx(expected, rel=1e-12), (r, th, ph)
 
 
-def test_phi_eigenfactor_requires_integer():
-    with pytest.raises(DomainError):
-        phi_eigenfactor(0.5)
-
-
 def test_cached_constructors_validate_before_lookup():
-    # the caches would take 1.0 for the key 1; the check runs first
-    assert phi_eigenfactor(1) is phi_eigenfactor(np.int64(1))
-    with pytest.raises(DomainError):
-        phi_eigenfactor(1.0)
-    assert theta_eigenfactor(2, 1) is theta_eigenfactor(2, 1)
-    for L, M in ((2, 1.0), (2.0, 1), (1, 2), (-1, 0)):
-        with pytest.raises(DomainError):
-            theta_eigenfactor(L, M)
+    # the caches would take 1.0 for the key 1; QuantumNumbers checks (n, L, M) first
     a, b, c = (hydrogen_state(QuantumNumbers(*qn)) for qn in ((3, 2, 1), (4, 2, 1), (3, 2, -1)))
     assert a.factors[1] is b.factors[1] and a.factors[2] is b.factors[2]
     assert a.factors[0] is c.factors[0] and a.factors[0] is not b.factors[0]
     # a hydrogen state reads the caches unchecked (its QuantumNumbers checked (L, M)),
-    # so it holds the factors the checked constructors return, for numpy integers too
-    for qn in (QuantumNumbers(3, 2, -1), QuantumNumbers(np.int64(3), np.int64(2), np.int64(-1))):
-        state = hydrogen_state(qn)
-        assert state.factors[1] is theta_eigenfactor(2, -1) and state.factors[2] is phi_eigenfactor(-1)
+    # so numpy integers get the factors plain ones do
+    state = hydrogen_state(QuantumNumbers(np.int64(3), np.int64(2), np.int64(-1)))
+    assert all(f is g for f, g in zip(state.factors, c.factors))
 
 
-def _counted(factor, calls):
+def _counted(factor, calls, scale=None):
+    # the factor, counting its evaluations, on its own map scale or on ``scale``
     def evaluate(q):
         calls.append(np.ndim(q))
         return factor.evaluate(q)
 
-    return FactorFunction(evaluate, factor.derivative)
+    return FactorFunction(evaluate, factor.derivative, scale=factor.scale if scale is None else scale)
 
 
 def test_angular_tables_are_shared_across_radial_scales():
+    # (3, 2, 1) and (4, 2, 1) share their theta and phi factors, and with them
+    # the tables, while each radial factor sits on its own n a0 rule
     calls = {axis: [] for axis in range(3)}
-    qn = QuantumNumbers(3, 2, 1)
-    base = hydrogen_state(qn)
-    factors = tuple(_counted(f, calls[axis]) for axis, f in enumerate(base.factors))
-    near = SeparableState(factors, base.system, radial_scale=1.0)
-    far = SeparableState(factors, base.system, radial_scale=3.0)
+    near_base, far_base = (hydrogen_state(QuantumNumbers(n, 2, 1)) for n in (3, 4))
+    angular = tuple(_counted(f, calls[axis]) for axis, f in enumerate(near_base.factors) if axis)
+    assert far_base.factors[1:] == near_base.factors[1:]
+    near = SeparableState((_counted(near_base.factors[0], calls[0]),) + angular, near_base.system)
+    far = SeparableState((_counted(far_base.factors[0], calls[0]),) + angular, far_base.system)
     values_n, norms_n = StateFamily.of(near).tabulate(QuadratureConfig())
     values_f, norms_f = StateFamily.of(far).tabulate(QuadratureConfig())
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
     for axis in (1, 2):
         assert values_n[axis] is values_f[axis] and norms_n[axis] == norms_f[axis]
-    assert not np.array_equal(values_n[0], values_f[0])
-    for state, values in ((near, values_n), (far, values_f)):
+    assert not np.array_equal(StateFamily.of(near).rule(0, QuadratureConfig()).nodes,
+                              StateFamily.of(far).rule(0, QuadratureConfig()).nodes)
+    for state, base, values in ((near, near_base, values_n), (far, far_base, values_f)):
         for axis, (f, vals) in enumerate(zip(base.factors, values)):
             assert np.array_equal(vals, f.evaluate(StateFamily.of(state).rule(axis, QuadratureConfig()).nodes))
             with pytest.raises(ValueError):
@@ -179,30 +172,42 @@ def test_each_order_and_radial_scale_gets_its_own_table():
     calls = []
     sph = make_spherical()
     base = hydrogen_state(QuantumNumbers(2, 1, 0)).factors[0]
-    radial = _counted(base, calls)
+    radial = {scale: _counted(base, calls, scale) for scale in (2.0, 5.0)}
     seen = []
     for order, scale in ((120, 2.0), (120, 5.0), (60, 2.0)):
-        rule, (values, _) = radial.rule(sph.coords[0], order, scale), radial.table(sph.coords[0], order, scale)
+        f = radial[scale]
+        rule, (values, _) = f.rule(sph.coords[0], order), f.table(sph.coords[0], order)
         assert np.array_equal(rule.nodes, axis_rule(sph.coords[0], order, scale).nodes)
         assert np.array_equal(values, base.evaluate(rule.nodes))
         seen.append(values)
     assert len(calls) == 3 and all(seen[i] is not seen[j] for i, j in ((0, 1), (0, 2), (1, 2)))
     calls.clear()
-    base = theta_eigenfactor(2, 1)
-    theta = _counted(base, calls)
-    fine = theta.table(sph.coords[1], 64, 1.0)[0]
-    assert theta.table(sph.coords[1], 64, 7.0)[0] is fine  # compact axes ignore the scale
-    coarse = theta.table(sph.coords[1], 32, 1.0)[0]
+    base = hydrogen_state(QuantumNumbers(3, 2, 1)).factors[1]
+    theta, wide = _counted(base, calls), _counted(base, [], 7.0)
+    fine = theta.table(sph.coords[1], 64)[0]
+    assert wide.rule(sph.coords[1], 64) is theta.rule(sph.coords[1], 64)  # compact axes ignore the scale
+    assert np.array_equal(wide.table(sph.coords[1], 64)[0], fine)
+    coarse = theta.table(sph.coords[1], 32)[0]
     assert calls == [1, 1] and len(coarse) < len(fine)
     assert np.array_equal(coarse, base.evaluate(axis_rule(sph.coords[1], 32).nodes))
-    # a derived factor starts with its own, empty memo
+    # a derived factor starts with its own, empty memo, on its base factor's rule
     trial = random_bound_trial(make_cartesian(), 3)
     StateFamily.of(trial).tabulate(QuadratureConfig())
     twisted = apply_phase_twist(trial, 0, 1.5)
     spec = trial.system.coords[0]
-    values = twisted.factors[0].table(spec, 120, trial.radial_scale)[0]
-    assert np.array_equal(values, twisted.factors[0].evaluate(twisted.factors[0].rule(spec, 120, trial.radial_scale).nodes))
-    assert not np.array_equal(values, trial.factors[0].table(spec, 120, trial.radial_scale)[0])
+    values = twisted.factors[0].table(spec, 120)[0]
+    assert np.array_equal(values, twisted.factors[0].evaluate(trial.factors[0].rule(spec, 120).nodes))
+    assert not np.array_equal(values, trial.factors[0].table(spec, 120)[0])
+    for state in (hydrogen_state(QuantumNumbers(3, 1, 0)), random_bound_trial(make_spherical(), 3), trial):
+        spec = state.system.coords[0]
+        order = QuadratureConfig().order_for(spec)
+        nodes = state.factors[0].rule(spec, order).nodes
+        for derived in (operator_applied_state(canonical_momentum(state.system, 0), state),
+                        coordinate_scaled_state(state, 0)):
+            factor = derived.factors[0]
+            assert factor.scale == state.factors[0].scale
+            assert np.array_equal(factor.rule(spec, order).nodes, nodes)
+            assert np.array_equal(factor.table(spec, order)[0], factor.evaluate(nodes))
 
 
 def test_constants_atomic_and_file_loading(tmp_path):
@@ -218,6 +223,31 @@ def test_constants_atomic_and_file_loading(tmp_path):
         load_constants(str(bad))
     with pytest.raises(ConfigurationError):
         PhysicalConstants(1.0, -1.0, 1.0)
+
+
+def test_constants_must_be_json_numbers(tmp_path):
+    # a boolean is an int to Python and a numeric string converts to a float, but
+    # neither is a JSON number; integers are numbers and load as floats
+    path = tmp_path / "si.json"
+    for bad in (True, "1.0", None, [1.0], 10**400):
+        path.write_text(json.dumps({"hbar": bad, "m": 1, "e2": 1}))
+        with pytest.raises(ConfigurationError, match="not a JSON object of numbers"):
+            load_constants(str(path))
+    path.write_text(json.dumps({"hbar": 2, "m": 1, "e2": 1.0}))
+    constants = load_constants(str(path))
+    assert (constants.hbar, constants.a0) == (2.0, 4.0) and type(constants.m) is float
+
+
+def test_a_factor_must_name_its_scale():
+    # a factor's scale picks the rule its tables sit on: there is no default to fall back on
+    factor = hydrogen_state(QuantumNumbers(2, 1, 0)).factors[0]
+    with pytest.raises(TypeError):
+        FactorFunction(factor.evaluate, factor.derivative)
+    assert factor.scale == 2.0
+    stacked = hydrogen_family([hydrogen_state(QuantumNumbers(n, 1, 0)) for n in (2, 3)]).factors
+    assert stacked[0].scale == (2.0, 3.0) and stacked[1].scale == (1.0, 1.0)
+    family = trial_family(make_cartesian(), range(3))
+    assert all(f.scale == tuple(m.factors[0].scale for m in family.members) for f in family.factors)
 
 
 def test_trial_states_normalized_and_deterministic():
@@ -304,6 +334,21 @@ def test_hydrogen_orthogonality():
         for L in range(n):
             s = hydrogen_state(QuantumNumbers(n, L, 0))
             assert abs(state_overlap(s, s, cfg) - 1.0) <= 1e-12, (n, L)
+
+
+def test_overlap_reads_each_axis_on_the_wider_factors_rule():
+    # <1s|2s> and <2s|1s> sum on the n = 2 radial rule, the 1s factor evaluated on its
+    # nodes; the shared theta and phi factors are read from their tables
+    cfg = QuadratureConfig()
+    narrow, wide = hydrogen_state(QuantumNumbers(1, 0, 0)), hydrogen_state(QuantumNumbers(2, 0, 0))
+    for a, b in ((narrow, wide), (wide, narrow)):
+        pairs = []
+        for axis, (spec, fa, fb) in enumerate(zip(a.system.coords, a.factors, b.factors)):
+            order = cfg.order_for(spec)
+            rule = wide.factors[axis].rule(spec, order)
+            va, vb = (np.asarray(f.evaluate(rule.nodes)) for f in (fa, fb))
+            pairs.append(contract_rows(rule, np.conj(va) * vb)[0])
+        assert state_overlap(a, b, cfg) == combine_axes(pairs)[0]
 
 
 def test_state_shape_errors():
@@ -444,8 +489,8 @@ def test_trial_members_keep_the_lone_state_stream(monkeypatch):
     for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
         builder = getattr(states, name)
 
-        def build(*args, builder=builder):
-            factor = builder(*args)
+        def build(*args, builder=builder, scale):
+            factor = builder(*args, scale=scale)
             made[factor] = args[:-1]  # the parameters, without the normalisation constant
             return factor
 
