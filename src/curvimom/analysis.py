@@ -145,8 +145,8 @@ def expectations(
     op: MomentumOperator, family: StateFamily, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> list[ExpectationReport]:
     """<psi| p |psi> with reality diagnostics on every member of ``family``: one table
-    and one contraction per axis, then each member's report from Python scalars in
-    natural units, on each factor's own rule at the config's orders.
+    and one contraction per axis, then every member's value, estimate and surface term
+    at once as arrays, in natural units, on each factor's own rule at the config's orders.
 
     Raises:
         PreconditionError: if a member is not normalized.
@@ -154,34 +154,26 @@ def expectations(
     if not all([state.normalized for state in family.members]):
         raise PreconditionError("expectation values require a normalized state")
     values, norms = family.tabulate(config)
-    rule, table, factor, k = family.rule(op.axis, config), values[op.axis], family.factors[op.axis], len(family.members)
+    rule, table, factor = family.rule(op.axis, config), values[op.axis], family.factors[op.axis]
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
     slopes, drift = family.derivative_table(op.axis, config), op.drift(rule.nodes)
     moments = contract_rows(rule, np.conj(table) * -1j * (slopes + drift * table))
+    value, qerr = combine_axes(norms[: op.axis] + (moments,) + norms[op.axis + 1 :])
     spec = family.system.coords[op.axis]
     zero_ends = measure_factor(spec).zero_ends
 
-    def surface(end: float, node: int) -> list[float]:
-        # w |f|^2 at one end of the operator's axis, one float per member
+    def surface(end: float, node: int):
+        # w |f|^2 at one end of the operator's axis: 0, or one value per member
         if end in zero_ends or spec.topology == "compact-periodic":  # w vanishes, or both ends are one point
-            return [0.0] * k
-        if math.isfinite(end):
-            w, ends = [float(spec.weight.value(end))] * k, factor.evaluate(end)
-        else:  # the outermost full-order node (nodes ascend); bound states have long underflowed there
-            w, ends = np.reshape(spec.weight.value(rule.nodes[..., node]), -1).tolist(), table[..., node]
-        return [wi * abs(v) ** 2 for wi, v in zip(w, np.reshape(ends, -1).tolist())]
+            return 0.0
+        # at an infinite end, the outermost full-order node (nodes ascend); bound states have long underflowed there
+        q, ends = (end, factor.evaluate(end)) if math.isfinite(end) else (rule.nodes[..., node], table[..., node])
+        return spec.weight.value(q) * np.square(np.abs(ends))
 
-    upper, lower = surface(spec.upper, rule.full - 1), surface(spec.lower, 0)
-    other_norms = norms[: op.axis] + norms[op.axis + 1 :]
-    reports = []
-    for i, moment in enumerate(moments):
-        pairs = [axis_norms[i] for axis_norms in norms]
-        pairs[op.axis] = moment
-        value, qerr = combine_axes(pairs)
-        # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
-        other = math.prod(axis_norms[i][0].real for axis_norms in other_norms)
-        reports.append(ExpectationReport(value, -0.5 * (upper[i] - lower[i]) * other, qerr))
-    return reports
+    # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
+    other = combine_axes(norms[: op.axis] + norms[op.axis + 1 :])[0].real
+    boundary = -0.5 * (surface(spec.upper, rule.full - 1) - surface(spec.lower, 0)) * other
+    return [ExpectationReport(*report) for report in zip(value.tolist(), boundary.tolist(), qerr.tolist())]
 
 
 def expectation(
@@ -204,8 +196,8 @@ def reality_tolerance(report: ExpectationReport) -> float:
 def require_normalised(family: StateFamily, config: QuadratureConfig, label: str) -> None:
     """DomainError unless every member's |<psi|psi> - 1|, from ``family.norms`` at the
     orders in use, is within the normalization suite's tolerance 1e-10."""
-    misses = [abs(norm - 1.0) for norm in family.norms(config)]
-    if not all(miss <= _NORM_TOL for miss in misses):  # a NaN norm is refused too
+    misses = np.abs(family.norms(config) - 1.0)
+    if not (misses <= _NORM_TOL).all():  # a NaN norm is refused too
         raise DomainError(f"{label} is not normalised to {_NORM_TOL:g} at these orders: "
                           f"|<psi|psi> - 1| = {np.max(misses):.2e}")
 
@@ -420,7 +412,7 @@ def _suite_normalization(cfg: QuadratureConfig) -> SuiteResult:
     families = [hydrogen_family([hydrogen_state(qn) for qn in _LEVELS])]
     families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
     for family in families:
-        t.add(np.array(family.norms(cfg)) - 1.0, _NORM_TOL)
+        t.add(family.norms(cfg) - 1.0, _NORM_TOL)
     return t.result()
 
 

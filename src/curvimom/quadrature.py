@@ -16,8 +16,9 @@ half-order nodes as one array, one weight row per order, with the weight w(q)
 folded in, so a 1-D integral is one weighted sum.  Its unit rule is cached per
 (coordinate, order) in one bounded cache; a line or half-line scale (or k of
 them, each a factor's own ``scale``) is applied per call, and a config holds
-only orders.  Separable integrals are tabulated on it, summed by
-``contract_rows`` and combined by ``combine_axes``; ``coordinate_rule`` and
+only orders.  Separable integrals are tabulated on it, summed by ``contract_rows``
+into (k, 2) arrays of (full, half) sums, one per coordinate, and combined by
+``combine_axes`` into k values and estimates; ``coordinate_rule`` and
 ``coordinate_integral`` read its full-order rows.
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
@@ -286,29 +287,32 @@ def axis_rule(spec: CoordinateSpec, order: int, scale=1.0) -> AxisRule:
     return AxisRule(nodes, weights, full=base.full)
 
 
-def contract_rows(rule: AxisRule, table: np.ndarray) -> list[tuple[complex, complex]]:
-    """The (full, half) pair of each row of a table, (n,) or (k, n): one
-    product with the weight matrix (or the k matrices), summed along the
-    last axis, so each row's sums are those of that row alone."""
-    sums = (rule.weights * table[..., None, :]).sum(-1).reshape(-1, 2).tolist()
-    return [(complex(full), complex(half)) for full, half in sums]
+def contract_rows(rule: AxisRule, table: np.ndarray) -> np.ndarray:
+    """The (full, half) sums of each row of a table, (n,) or (k, n), as a (k, 2)
+    array: one product with the weight matrix (or the k matrices), summed along
+    the last axis, so each row's sums are those of that row alone."""
+    return (rule.weights * table[..., None, :]).sum(-1).reshape(-1, 2)
 
 
-def combine_axes(pairs: Sequence[tuple[complex, complex]]) -> tuple[complex, float]:
-    """Product of the full-order integrals, with its error estimate.
+def combine_axes(pairs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's product of the full-order integrals, with its error estimate,
+    from one (k, 2) array of (full, half) sums per coordinate: (k,) values and (k,)
+    estimates, and (1, 0) from no coordinates.
 
     The estimate sums, over coordinates, the full-minus-half-order
     difference of that coordinate's integral times the magnitudes of the
     others.  It is a practical bound, validated on the analytic test set,
-    not a proof.
+    not a proof.  Products run in coordinate order from 1, the others' magnitudes
+    (``hypot``, as Python's ``abs``) before the difference, so the bits are those of
+    scalar arithmetic wherever at most one coordinate's sums are complex.
     """
-    fulls = [full for full, _ in pairs]
-    mags = [abs(f) for f in fulls]
-    error = sum(
-        abs(full - half) * math.prod(m for j, m in enumerate(mags) if j != i)
-        for i, (full, half) in enumerate(pairs)
-    )
-    return complex(math.prod(fulls)), float(error)
+    sums = np.array(pairs or np.ones((0, 1, 2)), dtype=complex)  # no coordinates: one member
+    fulls = sums[..., 0]
+    sums[..., 1] = fulls - sums[..., 1]
+    mags = np.hypot(sums.real, sums.imag)  # (axes, k, 2): |full| and |full - half|
+    # row i: every coordinate's |full| in order, with 1 in place of coordinate i's
+    others = np.where(np.eye(len(sums), dtype=bool)[..., None], 1.0, mags[..., 0]).prod(axis=1)
+    return np.multiply.reduce(fulls, initial=1 + 0j), np.add.reduce(mags[..., 1] * others)
 
 
 def integrate_separable(
@@ -321,7 +325,7 @@ def integrate_separable(
     with the line and half-line rules at map ``scale``.
 
     Returns:
-        (value, error_estimate), as ``combine_axes`` forms them.
+        (value, error_estimate), a complex and a float, as ``combine_axes`` forms them.
 
     Raises:
         ConfigurationError: if the integrand count differs from the system
@@ -333,4 +337,5 @@ def integrate_separable(
             f"{len(integrands)} integrands for {system.dim}-coordinate system {system.name!r}"
         )
     rules = [axis_rule(spec, config.order_for(spec), scale) for spec in system.coords]
-    return combine_axes([contract_rows(rule, f(rule.nodes))[0] for f, rule in zip(integrands, rules)])
+    value, error = combine_axes([contract_rows(rule, f(rule.nodes)) for f, rule in zip(integrands, rules)])
+    return complex(value[0]), float(error[0])

@@ -135,19 +135,20 @@ class FactorFunction:
             rule = self._rules[spec, order] = axis_rule(spec, order, self.scale)
         return rule
 
-    def table(self, spec: CoordinateSpec, order: int) -> tuple[np.ndarray, list]:
-        """Read-only values on ``rule``'s nodes and the |f|^2 pair of each row, once;
-        a stack reads its parts' own tables."""
+    def table(self, spec: CoordinateSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only values on ``rule``'s nodes and the (k, 2) |f|^2 (full, half) sums
+        of its k rows, once; a stack reads its parts' own tables."""
         entry = self._tables.get((spec, order))
         if entry is None:
             if self.parts:
                 rows = [f.table(spec, order) for f in self.parts]
-                values, norms = np.stack([row[0] for row in rows]), [pair for row in rows for pair in row[1]]
+                values, norms = np.stack([row[0] for row in rows]), np.concatenate([row[1] for row in rows])
             else:
                 rule = self.rule(spec, order)
                 values = np.asarray(self.evaluate(rule.nodes))
                 norms = contract_rows(rule, np.abs(values) ** 2)
             values.setflags(write=False)
+            norms.setflags(write=False)
             entry = self._tables[spec, order] = (values, norms)
         return entry
 
@@ -337,13 +338,13 @@ class StateFamily(NamedTuple):
 
     def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple]:
         """``(values, norms)`` per coordinate, from the factors' tables, each on its factor's
-        own rule: a (k, n) table (one state's own, (n,)) and k |f|^2 pairs."""
+        own rule: a (k, n) table (one state's own, (n,)) and the (k, 2) |f|^2 sums."""
         return tuple(zip(*[f.table(s, config.order_for(s)) for f, s in zip(self.factors, self.system.coords)]))
 
-    def norms(self, config: QuadratureConfig) -> list[float]:
-        """Each member's <psi|psi>: the product, over the axes in order, of its full-order
+    def norms(self, config: QuadratureConfig) -> np.ndarray:
+        """Each member's <psi|psi>, a (k,) array: ``combine_axes`` of the full-order
         |f|^2 sums from ``tabulate``, the tables every expectation of the family reads."""
-        return [math.prod(full.real for full, _ in pairs) for pairs in zip(*self.tabulate(config)[1])]
+        return combine_axes(self.tabulate(config)[1])[0].real
 
     def rule(self, axis: int, config: QuadratureConfig) -> AxisRule:
         """The rule of ``tabulate``'s tables on one coordinate; a factor's k scales give k rows."""
@@ -482,5 +483,5 @@ def state_overlap(
         order, wide = config.order_for(spec), max(fa, fb, key=lambda f: f.scale)
         rule = wide.rule(spec, order)
         va, vb = [f.table(spec, order)[0] if f.scale == wide.scale else f.evaluate(rule.nodes) for f in (fa, fb)]
-        pairs.append(contract_rows(rule, np.conj(va) * vb)[0])
-    return combine_axes(pairs)[0]
+        pairs.append(contract_rows(rule, np.conj(va) * vb))
+    return complex(combine_axes(pairs)[0][0])

@@ -126,6 +126,20 @@ def test_expect_refuses_hydrogen_states_off_norm_at_the_orders_in_use():
         assert invoke("hydrogen-table", "--nmax", nmax).exit_code == 0, nmax
 
 
+def test_expect_refuses_a_nan_norm(monkeypatch):
+    # a NaN |<psi|psi> - 1| is refused as a miss above 1e-10 is: exit 2, nothing on stdout
+    phi = states._phi_factor
+
+    def nan_phi(M):
+        f = phi(M)
+        return states.FactorFunction(lambda q: f.evaluate(q) * math.nan, f.derivative, scale=f.scale)
+
+    monkeypatch.setattr(states, "_phi_factor", nan_phi)
+    result = invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--format", "json")
+    assert result.exit_code == 2 and result.stdout == "", result.output
+    assert "not normalised" in result.output and "nan" in result.output
+
+
 def test_negative_trial_seed_is_a_usage_error():
     result = invoke("expect", "canonical:r", "trial:seed=-1")
     assert result.exit_code == 2, result.output

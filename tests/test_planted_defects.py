@@ -6,6 +6,7 @@ catch the fault it guards.  A new class of defect adds a row.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -45,7 +46,8 @@ def _half_order_is_full_order(monkeypatch):
     contract_rows = analysis.contract_rows
 
     def full_twice(rule, table):
-        return [(full, full) for full, _ in contract_rows(rule, table)]
+        # each row's (k, 2) sums with the full-order sum in the half-order column too
+        return contract_rows(rule, table)[:, [0, 0]]
 
     for module in (analysis, states):
         monkeypatch.setattr(module, "contract_rows", full_twice)
@@ -102,7 +104,12 @@ def _flip_phi_derivative(monkeypatch):
 
 def _zero_quad_error(monkeypatch):
     combine = analysis.combine_axes
-    monkeypatch.setattr(analysis, "combine_axes", lambda pairs: (combine(pairs)[0], 0.0))
+
+    def no_estimate(pairs):
+        value, estimate = combine(pairs)
+        return value, np.zeros_like(estimate)
+
+    monkeypatch.setattr(analysis, "combine_axes", no_estimate)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,6 +23,7 @@ from curvimom.quadrature import (
     QuadratureConfig,
     QuadratureRule,
     axis_rule,
+    combine_axes,
     contract_rows,
     coordinate_integral,
     coordinate_rule,
@@ -32,8 +33,11 @@ from curvimom.quadrature import (
     line_rule,
     periodic_rule,
 )
+from curvimom.operators import canonical_momentum
 from curvimom.specfun import QuantumNumbers
-from curvimom.states import hydrogen_state
+from curvimom.states import (
+    FactorFunction, SeparableState, StateFamily, hydrogen_family, hydrogen_state, trial_family
+)
 
 
 def test_gauss_legendre_matches_numpy():
@@ -316,7 +320,56 @@ def test_each_row_contracts_as_it_would_alone():
         rule = axis_rule(spec, 40, scale)
         rules = [rule] * 4 if np.ndim(scale) == 0 else [AxisRule(*p, full=rule.full) for p in zip(rule.nodes, rule.weights)]
         for table in (rng.random((4, rule.nodes.shape[-1])), rng.random((4, rule.nodes.shape[-1])) * (1 + 2j)):
-            assert contract_rows(rule, table) == [contract_rows(one, row)[0] for one, row in zip(rules, table)]
+            alone = np.concatenate([contract_rows(one, row) for one, row in zip(rules, table)])
+            assert contract_rows(rule, table).tobytes() == alone.tobytes()
+
+
+def _scalar_combine(pairs):
+    # one member's value 1 f_0 f_1 ... and estimate sum_i |full_i - half_i| (1 prod_{j != i} |full_j|),
+    # in Python scalars, coordinate by coordinate
+    fulls = [full for full, _ in pairs]
+    mags = [abs(f) for f in fulls]
+    error = sum(abs(full - half) * math.prod(m for j, m in enumerate(mags) if j != i)
+                for i, (full, half) in enumerate(pairs))
+    return complex(math.prod(fulls)), float(error)
+
+
+def _bits(value, estimate):
+    value = complex(value)
+    return value.real.hex(), value.imag.hex(), float(estimate).hex()
+
+
+def test_combine_axes_gives_each_member_the_bits_of_the_member_alone():
+    # on the (k, 2) sums an expectation combines (the norms, with each axis's moment in its
+    # place) and a norm combines: k members give the bits of k one-member calls and of the
+    # scalar formula, on hydrogen and trial families of every preset system and on a 1-D system
+    cfg = QuadratureConfig()
+    qns = [QuantumNumbers(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
+    families = [hydrogen_family([hydrogen_state(qn) for qn in qns])]
+    families += [trial_family(system, range(20)) for system in preset_systems().values()]
+    ball = CoordinateSystem(
+        "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
+    )
+    decay = FactorFunction(lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)), scale=1.0)
+    families.append(StateFamily.of(SeparableState((decay,), ball)))
+    for family in families:
+        values, norms = family.tabulate(cfg)
+        k, cases = len(family.members), [norms]
+        for axis in range(family.system.dim):
+            rule, table = family.rule(axis, cfg), values[axis]
+            drift = canonical_momentum(family.system, axis).drift(rule.nodes)
+            moments = contract_rows(rule, np.conj(table) * -1j * (family.derivative_table(axis, cfg) + drift * table))
+            cases += [norms[:axis] + (moments,) + norms[axis + 1 :], norms[:axis] + norms[axis + 1 :]]
+        for pairs in cases:
+            value, estimate = combine_axes(pairs)
+            assert value.shape == estimate.shape == (k,)
+            for i in range(k):
+                alone = combine_axes([sums[i : i + 1] for sums in pairs])
+                scalar = _scalar_combine([tuple(sums[i].tolist()) for sums in pairs])
+                assert _bits(value[i], estimate[i]) == _bits(alone[0][0], alone[1][0]) == _bits(*scalar)
+    # no coordinates: one member, 1 with no error
+    value, estimate = combine_axes([])
+    assert value.tolist() == [1.0] and estimate.tolist() == [0.0]
 
 
 def test_periodic_coordinate_must_span_a_full_turn():
