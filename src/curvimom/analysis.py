@@ -81,9 +81,6 @@ _NORM_TOL = 1e-10
 _MAX_RADIAL_POWER = 20
 # the L range p_theta_spectrum_scan and the command's --lmax accept (n = L + 1 <= 11)
 LMAX_RANGE = (0, 10)
-# members per reality-scan trial family: a family holds a (k, n) table per axis,
-# and 25 members keep the Cartesian one (three line axes) under a megabyte
-_FAMILY_SIZE = 25
 # trial states per system in the reality scan
 _REALITY_TRIALS = 50
 # the hydrogen levels the suites check: every (n, L, M) with n <= 4
@@ -154,13 +151,12 @@ def expectations(
     if not all([state.normalized for state in family.members]):
         raise PreconditionError("expectation values require a normalized state")
     values, norms = family.tabulate(config)
-    rule, table, factor = family.rule(op.axis, config), values[op.axis], family.factors[op.axis]
+    factor, table = family.factors[op.axis], values[op.axis]
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
-    slopes, drift = family.derivative_table(op.axis, config), op.drift(rule.nodes)
-    moments = contract_rows(rule, np.conj(table) * -1j * (slopes + drift * table))
+    rule, slopes = factor.rule(config), factor.derivative_table(config)
+    moments = contract_rows(rule, np.conj(table) * -1j * (slopes + op.drift(rule.nodes) * table))
     value, qerr = combine_axes(norms[: op.axis] + (moments,) + norms[op.axis + 1 :])
-    spec = family.system.coords[op.axis]
-    zero_ends = measure_factor(spec).zero_ends
+    spec, zero_ends = factor.spec, measure_factor(factor.spec).zero_ends
 
     def surface(end: float, node: int):
         # w |f|^2 at one end of the operator's axis: 0, or one value per member
@@ -429,8 +425,8 @@ def _on_points(factor: FactorFunction, q: np.ndarray) -> FactorFunction:
     # the factor with its values and slopes on the sample array q computed once: called on that
     # same array object it returns them, called on anything else it evaluates as before
     values, slopes = factor.evaluate(q), factor.derivative(q)
-    return FactorFunction(lambda x: values if x is q else factor.evaluate(x),
-                          lambda x: slopes if x is q else factor.derivative(x), scale=factor.scale)
+    return factor.derived(lambda x: values if x is q else factor.evaluate(x),
+                          lambda x: slopes if x is q else factor.derivative(x))
 
 
 def _suite_commutators(seed: int) -> SuiteResult:
@@ -441,8 +437,8 @@ def _suite_commutators(seed: int) -> SuiteResult:
         family = trial_family(system, range(first, first + 5))
         # (5, 5) points, a row per member: the stream of five (5, dim) draws, at each factor's scales
         draws = rng.random((5, 5, system.dim))
-        point = [_SAMPLE[spec.topology](draws[..., a], np.reshape(f.scale, (-1, 1)))
-                 for a, (spec, f) in enumerate(zip(system.coords, family.factors))]
+        point = [_SAMPLE[f.spec.topology](draws[..., a], np.reshape(f.scale, (-1, 1)))
+                 for a, f in enumerate(family.factors)]
         # the family as one pointwise state, each factor tabulated once on its axis's points
         state = SeparableState(tuple(_on_points(f, q) for f, q in zip(family.factors, point)), system)
         psi_mag = np.maximum(np.abs(state.evaluate(point)), 1e-30)
@@ -481,16 +477,15 @@ def _suite_reality(cfg: QuadratureConfig, seed: int) -> SuiteResult:
 
     seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + _REALITY_TRIALS)
     for sys_obj in preset_systems().values():
-        for start in range(0, _REALITY_TRIALS, _FAMILY_SIZE):
-            family = trial_family(sys_obj, seeds[start : start + _FAMILY_SIZE])
-            for axis in range(sys_obj.dim):
-                reps = expectations(canonical_momentum(sys_obj, axis), family, cfg)
-                tols = [reality_tolerance(rep) for rep in reps]
-                # the canonical defect and its distance from the surface term -(hbar/2) [w |psi|^2], 0 at
-                # every end of these bound states (a zero weight, an underflowed state or a periodic
-                # axis): this guards the term's code path, not its magnitude
-                defects, surface = np.array([(rep.hermiticity_defect, rep.boundary_term) for rep in reps]).T
-                t.add(np.maximum(np.abs(defects), np.abs(defects - surface)), np.array(tols))
+        family = trial_family(sys_obj, seeds)
+        for axis in range(sys_obj.dim):
+            reps = expectations(canonical_momentum(sys_obj, axis), family, cfg)
+            tols = [reality_tolerance(rep) for rep in reps]
+            # the canonical defect and its distance from the surface term -(hbar/2) [w |psi|^2], 0 at
+            # every end of these bound states (a zero weight, an underflowed state or a periodic
+            # axis): this guards the term's code path, not its magnitude
+            defects, surface = np.array([(rep.hermiticity_defect, rep.boundary_term) for rep in reps]).T
+            t.add(np.maximum(np.abs(defects), np.abs(defects - surface)), np.array(tols))
     return t.result()
 
 

@@ -80,6 +80,12 @@ WEIGHTS: dict[str, Weight] = {
 }
 
 
+# the domain each topology's rule covers, and its wording; the affine compact rule covers any finite interval
+_SPANS = {"line": ((-math.inf, math.inf), "(-inf, inf)"), "half-line": ((0.0, math.inf), "(0, inf)"),
+          "compact-periodic": ((0.0, 2.0 * math.pi), "(0, 2 pi)"),
+          "compact-nonperiodic": (None, "a finite interval")}
+
+
 @dataclass(frozen=True)
 class CoordinateSpec:
     """One orthogonal coordinate: domain, topology, weight and kind."""
@@ -97,8 +103,12 @@ class CoordinateSpec:
                 f"coordinate {self.name!r} needs lower < upper, got "
                 f"({self.lower}, {self.upper})"
             )
-        if self.topology not in ("line", "half-line", "compact-periodic", "compact-nonperiodic"):
+        if self.topology not in _SPANS:
             raise ConfigurationError(f"unknown topology {self.topology!r}")
+        span, text = _SPANS[self.topology]
+        covered = (self.lower, self.upper) == span if span else math.isfinite(self.upper - self.lower)
+        if not covered:
+            raise ConfigurationError(f"{self.topology} coordinate {self.name!r} must span {text}")
         if self.kind not in ("linear", "angular"):
             raise ConfigurationError(f"unknown coordinate kind {self.kind!r}")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedStateError
 from .geometry import CoordinateSystem, measure_factor
-from .states import FactorFunction, PhysicalConstants, SeparableState
+from .states import PhysicalConstants, SeparableState
 
 __all__ = [
     "MomentumOperator",
@@ -108,7 +108,7 @@ def operator_applied_state(op: MomentumOperator, state: SeparableState) -> Separ
         )
 
     factors = list(state.factors)
-    factors[op.axis] = FactorFunction(evaluate, derivative, scale=factor.scale)
+    factors[op.axis] = factor.derived(evaluate, derivative)
     return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
 
@@ -124,7 +124,7 @@ def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
         return np.asarray(ev(q)) + np.asarray(q, dtype=float) * np.asarray(dv(q))
 
     factors = list(state.factors)
-    factors[axis] = FactorFunction(evaluate, derivative, scale=factor.scale)
+    factors[axis] = factor.derived(evaluate, derivative)
     return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
 

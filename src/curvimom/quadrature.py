@@ -184,11 +184,7 @@ def _unit_rule(spec: CoordinateSpec, order: int) -> QuadratureRule:
         return line_rule(order)
     if spec.topology == "half-line":
         return half_line_rule(order)
-    if spec.topology == "compact-periodic":
-        if (spec.lower, spec.upper) != (0.0, 2.0 * math.pi):
-            raise ConfigurationError(
-                f"periodic coordinate {spec.name!r} must span (0, 2 pi)"
-            )
+    if spec.topology == "compact-periodic":  # the spec ensures (0, 2 pi)
         base = periodic_rule(order)
         nodes, weights = base.nodes, base.weights
     else:
@@ -278,12 +274,11 @@ def axis_rule(spec: CoordinateSpec, order: int, scale=1.0) -> AxisRule:
     base = _stacked_unit_rule(spec, order)
     if spec.topology not in ("line", "half-line"):
         return base
-    rows = isinstance(scale, (tuple, np.ndarray)) and np.ndim(scale) > 0
-    s = np.asarray(scale, dtype=float)[:, None] if rows else scale
-    if not ((s > 0.0).all() if rows else s > 0.0):
+    s = np.asarray(scale, dtype=float)[..., None]
+    if not (s > 0.0).all():
         raise DomainError(f"map scale must be positive, got {scale!r}")
     nodes = s * base.nodes
-    weights = (s[..., None] if rows else s) * base.weights * spec.weight.value(nodes)[..., None, :]
+    weights = s[..., None] * base.weights * spec.weight.value(nodes)[..., None, :]
     return AxisRule(nodes, weights, full=base.full)
 
 

@@ -113,56 +113,64 @@ def load_constants(path: str) -> PhysicalConstants:
 
 @dataclass(frozen=True, eq=False)
 class FactorFunction:
-    """One coordinate factor: value and analytic derivative callables, the map
-    ``scale`` of its line or half-line rule (required, as it picks the rule), and
-    its tables, which every state holding the factor shares.  A family's factor may
-    stack the ``parts`` of its members, one per row, scales too.  Factors compare by identity."""
+    """One coordinate factor: value and analytic derivative callables, the coordinate ``spec``
+    it lives on and the map ``scale`` of a line or half-line rule (both required, as they pick
+    the rule), and its tables, which every state holding the factor shares.  A family's factor
+    may stack the ``parts`` of its members, one per row, scales too.  Factors compare by identity."""
 
     evaluate: Callable
     derivative: Callable
     parts: tuple = field(default=(), repr=False, compare=False)
+    spec: CoordinateSpec = field(kw_only=True)
     scale: float | tuple = field(kw_only=True)
-    # the rules' and tables' memos, keyed on (spec, order)
+    # the rules' and tables' memos, keyed on the config's order for ``spec``
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def rule(self, spec: CoordinateSpec, order: int) -> AxisRule:
-        """``axis_rule(spec, order, scale)``, the nodes of ``table``, once; a stack's
-        parts tabulate on their own rules, so a stack builds one only when asked."""
-        rule = self._rules.get((spec, order))
+    def derived(self, evaluate: Callable, derivative: Callable) -> "FactorFunction":
+        """A new factor with these callables on this one's coordinate and scale, its memos empty."""
+        return FactorFunction(evaluate, derivative, spec=self.spec, scale=self.scale)
+
+    def rule(self, config: QuadratureConfig) -> AxisRule:
+        """``axis_rule`` of ``spec`` at the config's order and ``scale``, the nodes of ``table``,
+        once; a stack's parts tabulate on their own rules, so a stack builds one only when asked."""
+        order = config.order_for(self.spec)
+        rule = self._rules.get(order)
         if rule is None:
-            rule = self._rules[spec, order] = axis_rule(spec, order, self.scale)
+            rule = self._rules[order] = axis_rule(self.spec, order, self.scale)
         return rule
 
-    def table(self, spec: CoordinateSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
+    def table(self, config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
         """Read-only values on ``rule``'s nodes and the (k, 2) |f|^2 (full, half) sums
         of its k rows, once; a stack reads its parts' own tables."""
-        entry = self._tables.get((spec, order))
+        order = config.order_for(self.spec)
+        entry = self._tables.get(order)
         if entry is None:
             if self.parts:
-                rows = [f.table(spec, order) for f in self.parts]
+                rows = [f.table(config) for f in self.parts]
                 values, norms = np.stack([row[0] for row in rows]), np.concatenate([row[1] for row in rows])
             else:
-                rule = self.rule(spec, order)
+                rule = self.rule(config)
                 values = np.asarray(self.evaluate(rule.nodes))
                 norms = contract_rows(rule, np.abs(values) ** 2)
             values.setflags(write=False)
             norms.setflags(write=False)
-            entry = self._tables[spec, order] = (values, norms)
+            entry = self._tables[order] = (values, norms)
         return entry
 
-    def derivative_table(self, spec: CoordinateSpec, order: int) -> np.ndarray:
+    def derivative_table(self, config: QuadratureConfig) -> np.ndarray:
         """The read-only derivative on ``table``'s nodes, once, and only when
         asked for (a derived factor's may raise); a stack stacks its parts'."""
-        slopes = self._derivatives.get((spec, order))
+        order = config.order_for(self.spec)
+        slopes = self._derivatives.get(order)
         if slopes is None:
             if self.parts:
-                slopes = np.stack([f.derivative_table(spec, order) for f in self.parts])
+                slopes = np.stack([f.derivative_table(config) for f in self.parts])
             else:
-                slopes = np.asarray(self.derivative(self.rule(spec, order).nodes))
+                slopes = np.asarray(self.derivative(self.rule(config).nodes))
             slopes.setflags(write=False)
-            self._derivatives[spec, order] = slopes
+            self._derivatives[order] = slopes
         return slopes
 
 
@@ -176,10 +184,10 @@ class SeparableState:
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        if len(self.factors) != self.system.dim:
+        if tuple(f.spec for f in self.factors) != self.system.coords:
             raise ConfigurationError(
-                f"{len(self.factors)} factors for {self.system.dim}-coordinate "
-                f"system {self.system.name!r}"
+                f"{len(self.factors)} factors for system {self.system.name!r}: it needs one on each "
+                f"of its coordinates {[spec.name for spec in self.system.coords]}, in order"
             )
 
     def evaluate(self, point: Sequence) -> complex | np.ndarray:
@@ -215,7 +223,7 @@ def _hydrogen_radial(n: int, L: int) -> FactorFunction:
             poly = poly + L * rho ** (L - 1) * lag
         return norm * beta * np.exp(-0.5 * rho) * poly
 
-    return FactorFunction(evaluate, derivative, scale=float(n))
+    return FactorFunction(evaluate, derivative, spec=make_spherical().coords[0], scale=float(n))
 
 
 @lru_cache(maxsize=256)
@@ -229,17 +237,18 @@ def _theta_factor(L: int, M: int) -> FactorFunction:
         th = np.asarray(theta, dtype=float)
         return -norm * np.sin(th) * assoc_legendre_deriv(L, M, np.cos(th))
 
-    return FactorFunction(evaluate, derivative, scale=1.0)  # a compact axis's rule ignores its scale
+    # a compact axis's rule ignores its scale
+    return FactorFunction(evaluate, derivative, spec=make_spherical().coords[1], scale=1.0)
 
 
 @lru_cache(maxsize=32)
 def _stacked(parts: tuple[FactorFunction, ...]) -> FactorFunction:
-    # k members' factors as one: its tables stack theirs, and a call
+    # k members' factors on one coordinate as one: its tables stack theirs, and a call
     # evaluates every member on the same nodes; kept per tuple of parts, so a
     # repeated family reads the stacked tables and rule it built before
     evaluate = lambda q: np.stack([f.evaluate(q) for f in parts])
     derivative = lambda q: np.stack([f.derivative(q) for f in parts])
-    return FactorFunction(evaluate, derivative, parts=parts, scale=tuple(f.scale for f in parts))
+    return FactorFunction(evaluate, derivative, parts=parts, spec=parts[0].spec, scale=tuple(f.scale for f in parts))
 
 
 @lru_cache(maxsize=256)
@@ -252,7 +261,7 @@ def _phi_factor(M: int) -> FactorFunction:
     def derivative(phi):
         return 1j * M * evaluate(phi)
 
-    return FactorFunction(evaluate, derivative, scale=1.0)
+    return FactorFunction(evaluate, derivative, spec=make_spherical().coords[2], scale=1.0)
 
 
 def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
@@ -284,7 +293,7 @@ _TRIAL_DRAWS = {topology: np.array(draws).T for topology, draws in {
 }.items()}
 
 
-def _poly_gaussian(width, center, c0, c1, c2, inv=1.0, *, scale) -> FactorFunction:
+def _poly_gaussian(width, center, c0, c1, c2, inv=1.0, *, spec, scale) -> FactorFunction:
     # (c0 + c1 u + c2 u^2) e^(-u^2/2), u = (q - center)/width, times the
     # normalisation constant inv; each parameter a float, or a (k, 1) column
 
@@ -297,10 +306,10 @@ def _poly_gaussian(width, center, c0, c1, c2, inv=1.0, *, scale) -> FactorFuncti
         val = ((c1 + 2.0 * c2 * u) - u * (c0 + c1 * u + c2 * u * u)) / width
         return inv * (val * np.exp(-0.5 * u * u))
 
-    return FactorFunction(evaluate, derivative, scale=scale)
+    return FactorFunction(evaluate, derivative, spec=spec, scale=scale)
 
 
-def _harmonic_sum(coeffs, inv, scale, ks, slopes, basis, slope_basis) -> FactorFunction:
+def _harmonic_sum(coeffs, inv, spec, scale, ks, slopes, basis, slope_basis) -> FactorFunction:
     # sum of c_j basis(k_j q), with derivative sum of slope_j c_j slope_basis(k_j q);
     # coeffs (m,), or (k, 1, m) for k members
     def evaluate(q):
@@ -309,19 +318,19 @@ def _harmonic_sum(coeffs, inv, scale, ks, slopes, basis, slope_basis) -> FactorF
     def derivative(q):
         return inv * np.sum(slopes * coeffs * slope_basis(np.multiply.outer(np.asarray(q, dtype=float), ks)), axis=-1)
 
-    return FactorFunction(evaluate, derivative, scale=scale)
+    return FactorFunction(evaluate, derivative, spec=spec, scale=scale)
 
 
-def _sine_sum(coeffs, inv=1.0, *, scale) -> FactorFunction:
+def _sine_sum(coeffs, inv=1.0, *, spec, scale) -> FactorFunction:
     # sum of c_k sin(k theta), k = 1..4: vanishes at both poles, so the polar
     # drift stays integrable
-    return _harmonic_sum(coeffs, inv, scale, _SINE_KS, _SINE_KS, np.sin, np.cos)
+    return _harmonic_sum(coeffs, inv, spec, scale, _SINE_KS, _SINE_KS, np.sin, np.cos)
 
 
-def _fourier_sum(cs, inv=1.0, *, scale) -> FactorFunction:
+def _fourier_sum(cs, inv=1.0, *, spec, scale) -> FactorFunction:
     # sum of c_m e^(i m phi), m = -2..2, the c_m already divided by sqrt(2 pi)
     phase = lambda x: np.exp(1j * x)
-    return _harmonic_sum(cs, inv, scale, _FOURIER_MS, _FOURIER_SLOPES, phase, phase)
+    return _harmonic_sum(cs, inv, spec, scale, _FOURIER_MS, _FOURIER_SLOPES, phase, phase)
 
 
 class StateFamily(NamedTuple):
@@ -339,31 +348,20 @@ class StateFamily(NamedTuple):
     def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple]:
         """``(values, norms)`` per coordinate, from the factors' tables, each on its factor's
         own rule: a (k, n) table (one state's own, (n,)) and the (k, 2) |f|^2 sums."""
-        return tuple(zip(*[f.table(s, config.order_for(s)) for f, s in zip(self.factors, self.system.coords)]))
+        return tuple(zip(*[f.table(config) for f in self.factors]))
 
     def norms(self, config: QuadratureConfig) -> np.ndarray:
         """Each member's <psi|psi>, a (k,) array: ``combine_axes`` of the full-order
         |f|^2 sums from ``tabulate``, the tables every expectation of the family reads."""
         return combine_axes(self.tabulate(config)[1])[0].real
 
-    def rule(self, axis: int, config: QuadratureConfig) -> AxisRule:
-        """The rule of ``tabulate``'s tables on one coordinate; a factor's k scales give k rows."""
-        spec = self.system.coords[axis]
-        return self.factors[axis].rule(spec, config.order_for(spec))
-
-    def derivative_table(self, axis: int, config: QuadratureConfig) -> np.ndarray:
-        """The factor derivative on ``tabulate``'s nodes of one coordinate, (k, n) or (n,)."""
-        spec = self.system.coords[axis]
-        return self.factors[axis].derivative_table(spec, config.order_for(spec))
-
     def moments(self, axis: int, kernel: Callable, config: QuadratureConfig) -> list[float]:
         """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate:
         |f|^2 is read from the value table's full-order nodes, which are those of
         ``coordinate_integral``, so no factor is evaluated again."""
-        spec, factor = self.system.coords[axis], self.factors[axis]
-        order = config.order_for(spec)
-        full = np.abs(factor.table(spec, order)[0][..., : factor.rule(spec, order).full]) ** 2
-        total = coordinate_integral(spec, lambda q: full * kernel(q), order, factor.scale)
+        f = self.factors[axis]
+        full = np.abs(f.table(config)[0][..., : f.rule(config).full]) ** 2
+        total = coordinate_integral(f.spec, lambda q: full * kernel(q), config.order_for(f.spec), f.scale)
         return np.reshape(total.real, -1).tolist()
 
 
@@ -416,18 +414,18 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
             rows = [(c,) for c in coeffs]
             params = rows[0] if one else (coeffs[:, None],)  # k rows: (k, 1, m)
             builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
-        raw = builder(*params, scale=scale).evaluate
+        raw = builder(*params, spec=spec, scale=scale).evaluate
         norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, DEFAULT_CONFIG.order_for(spec), scale)
         inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
-        axes.append((builder, rows, params, inv))
+        axes.append((builder, spec, rows, params, inv))
 
     members = tuple(
-        SeparableState(tuple([b(*rows[i], inv[i], scale=r) for b, rows, _, inv in axes]), system)
+        SeparableState(tuple([b(*rows[i], inv[i], spec=s, scale=r) for b, s, rows, _, inv in axes]), system)
         for i, r in enumerate(radial)
     )
     if one:  # a family of one reads its member's factors
         return StateFamily.of(members[0])
-    factors = [b(*params, np.array(inv)[:, None], scale=tuple(radial)) for b, _, params, inv in axes]
+    factors = [b(*params, np.array(inv)[:, None], spec=s, scale=tuple(radial)) for b, s, _, params, inv in axes]
     return StateFamily(system, members, tuple(factors))
 
 
@@ -464,7 +462,7 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
         return (np.asarray(dv(q)) + 1j * k * np.asarray(ev(q))) * phase
 
     factors = list(state.factors)
-    factors[axis] = FactorFunction(evaluate, derivative, scale=base.scale)
+    factors[axis] = base.derived(evaluate, derivative)
     return replace(state, factors=tuple(factors), quantum_numbers=None)
 
 
@@ -474,14 +472,14 @@ def state_overlap(
     """Inner product <a|b> against the volume weight: each axis on the rule of
     the factor with the larger scale, from both factors' tables when they share
     it, else from the other factor evaluated on that rule's nodes."""
-    if a.system.name != b.system.name:
+    if a.system != b.system:  # name and coordinates: each axis reads both factors on one rule
         raise ConfigurationError(
             f"overlap needs matching systems, got {a.system.name!r} and {b.system.name!r}"
         )
     pairs = []
-    for spec, fa, fb in zip(a.system.coords, a.factors, b.factors):
-        order, wide = config.order_for(spec), max(fa, fb, key=lambda f: f.scale)
-        rule = wide.rule(spec, order)
-        va, vb = [f.table(spec, order)[0] if f.scale == wide.scale else f.evaluate(rule.nodes) for f in (fa, fb)]
+    for fa, fb in zip(a.factors, b.factors):
+        wide = max(fa, fb, key=lambda f: f.scale)
+        rule = wide.rule(config)
+        va, vb = [f.table(config)[0] if f.scale == wide.scale else f.evaluate(rule.nodes) for f in (fa, fb)]
         pairs.append(contract_rows(rule, np.conj(va) * vb))
     return complex(combine_axes(pairs)[0][0])

@@ -97,10 +97,7 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
 
         return evaluate
 
-    factors = tuple(
-        FactorFunction(counted(axis, f.evaluate), f.derivative, scale=f.scale)
-        for axis, f in enumerate(state.factors)
-    )
+    factors = tuple(f.derived(counted(axis, f.evaluate), f.derivative) for axis, f in enumerate(state.factors))
     counted_state = SeparableState(factors=factors, system=state.system)
     rule_calls = [0]
     coordinate_rule = quadrature.coordinate_rule
@@ -230,12 +227,11 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     assert factor_calls[("derivative", "array")] == 2
     # the table is the factor's own derivative on the value table's nodes,
     # bit for bit, and read-only; the family's stacks its members'
-    spec, order = system.coords[0], cfg.order_for(system.coords[0])
-    stacked = family.derivative_table(0, cfg)
+    stacked = family.factors[0].derivative_table(cfg)
     for state, row in zip(family.members, stacked):
         factor = state.factors[0]
-        slopes = factor.derivative_table(spec, order)
-        assert np.array_equal(slopes, factor.derivative(factor.rule(spec, order).nodes))
+        slopes = factor.derivative_table(cfg)
+        assert np.array_equal(slopes, factor.derivative(factor.rule(cfg).nodes))
         assert np.array_equal(row, slopes)
         with pytest.raises(ValueError):
             slopes[0] = 0.0
@@ -246,7 +242,7 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     applied = operator_applied_state(canonical_momentum(system, 2), state)
     assert state_overlap(state, applied, cfg) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UnsupportedStateError):
-        applied.factors[2].derivative_table(system.coords[2], cfg.phi_order)
+        applied.factors[2].derivative_table(cfg)
     # test_reality_scan_evaluates_each_trial_axis_once_per_family pins the
     # same one derivative per family and axis on trial families
 
@@ -258,7 +254,9 @@ def test_boundary_term_matches_endpoint_probe():
     ball = CoordinateSystem(
         "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
     )
-    decay = FactorFunction(lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)), scale=1.0)
+    decay = FactorFunction(
+        lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)), spec=ball.coords[0], scale=1.0
+    )
     cases = [SeparableState((decay,), ball)]  # nonzero weight and value at r = 1.7
     cases += [
         hydrogen_state(QuantumNumbers(n, L, M))
@@ -271,6 +269,7 @@ def test_boundary_term_matches_endpoint_probe():
         lambda q: (2.0 + np.tanh(q)) / np.sqrt(1.0 + np.asarray(q) ** 2),
         lambda q: (1.0 - np.tanh(q) ** 2 - (2.0 + np.tanh(q)) * q / (1.0 + np.asarray(q) ** 2))
         / np.sqrt(1.0 + np.asarray(q) ** 2),
+        spec=make_cartesian().coords[0],
         scale=1.0,
     )
     cases.append(SeparableState((lopsided,) + random_bound_trial(make_cartesian(), 0).factors[1:], make_cartesian()))
@@ -636,8 +635,8 @@ def test_radial_moment_refuses_powers_it_cannot_honour():
 def _count_trial_factor_calls(monkeypatch, counts: collections.Counter) -> None:
     # the trial builders count array evaluations of the factors they make
     def counted(builder):
-        def build(*args, scale):
-            factor = builder(*args, scale=scale)
+        def build(*args, **kwargs):
+            factor = builder(*args, **kwargs)
 
             def wrap(name, fn):
                 def call(q):
@@ -647,7 +646,7 @@ def _count_trial_factor_calls(monkeypatch, counts: collections.Counter) -> None:
 
                 return call
 
-            return FactorFunction(wrap("evaluate", factor.evaluate), wrap("derivative", factor.derivative), scale=scale)
+            return factor.derived(wrap("evaluate", factor.evaluate), wrap("derivative", factor.derivative))
 
         return build
 
@@ -656,8 +655,8 @@ def _count_trial_factor_calls(monkeypatch, counts: collections.Counter) -> None:
 
 
 def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
-    # per family and axis, one raw-profile evaluation for the normalisation,
-    # one table and one derivative, however many states the family has
+    # one family per system, and per axis one raw-profile evaluation for the
+    # normalisation, one table and one derivative, however many states it has
     counts, calls = collections.Counter(), collections.Counter()
 
     def tally(module, name):
@@ -678,8 +677,7 @@ def test_reality_scan_evaluates_each_trial_axis_once_per_family(monkeypatch):
         monkeypatch.setattr(analysis, "_REALITY_TRIALS", trials)
         result = analysis._suite_reality(QuadratureConfig(), 0)
         assert result.passed and result.checks == 6 * 30 + axes * trials  # 730 at 50 trials
-        families = -(-trials // analysis._FAMILY_SIZE)  # per system
-        assert counts == {"evaluate": 2 * axes * families, "derivative": axes * families}, trials
+        assert counts == {"evaluate": 2 * axes, "derivative": axes}, trials
         assert (calls["assoc_laguerre"], calls["drift_expectation"]) == (laguerre, 0), trials
     cfg = QuadratureConfig()
     assert analysis._suite_ci_uniqueness(cfg, 0).checks == 40

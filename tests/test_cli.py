@@ -132,7 +132,7 @@ def test_expect_refuses_a_nan_norm(monkeypatch):
 
     def nan_phi(M):
         f = phi(M)
-        return states.FactorFunction(lambda q: f.evaluate(q) * math.nan, f.derivative, scale=f.scale)
+        return f.derived(lambda q: f.evaluate(q) * math.nan, f.derivative)
 
     monkeypatch.setattr(states, "_phi_factor", nan_phi)
     result = invoke("expect", "canonical:r", "hydrogen:n=2,L=1,M=0", "--format", "json")

@@ -101,7 +101,20 @@ def test_coordinate_spec_validation():
     with pytest.raises(ConfigurationError):
         CoordinateSpec("bad", 0.0, 1.0, "circle", WEIGHTS["one"], "linear")
     with pytest.raises(ConfigurationError):
-        CoordinateSpec("bad", 0.0, 1.0, "line", WEIGHTS["one"], "diagonal")
+        CoordinateSpec("bad", -math.inf, math.inf, "line", WEIGHTS["one"], "diagonal")
+    # each topology's rule covers one domain, and a compact one any finite interval: a line
+    # rule on (0, 1) would integrate over all of R, a half-line one on (1, inf) from 0
+    for lower, upper, topology in (
+        (0.0, 1.0, "line"),
+        (0.0, math.inf, "line"),
+        (1.0, math.inf, "half-line"),
+        (-math.inf, math.inf, "half-line"),
+        (0.0, math.inf, "compact-nonperiodic"),
+        (-math.inf, 0.0, "compact-nonperiodic"),
+    ):
+        with pytest.raises(ConfigurationError, match="must span"):
+            CoordinateSpec("bad", lower, upper, topology, WEIGHTS["one"], "linear")
+    assert CoordinateSpec("ok", -2.0, 3.5, "compact-nonperiodic", WEIGHTS["one"], "linear").upper == 3.5
 
 
 def test_systems_are_value_like():

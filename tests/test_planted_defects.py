@@ -13,7 +13,6 @@ from click.testing import CliRunner
 from curvimom import analysis, geometry, operators, specfun, states
 from curvimom.analysis import run_check_suites
 from curvimom.cli import main
-from curvimom.states import FactorFunction
 
 
 @pytest.fixture(autouse=True)
@@ -58,8 +57,7 @@ def _scale_radial_norm(monkeypatch):
 
     def scaled(n, L):
         f = radial(n, L)
-        return FactorFunction(lambda r: f.evaluate(r) * (1 + 1e-6), lambda r: f.derivative(r) * (1 + 1e-6),
-                              scale=f.scale)
+        return f.derived(lambda r: f.evaluate(r) * (1 + 1e-6), lambda r: f.derivative(r) * (1 + 1e-6))
 
     monkeypatch.setattr(states, "_hydrogen_radial", scaled)
 
@@ -70,23 +68,23 @@ def _scale_radial_derivative(monkeypatch):
 
     def scaled(n, L):
         f = radial(n, L)
-        return FactorFunction(f.evaluate, lambda r: f.derivative(r) * (1 + 1e-6), scale=f.scale)
+        return f.derived(f.evaluate, lambda r: f.derivative(r) * (1 + 1e-6))
 
     monkeypatch.setattr(states, "_hydrogen_radial", scaled)
 
 
 def _drop_trial_norm(monkeypatch):
-    # each builder takes its profile's parameters, then 1 / norm, then its map scale by keyword
+    # each builder takes its profile's parameters, then 1 / norm, then its coordinate and map scale by keyword
     for name, params in (("_poly_gaussian", 5), ("_sine_sum", 1), ("_fourier_sum", 1)):
         builder = getattr(states, name)
-        monkeypatch.setattr(states, name, lambda *args, b=builder, k=params, **scale: b(*args[:k], **scale))
+        monkeypatch.setattr(states, name, lambda *args, b=builder, k=params, **kwargs: b(*args[:k], **kwargs))
 
 
 def _break_product_rule(monkeypatch):
     def scaled_state(state, axis):
         f = state.factors[axis]
         factors = list(state.factors)
-        factors[axis] = FactorFunction(lambda q: q * f.evaluate(q), lambda q: q * f.derivative(q), scale=f.scale)
+        factors[axis] = f.derived(lambda q: q * f.evaluate(q), lambda q: q * f.derivative(q))
         return dataclasses.replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
 
     monkeypatch.setattr(operators, "coordinate_scaled_state", scaled_state)
@@ -97,7 +95,7 @@ def _flip_phi_derivative(monkeypatch):
 
     def flipped(M):
         f = phi(M)
-        return FactorFunction(f.evaluate, lambda q: -f.derivative(q), scale=f.scale)
+        return f.derived(f.evaluate, lambda q: -f.derivative(q))
 
     monkeypatch.setattr(states, "_phi_factor", flipped)
 

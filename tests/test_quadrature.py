@@ -350,15 +350,18 @@ def test_combine_axes_gives_each_member_the_bits_of_the_member_alone():
     ball = CoordinateSystem(
         "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
     )
-    decay = FactorFunction(lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)), scale=1.0)
+    decay = FactorFunction(
+        lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)), spec=ball.coords[0], scale=1.0
+    )
     families.append(StateFamily.of(SeparableState((decay,), ball)))
     for family in families:
         values, norms = family.tabulate(cfg)
         k, cases = len(family.members), [norms]
         for axis in range(family.system.dim):
-            rule, table = family.rule(axis, cfg), values[axis]
+            factor, table = family.factors[axis], values[axis]
+            rule, slopes = factor.rule(cfg), factor.derivative_table(cfg)
             drift = canonical_momentum(family.system, axis).drift(rule.nodes)
-            moments = contract_rows(rule, np.conj(table) * -1j * (family.derivative_table(axis, cfg) + drift * table))
+            moments = contract_rows(rule, np.conj(table) * -1j * (slopes + drift * table))
             cases += [norms[:axis] + (moments,) + norms[axis + 1 :], norms[:axis] + norms[axis + 1 :]]
         for pairs in cases:
             value, estimate = combine_axes(pairs)
@@ -373,7 +376,8 @@ def test_combine_axes_gives_each_member_the_bits_of_the_member_alone():
 
 
 def test_periodic_coordinate_must_span_a_full_turn():
-    # the periodic rule's nodes always cover (0, 2 pi), whatever the coordinate's bounds
+    # the periodic rule's nodes always cover (0, 2 pi), so a periodic spec on any other
+    # interval is refused where it is made, before a rule is asked for
     phi = make_spherical().coords[2]
     for lower, upper in ((0.0, math.pi), (-math.pi, math.pi)):
         with pytest.raises(ConfigurationError, match="must span"):

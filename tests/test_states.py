@@ -5,20 +5,28 @@ their closed forms before comparing, so the Laguerre plumbing cannot
 validate itself.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from curvimom import states
+from curvimom import analysis, states
 from curvimom.analysis import expectation, expectations, radial_moment
 from curvimom.errors import (
     ConfigurationError,
     DomainError,
     UnsupportedAxisError,
 )
-from curvimom.geometry import make_cartesian, make_spherical, preset_systems
+from curvimom.geometry import (
+    CoordinateSystem,
+    make_cartesian,
+    make_cylindrical,
+    make_plane_polar,
+    make_spherical,
+    preset_systems,
+)
 from curvimom.operators import (
     canonical_momentum,
     coordinate_scaled_state,
@@ -139,7 +147,8 @@ def _counted(factor, calls, scale=None):
         calls.append(np.ndim(q))
         return factor.evaluate(q)
 
-    return FactorFunction(evaluate, factor.derivative, scale=factor.scale if scale is None else scale)
+    scale = factor.scale if scale is None else scale
+    return FactorFunction(evaluate, factor.derivative, spec=factor.spec, scale=scale)
 
 
 def test_angular_tables_are_shared_across_radial_scales():
@@ -151,20 +160,20 @@ def test_angular_tables_are_shared_across_radial_scales():
     assert far_base.factors[1:] == near_base.factors[1:]
     near = SeparableState((_counted(near_base.factors[0], calls[0]),) + angular, near_base.system)
     far = SeparableState((_counted(far_base.factors[0], calls[0]),) + angular, far_base.system)
-    values_n, norms_n = StateFamily.of(near).tabulate(QuadratureConfig())
-    values_f, norms_f = StateFamily.of(far).tabulate(QuadratureConfig())
+    cfg = QuadratureConfig()
+    values_n, norms_n = StateFamily.of(near).tabulate(cfg)
+    values_f, norms_f = StateFamily.of(far).tabulate(cfg)
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
     for axis in (1, 2):
         assert values_n[axis] is values_f[axis] and norms_n[axis].tobytes() == norms_f[axis].tobytes()
-    assert not np.array_equal(StateFamily.of(near).rule(0, QuadratureConfig()).nodes,
-                              StateFamily.of(far).rule(0, QuadratureConfig()).nodes)
+    assert not np.array_equal(near.factors[0].rule(cfg).nodes, far.factors[0].rule(cfg).nodes)
     for state, base, values in ((near, near_base, values_n), (far, far_base, values_f)):
-        for axis, (f, vals) in enumerate(zip(base.factors, values)):
-            assert np.array_equal(vals, f.evaluate(StateFamily.of(state).rule(axis, QuadratureConfig()).nodes))
+        for f, counted, vals in zip(base.factors, state.factors, values):
+            assert np.array_equal(vals, f.evaluate(counted.rule(cfg).nodes))
             with pytest.raises(ValueError):
                 vals[0] = 0.0
     # a second pass reads the memos
-    assert StateFamily.of(far).tabulate(QuadratureConfig())[0][0] is values_f[0]
+    assert StateFamily.of(far).tabulate(cfg)[0][0] is values_f[0]
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
 
 
@@ -175,8 +184,8 @@ def test_each_order_and_radial_scale_gets_its_own_table():
     radial = {scale: _counted(base, calls, scale) for scale in (2.0, 5.0)}
     seen = []
     for order, scale in ((120, 2.0), (120, 5.0), (60, 2.0)):
-        f = radial[scale]
-        rule, (values, _) = f.rule(sph.coords[0], order), f.table(sph.coords[0], order)
+        f, cfg = radial[scale], QuadratureConfig(radial_order=order)
+        rule, (values, _) = f.rule(cfg), f.table(cfg)
         assert np.array_equal(rule.nodes, axis_rule(sph.coords[0], order, scale).nodes)
         assert np.array_equal(values, base.evaluate(rule.nodes))
         seen.append(values)
@@ -184,30 +193,14 @@ def test_each_order_and_radial_scale_gets_its_own_table():
     calls.clear()
     base = hydrogen_state(QuantumNumbers(3, 2, 1)).factors[1]
     theta, wide = _counted(base, calls), _counted(base, [], 7.0)
-    fine = theta.table(sph.coords[1], 64)[0]
-    assert wide.rule(sph.coords[1], 64) is theta.rule(sph.coords[1], 64)  # compact axes ignore the scale
-    assert np.array_equal(wide.table(sph.coords[1], 64)[0], fine)
-    coarse = theta.table(sph.coords[1], 32)[0]
+    fine = theta.table(QuadratureConfig())[0]
+    assert wide.rule(QuadratureConfig()) is theta.rule(QuadratureConfig())  # compact axes ignore the scale
+    assert np.array_equal(wide.table(QuadratureConfig())[0], fine)
+    # the memo is keyed on the factor's own order: other axes' orders read the same table
+    assert theta.table(QuadratureConfig(radial_order=8, phi_order=8))[0] is fine
+    coarse = theta.table(QuadratureConfig(theta_order=32))[0]
     assert calls == [1, 1] and len(coarse) < len(fine)
     assert np.array_equal(coarse, base.evaluate(axis_rule(sph.coords[1], 32).nodes))
-    # a derived factor starts with its own, empty memo, on its base factor's rule
-    trial = random_bound_trial(make_cartesian(), 3)
-    StateFamily.of(trial).tabulate(QuadratureConfig())
-    twisted = apply_phase_twist(trial, 0, 1.5)
-    spec = trial.system.coords[0]
-    values = twisted.factors[0].table(spec, 120)[0]
-    assert np.array_equal(values, twisted.factors[0].evaluate(trial.factors[0].rule(spec, 120).nodes))
-    assert not np.array_equal(values, trial.factors[0].table(spec, 120)[0])
-    for state in (hydrogen_state(QuantumNumbers(3, 1, 0)), random_bound_trial(make_spherical(), 3), trial):
-        spec = state.system.coords[0]
-        order = QuadratureConfig().order_for(spec)
-        nodes = state.factors[0].rule(spec, order).nodes
-        for derived in (operator_applied_state(canonical_momentum(state.system, 0), state),
-                        coordinate_scaled_state(state, 0)):
-            factor = derived.factors[0]
-            assert factor.scale == state.factors[0].scale
-            assert np.array_equal(factor.rule(spec, order).nodes, nodes)
-            assert np.array_equal(factor.table(spec, order)[0], factor.evaluate(nodes))
 
 
 def test_constants_atomic_and_file_loading(tmp_path):
@@ -239,13 +232,15 @@ def test_constants_must_be_json_numbers(tmp_path):
 
 
 def test_a_factor_must_name_its_scale():
-    # a factor's scale picks the rule its tables sit on: there is no default to fall back on
+    # a factor's coordinate and scale pick the rule its tables sit on: there is no default to fall back on
     factor = hydrogen_state(QuantumNumbers(2, 1, 0)).factors[0]
-    with pytest.raises(TypeError):
-        FactorFunction(factor.evaluate, factor.derivative)
-    assert factor.scale == 2.0
+    for missing in ({"spec": factor.spec}, {"scale": 2.0}):
+        with pytest.raises(TypeError):
+            FactorFunction(factor.evaluate, factor.derivative, **missing)
+    assert factor.scale == 2.0 and factor.spec is make_spherical().coords[0]
     stacked = hydrogen_family([hydrogen_state(QuantumNumbers(n, 1, 0)) for n in (2, 3)]).factors
     assert stacked[0].scale == (2.0, 3.0) and stacked[1].scale == (1.0, 1.0)
+    assert tuple(f.spec for f in stacked) == make_spherical().coords
     family = trial_family(make_cartesian(), range(3))
     assert all(f.scale == tuple(m.factors[0].scale for m in family.members) for f in family.factors)
 
@@ -343,9 +338,8 @@ def test_overlap_reads_each_axis_on_the_wider_factors_rule():
     narrow, wide = hydrogen_state(QuantumNumbers(1, 0, 0)), hydrogen_state(QuantumNumbers(2, 0, 0))
     for a, b in ((narrow, wide), (wide, narrow)):
         pairs = []
-        for axis, (spec, fa, fb) in enumerate(zip(a.system.coords, a.factors, b.factors)):
-            order = cfg.order_for(spec)
-            rule = wide.factors[axis].rule(spec, order)
+        for axis, (fa, fb) in enumerate(zip(a.factors, b.factors)):
+            rule = wide.factors[axis].rule(cfg)
             va, vb = (np.asarray(f.evaluate(rule.nodes)) for f in (fa, fb))
             pairs.append(contract_rows(rule, np.conj(va) * vb))
         assert state_overlap(a, b, cfg) == complex(combine_axes(pairs)[0][0])
@@ -357,12 +351,57 @@ def test_state_shape_errors():
         trial.evaluate((1.0, 2.0))
     with pytest.raises(ConfigurationError):
         state_overlap(trial, random_bound_trial(make_spherical(), 1))
+    # a system that only shares a preset's name is another system
+    impostor = CoordinateSystem("spherical", make_cylindrical().coords)
+    with pytest.raises(ConfigurationError):
+        state_overlap(hydrogen_state(QuantumNumbers(1, 0, 0)), random_bound_trial(impostor, 0))
     with pytest.raises(DomainError):
         random_bound_trial(make_cartesian(), 1.5)
     factors = hydrogen_state(QuantumNumbers(2, 1, 0)).factors
     for wrong in (factors[:2], factors + factors[:1]):
         with pytest.raises(ConfigurationError, match=f"{len(wrong)} factors"):
             SeparableState(wrong, make_spherical())
+
+
+def test_a_state_refuses_a_factor_on_another_coordinate():
+    # each factor names the coordinate its tables sit on: swapped axes, and the plane-polar r
+    # (weight r) in place of the spherical r (weight r^2), the same name on another rule, are refused
+    r, theta, phi = hydrogen_state(QuantumNumbers(2, 1, 0)).factors
+    polar_r = random_bound_trial(make_plane_polar(), 0).factors[0]
+    assert polar_r.spec.name == r.spec.name
+    for factors in ((theta, r, phi), (r, phi, theta), (polar_r, theta, phi)):
+        with pytest.raises(ConfigurationError, match="in order"):
+            SeparableState(factors, make_spherical())
+
+
+_DERIVERS = {
+    "momentum-applied": lambda state, axis: operator_applied_state(canonical_momentum(state.system, axis), state),
+    "coordinate-scaled": coordinate_scaled_state,
+    "phase-twisted": lambda state, axis: apply_phase_twist(state, axis, 1.5),
+    "on-points": lambda state, axis: dataclasses.replace(state, factors=tuple(
+        analysis._on_points(f, np.linspace(0.1, 1.0, 5)) if j == axis else f for j, f in enumerate(state.factors)
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVERS))
+def test_a_derived_factor_keeps_its_coordinate_and_scale(name):
+    # a factor derived from another keeps its spec and scale, one or a family's k, so its state
+    # accepts it; it starts an empty memo of its own on the base factor's rule
+    cfg = QuadratureConfig()
+    states_ = [hydrogen_state(QuantumNumbers(3, 1, 0)), random_bound_trial(make_cartesian(), 3)]
+    states_ += [SeparableState(trial_family(system, range(3)).factors, system)
+                for system in (make_spherical(), make_cylindrical())]
+    for state in states_:
+        for axis, base in enumerate(state.factors):
+            if name == "phase-twisted" and base.spec.topology != "line":
+                continue
+            factor = _DERIVERS[name](state, axis).factors[axis]
+            assert factor is not base and factor.spec is base.spec and factor.scale == base.scale
+            nodes, base_values = base.rule(cfg).nodes, base.table(cfg)[0]
+            assert np.array_equal(factor.rule(cfg).nodes, nodes)
+            values = factor.table(cfg)[0]
+            assert values is not base_values and np.array_equal(values, factor.evaluate(nodes))
 
 
 def test_trial_family_members_match_single_seed():
@@ -489,8 +528,8 @@ def test_trial_members_keep_the_lone_state_stream(monkeypatch):
     for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
         builder = getattr(states, name)
 
-        def build(*args, builder=builder, scale):
-            factor = builder(*args, scale=scale)
+        def build(*args, builder=builder, **kwargs):
+            factor = builder(*args, **kwargs)
             made[factor] = args[:-1]  # the parameters, without the normalisation constant
             return factor
 
