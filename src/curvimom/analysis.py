@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, UnsupportedAxisError
+from .errors import DomainError, UnsupportedAxisError
 from .geometry import (
     CoordinateSystem,
     make_cartesian,
@@ -144,12 +144,7 @@ def expectations(
     """<psi| p |psi> with reality diagnostics on every member of ``family``: one table
     and one contraction per axis, then every member's value, estimate and surface term
     at once as arrays, in natural units, on each factor's own rule at the config's orders.
-
-    Raises:
-        PreconditionError: if a member is not normalized.
     """
-    if not all([state.normalized for state in family.members]):
-        raise PreconditionError("expectation values require a normalized state")
     values, norms = family.tabulate(config)
     factor, table = family.factors[op.axis], values[op.axis]
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
@@ -205,10 +200,7 @@ def drift_expectation(
 
     The moment is taken on the axis alone, without the other axes' norms (1 to about
     1e-15 on a normalized state); a state that is not normalized raises PreconditionError."""
-    if not state.normalized:
-        raise PreconditionError("expectation values require a normalized state")
-    g = measure_factor(state.system.coords[axis]).drift
-    return StateFamily.of(state).moments(axis, g, config)[0]
+    return StateFamily.of(state).moments(axis, measure_factor(state.system.coords[axis]).drift, config)[0]
 
 
 def ci_uniqueness_demo(
@@ -323,7 +315,7 @@ def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CON
     if not isinstance(l_max, (int, np.integer)) or not LMAX_RANGE[0] <= l_max <= LMAX_RANGE[1]:
         raise DomainError(f"l_max must be an integer in {list(LMAX_RANGE)}, got {l_max!r}")
     qns = [QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)]
-    family = hydrogen_family([hydrogen_state(qn) for qn in qns])
+    family = hydrogen_family(qns)
     require_normalised(family, config, f"a state of the L <= {l_max} scan")
     reports = expectations(canonical_momentum(make_spherical(), 1), family, config)
     return [ScanRow(qn.L, qn.M, rep.value, rep.quadrature_error) for qn, rep in zip(qns, reports)]
@@ -405,7 +397,7 @@ def _suite_fd_derivative() -> SuiteResult:
 
 def _suite_normalization(cfg: QuadratureConfig) -> SuiteResult:
     t = _Tally("normalization")
-    families = [hydrogen_family([hydrogen_state(qn) for qn in _LEVELS])]
+    families = [hydrogen_family(_LEVELS)]
     families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
     for family in families:
         t.add(family.norms(cfg) - 1.0, _NORM_TOL)
@@ -454,10 +446,9 @@ def _suite_commutators(seed: int) -> SuiteResult:
 def _suite_reality(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     t = _Tally("reality-scan")
     system = make_spherical()
-    states = [hydrogen_state(qn) for qn in _LEVELS]
     ops = [canonical_momentum(system, axis) for axis in range(3)]
     ops += [naive_momentum(system, axis) for axis in (0, 1)]
-    family = hydrogen_family(states)
+    family = hydrogen_family(_LEVELS)
     reports = zip(*[expectations(op, family, cfg) for op in ops])
     inv_rs = family.moments(0, lambda r: r**-1.0, cfg)
     g_ths = family.moments(1, measure_factor(system.coords[1]).drift, cfg)
@@ -466,8 +457,8 @@ def _suite_reality(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     # defect law Im<p'_r> = hbar <1/r> = hbar/(n^2 a0) on both sides, and the naive polar one
     # Im<p'_theta> = hbar <cot(theta)/2>
     residuals, tols = [], []
-    for state, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r, g_th in zip(states, reports, inv_rs, g_ths):
-        n, M = state.quantum_numbers.n, state.quantum_numbers.M
+    for qn, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r, g_th in zip(_LEVELS, reports, inv_rs, g_ths):
+        n, M = qn.n, qn.M
         closed, defect = 1.0 / (n * n), rep_naive.hermiticity_defect
         residuals.append([abs(rep_r.value), abs(rep_th.value), abs(rep_ph.value - M),
                           defect - inv_r, defect - closed, rep_naive_th.hermiticity_defect - g_th])

@@ -271,7 +271,7 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
                         p_theta=momentum_unit("angular", constants))
 
     states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, nmax + 1) for L in range(n)]
-    family = hydrogen_family(states)
+    family = hydrogen_family([state.quantum_numbers for state in states])
     require_normalised(family, config, f"a state of the n <= {nmax} hydrogen table")
     p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
     # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>

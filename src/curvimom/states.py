@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UnsupportedAxisError
+from .errors import ConfigurationError, DomainError, PreconditionError, UnsupportedAxisError
 from .geometry import CoordinateSpec, CoordinateSystem, make_spherical
 from .quadrature import (
     DEFAULT_CONFIG, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
@@ -243,11 +243,13 @@ def _theta_factor(L: int, M: int) -> FactorFunction:
 
 @lru_cache(maxsize=32)
 def _stacked(parts: tuple[FactorFunction, ...]) -> FactorFunction:
-    # k members' factors on one coordinate as one: its tables stack theirs, and a call
-    # evaluates every member on the same nodes; kept per tuple of parts, so a
-    # repeated family reads the stacked tables and rule it built before
-    evaluate = lambda q: np.stack([f.evaluate(q) for f in parts])
-    derivative = lambda q: np.stack([f.derivative(q) for f in parts])
+    # k members' factors on one coordinate as one: its tables stack theirs, and a call gives part i
+    # row i of (k, n) nodes, and every part the same nodes of one dimension or none; kept per tuple
+    # of parts, so a repeated family reads the stacked tables and rule it built before
+    def rows(fns):
+        return lambda q: np.stack([f(x) for f, x in zip(fns, q if np.ndim(q) == 2 else [q] * len(fns), strict=True)])
+
+    evaluate, derivative = rows([f.evaluate for f in parts]), rows([f.derivative for f in parts])
     return FactorFunction(evaluate, derivative, parts=parts, spec=parts[0].spec, scale=tuple(f.scale for f in parts))
 
 
@@ -264,6 +266,13 @@ def _phi_factor(M: int) -> FactorFunction:
     return FactorFunction(evaluate, derivative, spec=make_spherical().coords[2], scale=1.0)
 
 
+def _hydrogen_factors(qn: QuantumNumbers) -> tuple[FactorFunction, ...]:
+    # the level's cached radial, theta and phi factors; qn has checked (n, L, M), so the caches
+    # are read without another check
+    L, M = int(qn.L), int(qn.M)
+    return _hydrogen_radial(int(qn.n), L), _theta_factor(L, M), _phi_factor(M)
+
+
 def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
     """Bound hydrogen eigenstate (n, L, M) on the spherical system, r in units of a0.
 
@@ -271,13 +280,7 @@ def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
     weights, so the product is normalized with no cross terms.  The factors
     are shared with every other state of the same (n, L), (L, M) or M.
     """
-    L, M = int(qn.L), int(qn.M)  # checked by qn, so the caches are read without another check
-    return SeparableState(
-        factors=(_hydrogen_radial(int(qn.n), L), _theta_factor(L, M), _phi_factor(M)),
-        system=make_spherical(),
-        quantum_numbers=qn,
-        normalized=True,
-    )
+    return SeparableState(_hydrogen_factors(qn), make_spherical(), quantum_numbers=qn)
 
 
 _SINE_KS, _FOURIER_MS = np.arange(1.0, 5.0), np.arange(-2.0, 3.0)  # the trial harmonics
@@ -334,16 +337,18 @@ def _fourier_sum(cs, inv=1.0, *, spec, scale) -> FactorFunction:
 
 
 class StateFamily(NamedTuple):
-    """States of one system tabulated together: ``factors`` holds one factor
-    per coordinate that evaluates all k ``members`` at once, a (k, n) table."""
+    """Normalized states of one system tabulated together: ``factors`` holds one
+    factor per coordinate that evaluates all k members at once, a (k, n) table."""
 
     system: CoordinateSystem
-    members: tuple[SeparableState, ...]
     factors: tuple[FactorFunction, ...]
 
     @classmethod
     def of(cls, state: SeparableState) -> "StateFamily":
-        return cls(state.system, (state,), state.factors)
+        """The state's own factors as a family of one; PreconditionError unless it is normalized."""
+        if not state.normalized:
+            raise PreconditionError("expectation values require a normalized state")
+        return cls(state.system, state.factors)
 
     def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple]:
         """``(values, norms)`` per coordinate, from the factors' tables, each on its factor's
@@ -365,25 +370,24 @@ class StateFamily(NamedTuple):
         return np.reshape(total.real, -1).tolist()
 
 
-def hydrogen_family(states: Sequence[SeparableState]) -> StateFamily:
-    """Hydrogen ``states``, each built by ``hydrogen_state``, as one family:
-    each axis's factor stacks the members' shared ones and reads their
-    tables.  The stacks of the last 32 tuples of member factors are kept, so
-    a repeated family stacks nothing.  Every member's numbers are those of the
-    state alone."""
-    if not states or any(state.quantum_numbers is None for state in states):
-        raise DomainError("a hydrogen family needs one or more states from hydrogen_state")
-    axes = zip(*[state.factors for state in states])
-    return StateFamily(states[0].system, tuple(states), tuple(_stacked(parts) for parts in axes))
+def hydrogen_family(qns: Sequence[QuantumNumbers]) -> StateFamily:
+    """The hydrogen levels ``qns`` as one family on the spherical system: each axis's
+    factor stacks the levels' cached factors, those of ``hydrogen_state``, and reads
+    their tables.  The stacks of the last 32 tuples of level factors are kept, so a
+    repeated family stacks nothing.  Every member's numbers are those of the state alone."""
+    if not qns or not all(isinstance(qn, QuantumNumbers) for qn in qns):
+        raise DomainError("a hydrogen family needs one or more QuantumNumbers")
+    axes = zip(*[_hydrogen_factors(qn) for qn in qns])
+    return StateFamily(make_spherical(), tuple(_stacked(parts) for parts in axes))
 
 
 def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
     """The random trial states of one or more ``seeds`` on ``system``, lengths in
     units of a0, as one family: each axis's raw profile is evaluated once for all
-    members, on (k, 1) parameter columns (one seed keeps its floats), to fold each
-    member's normalisation constant, against the factor's own weight at its own
-    width, into its factor.  A member's factors name its radial scale, a family's
-    the tuple of its members'."""
+    members, on (k, 1) parameter columns, to fold each member's normalisation
+    constant, against the factor's own weight at its own width, into its factor.
+    The factors of k seeds name the tuple of the members' radial scales; those of
+    one seed are ``random_bound_trial``'s, on Python floats at its radial scale."""
     if not seeds:
         raise DomainError("a trial family needs at least one seed")
     for seed in seeds:
@@ -396,7 +400,7 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
     members_drawn = drawn.tolist()
     one = len(seeds) == 1
     radial = [1.0] * len(seeds)  # each member's radial scale: 1 or its largest linear width
-    axes = []  # per coordinate: builder, each member's parameters, the family's ones, 1 / norms
+    axes = []  # per coordinate: builder, the family's parameters, 1 / norms
     start = 0
     for spec, axis_bounds in zip(system.coords, bounds):
         block = slice(start, start + axis_bounds.shape[1])
@@ -411,22 +415,14 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
         else:
             periodic = spec.topology == "compact-periodic"
             coeffs = drawn[:, block] / math.sqrt(2.0 * math.pi) if periodic else drawn[:, block]
-            rows = [(c,) for c in coeffs]
-            params = rows[0] if one else (coeffs[:, None],)  # k rows: (k, 1, m)
+            params = (coeffs[0],) if one else (coeffs[:, None],)  # k rows: (k, 1, m)
             builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
         raw = builder(*params, spec=spec, scale=scale).evaluate
         norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, DEFAULT_CONFIG.order_for(spec), scale)
         inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
-        axes.append((builder, spec, rows, params, inv))
-
-    members = tuple(
-        SeparableState(tuple([b(*rows[i], inv[i], spec=s, scale=r) for b, s, rows, _, inv in axes]), system)
-        for i, r in enumerate(radial)
-    )
-    if one:  # a family of one reads its member's factors
-        return StateFamily.of(members[0])
-    factors = [b(*params, np.array(inv)[:, None], spec=s, scale=tuple(radial)) for b, s, _, params, inv in axes]
-    return StateFamily(system, members, tuple(factors))
+        axes.append((builder, spec, params, inv[0] if one else np.array(inv)[:, None]))
+    scale = radial[0] if one else tuple(radial)
+    return StateFamily(system, tuple(b(*params, inv, spec=s, scale=scale) for b, s, params, inv in axes))
 
 
 def random_bound_trial(system: CoordinateSystem, seed: int) -> SeparableState:
@@ -435,9 +431,9 @@ def random_bound_trial(system: CoordinateSystem, seed: int) -> SeparableState:
     Linear axes get polynomial-times-Gaussian profiles, the polar angle a
     truncated sine sum (vanishing at the poles), the azimuth a short Fourier
     sum.  Each factor is normalized by quadrature against its own weight.
-    This is the one member of ``trial_family(system, [seed])``.
+    Its factors are those of ``trial_family(system, [seed])``.
     """
-    return trial_family(system, (seed,)).members[0]
+    return SeparableState(trial_family(system, (seed,)).factors, system)
 
 
 def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> SeparableState:
@@ -471,7 +467,9 @@ def state_overlap(
 ) -> complex:
     """Inner product <a|b> against the volume weight: each axis on the rule of
     the factor with the larger scale, from both factors' tables when they share
-    it, else from the other factor evaluated on that rule's nodes."""
+    it, else from the other factor evaluated on that rule's nodes.  A family is refused."""
+    if any(isinstance(f.scale, tuple) for f in a.factors + b.factors):  # a family's factors carry k scales
+        raise ConfigurationError("overlap takes two states, not a family of them")
     if a.system != b.system:  # name and coordinates: each axis reads both factors on one rule
         raise ConfigurationError(
             f"overlap needs matching systems, got {a.system.name!r} and {b.system.name!r}"

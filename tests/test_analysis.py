@@ -123,7 +123,7 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
     assert state_overlap(counted_state, counted_state) == state_overlap(state, state)
     assert calls == [1, 1, 1]
     # no production path calls coordinate_rule: each reads axis_rule's rows
-    family = hydrogen_family([hydrogen_state(QuantumNumbers(n, 1, 0)) for n in (2, 3)])
+    family = hydrogen_family([QuantumNumbers(n, 1, 0) for n in (2, 3)])
     family.moments(0, np.reciprocal, QuadratureConfig())
     trial_family(make_spherical(), range(4))
     assert all(result.passed for result in run_check_suites())
@@ -155,6 +155,25 @@ def factor_calls(monkeypatch):
     yield counts
     for cache in caches:
         cache.cache_clear()
+
+
+def test_families_build_no_member_states(monkeypatch):
+    # a family holds only its factors, so no state is built only to be stacked or listed: a check
+    # builds only the commutator suite's pointwise state per system and the d^2 coordinate-scaled
+    # and d(d - 1) momentum-applied states its residuals derive from it (55, where it built 387);
+    # a scan builds none (121); hydrogen-table keeps one state per level for the force balance
+    built = []
+    post_init = SeparableState.__post_init__
+    monkeypatch.setattr(SeparableState, "__post_init__", lambda state: built.append(state) or post_init(state))
+    run_check_suites()
+    assert len(built) == sum(1 + d * d + d * (d - 1) for d in (s.dim for s in preset_systems().values())) == 55
+    assert all(state.quantum_numbers is None for state in built)
+    for _ in range(2):  # cold, then warm
+        built.clear()
+        p_theta_spectrum_scan(10)
+        assert built == []
+    assert CliRunner().invoke(main, ["hydrogen-table", "--nmax", "6"]).exit_code == 0
+    assert len(built) == 21
 
 
 def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
@@ -221,14 +240,15 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     # factor for its derivative once; the members (3, 2, -1) and (3, 2, 1)
     # share their radial factor
     system, cfg = make_spherical(), QuadratureConfig()
-    family = hydrogen_family([hydrogen_state(QuantumNumbers(*qn)) for qn in ((2, 1, 0), (3, 2, -1), (3, 2, 1))])
+    members = [hydrogen_state(QuantumNumbers(*qn)) for qn in ((2, 1, 0), (3, 2, -1), (3, 2, 1))]
+    family = hydrogen_family([state.quantum_numbers for state in members])
     for op in (canonical_momentum(system, 0), naive_momentum(system, 0)):
         expectations(op, family, cfg)
     assert factor_calls[("derivative", "array")] == 2
     # the table is the factor's own derivative on the value table's nodes,
     # bit for bit, and read-only; the family's stacks its members'
     stacked = family.factors[0].derivative_table(cfg)
-    for state, row in zip(family.members, stacked):
+    for state, row in zip(members, stacked):
         factor = state.factors[0]
         slopes = factor.derivative_table(cfg)
         assert np.array_equal(slopes, factor.derivative(factor.rule(cfg).nodes))
@@ -238,7 +258,7 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     assert not stacked.flags.writeable
     # tabulating never asks for a derivative: a momentum-applied factor has
     # none, yet <psi| (p_phi psi)> = M hbar
-    state = family.members[2]
+    state = members[2]
     applied = operator_applied_state(canonical_momentum(system, 2), state)
     assert state_overlap(state, applied, cfg) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UnsupportedStateError):

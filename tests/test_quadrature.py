@@ -345,7 +345,7 @@ def test_combine_axes_gives_each_member_the_bits_of_the_member_alone():
     # scalar formula, on hydrogen and trial families of every preset system and on a 1-D system
     cfg = QuadratureConfig()
     qns = [QuantumNumbers(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
-    families = [hydrogen_family([hydrogen_state(qn) for qn in qns])]
+    families = [hydrogen_family(qns)]
     families += [trial_family(system, range(20)) for system in preset_systems().values()]
     ball = CoordinateSystem(
         "ball", (CoordinateSpec("r", 0.0, 1.7, "compact-nonperiodic", WEIGHTS["q^2"], "linear"),)
@@ -356,7 +356,7 @@ def test_combine_axes_gives_each_member_the_bits_of_the_member_alone():
     families.append(StateFamily.of(SeparableState((decay,), ball)))
     for family in families:
         values, norms = family.tabulate(cfg)
-        k, cases = len(family.members), [norms]
+        k, cases = len(norms[0]), [norms]
         for axis in range(family.system.dim):
             factor, table = family.factors[axis], values[axis]
             rule, slopes = factor.rule(cfg), factor.derivative_table(cfg)

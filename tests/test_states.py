@@ -238,11 +238,12 @@ def test_a_factor_must_name_its_scale():
         with pytest.raises(TypeError):
             FactorFunction(factor.evaluate, factor.derivative, **missing)
     assert factor.scale == 2.0 and factor.spec is make_spherical().coords[0]
-    stacked = hydrogen_family([hydrogen_state(QuantumNumbers(n, 1, 0)) for n in (2, 3)]).factors
+    stacked = hydrogen_family([QuantumNumbers(n, 1, 0) for n in (2, 3)]).factors
     assert stacked[0].scale == (2.0, 3.0) and stacked[1].scale == (1.0, 1.0)
     assert tuple(f.spec for f in stacked) == make_spherical().coords
     family = trial_family(make_cartesian(), range(3))
-    assert all(f.scale == tuple(m.factors[0].scale for m in family.members) for f in family.factors)
+    lone = [random_bound_trial(make_cartesian(), seed).factors[0].scale for seed in range(3)]
+    assert all(f.scale == tuple(lone) for f in family.factors)
 
 
 def test_trial_states_normalized_and_deterministic():
@@ -404,6 +405,48 @@ def test_a_derived_factor_keeps_its_coordinate_and_scale(name):
             assert values is not base_values and np.array_equal(values, factor.evaluate(nodes))
 
 
+@pytest.mark.parametrize("name", sorted(_DERIVERS))
+def test_a_derived_stack_tabulates_each_members_derived_row(name):
+    # a stack gives part i row i of (k, n) nodes, and shares nodes of one dimension or none, so a
+    # factor derived from a stack tabulates (k, n) rows, each the member's own derived table bit
+    # for bit: on a three-level hydrogen family and on stacks of three lone Cartesian trial states
+    cfg = QuadratureConfig()
+    hydrogen = [QuantumNumbers(*qn) for qn in ((1, 0, 0), (2, 1, 1), (3, 2, -1))]
+    trials = [random_bound_trial(make_cartesian(), seed) for seed in range(3)]
+    cases = [([hydrogen_state(qn) for qn in hydrogen], hydrogen_family(hydrogen).factors)]
+    cases.append((trials, tuple(states._stacked(parts) for parts in zip(*[s.factors for s in trials]))))
+    for members, factors in cases:
+        system = members[0].system
+        stack = SeparableState(factors, system)
+        for axis, spec in enumerate(system.coords):
+            if name == "phase-twisted" and spec.topology != "line":
+                continue
+            derived = _DERIVERS[name](stack, axis).factors[axis]
+            values, norms = derived.table(cfg)
+            for i, member in enumerate(members):
+                alone = _DERIVERS[name](member, axis).factors[axis]
+                assert values.shape == (len(members),) + alone.table(cfg)[0].shape, (spec.name, i)
+                assert np.array_equal(values[i], alone.table(cfg)[0]), (spec.name, i)
+                assert np.array_equal(norms[i], alone.table(cfg)[1][0]), (spec.name, i)
+                if name != "momentum-applied":  # which has no derivative
+                    assert np.array_equal(derived.derivative_table(cfg)[i], alone.derivative_table(cfg))
+
+
+def test_overlap_refuses_a_family():
+    # a family's factors carry k members, so its overlap is not one number: it is refused,
+    # where it once read member 0 (0.8110 below, against the members' 0.8110, 0.8470, 0.8164)
+    cartesian = make_cartesian()
+    a, b = trial_family(cartesian, [1, 2, 3]), trial_family(cartesian, [4, 5, 6])
+    lone = random_bound_trial(cartesian, 1)
+    hydrogen = hydrogen_family([QuantumNumbers(1, 0, 0), QuantumNumbers(2, 0, 0)])
+    for pair in ((a, b), (a, lone), (lone, SeparableState(b.factors, cartesian)),
+                 (hydrogen, hydrogen_state(QuantumNumbers(1, 0, 0)))):
+        with pytest.raises(ConfigurationError, match="not a family"):
+            state_overlap(*pair)
+    pairs = [(random_bound_trial(cartesian, i), random_bound_trial(cartesian, j)) for i, j in ((1, 4), (2, 5), (3, 6))]
+    assert [round(state_overlap(*pair).real, 4) for pair in pairs] == [0.8110, 0.8470, 0.8164]
+
+
 def test_trial_family_members_match_single_seed():
     # a family member's report is bit for bit the one-seed state's, wherever
     # the member sits in the family
@@ -434,9 +477,10 @@ def test_hydrogen_family_members_match_single_state(constants):
     system = make_spherical()
     levels = [(n, L, M) for n in range(1, 5) for L in range(n) for M in range(-L, L + 1)]
     scan = [(L + 1, L, M) for L in range(11) for M in range(-L, L + 1)]
-    for qns in (levels, scan):
-        states = [hydrogen_state(QuantumNumbers(*qn)) for qn in qns]
-        family, reversed_family = hydrogen_family(states), hydrogen_family(states[::-1])
+    for numbers in (levels, scan):
+        qns = [QuantumNumbers(*qn) for qn in numbers]
+        states = [hydrogen_state(qn) for qn in qns]
+        family, reversed_family = hydrogen_family(qns), hydrogen_family(qns[::-1])
         for axis in range(3):
             for op in (canonical_momentum(system, axis), naive_momentum(system, axis)):
                 reports = expectations(op, family)
@@ -456,10 +500,10 @@ def test_stacked_factors_are_kept_within_their_bound():
     bound = states._stacked.cache_info().maxsize
     assert bound is not None
     for n in range(2, 2 + bound):
-        hydrogen_family([hydrogen_state(QuantumNumbers(n, L, 0)) for L in (0, 1)])
+        hydrogen_family([QuantumNumbers(n, L, 0) for L in (0, 1)])
         assert states._stacked.cache_info().currsize <= bound
     assert states._stacked.cache_info().currsize == bound
-    pair = [hydrogen_state(QuantumNumbers(2, L, 0)) for L in (0, 1)]
+    pair = [QuantumNumbers(2, L, 0) for L in (0, 1)]
     assert all(a is b for a, b in zip(hydrogen_family(pair).factors, hydrogen_family(pair).factors))
 
 
@@ -467,7 +511,7 @@ def test_hydrogen_family_needs_hydrogen_states():
     with pytest.raises(DomainError):
         hydrogen_family([])
     with pytest.raises(DomainError):
-        hydrogen_family([hydrogen_state(QuantumNumbers(1, 0, 0)), random_bound_trial(make_spherical(), 0)])
+        hydrogen_family([QuantumNumbers(1, 0, 0), hydrogen_state(QuantumNumbers(2, 0, 0))])
 
 
 def test_trial_states_keep_their_draws():
@@ -523,7 +567,8 @@ def _lone_state_draws(system, seed) -> list:
 
 def test_trial_members_keep_the_lone_state_stream(monkeypatch):
     # one generator call per member gives every member, in a family or alone, the
-    # parameters of the per-axis calls above, bit for bit, and Python floats on linear axes
+    # parameters of the per-axis calls above, bit for bit: row i of each of a family's
+    # parameter columns, and Python floats on a lone state's linear axes
     made = {}
     for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
         builder = getattr(states, name)
@@ -537,16 +582,23 @@ def test_trial_members_keep_the_lone_state_stream(monkeypatch):
     seeds = range(200)
     for system in preset_systems().values():
         family = trial_family(system, seeds)
-        for seed, member in zip(seeds, family.members):
-            alone = random_bound_trial(system, seed) if seed % 10 == 0 else member
-            for state in (member, alone):
-                for spec, factor, expected in zip(system.coords, state.factors, _lone_state_draws(system, seed)):
-                    params = made[factor]
-                    assert len(params) == len(expected), (system.name, seed)
-                    if spec.kind == "linear":
-                        assert list(params) == expected and all(type(p) is float for p in params), (system.name, seed)
-                    else:
-                        assert np.array_equal(params[0], expected[0]), (system.name, seed, spec.name)
+        draws = [_lone_state_draws(system, seed) for seed in seeds]
+        for axis, (spec, factor) in enumerate(zip(system.coords, family.factors)):
+            params, expected = made[factor], [draw[axis] for draw in draws]
+            assert len(params) == len(expected[0]), (system.name, spec.name)
+            if spec.kind == "linear":  # one (k, 1) column per parameter
+                assert np.array_equal(np.concatenate(params, axis=1), expected), (system.name, spec.name)
+            else:  # the harmonics' coefficients as one (k, 1, m) array
+                assert np.array_equal(params[0][:, 0], [row[0] for row in expected]), (system.name, spec.name)
+        for seed in seeds[::10]:
+            alone = random_bound_trial(system, seed)
+            for spec, factor, expected in zip(system.coords, alone.factors, draws[seed]):
+                params = made[factor]
+                assert len(params) == len(expected), (system.name, seed)
+                if spec.kind == "linear":
+                    assert list(params) == expected and all(type(p) is float for p in params), (system.name, seed)
+                else:
+                    assert np.array_equal(params[0], expected[0]), (system.name, seed, spec.name)
 
 
 def test_trial_family_needs_valid_seeds():
@@ -560,7 +612,7 @@ def test_family_norms_are_the_combined_full_order_sums():
     # <psi|psi> is the product of the full-order |f|^2 sums in axis order, bit for bit
     # the scalar product 1 * n_0 * n_1 * ... of Python floats, on a family and on a lone state
     qns = [QuantumNumbers(L + 1, L, M) for L in range(11) for M in range(-L, L + 1)]
-    families = [hydrogen_family([hydrogen_state(qn) for qn in qns])]
+    families = [hydrogen_family(qns)]
     families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
     families.append(StateFamily.of(random_bound_trial(make_cartesian(), 4)))
     for cfg in (QuadratureConfig(), QuadratureConfig(8, 8, 8)):
@@ -568,6 +620,6 @@ def test_family_norms_are_the_combined_full_order_sums():
             sums = [axis_sums[:, 0].real.tolist() for axis_sums in family.tabulate(cfg)[1]]
             expected = [math.prod(fulls) for fulls in zip(*sums)]
             norms = family.norms(cfg)
-            assert norms.shape == (len(family.members),)
+            assert norms.shape == (len(expected),)
             assert [x.hex() for x in norms.tolist()] == [x.hex() for x in expected]
     assert max(abs(x - 1.0) for x in families[0].norms(QuadratureConfig(theta_order=8))) > 0.5
