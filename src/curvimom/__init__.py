@@ -83,7 +83,6 @@ from .states import (
     FactorFunction,
     PhysicalConstants,
     SeparableState,
-    StateFamily,
     apply_phase_twist,
     hydrogen_family,
     hydrogen_state,

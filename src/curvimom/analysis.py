@@ -6,7 +6,7 @@ defect reduces to the surface term -(hbar/2) [w |psi|^2] at the domain
 ends, while the naive operator picks up the bulk term hbar <g> on top.
 The hydrogen checks close the loop against closed forms: <1/r^2>, <1/r^3>
 and the circular-orbit force balance hbar^2 L(L+1)/m <1/r^3> = e^2 <1/r^2>.
-Every one-axis moment, <r^p> and <g> alike, is ``StateFamily.moments``: a
+Every one-axis moment, <r^p> and <g> alike, is ``SeparableState.moments``: a
 sum over the factor's value table, the table the expectations read.
 
 Everything is computed, returned and checked in natural units: lengths in a0,
@@ -18,11 +18,11 @@ command line applies the units to the numbers it prints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedAxisError
+from .errors import ConfigurationError, DomainError, PreconditionError, UnsupportedAxisError, is_integer
 from .geometry import (
     CoordinateSystem,
     make_cartesian,
@@ -44,7 +44,6 @@ from .specfun import QuantumNumbers
 from .states import (
     FactorFunction,
     SeparableState,
-    StateFamily,
     apply_phase_twist,
     hydrogen_family,
     hydrogen_state,
@@ -138,15 +137,22 @@ class SuiteResult:
     worst: float
 
 
+def _checked(state: SeparableState, lone: bool = False) -> SeparableState:
+    if lone and state.is_family:
+        raise ConfigurationError("one state is needed, not a family: expectations gives one report per member")
+    if not state.normalized:
+        raise PreconditionError("expectation values require a normalized state")
+    return state
+
+
 def expectations(
-    op: MomentumOperator, family: StateFamily, config: QuadratureConfig = DEFAULT_CONFIG
+    op: MomentumOperator, state: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> list[ExpectationReport]:
-    """<psi| p |psi> with reality diagnostics on every member of ``family``: one table
-    and one contraction per axis, then every member's value, estimate and surface term
-    at once as arrays, in natural units, on each factor's own rule at the config's orders.
-    """
-    values, norms = family.tabulate(config)
-    factor, table = family.factors[op.axis], values[op.axis]
+    """<psi| p |psi> with reality diagnostics on every member of ``state``, k reports for a family:
+    one table and one contraction per axis, then every member's value, estimate and surface term at
+    once as arrays, in natural units, on each factor's own rule; PreconditionError unless normalized."""
+    values, norms = _checked(state).tabulate(config)
+    factor, table = state.factors[op.axis], values[op.axis]
     # conj(f) (p f) on the axis's nodes, from the value and derivative tables
     rule, slopes = factor.rule(config), factor.derivative_table(config)
     moments = contract_rows(rule, np.conj(table) * -1j * (slopes + op.drift(rule.nodes) * table))
@@ -170,13 +176,14 @@ def expectations(
 def expectation(
     op: MomentumOperator, state: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExpectationReport:
-    """<psi| p |psi> by separable quadrature, with reality diagnostics: the
-    family-of-one case of ``expectations``.
+    """<psi| p |psi> by separable quadrature, with reality diagnostics: the one
+    report ``expectations`` gives on a lone state.
 
     Raises:
+        ConfigurationError: if the state is a family.
         PreconditionError: if the state is not normalized.
     """
-    return expectations(op, StateFamily.of(state), config)[0]
+    return expectations(op, _checked(state, lone=True), config)[0]
 
 
 def reality_tolerance(report: ExpectationReport) -> float:
@@ -184,10 +191,10 @@ def reality_tolerance(report: ExpectationReport) -> float:
     return max(10.0 * report.quadrature_error, _REALITY_FLOOR)
 
 
-def require_normalised(family: StateFamily, config: QuadratureConfig, label: str) -> None:
-    """DomainError unless every member's |<psi|psi> - 1|, from ``family.norms`` at the
+def require_normalised(state: SeparableState, config: QuadratureConfig, label: str) -> None:
+    """DomainError unless every member's |<psi|psi> - 1|, from ``state.norms`` at the
     orders in use, is within the normalization suite's tolerance 1e-10."""
-    misses = np.abs(family.norms(config) - 1.0)
+    misses = np.abs(state.norms(config) - 1.0)
     if not (misses <= _NORM_TOL).all():  # a NaN norm is refused too
         raise DomainError(f"{label} is not normalised to {_NORM_TOL:g} at these orders: "
                           f"|<psi|psi> - 1| = {np.max(misses):.2e}")
@@ -198,9 +205,9 @@ def drift_expectation(
 ) -> float:
     """<g_axis>: the bulk piece of the naive operator's defect law, in natural units.
 
-    The moment is taken on the axis alone, without the other axes' norms (1 to about
-    1e-15 on a normalized state); a state that is not normalized raises PreconditionError."""
-    return StateFamily.of(state).moments(axis, measure_factor(state.system.coords[axis]).drift, config)[0]
+    The moment is taken on the axis alone, without the other axes' norms (1 to about 1e-15 on a
+    normalized state); a family raises ConfigurationError, an unnormalized state PreconditionError."""
+    return _checked(state, lone=True).moments(axis, measure_factor(state.system.coords[axis]).drift, config)[0]
 
 
 def ci_uniqueness_demo(
@@ -251,15 +258,15 @@ def radial_moment(qn: QuantumNumbers, power: int, config: QuadratureConfig = DEF
     """<r^power> on the hydrogen level (n, L) by half-line quadrature, in a0^power.
 
     Raises:
-        DomainError: below -(2L + 2), where the moment diverges at r = 0, and
-            above 20, the largest power within 1e-9 of the exact moment on
-            every level with n <= 6 at the default orders.
+        DomainError: for a power that is not an integer, below -(2L + 2), where
+            the moment diverges at r = 0, or above 20, the largest power within
+            1e-9 of the exact moment on every level with n <= 6 at the default orders.
     """
-    if not -(2 * qn.L + 2) <= power <= _MAX_RADIAL_POWER:
+    if not is_integer(power) or not -(2 * qn.L + 2) <= power <= _MAX_RADIAL_POWER:
         raise DomainError(
-            f"<r^{power}> on L = {qn.L} needs a power in [{-(2 * qn.L + 2)}, {_MAX_RADIAL_POWER}]"
+            f"<r^{power}> on L = {qn.L} needs an integer power in [{-(2 * qn.L + 2)}, {_MAX_RADIAL_POWER}]"
         )
-    return StateFamily.of(hydrogen_state(qn)).moments(0, lambda r: r ** float(power), config)[0]
+    return hydrogen_state(qn).moments(0, lambda r: r ** float(power), config)[0]
 
 
 def force_balance(qn: QuantumNumbers, config: QuadratureConfig = DEFAULT_CONFIG) -> ForceBalanceReport:
@@ -271,7 +278,7 @@ def force_balance(qn: QuantumNumbers, config: QuadratureConfig = DEFAULT_CONFIG)
     if qn.L < 1:
         raise DomainError("force balance needs L >= 1")
     state = hydrogen_state(qn)
-    inv_r2, inv_r3 = (StateFamily.of(state).moments(0, lambda r: r**p, config)[0] for p in (-2.0, -3.0))
+    inv_r2, inv_r3 = (state.moments(0, lambda r: r**p, config)[0] for p in (-2.0, -3.0))
     return _force_balance(state, inv_r2, inv_r3)
 
 
@@ -312,7 +319,7 @@ def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CON
     Raises:
         DomainError: if l_max is outside [0, 10], or a member's norm misses 1 at these orders.
     """
-    if not isinstance(l_max, (int, np.integer)) or not LMAX_RANGE[0] <= l_max <= LMAX_RANGE[1]:
+    if not is_integer(l_max) or not LMAX_RANGE[0] <= l_max <= LMAX_RANGE[1]:
         raise DomainError(f"l_max must be an integer in {list(LMAX_RANGE)}, got {l_max!r}")
     qns = [QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)]
     family = hydrogen_family(qns)
@@ -432,7 +439,7 @@ def _suite_commutators(seed: int) -> SuiteResult:
         point = [_SAMPLE[f.spec.topology](draws[..., a], np.reshape(f.scale, (-1, 1)))
                  for a, f in enumerate(family.factors)]
         # the family as one pointwise state, each factor tabulated once on its axis's points
-        state = SeparableState(tuple(_on_points(f, q) for f, q in zip(family.factors, point)), system)
+        state = replace(family, factors=tuple(_on_points(f, q) for f, q in zip(family.factors, point)))
         psi_mag = np.maximum(np.abs(state.evaluate(point)), 1e-30)
         for i in range(system.dim):
             for j in range(system.dim):

@@ -41,7 +41,7 @@ from .geometry import preset_systems
 from .operators import canonical_momentum, momentum_unit, naive_momentum
 from .quadrature import ORDER_RANGE, QuadratureConfig
 from .specfun import QuantumNumbers
-from .states import ATOMIC, StateFamily, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
+from .states import ATOMIC, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
 
 _FLOAT_FMT = "{:.12e}"
 
@@ -231,7 +231,7 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
     system = preset_systems()[system_name]
     op = _parse_operator(operator, system)
     st = _parse_state(state, system, seed)
-    require_normalised(StateFamily.of(st), config, state)
+    require_normalised(st, config, state)
     report = expectation(op, st, config)
 
     unit = momentum_unit(op.kind, constants)

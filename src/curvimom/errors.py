@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one integer check, shared across the package."""
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is exactly a Python int or a NumPy integer; a bool, which Python counts as one, is not."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 class CurvimomError(Exception):

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, is_integer
 from .geometry import CoordinateSpec, CoordinateSystem
 
 __all__ = [
@@ -129,7 +129,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     Raises:
         DomainError: if ``order`` < 1.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if not is_integer(order) or order < 1:
         raise DomainError(f"quadrature order must be an integer >= 1, got {order!r}")
     return _gauss_rule(int(order))
 
@@ -169,7 +169,7 @@ def periodic_rule(points: int) -> QuadratureRule:
     Raises:
         DomainError: if ``points`` < 1.
     """
-    if not isinstance(points, (int, np.integer)) or points < 1:
+    if not is_integer(points) or points < 1:
         raise DomainError(f"periodic rule needs >= 1 points, got {points!r}")
     h = 2.0 * math.pi / points
     nodes = (np.arange(points, dtype=float) + 0.5) * h
@@ -219,7 +219,7 @@ class QuadratureConfig:
             ("theta_order", self.theta_order),
             ("phi_order", self.phi_order),
         ):
-            if not isinstance(order, (int, np.integer)) or not ORDER_RANGE[0] <= order <= ORDER_RANGE[1]:
+            if not is_integer(order) or not ORDER_RANGE[0] <= order <= ORDER_RANGE[1]:
                 raise ConfigurationError(f"{label} must be an integer in {list(ORDER_RANGE)}, got {order!r}")
 
     def order_for(self, spec: CoordinateSpec) -> int:

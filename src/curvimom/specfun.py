@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 
 __all__ = [
     "QuantumNumbers",
@@ -34,7 +34,7 @@ class QuantumNumbers:
 
     def __post_init__(self) -> None:
         for label, value in (("n", self.n), ("L", self.L), ("M", self.M)):
-            if not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise DomainError(f"{label} must be an integer, got {value!r}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
@@ -45,7 +45,7 @@ class QuantumNumbers:
 
 
 def _require_degree_order(L: int, M: int) -> None:
-    if not isinstance(L, (int, np.integer)) or not isinstance(M, (int, np.integer)):
+    if not is_integer(L) or not is_integer(M):
         raise DomainError(f"degree and order must be integers, got L={L!r}, M={M!r}")
     if L < 0:
         raise DomainError(f"degree L must be >= 0, got {L}")
@@ -54,7 +54,7 @@ def _require_degree_order(L: int, M: int) -> None:
 
 
 def _require_laguerre_indices(k: int, a: int) -> None:
-    if not isinstance(k, (int, np.integer)) or not isinstance(a, (int, np.integer)):
+    if not is_integer(k) or not is_integer(a):
         raise DomainError(f"Laguerre indices must be integers, got k={k!r}, a={a!r}")
     if k < 0 or a < 0:
         raise DomainError(f"Laguerre indices must be >= 0, got k={k}, a={a}")

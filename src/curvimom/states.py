@@ -4,10 +4,10 @@ Every state is a product of one-coordinate factors, each carrying its own
 analytic derivative, so momentum operators act factor by factor without any
 numerical differentiation of the state itself.  Factors keep their own value
 and derivative tables, and hydrogen factors come from bounded caches, so
-states share both.  A trial family's factors evaluate every member at once; a
-hydrogen family's stack its members' shared factors.  A family's one-axis
-moments, such as <1/r^p>, are sums over those same value tables.  Lengths are
-in units of a0: no state reads the physical constants, which only convert outputs.
+states share both.  A family of k states is one state whose factors give (k, n)
+tables: a trial family's evaluate every member at once, a hydrogen family's stack
+its members' shared factors.  Moments such as <1/r^p> are sums over those same value
+tables.  Lengths are in units of a0: physical constants only convert outputs.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PreconditionError, UnsupportedAxisError
+from .errors import ConfigurationError, DomainError, UnsupportedAxisError, is_integer
 from .geometry import CoordinateSpec, CoordinateSystem, make_spherical
 from .quadrature import (
     DEFAULT_CONFIG, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
@@ -40,7 +40,6 @@ __all__ = [
     "load_constants",
     "FactorFunction",
     "SeparableState",
-    "StateFamily",
     "hydrogen_state",
     "hydrogen_family",
     "random_bound_trial",
@@ -176,7 +175,7 @@ class FactorFunction:
 
 @dataclass(frozen=True, eq=False)
 class SeparableState:
-    """Product state psi(q) = prod_i factor_i(q_i) on a coordinate system."""
+    """Product state psi(q) = prod_i factor_i(q_i) on a coordinate system; a family's factors hold k rows."""
 
     factors: tuple[FactorFunction, ...]
     system: CoordinateSystem
@@ -198,6 +197,30 @@ class SeparableState:
                 f"point has {len(point)} components, expected {self.system.dim}"
             )
         return math.prod((factor.evaluate(q) for factor, q in zip(self.factors, point)), start=1 + 0j)
+
+    @property
+    def is_family(self) -> bool:
+        """Whether the factors hold k members' rows: a family's factors carry a tuple of k scales."""
+        return any(isinstance(f.scale, tuple) for f in self.factors)
+
+    def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple]:
+        """``(values, norms)`` per coordinate, from the factors' tables, each on its factor's
+        own rule: a (k, n) table (one state's own, (n,)) and the (k, 2) |f|^2 sums."""
+        return tuple(zip(*[f.table(config) for f in self.factors]))
+
+    def norms(self, config: QuadratureConfig) -> np.ndarray:
+        """Each member's <psi|psi>, a (k,) array: ``combine_axes`` of the full-order
+        |f|^2 sums from ``tabulate``, the tables every expectation of the state reads."""
+        return combine_axes(self.tabulate(config)[1])[0].real
+
+    def moments(self, axis: int, kernel: Callable, config: QuadratureConfig) -> list[float]:
+        """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate:
+        |f|^2 is read from the value table's full-order nodes, which are those of
+        ``coordinate_integral``, so no factor is evaluated again."""
+        f = self.factors[axis]
+        full = np.abs(f.table(config)[0][..., : f.rule(config).full]) ** 2
+        total = coordinate_integral(f.spec, lambda q: full * kernel(q), config.order_for(f.spec), f.scale)
+        return np.reshape(total.real, -1).tolist()
 
 
 @lru_cache(maxsize=256)
@@ -336,41 +359,7 @@ def _fourier_sum(cs, inv=1.0, *, spec, scale) -> FactorFunction:
     return _harmonic_sum(cs, inv, spec, scale, _FOURIER_MS, _FOURIER_SLOPES, phase, phase)
 
 
-class StateFamily(NamedTuple):
-    """Normalized states of one system tabulated together: ``factors`` holds one
-    factor per coordinate that evaluates all k members at once, a (k, n) table."""
-
-    system: CoordinateSystem
-    factors: tuple[FactorFunction, ...]
-
-    @classmethod
-    def of(cls, state: SeparableState) -> "StateFamily":
-        """The state's own factors as a family of one; PreconditionError unless it is normalized."""
-        if not state.normalized:
-            raise PreconditionError("expectation values require a normalized state")
-        return cls(state.system, state.factors)
-
-    def tabulate(self, config: QuadratureConfig) -> tuple[tuple, tuple]:
-        """``(values, norms)`` per coordinate, from the factors' tables, each on its factor's
-        own rule: a (k, n) table (one state's own, (n,)) and the (k, 2) |f|^2 sums."""
-        return tuple(zip(*[f.table(config) for f in self.factors]))
-
-    def norms(self, config: QuadratureConfig) -> np.ndarray:
-        """Each member's <psi|psi>, a (k,) array: ``combine_axes`` of the full-order
-        |f|^2 sums from ``tabulate``, the tables every expectation of the family reads."""
-        return combine_axes(self.tabulate(config)[1])[0].real
-
-    def moments(self, axis: int, kernel: Callable, config: QuadratureConfig) -> list[float]:
-        """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate:
-        |f|^2 is read from the value table's full-order nodes, which are those of
-        ``coordinate_integral``, so no factor is evaluated again."""
-        f = self.factors[axis]
-        full = np.abs(f.table(config)[0][..., : f.rule(config).full]) ** 2
-        total = coordinate_integral(f.spec, lambda q: full * kernel(q), config.order_for(f.spec), f.scale)
-        return np.reshape(total.real, -1).tolist()
-
-
-def hydrogen_family(qns: Sequence[QuantumNumbers]) -> StateFamily:
+def hydrogen_family(qns: Sequence[QuantumNumbers]) -> SeparableState:
     """The hydrogen levels ``qns`` as one family on the spherical system: each axis's
     factor stacks the levels' cached factors, those of ``hydrogen_state``, and reads
     their tables.  The stacks of the last 32 tuples of level factors are kept, so a
@@ -378,21 +367,18 @@ def hydrogen_family(qns: Sequence[QuantumNumbers]) -> StateFamily:
     if not qns or not all(isinstance(qn, QuantumNumbers) for qn in qns):
         raise DomainError("a hydrogen family needs one or more QuantumNumbers")
     axes = zip(*[_hydrogen_factors(qn) for qn in qns])
-    return StateFamily(make_spherical(), tuple(_stacked(parts) for parts in axes))
+    return SeparableState(tuple(_stacked(parts) for parts in axes), make_spherical())
 
 
-def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
+def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> SeparableState:
     """The random trial states of one or more ``seeds`` on ``system``, lengths in
     units of a0, as one family: each axis's raw profile is evaluated once for all
     members, on (k, 1) parameter columns, to fold each member's normalisation
     constant, against the factor's own weight at its own width, into its factor.
-    The factors of k seeds name the tuple of the members' radial scales; those of
-    one seed are ``random_bound_trial``'s, on Python floats at its radial scale."""
-    if not seeds:
-        raise DomainError("a trial family needs at least one seed")
-    for seed in seeds:
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    k seeds' factors carry the tuple of the members' radial scales; one seed gives
+    ``random_bound_trial``'s lone state, on Python floats at its radial scale."""
+    if len(seeds) == 0 or not all(is_integer(seed) and seed >= 0 for seed in seeds):
+        raise DomainError(f"a trial family needs one or more non-negative integer seeds, got {seeds!r}")
     # one generator call per member gives all its uniforms u, in a lone state's order
     bounds = [_TRIAL_DRAWS[spec.topology] for spec in system.coords]
     low, span = np.concatenate(bounds, axis=1)
@@ -422,7 +408,7 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> StateFamily:
         inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
         axes.append((builder, spec, params, inv[0] if one else np.array(inv)[:, None]))
     scale = radial[0] if one else tuple(radial)
-    return StateFamily(system, tuple(b(*params, inv, spec=s, scale=scale) for b, s, params, inv in axes))
+    return SeparableState(tuple(b(*params, inv, spec=s, scale=scale) for b, s, params, inv in axes), system)
 
 
 def random_bound_trial(system: CoordinateSystem, seed: int) -> SeparableState:
@@ -431,9 +417,9 @@ def random_bound_trial(system: CoordinateSystem, seed: int) -> SeparableState:
     Linear axes get polynomial-times-Gaussian profiles, the polar angle a
     truncated sine sum (vanishing at the poles), the azimuth a short Fourier
     sum.  Each factor is normalized by quadrature against its own weight.
-    Its factors are those of ``trial_family(system, [seed])``.
+    It is ``trial_family(system, [seed])``: one seed gives factors on Python floats.
     """
-    return SeparableState(trial_family(system, (seed,)).factors, system)
+    return trial_family(system, (seed,))
 
 
 def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> SeparableState:
@@ -468,7 +454,7 @@ def state_overlap(
     """Inner product <a|b> against the volume weight: each axis on the rule of
     the factor with the larger scale, from both factors' tables when they share
     it, else from the other factor evaluated on that rule's nodes.  A family is refused."""
-    if any(isinstance(f.scale, tuple) for f in a.factors + b.factors):  # a family's factors carry k scales
+    if a.is_family or b.is_family:
         raise ConfigurationError("overlap takes two states, not a family of them")
     if a.system != b.system:  # name and coordinates: each axis reads both factors on one rule
         raise ConfigurationError(

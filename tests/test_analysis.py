@@ -48,10 +48,15 @@ from curvimom.analysis import (
 )
 from curvimom import analysis, operators, quadrature, specfun, states
 from curvimom.operators import (
-    canonical_momentum, coordinate_scaled_state, momentum_unit, naive_momentum, operator_applied_state
+    canonical_momentum,
+    coordinate_scaled_state,
+    l_squared_expectation,
+    momentum_unit,
+    naive_momentum,
+    operator_applied_state,
 )
-from curvimom.quadrature import QuadratureConfig, coordinate_integral
-from curvimom.specfun import QuantumNumbers
+from curvimom.quadrature import QuadratureConfig, coordinate_integral, gauss_legendre, periodic_rule
+from curvimom.specfun import QuantumNumbers, assoc_laguerre, assoc_legendre
 from curvimom.states import (
     FactorFunction,
     PhysicalConstants,
@@ -80,6 +85,39 @@ def test_expectation_requires_normalized_state():
         with pytest.raises(PreconditionError):
             drift_expectation(unnormalised, 0)
     assert abs(drift_expectation(state, 0) - 1.0) <= 1e-12
+
+
+_FAMILIES = {name: lambda system=system: trial_family(system, [1, 2, 3]) for name, system in preset_systems().items()}
+_FAMILIES["hydrogen"] = lambda: hydrogen_family([QuantumNumbers(n, 1, 0) for n in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_a_family_is_a_state_of_k_rows(name):
+    # what gives a row per member gives three; what answers for one state refuses a family,
+    # where expectation and drift_expectation once answered for member 0
+    family, cfg = _FAMILIES[name](), QuadratureConfig()
+    assert family.is_family and family.norms(cfg).shape == (3,)
+    for axis in range(family.system.dim):
+        op = canonical_momentum(family.system, axis)
+        assert len(expectations(op, family, cfg)) == len(family.moments(axis, np.ones_like, cfg)) == 3
+        with pytest.raises(ConfigurationError, match="family"):
+            expectation(op, family, cfg)
+        with pytest.raises(ConfigurationError, match="family"):
+            drift_expectation(family, axis, cfg)
+    with pytest.raises(ConfigurationError, match="family"):
+        state_overlap(family, family, cfg)
+    with pytest.raises(UnsupportedStateError):
+        l_squared_expectation(family)
+
+
+def test_a_one_level_hydrogen_family_is_a_family():
+    # its factors are stacks of one part, each carrying a tuple of one scale, as state_overlap reads them
+    family, state = hydrogen_family([QuantumNumbers(2, 1, 0)]), hydrogen_state(QuantumNumbers(2, 1, 0))
+    op = canonical_momentum(state.system, 0)
+    assert family.is_family and not state.is_family
+    assert expectations(op, family) == [expectation(op, state)]
+    with pytest.raises(ConfigurationError):
+        expectation(op, family)
 
 
 def test_expectation_evaluates_each_other_axis_once(monkeypatch):
@@ -158,22 +196,25 @@ def factor_calls(monkeypatch):
 
 
 def test_families_build_no_member_states(monkeypatch):
-    # a family holds only its factors, so no state is built only to be stacked or listed: a check
-    # builds only the commutator suite's pointwise state per system and the d^2 coordinate-scaled
-    # and d(d - 1) momentum-applied states its residuals derive from it (55, where it built 387);
-    # a scan builds none (121); hydrogen-table keeps one state per level for the force balance
+    # a family is one state whose factors hold every member's rows, so no state is built per
+    # member: a check builds its 16 families (5 in the normalization suite, 4 in the commutators,
+    # 5 in the reality scan, 2 in ci-uniqueness), the commutator suite's pointwise state per
+    # system and the d^2 coordinate-scaled and d(d - 1) momentum-applied states its residuals
+    # derive from it (16 + 55, where it built 387); a scan builds its one family of 121 levels;
+    # hydrogen-table its family and one state per level for the force balance
     built = []
     post_init = SeparableState.__post_init__
     monkeypatch.setattr(SeparableState, "__post_init__", lambda state: built.append(state) or post_init(state))
     run_check_suites()
-    assert len(built) == sum(1 + d * d + d * (d - 1) for d in (s.dim for s in preset_systems().values())) == 55
-    assert all(state.quantum_numbers is None for state in built)
+    assert len(built) == 16 + sum(1 + d * d + d * (d - 1) for d in (s.dim for s in preset_systems().values())) == 71
+    assert all(state.quantum_numbers is None and state.is_family for state in built)
     for _ in range(2):  # cold, then warm
         built.clear()
         p_theta_spectrum_scan(10)
-        assert built == []
+        assert len(built) == 1 and built[0].is_family
+    built.clear()
     assert CliRunner().invoke(main, ["hydrogen-table", "--nmax", "6"]).exit_code == 0
-    assert len(built) == 21
+    assert len(built) == 22 and [state.is_family for state in built].count(True) == 1
 
 
 def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
@@ -650,6 +691,39 @@ def test_radial_moment_refuses_powers_it_cannot_honour():
             for power in (-(2 * L + 3), 21, 80):
                 with pytest.raises(DomainError):
                     radial_moment(qn, power)
+
+
+_BOOLEAN_INTEGERS = {
+    "QuantumNumbers": (lambda: QuantumNumbers(True, False, False), DomainError),
+    "assoc_legendre": (lambda: assoc_legendre(True, False, 0.3), DomainError),
+    "assoc_laguerre": (lambda: assoc_laguerre(1, True, 0.3), DomainError),
+    "gauss_legendre": (lambda: gauss_legendre(True), DomainError),
+    "periodic_rule": (lambda: periodic_rule(True), DomainError),
+    "QuadratureConfig": (lambda: QuadratureConfig(theta_order=True), ConfigurationError),
+    "trial_family": (lambda: trial_family(make_cartesian(), [2, False]), DomainError),
+    "random_bound_trial": (lambda: random_bound_trial(make_cartesian(), True), DomainError),
+    "p_theta_spectrum_scan": (lambda: p_theta_spectrum_scan(True), DomainError),
+    "radial_moment": (lambda: radial_moment(QuantumNumbers(2, 1, 0), True), DomainError),
+    "radial_moment-fraction": (lambda: radial_moment(QuantumNumbers(2, 1, 0), 1.5), DomainError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOOLEAN_INTEGERS))
+def test_an_integer_argument_refuses_a_bool_and_a_fraction(name):
+    # Python counts True and False as the integers 1 and 0; every integer argument refuses them
+    call, error = _BOOLEAN_INTEGERS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_an_integer_argument_takes_a_numpy_integer():
+    one, two = np.int64(1), np.int32(2)
+    assert radial_moment(QuantumNumbers(two, one, one), two) == radial_moment(QuantumNumbers(2, 1, 1), 2)
+    assert len(p_theta_spectrum_scan(one)) == 4 and gauss_legendre(two) is gauss_legendre(2)
+    assert random_bound_trial(make_cartesian(), two).norms(QuadratureConfig())[0] == pytest.approx(1.0, abs=1e-10)
+    # an array of seeds is a sequence of NumPy integers, once refused by its ambiguous truth value
+    as_array, as_range = trial_family(make_cartesian(), np.arange(3)), trial_family(make_cartesian(), range(3))
+    assert as_array.norms(QuadratureConfig()).tolist() == as_range.norms(QuadratureConfig()).tolist()
 
 
 def _count_trial_factor_calls(monkeypatch, counts: collections.Counter) -> None:

@@ -36,7 +36,7 @@ from curvimom.quadrature import (
 from curvimom.operators import canonical_momentum
 from curvimom.specfun import QuantumNumbers
 from curvimom.states import (
-    FactorFunction, SeparableState, StateFamily, hydrogen_family, hydrogen_state, trial_family
+    FactorFunction, SeparableState, hydrogen_family, hydrogen_state, trial_family
 )
 
 
@@ -353,7 +353,7 @@ def test_combine_axes_gives_each_member_the_bits_of_the_member_alone():
     decay = FactorFunction(
         lambda q: np.exp(-np.asarray(q)), lambda q: -np.exp(-np.asarray(q)), spec=ball.coords[0], scale=1.0
     )
-    families.append(StateFamily.of(SeparableState((decay,), ball)))
+    families.append(SeparableState((decay,), ball))
     for family in families:
         values, norms = family.tabulate(cfg)
         k, cases = len(norms[0]), [norms]

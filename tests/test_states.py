@@ -41,7 +41,6 @@ from curvimom.states import (
     FactorFunction,
     PhysicalConstants,
     SeparableState,
-    StateFamily,
     apply_phase_twist,
     hydrogen_family,
     hydrogen_state,
@@ -161,8 +160,8 @@ def test_angular_tables_are_shared_across_radial_scales():
     near = SeparableState((_counted(near_base.factors[0], calls[0]),) + angular, near_base.system)
     far = SeparableState((_counted(far_base.factors[0], calls[0]),) + angular, far_base.system)
     cfg = QuadratureConfig()
-    values_n, norms_n = StateFamily.of(near).tabulate(cfg)
-    values_f, norms_f = StateFamily.of(far).tabulate(cfg)
+    values_n, norms_n = near.tabulate(cfg)
+    values_f, norms_f = far.tabulate(cfg)
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
     for axis in (1, 2):
         assert values_n[axis] is values_f[axis] and norms_n[axis].tobytes() == norms_f[axis].tobytes()
@@ -173,7 +172,7 @@ def test_angular_tables_are_shared_across_radial_scales():
             with pytest.raises(ValueError):
                 vals[0] = 0.0
     # a second pass reads the memos
-    assert StateFamily.of(far).tabulate(cfg)[0][0] is values_f[0]
+    assert far.tabulate(cfg)[0][0] is values_f[0]
     assert calls == {0: [1, 1], 1: [1], 2: [1]}
 
 
@@ -391,8 +390,7 @@ def test_a_derived_factor_keeps_its_coordinate_and_scale(name):
     # accepts it; it starts an empty memo of its own on the base factor's rule
     cfg = QuadratureConfig()
     states_ = [hydrogen_state(QuantumNumbers(3, 1, 0)), random_bound_trial(make_cartesian(), 3)]
-    states_ += [SeparableState(trial_family(system, range(3)).factors, system)
-                for system in (make_spherical(), make_cylindrical())]
+    states_ += [trial_family(system, range(3)) for system in (make_spherical(), make_cylindrical())]
     for state in states_:
         for axis, base in enumerate(state.factors):
             if name == "phase-twisted" and base.spec.topology != "line":
@@ -439,7 +437,7 @@ def test_overlap_refuses_a_family():
     a, b = trial_family(cartesian, [1, 2, 3]), trial_family(cartesian, [4, 5, 6])
     lone = random_bound_trial(cartesian, 1)
     hydrogen = hydrogen_family([QuantumNumbers(1, 0, 0), QuantumNumbers(2, 0, 0)])
-    for pair in ((a, b), (a, lone), (lone, SeparableState(b.factors, cartesian)),
+    for pair in ((a, b), (a, lone), (lone, b),
                  (hydrogen, hydrogen_state(QuantumNumbers(1, 0, 0)))):
         with pytest.raises(ConfigurationError, match="not a family"):
             state_overlap(*pair)
@@ -614,7 +612,7 @@ def test_family_norms_are_the_combined_full_order_sums():
     qns = [QuantumNumbers(L + 1, L, M) for L in range(11) for M in range(-L, L + 1)]
     families = [hydrogen_family(qns)]
     families += [trial_family(system, range(900, 903)) for system in preset_systems().values()]
-    families.append(StateFamily.of(random_bound_trial(make_cartesian(), 4)))
+    families.append(random_bound_trial(make_cartesian(), 4))
     for cfg in (QuadratureConfig(), QuadratureConfig(8, 8, 8)):
         for family in families:
             sums = [axis_sums[:, 0].real.tolist() for axis_sums in family.tabulate(cfg)[1]]
