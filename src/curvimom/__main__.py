@@ -1,3 +1,3 @@
 from .cli import main
 
-main()
+raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""curvimom command line interface.
+"""curvimom command line interface: one argparse parser, built at import.
 
 Subcommands:
 
@@ -10,18 +10,18 @@ Subcommands:
 The library returns natural units (lengths in a0, momenta in hbar/a0 or
 hbar); each command applies the chosen units once, to the cells it prints.
 
-Exit codes: 0 success, 1 suite or scan failure, 2 usage error,
-3 reality-contract failure, 4 singular evaluation.
+Each command returns its exit code: 0 success, 1 suite or scan failure,
+2 usage error, 3 reality-contract failure, 4 singular evaluation; ``main``
+prints a refusal as ``error: ...`` on stderr.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
 import sys
 
-import click
 import numpy as np
 
 from . import __version__
@@ -66,80 +66,25 @@ def _in_units(value: float, unit: float) -> float:
     return scaled
 
 
-def _common_options(fn):
-    fn = click.option(
-        "--si-constants",
-        type=click.Path(exists=True, dir_okay=False),
-        default=None,
-        help="JSON file with keys hbar, m, e2; required with --units si.",
-    )(fn)
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv", "text"]),
-        default="text",
-        show_default=True,
-        help="Output format.",
-    )(fn)
-    order = click.IntRange(*ORDER_RANGE)
-    fn = click.option("--phi-order", type=order, default=QuadratureConfig.phi_order, show_default=True,
-                      help="Azimuthal quadrature points.")(fn)
-    fn = click.option("--theta-order", type=order, default=QuadratureConfig.theta_order, show_default=True,
-                      help="Polar quadrature order.")(fn)
-    fn = click.option("--radial-order", type=order, default=QuadratureConfig.radial_order, show_default=True,
-                      help="Radial quadrature order.")(fn)
-    fn = click.option(
-        "--units",
-        type=click.Choice(["atomic", "si"]),
-        default="atomic",
-        show_default=True,
-        help="Unit system for constants and output.",
-    )(fn)
-    return fn
+def _write(text: str) -> None:
+    """A command's whole output, written at once."""
+    sys.stdout.write(text + "\n")
 
 
-_seed_option = click.option(
-    "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Base seed for trial states."
-)
-
-
-def _resolve(units, radial_order, theta_order, phi_order, si_constants):
-    if (units == "si") != (si_constants is not None):
-        raise click.UsageError("--units si and --si-constants FILE must be given together")
-    constants = load_constants(si_constants) if units == "si" else ATOMIC
-    return QuadratureConfig(radial_order, theta_order, phi_order), constants
-
-
-def _translate_errors(fn):
-    """Map package errors onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            # non-finite results are reported as failures, not as numpy warnings
-            with np.errstate(all="ignore"):
-                return fn(*args, **kwargs)
-        except SingularityError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
-        except (DomainError, ConfigurationError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
+def _resolve(args):
+    if (args.units == "si") != (args.si_constants is not None):
+        raise DomainError("--units si and --si-constants FILE must be given together")
+    constants = load_constants(args.si_constants) if args.units == "si" else ATOMIC
+    return QuadratureConfig(args.radial_order, args.theta_order, args.phi_order), constants
 
 
 def _parse_operator(text: str, system):
     family, _, axis_name = text.partition(":")
     if family not in ("canonical", "naive") or not axis_name:
-        raise click.UsageError(
-            f"operator must look like 'canonical:r' or 'naive:x', got {text!r}"
-        )
+        raise DomainError(f"operator must look like 'canonical:r' or 'naive:x', got {text!r}")
     names = [spec.name for spec in system.coords]
     if axis_name not in names:
-        raise click.UsageError(
-            f"axis {axis_name!r} is not part of system {system.name!r} (axes: {', '.join(names)})"
-        )
+        raise DomainError(f"axis {axis_name!r} is not part of system {system.name!r} (axes: {', '.join(names)})")
     axis = names.index(axis_name)
     if family == "canonical":
         return canonical_momentum(system, axis)
@@ -156,9 +101,7 @@ _EXPECT_NMAX = 9
 def _parse_state(text: str, system, default_seed: int):
     family, _, rest = text.partition(":")
     if family not in _STATE_KEYS:
-        raise click.UsageError(
-            f"state must look like 'hydrogen:n=2,L=1,M=0' or 'trial:seed=42', got {text!r}"
-        )
+        raise DomainError(f"state must look like 'hydrogen:n=2,L=1,M=0' or 'trial:seed=42', got {text!r}")
     pairs: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
@@ -166,24 +109,24 @@ def _parse_state(text: str, system, default_seed: int):
             key = key.strip()
             if not sep or key not in _STATE_KEYS[family] or key in pairs:
                 keys = ", ".join(_STATE_KEYS[family])
-                raise click.UsageError(f"malformed state {text!r}: {family} takes {keys}, each at most once")
+                raise DomainError(f"malformed state {text!r}: {family} takes {keys}, each at most once")
             pairs[key] = value.strip()
     if family == "hydrogen":
         if system.name != "spherical":
-            raise click.UsageError("hydrogen states live on the spherical system")
+            raise DomainError("hydrogen states live on the spherical system")
         try:
             qn = QuantumNumbers(int(pairs["n"]), int(pairs["L"]), int(pairs["M"]))
         except KeyError as exc:
-            raise click.UsageError(f"hydrogen state needs n, L and M, missing {exc}")
+            raise DomainError(f"hydrogen state needs n, L and M, missing {exc}")
         except (ValueError, DomainError) as exc:
-            raise click.UsageError(f"invalid quantum numbers in {text!r}: {exc}")
+            raise DomainError(f"invalid quantum numbers in {text!r}: {exc}")
         if qn.n > _EXPECT_NMAX:
             raise DomainError(f"expect is verified on hydrogen states with n <= {_EXPECT_NMAX}, got n={qn.n}")
         return hydrogen_state(qn)
     try:
         seed = int(pairs.get("seed", default_seed))
     except ValueError as exc:
-        raise click.UsageError(f"invalid trial seed in {text!r}: {exc}")
+        raise DomainError(f"invalid trial seed in {text!r}: {exc}")
     return random_bound_trial(system, seed)
 
 
@@ -196,30 +139,10 @@ def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
         widths = {k: max(len(k), 20) for k in columns}
         lines = ["  ".join(k.ljust(widths[k]) for k in columns)]
         lines += ["  ".join(_fmt(row[key]).ljust(widths[key]) for key in columns) for row in rows]
-    click.echo("\n".join(lines))
+    _write("\n".join(lines))
 
 
-@click.group()
-@click.version_option(__version__, prog_name="curvimom")
-def main() -> None:
-    """Canonical momentum operators on curvilinear coordinates, checked by quadrature."""
-
-
-@main.command()
-@click.argument("operator")
-@click.argument("state")
-@click.option(
-    "--system",
-    "system_name",
-    type=click.Choice(sorted(preset_systems())),
-    default="spherical",
-    show_default=True,
-    help="Coordinate system the operator and state live on.",
-)
-@_common_options
-@_seed_option
-@_translate_errors
-def expect(operator, state, system_name, units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
+def expect(args) -> int:
     """Expectation value of OPERATOR on STATE.
 
     OPERATOR looks like 'canonical:r' or 'naive:theta'; STATE like
@@ -227,11 +150,11 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
     hermiticity defect breaks the reality contract, and 2 when the state's
     norm misses 1 by more than 1e-10 at the orders in use.
     """
-    config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
-    system = preset_systems()[system_name]
-    op = _parse_operator(operator, system)
-    st = _parse_state(state, system, seed)
-    require_normalised(st, config, state)
+    config, constants = _resolve(args)
+    system = preset_systems()[args.system]
+    op = _parse_operator(args.operator, system)
+    st = _parse_state(args.state, system, args.seed)
+    require_normalised(st, config, args.state)
     report = expectation(op, st, config)
 
     unit = momentum_unit(op.kind, constants)
@@ -242,27 +165,21 @@ def expect(operator, state, system_name, units, radial_order, theta_order, phi_o
         "boundary_term": report.boundary_term,
         "quad_error": report.quadrature_error,
     }
-    payload = {"command": "expect", **{key: _in_units(x, unit) for key, x in natural.items()}, "units": units}
-    if fmt != "text":
-        _emit_rows(fmt, list(payload), [payload])
+    payload = {"command": "expect", **{key: _in_units(x, unit) for key, x in natural.items()}, "units": args.units}
+    if args.format != "text":
+        _emit_rows(args.format, list(payload), [payload])
     else:
-        fields = {"operator": operator, "state": state, "system": system_name,
+        fields = {"operator": args.operator, "state": args.state, "system": args.system,
                   "value": f"{_fmt(payload['value_re'])} + {_fmt(payload['value_im'])} i",
-                  **{key: _fmt(payload[key]) for key in ("defect", "boundary_term", "quad_error")}, "units": units}
-        click.echo("\n".join(f"{key + ':':<15}{text}" for key, text in fields.items()))
-    if not abs(report.hermiticity_defect) <= reality_tolerance(report):  # a NaN defect fails too
-        sys.exit(3)
+                  **{key: _fmt(payload[key]) for key in ("defect", "boundary_term", "quad_error")},
+                  "units": args.units}
+        _write("\n".join(f"{key + ':':<15}{text}" for key, text in fields.items()))
+    return 0 if abs(report.hermiticity_defect) <= reality_tolerance(report) else 3  # a NaN defect fails too
 
 
-@main.command("hydrogen-table")
-@click.option(
-    "--nmax", type=click.IntRange(1, 6), default=4, show_default=True, help="Largest principal quantum number."
-)
-@_common_options
-@_translate_errors
-def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_constants):
+def hydrogen_table(args) -> int:
     """Hydrogen moment table: quadrature vs closed forms per (n, L) level."""
-    config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
+    config, constants = _resolve(args)
     system = preset_systems()["spherical"]
     # the unit of each number column, in column order
     lengths = {"inv_r2_quad": -2, "inv_r2_closed": -2, "inv_r3_quad": -3, "inv_r3_closed": -3}
@@ -270,9 +187,9 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
     column_units.update(residual=constants.e2 * constants.length_unit(-2), p_r=momentum_unit("linear", constants),
                         p_theta=momentum_unit("angular", constants))
 
-    states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, nmax + 1) for L in range(n)]
+    states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, args.nmax + 1) for L in range(n)]
     family = hydrogen_family([state.quantum_numbers for state in states])
-    require_normalised(family, config, f"a state of the n <= {nmax} hydrogen table")
+    require_normalised(family, config, f"a state of the n <= {args.nmax} hydrogen table")
     p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
     # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>
     inv_r2s, inv_r3s = (family.moments(0, lambda r: r**p, config) for p in (-2.0, -3.0))
@@ -287,19 +204,16 @@ def hydrogen_table(nmax, units, radial_order, theta_order, phi_order, fmt, si_co
         row.update(p_r=rep_r.value.real, p_theta=rep_theta.value.real)
         cells = {key: _in_units(row[key], unit) if key in row else None for key, unit in column_units.items()}
         rows.append({"n": qn.n, "L": qn.L, **cells})
-    _emit_rows(fmt, ["n", "L", *column_units], rows)
+    _emit_rows(args.format, ["n", "L", *column_units], rows)
+    return 0
 
 
-@main.command()
-@_common_options
-@_seed_option
-@_translate_errors
-def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
+def check(args) -> int:
     """Run the full invariant suite; exits 1 if any suite fails."""
-    config, _ = _resolve(units, radial_order, theta_order, phi_order, si_constants)  # suites need no units
-    results = run_check_suites(config, seed)
+    config, _ = _resolve(args)  # suites need no units
+    results = run_check_suites(config, args.seed)
 
-    if fmt != "text":
+    if args.format != "text":
         columns = ["suite", "passed", "checks", "failures", "worst"]
         rows = [
             {"command": "check", "suite": res.name, "passed": res.passed, "checks": res.checks,
@@ -307,7 +221,7 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
             for res in results
         ]
         # json rows name their command; the csv header does not
-        _emit_rows(fmt, ["command"] + columns if fmt == "json" else columns, rows)
+        _emit_rows(args.format, ["command"] + columns if args.format == "json" else columns, rows)
     else:
         lines = [
             f"{res.name:<24} {'PASS' if res.passed else 'FAIL'}  checks={res.checks:<5d} "
@@ -316,21 +230,14 @@ def check(units, radial_order, theta_order, phi_order, fmt, seed, si_constants):
         ]
         failed = sum(1 for res in results if not res.passed)
         lines.append(f"{failed} suite(s) failed" if failed else "all suites passed")
-        click.echo("\n".join(lines))
-    if any(not res.passed for res in results):
-        sys.exit(1)
+        _write("\n".join(lines))
+    return 1 if any(not res.passed for res in results) else 0
 
 
-@main.command("p-theta-scan")
-@click.option(
-    "--lmax", type=click.IntRange(*LMAX_RANGE), default=6, show_default=True, help="Largest angular momentum L."
-)
-@_common_options
-@_translate_errors
-def p_theta_scan(lmax, units, radial_order, theta_order, phi_order, fmt, si_constants):
+def p_theta_scan(args) -> int:
     """Scan <p_theta> over eigenstates up to --lmax; exits 1 on any residual."""
-    config, constants = _resolve(units, radial_order, theta_order, phi_order, si_constants)
-    rows = p_theta_spectrum_scan(lmax, config)
+    config, constants = _resolve(args)
+    rows = p_theta_spectrum_scan(args.lmax, config)
 
     columns = ["L", "M", "p_theta_re", "p_theta_im", "quad_error"]
     hbar = momentum_unit("angular", constants)
@@ -344,10 +251,78 @@ def p_theta_scan(lmax, units, radial_order, theta_order, phi_order, fmt, si_cons
         }
         for row in rows
     ]
-    _emit_rows(fmt, columns, table)
-    if any(not abs(row.value) <= 1e-9 for row in rows):  # a NaN value fails too
-        sys.exit(1)
+    _emit_rows(args.format, columns, table)
+    return 0 if all(abs(row.value) <= 1e-9 for row in rows) else 1  # a NaN value fails too
+
+
+def _int_range(low: int, high: float = math.inf):
+    """An argparse type: an int in [low, high]."""
+
+    def integer(text: str) -> int:
+        if not low <= int(text) <= high:
+            raise argparse.ArgumentTypeError(f"{text} is not in [{low}, {high}]")
+        return int(text)
+
+    return integer
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="curvimom", allow_abbrev=False,
+        description="Canonical momentum operators on curvilinear coordinates, checked by quadrature.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    order, seed = _int_range(*ORDER_RANGE), _int_range(0)
+
+    def command(name: str, run, seeded: bool = False) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__,
+                                  allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sub.set_defaults(run=run)
+        sub.add_argument("--units", choices=["atomic", "si"], default="atomic",
+                         help="Unit system for constants and output.")
+        for axis, text in (("radial", "Radial quadrature order."), ("theta", "Polar quadrature order."),
+                           ("phi", "Azimuthal quadrature points.")):
+            sub.add_argument(f"--{axis}-order", type=order, default=getattr(QuadratureConfig, f"{axis}_order"),
+                             help=text)
+        sub.add_argument("--format", choices=["json", "csv", "text"], default="text", help="Output format.")
+        sub.add_argument("--si-constants", metavar="PATH",
+                         help="JSON file with keys hbar, m, e2; required with --units si.")
+        if seeded:
+            sub.add_argument("--seed", type=seed, default=0, help="Base seed for trial states.")
+        return sub
+
+    sub = command("expect", expect, seeded=True)
+    sub.add_argument("operator", metavar="OPERATOR")
+    sub.add_argument("state", metavar="STATE")
+    sub.add_argument("--system", choices=sorted(preset_systems()), default="spherical",
+                     help="Coordinate system the operator and state live on.")
+    command("hydrogen-table", hydrogen_table).add_argument(
+        "--nmax", type=_int_range(1, 6), default=4, help="Largest principal quantum number.")
+    command("check", check, seeded=True)
+    command("p-theta-scan", p_theta_scan).add_argument(
+        "--lmax", type=_int_range(*LMAX_RANGE), default=6, help="Largest angular momentum L.")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit code; argparse
+    itself exits 2 on a malformed command line and 0 after ``--help`` or ``--version``."""
+    args = _PARSER.parse_args(argv)
+    try:
+        # non-finite results are reported as failures, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.run(args)
+    except (SingularityError, DomainError, ConfigurationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4 if isinstance(exc, SingularityError) else 2
+
+
+# perfbench's runner calls main.main(args=..., prog_name=...) and expects SystemExit with the code
+main.main = lambda args=None, prog_name="curvimom": sys.exit(main(args))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

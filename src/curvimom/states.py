@@ -91,8 +91,8 @@ def load_constants(path: str) -> PhysicalConstants:
     """Read constants from a JSON file with keys hbar, m, e2.
 
     Raises:
-        ConfigurationError: if the file is not a JSON object holding a
-            positive number under each key; a boolean or a string is not a number.
+        ConfigurationError: if the file cannot be read, or is not a JSON object
+            holding a positive number under each key; a boolean or a string is not a number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -101,6 +101,8 @@ def load_constants(path: str) -> PhysicalConstants:
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise TypeError(f"got {values!r}")
         values = [float(v) for v in values]
+    except OSError as exc:
+        raise ConfigurationError(f"constants file {path!r} cannot be read: {exc.strerror or exc}") from exc
     except KeyError as exc:
         raise ConfigurationError(f"constants file {path!r} is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

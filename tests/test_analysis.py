@@ -14,9 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from curvimom.cli import main
+from cli_runner import invoke
 from curvimom.errors import (
     ConfigurationError, DomainError, PreconditionError, UnsupportedAxisError, UnsupportedStateError
 )
@@ -165,7 +164,7 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
     family.moments(0, np.reciprocal, QuadratureConfig())
     trial_family(make_spherical(), range(4))
     assert all(result.passed for result in run_check_suites())
-    assert CliRunner().invoke(main, ["hydrogen-table"]).exit_code == 0
+    assert invoke("hydrogen-table").exit_code == 0
     assert rule_calls == [0]
 
 
@@ -213,7 +212,7 @@ def test_families_build_no_member_states(monkeypatch):
         p_theta_spectrum_scan(10)
         assert len(built) == 1 and built[0].is_family
     built.clear()
-    assert CliRunner().invoke(main, ["hydrogen-table", "--nmax", "6"]).exit_code == 0
+    assert invoke("hydrogen-table", "--nmax", "6").exit_code == 0
     assert len(built) == 22 and [state.is_family for state in built].count(True) == 1
 
 
@@ -540,12 +539,11 @@ def test_defect_law_carries_physical_units(tmp_path):
     si = PhysicalConstants(hbar=1.054571817e-34, m=9.1093837015e-31, e2=2.3070775523e-28)
     path = tmp_path / "si.json"
     path.write_text(json.dumps({"hbar": si.hbar, "m": si.m, "e2": si.e2}))
-    runner = CliRunner()
     rows = {}
     for kind in ("naive", "canonical"):
         argv = ["expect", f"{kind}:r", "hydrogen:n=2,L=0,M=0", "--format", "json", "--units", "si",
                 "--si-constants", str(path)]
-        result = runner.invoke(main, argv)
+        result = invoke(*argv)
         assert result.exit_code == (3 if kind == "naive" else 0), result.output
         rows[kind] = json.loads(result.stdout)
     assert rows["naive"]["defect"] == pytest.approx(si.hbar / (4.0 * si.a0), rel=1e-9)
@@ -584,14 +582,13 @@ _UNIT_SYSTEMS = {
 def test_check_suites_are_unit_covariant(tmp_path):
     # the suites work in units of a0 and hbar, so check prints the atomic
     # bytes in every unit system the constants check accepts
-    runner = CliRunner()
-    atomic = runner.invoke(main, ["check", "--seed", "3", "--format", "json"])
+    atomic = invoke("check", "--seed", "3", "--format", "json")
     assert atomic.exit_code == 0, atomic.output
     for label, (hbar, m, e2) in _UNIT_SYSTEMS.items():
         path = tmp_path / f"{label}.json"
         path.write_text(json.dumps({"hbar": hbar, "m": m, "e2": e2}))
         argv = ["check", "--seed", "3", "--format", "json", "--units", "si", "--si-constants", str(path)]
-        result = runner.invoke(main, argv)
+        result = invoke(*argv)
         assert result.exit_code == 0, (label, result.output)
         assert result.stdout_bytes == atomic.stdout_bytes, label
     for end in ("smallest-a0", "largest-a0"):  # one float further is refused
@@ -612,9 +609,9 @@ def test_outputs_are_finite_or_refused_in_every_accepted_unit_system(label, tmp_
     argvs += [["expect", f"{kind}:{axis}", "hydrogen:n=3,L=2,M=1", *units]
               for kind in ("canonical", "naive") for axis in ("r", "theta", "phi")]
     argvs += [["expect", "canonical:x", f"trial:seed={seed}", "--system", "cartesian", *units] for seed in (0, 1)]
-    runner, refused = CliRunner(), 0
+    refused = 0
     for argv in argvs:
-        result = runner.invoke(main, argv)
+        result = invoke(*argv)
         assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
         if result.exit_code == 2:
             assert result.stdout == "", argv

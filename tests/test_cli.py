@@ -2,12 +2,13 @@
 
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 
 import curvimom
 import curvimom.cli as cli_module
@@ -18,11 +19,6 @@ from curvimom.errors import SingularityError
 from curvimom.geometry import preset_systems
 from curvimom.operators import momentum_unit
 from curvimom.states import hydrogen_state, load_constants
-
-
-def invoke(*args, **kwargs):
-    runner = CliRunner()
-    return runner.invoke(main, list(args), **kwargs)
 
 
 def test_expect_json_payload_and_key_order():
@@ -148,8 +144,36 @@ def test_negative_trial_seed_is_a_usage_error():
 
 
 def test_seed_is_only_accepted_where_it_is_used():
-    assert invoke("hydrogen-table", "--seed", "1").exit_code == 2
-    assert invoke("p-theta-scan", "--seed", "1").exit_code == 2
+    for command in ("hydrogen-table", "p-theta-scan"):
+        result = invoke(command, "--seed", "1")
+        assert result.exit_code == 2 and result.stdout == "", (command, result.output)
+        assert "--seed" in result.stderr
+
+
+def test_abbreviated_options_are_refused():
+    # only whole option names are taken, never a unique prefix of one
+    for option in (("--radial", "8"), ("--form", "json"), ("--sys", "spherical"), ("--si", "x.json")):
+        result = invoke("expect", "canonical:r", "hydrogen:n=1,L=0,M=0", *option)
+        assert result.exit_code == 2 and result.stdout == "", (option, result.output)
+    for args in (("hydrogen-table", "--nm", "2"), ("p-theta-scan", "--lm", "2"), ("check", "--se", "1")):
+        result = invoke(*args)
+        assert result.exit_code == 2 and result.stdout == "", (args, result.output)
+
+
+_SHARED_OPTIONS = ("--units", "--radial-order", "--theta-order", "--phi-order", "--format", "--si-constants")
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [("expect", ("OPERATOR", "STATE", "--system", "--seed")), ("hydrogen-table", ("--nmax",)),
+     ("check", ("--seed",)), ("p-theta-scan", ("--lmax",))],
+)
+def test_each_command_help_names_its_options(command, own):
+    result = invoke(command, "--help")
+    assert result.exit_code == 0 and result.stderr == "", result.output
+    for option in _SHARED_OPTIONS + own:
+        assert option in result.stdout, (command, option)
+    assert ("--seed" in result.stdout) == ("--seed" in own)
 
 
 @pytest.mark.parametrize(
@@ -177,6 +201,16 @@ def test_malformed_constants_file_is_a_usage_error(tmp_path, text):
     )
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error: ")
+
+
+def test_unreadable_constants_file_is_a_usage_error(tmp_path):
+    # a missing path or a directory is refused as a malformed file is
+    for path in (tmp_path / "missing.json", tmp_path):
+        result = invoke(
+            "expect", "canonical:r", "hydrogen:n=1,L=0,M=0", "--units", "si", "--si-constants", str(path)
+        )
+        assert result.exit_code == 2 and result.stdout == "", result.output
+        assert result.output.startswith("error: ")
 
 
 def test_non_finite_defect_breaks_reality_contract(tmp_path, monkeypatch):
@@ -280,8 +314,8 @@ def test_hydrogen_table_builds_each_level_once(monkeypatch):
 
 def test_tables_are_written_at_once(monkeypatch):
     echoes = []
-    echo = click.echo
-    monkeypatch.setattr(click, "echo", lambda *args, **kwargs: echoes.append(args) or echo(*args, **kwargs))
+    write = cli_module._write
+    monkeypatch.setattr(cli_module, "_write", lambda text: echoes.append(text) or write(text))
     for args in (("hydrogen-table", "--nmax", "6"), ("p-theta-scan", "--lmax", "10")):
         for fmt in ("text", "csv", "json"):
             echoes.clear()
@@ -550,5 +584,22 @@ def test_si_constants_without_si_units_is_a_usage_error():
 
 def test_version_and_lmax_cap_come_from_the_library():
     assert invoke("--version").stdout == f"curvimom, version {curvimom.__version__}\n"
-    lmax = next(p for p in main.commands["p-theta-scan"].params if p.name == "lmax")
-    assert (lmax.type.min, lmax.type.max) == LMAX_RANGE
+    low, high = LMAX_RANGE
+    for lmax, code in ((low - 1, 2), (low, 0), (high, 0), (high + 1, 2)):
+        result = invoke("p-theta-scan", "--lmax", str(lmax), "--format", "csv")
+        assert result.exit_code == code, (lmax, result.output)
+        assert len(result.stdout.splitlines()) == (1 + (lmax + 1) ** 2 if code == 0 else 0), lmax
+
+
+def test_main_alias_and_module_entry_exit_with_the_command_code(monkeypatch, capsys):
+    # perfbench's runner calls main.main(args=..., prog_name=...) and python -m curvimom runs
+    # main(): both end in SystemExit with the command's exit code
+    for argv, code in ((["expect", "naive:r", "hydrogen:n=1,L=0,M=0"], 3), (["expect", "bogus:r", "trial:"], 2),
+                       (["--version"], 0)):
+        with pytest.raises(SystemExit) as alias:
+            main.main(args=argv, prog_name="curvimom")
+        monkeypatch.setattr(sys, "argv", ["curvimom", *argv])
+        with pytest.raises(SystemExit) as module:
+            runpy.run_module("curvimom", run_name="__main__")
+        assert alias.value.code == module.value.code == code, argv
+    assert capsys.readouterr().out.endswith(f"curvimom, version {curvimom.__version__}\n" * 2)

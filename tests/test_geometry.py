@@ -1,5 +1,6 @@
 """Coordinate systems, weights, measure factors and drifts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,52 @@ def test_drift_matches_log_derivative_of_measure_factor():
         fd = (np.log(mf.value(q + h)) - np.log(mf.value(q - h))) / (2.0 * h)
         assert np.max(np.abs(mf.drift(q) - fd)) <= 1e-7 * np.max(np.abs(fd))
 
+
+
+def _embedding(sp, name):
+    # each preset's map x(q) into Cartesian space, coordinates in the preset's axis order
+    x, y, z, r, theta, phi, rho = sp.symbols("x y z r theta phi rho", real=True)
+    return {
+        "cartesian": ((x, y, z), (x, y, z)),
+        "spherical": ((r, theta, phi),
+                      (r * sp.sin(theta) * sp.cos(phi), r * sp.sin(theta) * sp.sin(phi), r * sp.cos(theta))),
+        "cylindrical": ((rho, phi, z), (rho * sp.cos(phi), rho * sp.sin(phi), z)),
+        "plane-polar": ((r, phi), (r * sp.cos(phi), r * sp.sin(phi))),
+    }[name]
+
+
+# interior sample points of each topology's domain (compact ones as fractions of it)
+_SAMPLES = {"line": (-1.3, 0.4), "half-line": (0.35, 2.7), "compact-periodic": (0.23, 0.71),
+            "compact-nonperiodic": (0.23, 0.71)}
+
+
+@pytest.mark.parametrize("name", sorted(preset_systems()))
+def test_weights_and_drifts_follow_from_the_embedding(name):
+    # the paper reads each p_q from the metric of the map x(q), independently of WEIGHTS:
+    # g = J^T J is diagonal, ln sqrt(g) has no mixed second derivatives, so sqrt(g) is a
+    # product of one factor per coordinate, and that factor is the preset's weight w_i,
+    # with drift w_i'/(2 w_i) = (1/2) d/dq_i ln sqrt(g)
+    sp = pytest.importorskip("sympy")
+    system = preset_systems()[name]
+    q, x = _embedding(sp, name)
+    assert [spec.name for spec in system.coords] == [str(qi) for qi in q]
+    jacobian = sp.Matrix(x).jacobian(q)
+    metric = sp.simplify(jacobian.T * jacobian)
+    assert metric.is_diagonal(), metric
+    log_root_g = sum(sp.log(metric[i, i]) for i in range(len(q))) / 2
+    for i, j in itertools.combinations(range(len(q)), 2):
+        assert sp.simplify(sp.diff(log_root_g, q[i], q[j])) == 0, (q[i], q[j])
+    root_g = sp.lambdify(q, sp.sqrt(sp.prod(metric[i, i] for i in range(len(q)))), "math")
+    drifts = [sp.lambdify(q, sp.diff(log_root_g, qi) / 2, "math") for qi in q]
+    samples = [
+        [s.lower + t * (s.upper - s.lower) if math.isfinite(s.upper - s.lower) else t for t in _SAMPLES[s.topology]]
+        for s in system.coords
+    ]
+    for point in itertools.product(*samples):
+        weights = [float(spec.weight.value(qi)) for spec, qi in zip(system.coords, point)]
+        assert math.prod(weights) == pytest.approx(root_g(*point), rel=1e-14), point
+        for spec, qi, drift in zip(system.coords, point, drifts):
+            assert float(measure_factor(spec).drift(qi)) == pytest.approx(drift(*point), rel=1e-13, abs=1e-15)
 
 def test_drift_singular_where_weight_vanishes():
     sph = make_spherical()

@@ -8,11 +8,10 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from curvimom import analysis, geometry, operators, specfun, states
 from curvimom.analysis import run_check_suites
-from curvimom.cli import main
 
 
 @pytest.fixture(autouse=True)
@@ -157,7 +156,7 @@ def test_planted_defect_fails_its_suites(monkeypatch, name):
 def test_complemented_boundary_term_fails_check(monkeypatch):
     # the surface-term identity is read by check itself, not only by a unit test
     _complement_boundary_term(monkeypatch)
-    result = CliRunner().invoke(main, ["check", "--format", "json"])
+    result = invoke("check", "--format", "json")
     assert result.exit_code == 1, result.output
     rows = [row for row in map(json.loads, result.stdout.splitlines()) if not row["passed"]]
     assert [row["suite"] for row in rows] == ["reality-scan"]

@@ -230,6 +230,13 @@ def test_constants_must_be_json_numbers(tmp_path):
     assert (constants.hbar, constants.a0) == (2.0, 4.0) and type(constants.m) is float
 
 
+
+def test_an_unreadable_constants_file_is_a_configuration_error(tmp_path):
+    # a missing path or a directory is refused as a malformed file is, not as a raw OSError
+    for path, reason in ((tmp_path / "missing.json", "No such file"), (tmp_path, "Is a directory")):
+        with pytest.raises(ConfigurationError, match=f"cannot be read: {reason}"):
+            load_constants(str(path))
+
 def test_a_factor_must_name_its_scale():
     # a factor's coordinate and scale pick the rule its tables sit on: there is no default to fall back on
     factor = hydrogen_state(QuantumNumbers(2, 1, 0)).factors[0]
