@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,10 +36,9 @@ from .operators import (
     canonical_momentum,
     commutator_pp_residual,
     commutator_qp_residual,
-    l_squared_expectation,
     naive_momentum,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, combine_axes, contract_rows
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, combine_axes
 from . import specfun  # the Legendre suites read the climb through the module, so a patched one shows
 from .specfun import QuantumNumbers
 from .states import (
@@ -149,13 +149,12 @@ def expectations(
     op: MomentumOperator, state: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> list[ExpectationReport]:
     """<psi| p |psi> with reality diagnostics on every member of ``state``, k reports for a family:
-    one table and one contraction per axis, then every member's value, estimate and surface term at
-    once as arrays, in natural units, on each factor's own rule; PreconditionError unless normalized."""
+    each axis's norms and the operator axis's momentum sums, read from the factors' memos, then every
+    member's value, estimate and surface term at once as arrays, in natural units, on each factor's
+    own rule; PreconditionError unless normalized."""
     values, norms = _checked(state).tabulate(config)
     factor, table = state.factors[op.axis], values[op.axis]
-    # conj(f) (p f) on the axis's nodes, from the value and derivative tables
-    rule, slopes = factor.rule(config), factor.derivative_table(config)
-    moments = contract_rows(rule, np.conj(table) * -1j * (slopes + op.drift(rule.nodes) * table))
+    rule, moments = factor.rule(config), factor.momentum_sums(config, op.drift)
     value, qerr = combine_axes(norms[: op.axis] + (moments,) + norms[op.axis + 1 :])
     spec, zero_ends = factor.spec, measure_factor(factor.spec).zero_ends
 
@@ -279,14 +278,13 @@ def force_balance(qn: QuantumNumbers, config: QuadratureConfig = DEFAULT_CONFIG)
         raise DomainError("force balance needs L >= 1")
     state = hydrogen_state(qn)
     inv_r2, inv_r3 = (state.moments(0, lambda r: r**p, config)[0] for p in (-2.0, -3.0))
-    return _force_balance(state, inv_r2, inv_r3)
+    return _force_balance(qn, inv_r2, inv_r3)
 
 
-def _force_balance(state: SeparableState, inv_r2_q: float, inv_r3_q: float) -> ForceBalanceReport:
-    # force_balance on a hydrogen state the caller already holds, from its quadrature <1/r^2>
-    # and <1/r^3>; both forces are in e^2 / a0^2, which is hbar^2 / (m a0^3)
-    qn = state.quantum_numbers
-    centrifugal = l_squared_expectation(state) * inv_r3_q
+def _force_balance(qn: QuantumNumbers, inv_r2_q: float, inv_r3_q: float) -> ForceBalanceReport:
+    # force_balance on level qn from its quadrature <1/r^2> and <1/r^3>, with <L^2> = L(L+1)
+    # hbar^2; both forces are in e^2 / a0^2, which is hbar^2 / (m a0^3)
+    centrifugal = float(qn.L * (qn.L + 1)) * inv_r3_q
     residual = centrifugal - inv_r2_q
     return ForceBalanceReport(
         n=qn.n,
@@ -310,6 +308,13 @@ def naive_ehrenfest_residual(qn: QuantumNumbers, config: QuadratureConfig = DEFA
     return -radial_moment(qn, -2, config=config)
 
 
+@lru_cache(maxsize=LMAX_RANGE[1] + 1)
+def _scan_levels(l_max: int) -> tuple[tuple[QuantumNumbers, ...], SeparableState]:
+    # the scan's levels n = L + 1, L <= l_max, and their family, built once per accepted l_max
+    qns = tuple(QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1))
+    return qns, hydrogen_family(qns)
+
+
 def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CONFIG) -> list[ScanRow]:
     """<p_theta> on the circular-ish levels (n = L+1) for L <= l_max, in units of hbar.
 
@@ -321,8 +326,7 @@ def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CON
     """
     if not is_integer(l_max) or not LMAX_RANGE[0] <= l_max <= LMAX_RANGE[1]:
         raise DomainError(f"l_max must be an integer in {list(LMAX_RANGE)}, got {l_max!r}")
-    qns = [QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)]
-    family = hydrogen_family(qns)
+    qns, family = _scan_levels(l_max)
     require_normalised(family, config, f"a state of the L <= {l_max} scan")
     reports = expectations(canonical_momentum(make_spherical(), 1), family, config)
     return [ScanRow(qn.L, qn.M, rep.value, rep.quadrature_error) for qn, rep in zip(qns, reports)]

@@ -43,16 +43,15 @@ from .quadrature import ORDER_RANGE, QuadratureConfig
 from .specfun import QuantumNumbers
 from .states import ATOMIC, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
 
-_FLOAT_FMT = "{:.12e}"
+
+def _conversion(value) -> str:
+    """One output cell's %-conversion: floats as %.12e, None empty, anything else str()."""
+    return ".12e" if isinstance(value, float) else ".0s" if value is None else "s"
 
 
 def _fmt(value) -> str:
-    """One output cell: floats as %.12e, None empty, anything else str()."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _FLOAT_FMT.format(value)
-    return str(value)
+    """One output cell as text, by its ``_conversion``."""
+    return f"%{_conversion(value)}" % (value,)
 
 
 def _in_units(value: float, unit: float) -> float:
@@ -133,12 +132,16 @@ def _parse_state(text: str, system, default_seed: int):
 def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
     if fmt == "json":
         lines = [json.dumps({k: row[k] for k in columns}) for row in rows]
-    elif fmt == "csv":
-        lines = [",".join(columns)] + [",".join(_fmt(row[key]) for key in columns) for row in rows]
     else:
-        widths = {k: max(len(k), 20) for k in columns}
-        lines = ["  ".join(k.ljust(widths[k]) for k in columns)]
-        lines += ["  ".join(_fmt(row[key]).ljust(widths[key]) for key in columns) for row in rows]
+        # each row through one %-template, made once per sequence of cell types; text pads each cell to its column
+        sep, pads = (",", [""] * len(columns)) if fmt == "csv" else ("  ", [f"-{max(len(k), 20)}" for k in columns])
+        lines, templates = [sep.join(f"%{pad}s" % key for key, pad in zip(columns, pads))], {}
+        for row in rows:
+            cells = tuple(map(row.__getitem__, columns))
+            kinds = tuple(map(type, cells))
+            if kinds not in templates:
+                templates[kinds] = sep.join(f"%{pad}{_conversion(cell)}" for pad, cell in zip(pads, cells))
+            lines.append(templates[kinds] % cells)
     _write("\n".join(lines))
 
 
@@ -187,19 +190,18 @@ def hydrogen_table(args) -> int:
     column_units.update(residual=constants.e2 * constants.length_unit(-2), p_r=momentum_unit("linear", constants),
                         p_theta=momentum_unit("angular", constants))
 
-    states = [hydrogen_state(QuantumNumbers(n, L, 0)) for n in range(1, args.nmax + 1) for L in range(n)]
-    family = hydrogen_family([state.quantum_numbers for state in states])
+    qns = [QuantumNumbers(n, L, 0) for n in range(1, args.nmax + 1) for L in range(n)]
+    family = hydrogen_family(qns)
     require_normalised(family, config, f"a state of the n <= {args.nmax} hydrogen table")
     p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
     # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>
     inv_r2s, inv_r3s = (family.moments(0, lambda r: r**p, config) for p in (-2.0, -3.0))
 
     rows = []
-    for state, rep_r, rep_theta, inv_r2, inv_r3 in zip(states, p_r, p_theta, inv_r2s, inv_r3s):
-        qn = state.quantum_numbers
+    for qn, rep_r, rep_theta, inv_r2, inv_r3 in zip(qns, p_r, p_theta, inv_r2s, inv_r3s):
         row = {"inv_r2_quad": inv_r2, "inv_r2_closed": inv_r2_closed_form(qn)}
         if qn.L >= 1:
-            fb = _force_balance(state, inv_r2, inv_r3)
+            fb = _force_balance(qn, inv_r2, inv_r3)
             row.update(inv_r3_quad=fb.inv_r3_quad, inv_r3_closed=fb.inv_r3_closed, residual=fb.residual)
         row.update(p_r=rep_r.value.real, p_theta=rep_theta.value.real)
         cells = {key: _in_units(row[key], unit) if key in row else None for key, unit in column_units.items()}

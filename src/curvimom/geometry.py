@@ -153,6 +153,11 @@ class MeasureFactor:
         return self._w.deriv(q) / (2.0 * w)
 
 
+def _zero_drift(q):
+    # the naive operator's drift, 0 at every q; the factor memos keep its sums beside the canonical ones
+    return q * 0.0
+
+
 @lru_cache(maxsize=64)
 def measure_factor(spec: CoordinateSpec) -> MeasureFactor:
     """Measure factor object for one coordinate, shared per spec."""

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedStateError
-from .geometry import CoordinateSystem, measure_factor
+from .geometry import CoordinateSystem, _zero_drift, measure_factor
 from .states import PhysicalConstants, SeparableState
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
     "commutator_pp_residual",
     "l_squared_expectation",
 ]
-
-def _zero_drift(q):
-    return q * 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class MomentumOperator:

@@ -3,8 +3,8 @@
 Every state is a product of one-coordinate factors, each carrying its own
 analytic derivative, so momentum operators act factor by factor without any
 numerical differentiation of the state itself.  Factors keep their own value
-and derivative tables, and hydrogen factors come from bounded caches, so
-states share both.  A family of k states is one state whose factors give (k, n)
+and derivative tables and momentum sums, and hydrogen factors come from bounded
+caches, so states share them all.  A family of k states is one state whose factors give (k, n)
 tables: a trial family's evaluate every member at once, a hydrogen family's stack
 its members' shared factors.  Moments such as <1/r^p> are sums over those same value
 tables.  Lengths are in units of a0: physical constants only convert outputs.
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError, is_integer
-from .geometry import CoordinateSpec, CoordinateSystem, make_spherical
+from .geometry import CoordinateSpec, CoordinateSystem, _zero_drift, make_spherical, measure_factor
 from .quadrature import (
     DEFAULT_CONFIG, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
 )
@@ -124,10 +124,11 @@ class FactorFunction:
     parts: tuple = field(default=(), repr=False, compare=False)
     spec: CoordinateSpec = field(kw_only=True)
     scale: float | tuple = field(kw_only=True)
-    # the rules' and tables' memos, keyed on the config's order for ``spec``
+    # the rules' and tables' memos, keyed on the config's order for ``spec``, the momentum sums' on it and the drift
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _momenta: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def derived(self, evaluate: Callable, derivative: Callable) -> "FactorFunction":
         """A new factor with these callables on this one's coordinate and scale, its memos empty."""
@@ -173,6 +174,24 @@ class FactorFunction:
             slopes.setflags(write=False)
             self._derivatives[order] = slopes
         return slopes
+
+    def momentum_sums(self, config: QuadratureConfig, drift: Callable) -> np.ndarray:
+        """The read-only (k, 2) (full, half) sums of conj(f) -i (f' + drift f) of its k rows, from
+        ``table`` and ``derivative_table``; a stack concatenates its parts'.  They are kept only for
+        the drifts an operator carries, the canonical one of ``spec`` and the naive zero, so at most
+        two per order: any other drift is summed afresh on every call."""
+        key = (config.order_for(self.spec), drift)
+        sums = self._momenta.get(key)
+        if sums is None:
+            if self.parts:
+                sums = np.concatenate([f.momentum_sums(config, drift) for f in self.parts])
+            else:
+                rule, values, slopes = self.rule(config), self.table(config)[0], self.derivative_table(config)
+                sums = contract_rows(rule, np.conj(values) * -1j * (slopes + drift(rule.nodes) * values))
+            sums.setflags(write=False)
+            if drift in (measure_factor(self.spec).drift, _zero_drift):
+                self._momenta[key] = sums
+        return sums
 
 
 @dataclass(frozen=True, eq=False)

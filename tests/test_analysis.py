@@ -6,6 +6,7 @@ route (the defect law checked against <g> computed separately).
 """
 
 import collections
+import dataclasses
 import json
 import math
 import struct
@@ -27,6 +28,7 @@ from curvimom.geometry import (
     make_cylindrical,
     make_plane_polar,
     make_spherical,
+    measure_factor,
     preset_systems,
 )
 from curvimom.analysis import (
@@ -171,8 +173,9 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
 @pytest.fixture
 def factor_calls(monkeypatch):
     # counts every factor's evaluate/derivative calls on arrays and on single
-    # points, from empty hydrogen constructor and family stack caches
-    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked)
+    # points, from empty hydrogen constructor, family stack and scan level caches
+    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked,
+              analysis._scan_levels)
     for cache in caches:
         cache.cache_clear()
     counts = collections.Counter()
@@ -199,21 +202,23 @@ def test_families_build_no_member_states(monkeypatch):
     # member: a check builds its 16 families (5 in the normalization suite, 4 in the commutators,
     # 5 in the reality scan, 2 in ci-uniqueness), the commutator suite's pointwise state per
     # system and the d^2 coordinate-scaled and d(d - 1) momentum-applied states its residuals
-    # derive from it (16 + 55, where it built 387); a scan builds its one family of 121 levels;
-    # hydrogen-table its family and one state per level for the force balance
+    # derive from it (16 + 55, where it built 387); a cold scan builds its one family of 121 levels
+    # and a warm one none, as it keeps its levels' family; hydrogen-table builds its family alone,
+    # as the force balance reads each level's quantum numbers
     built = []
     post_init = SeparableState.__post_init__
     monkeypatch.setattr(SeparableState, "__post_init__", lambda state: built.append(state) or post_init(state))
     run_check_suites()
     assert len(built) == 16 + sum(1 + d * d + d * (d - 1) for d in (s.dim for s in preset_systems().values())) == 71
     assert all(state.quantum_numbers is None and state.is_family for state in built)
-    for _ in range(2):  # cold, then warm
+    analysis._scan_levels.cache_clear()
+    for families in (1, 0):  # cold, then warm
         built.clear()
         p_theta_spectrum_scan(10)
-        assert len(built) == 1 and built[0].is_family
+        assert len(built) == families and all(state.is_family for state in built)
     built.clear()
     assert invoke("hydrogen-table", "--nmax", "6").exit_code == 0
-    assert len(built) == 22 and [state.is_family for state in built].count(True) == 1
+    assert len(built) == 1 and built[0].is_family
 
 
 def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
@@ -226,6 +231,7 @@ def test_scan_tabulates_each_shared_factor_once(factor_calls, monkeypatch):
     # its family's stacks are built again
     factor_calls.clear()
     states._stacked.cache_clear()
+    analysis._scan_levels.cache_clear()
     climbs = []
     climb = specfun._legendre_climb
     monkeypatch.setattr(specfun, "_legendre_climb", lambda *args: climbs.append(args[:2]) or climb(*args))
@@ -249,6 +255,7 @@ def test_warm_scan_builds_no_family_rule(monkeypatch):
     # no (k, n) rule is built, also by stacks built again for the warm scan
     expected = p_theta_spectrum_scan(10)
     states._stacked.cache_clear()
+    analysis._scan_levels.cache_clear()
     built = []
     rule = states.axis_rule
     monkeypatch.setattr(states, "axis_rule", lambda *args: built.append(rule(*args)) or built[-1])
@@ -273,6 +280,27 @@ def test_warm_scan_reads_the_stacks_it_built(monkeypatch):
     assert calls == {}
     first, warm = families
     assert all(a is b for a, b in zip(first.factors, warm.factors))
+
+
+def test_warm_scan_forms_no_momentum_sum(monkeypatch):
+    # each factor keeps its momentum sums beside its tables: a cold scan contracts each of its
+    # 153 shared factors' norms and its 121 theta factors' momentum sums, and evaluates the polar
+    # drift once per theta factor; a warm one contracts nothing and evaluates no drift
+    counts = collections.Counter()
+    contract = states.contract_rows
+    monkeypatch.setattr(states, "contract_rows", lambda *args: counts.update(["contract"]) or contract(*args))
+    for spec in make_spherical().coords:
+        weight = measure_factor(spec)._w  # the drift is w'/(2w): count its w' calls
+        deriv = lambda q, d=weight.deriv, name=spec.name: counts.update([name]) or d(q)
+        monkeypatch.setattr(measure_factor(spec), "_w", dataclasses.replace(weight, deriv=deriv))
+    for cache in (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked,
+                  analysis._scan_levels):
+        cache.cache_clear()
+    expected = p_theta_spectrum_scan(10)
+    assert counts == {"contract": 153 + 121, "theta": 121}
+    counts.clear()
+    assert p_theta_spectrum_scan(10) == expected
+    assert counts == {}
 
 
 def test_derivative_table_is_memoised_with_the_values(factor_calls):

@@ -286,29 +286,32 @@ def test_hydrogen_table_csv_shape():
 
 
 def test_hydrogen_table_builds_each_level_once(monkeypatch):
-    # the moments and the force balance read the state the row already holds,
-    # and the moments read its radial table: a cold table evaluates each of the
-    # 21 radial factors for one value and one derivative table, a warm one none
+    # each level's factors are looked up once, for the family, and no state is built per
+    # level: the force balance reads the row's quantum numbers and the moments the family's
+    # radial table.  A cold table evaluates each of the 21 radial factors for one value and
+    # one derivative table, a warm one none
     from curvimom import analysis
 
-    built, laguerre = [], []
-    assoc_laguerre = states.assoc_laguerre
+    levels, states_built, laguerre = [], [], []
+    assoc_laguerre, hydrogen_factors = states.assoc_laguerre, states._hydrogen_factors
 
     def counted(qn, *args, **kwargs):
-        built.append((qn.n, qn.L))
+        states_built.append((qn.n, qn.L))
         return hydrogen_state(qn, *args, **kwargs)
 
     for module in (cli_module, analysis):
         monkeypatch.setattr(module, "hydrogen_state", counted)
+    monkeypatch.setattr(states, "_hydrogen_factors", lambda qn: levels.append((qn.n, qn.L)) or hydrogen_factors(qn))
     monkeypatch.setattr(states, "assoc_laguerre", lambda *args: laguerre.append(args) or assoc_laguerre(*args))
     for cache in (states._hydrogen_radial, states._theta_factor, states._phi_factor):
         cache.cache_clear()
     for calls in (42, 0):
-        built.clear()
+        levels.clear()
         laguerre.clear()
         result = invoke("hydrogen-table", "--nmax", "6", "--format", "csv")
         assert result.exit_code == 0, result.output
-        assert built == [(n, L) for n in range(1, 7) for L in range(n)]
+        assert levels == [(n, L) for n in range(1, 7) for L in range(n)]
+        assert states_built == []
         assert len(laguerre) == calls
 
 
@@ -330,6 +333,58 @@ def test_tables_are_written_at_once(monkeypatch):
         result = invoke(*args, "--format", "text")
         assert result.exit_code == code, result.output
         assert len(echoes) == 1, args
+
+
+def _old_fmt(value) -> str:
+    # the per-cell formatter the row templates replaced: floats as {:.12e}, None empty, else str()
+    if value is None:
+        return ""
+    return "{:.12e}".format(value) if isinstance(value, float) else str(value)
+
+
+def test_row_templates_print_the_per_cell_bytes(monkeypatch):
+    # one %-template per row prints what _fmt and ljust(20) printed per cell, for every kind of
+    # cell a table holds; a bool prints as True, not as %d's 1, and a column may hold None
+    cells = [3, -7, True, False, "abc", None, 1.5, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
+             np.float64(2.5), np.float64(-math.nan), "a_cell_longer_than_twenty"]
+    columns = [f"c{i}" for i in range(len(cells))] + ["a_column_named_past_twenty"]
+    rows = [dict(zip(columns, cells + [0.1])), dict(zip(columns, cells[::-1] + [None])),
+            dict(zip(columns, cells + [0.1]))]
+    written = []
+    monkeypatch.setattr(cli_module, "_write", written.append)
+    for fmt in ("csv", "text"):
+        written.clear()
+        cli_module._emit_rows(fmt, columns, rows)
+        if fmt == "csv":
+            lines = [",".join(columns)] + [",".join(_old_fmt(row[k]) for k in columns) for row in rows]
+        else:
+            widths = {k: max(len(k), 20) for k in columns}
+            lines = ["  ".join(k.ljust(widths[k]) for k in columns)]
+            lines += ["  ".join(_old_fmt(row[k]).ljust(widths[k]) for k in columns) for row in rows]
+        assert written == ["\n".join(lines)], fmt
+    assert [cli_module._fmt(cell) for cell in cells] == [_old_fmt(cell) for cell in cells]
+
+
+_CACHED_MODULES = ("geometry", "quadrature", "specfun", "states", "analysis")
+
+
+@pytest.mark.parametrize(
+    "args", [("hydrogen-table", "--nmax", str(n)) for n in range(1, 7)]
+    + [("p-theta-scan", "--lmax", str(lmax)) for lmax in range(LMAX_RANGE[1] + 1)]
+)
+def test_warm_output_equals_cold_output(args):
+    # what the caches keep (rules, factors, tables, momentum sums, stacks, scan levels) never
+    # changes a byte: each table prints the same warm as after every cache is cleared
+    for fmt in ("text", "csv", "json"):
+        assert invoke(*args, "--format", fmt).exit_code == 0
+        warm = invoke(*args, "--format", fmt)
+        for name in _CACHED_MODULES:
+            for cached in vars(getattr(curvimom, name)).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+        cold = invoke(*args, "--format", fmt)
+        assert warm.exit_code == cold.exit_code == 0
+        assert warm.stdout_bytes == cold.stdout_bytes, fmt
 
 
 DATA = Path(__file__).parent / "data"

@@ -16,9 +16,10 @@ from curvimom.analysis import run_check_suites
 
 @pytest.fixture(autouse=True)
 def fresh_factors():
-    # hydrogen factors, their tables and their families' stacks are cached per
-    # process: a row must build its own, and leave none of them behind
-    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked)
+    # hydrogen factors, their tables and momentum sums, their families' stacks and the
+    # scan's levels are cached per process: a row must build its own, and leave none behind
+    caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked,
+              analysis._scan_levels)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -41,14 +42,14 @@ def _double_drift(monkeypatch):
 
 
 def _half_order_is_full_order(monkeypatch):
-    contract_rows = analysis.contract_rows
+    # every (full, half) sum is formed in states: the norms, the momentum sums and the overlaps
+    contract_rows = states.contract_rows
 
     def full_twice(rule, table):
         # each row's (k, 2) sums with the full-order sum in the half-order column too
         return contract_rows(rule, table)[:, [0, 0]]
 
-    for module in (analysis, states):
-        monkeypatch.setattr(module, "contract_rows", full_twice)
+    monkeypatch.setattr(states, "contract_rows", full_twice)
 
 
 def _scale_radial_norm(monkeypatch):
@@ -151,6 +152,17 @@ def test_planted_defect_fails_its_suites(monkeypatch, name):
     for result in results:
         assert result.checks == CHECKS[result.name], result
         assert (not result.worst <= 1.0) == (result.name in suites), result
+
+
+@pytest.mark.parametrize("name", list(DEFECTS))
+def test_planted_defect_shows_after_warm_runs(monkeypatch, name):
+    # a warm check and scan fill every cache a plant could hide behind (factor tables, momentum
+    # sums, stacks, scan levels); each planted row must still fail its suites
+    assert invoke("check").exit_code == 0
+    assert invoke("p-theta-scan", "--lmax", "10").exit_code == 0
+    plant, suites = DEFECTS[name]
+    plant(monkeypatch)
+    assert {result.name for result in run_check_suites() if not result.passed} == suites
 
 
 def test_complemented_boundary_term_fails_check(monkeypatch):

@@ -628,3 +628,47 @@ def test_family_norms_are_the_combined_full_order_sums():
             assert norms.shape == (len(expected),)
             assert [x.hex() for x in norms.tolist()] == [x.hex() for x in expected]
     assert max(abs(x - 1.0) for x in families[0].norms(QuadratureConfig(theta_order=8))) > 0.5
+
+
+def _contracted(factor, cfg, drift):
+    # the momentum sums formed afresh, as expectations formed them before the memo
+    rule, values, slopes = factor.rule(cfg), factor.table(cfg)[0], factor.derivative_table(cfg)
+    return contract_rows(rule, np.conj(values) * -1j * (slopes + drift(rule.nodes) * values))
+
+
+def test_momentum_sums_are_the_parts_and_the_contraction_bit_for_bit():
+    # a stack concatenates its parts' memoised rows, and every factor's memo holds what the
+    # contraction gives, canonical and naive, on each axis of a hydrogen and of each trial family
+    families = [hydrogen_family(analysis._LEVELS)]  # every level with n <= 4
+    families += [trial_family(system, range(40, 43)) for system in preset_systems().values()]
+    for family in families:
+        for cfg in (QuadratureConfig(), QuadratureConfig(8, 8, 8)):
+            for axis, factor in enumerate(family.factors):
+                for op in (canonical_momentum(family.system, axis), naive_momentum(family.system, axis)):
+                    sums = factor.momentum_sums(cfg, op.drift)
+                    assert not sums.flags.writeable and sums.shape == (len(family.norms(cfg)), 2)
+                    assert sums.tobytes() == _contracted(factor, cfg, op.drift).tobytes()
+                    assert factor.momentum_sums(cfg, op.drift) is sums
+                    if factor.parts:
+                        parts = np.concatenate([_contracted(part, cfg, op.drift) for part in factor.parts])
+                        assert sums.tobytes() == parts.tobytes()
+
+
+def test_an_ad_hoc_drift_is_summed_but_not_kept():
+    # only the drifts an operator carries are kept: a cached hydrogen factor's memo does not grow
+    # with other drifts, which are summed afresh, to the canonical bits when they compute the same
+    state, cfg = hydrogen_state(QuantumNumbers(3, 2, 1)), QuadratureConfig()
+    canonical = canonical_momentum(state.system, 1)
+    expectation(canonical, state, cfg)
+    memo = state.factors[1]._momenta
+    size = len(memo)
+    for _ in range(3):
+        ad_hoc = dataclasses.replace(canonical, drift=lambda q: canonical.drift(q))
+        assert expectation(ad_hoc, state, cfg) == expectation(canonical, state, cfg)
+        doubled = dataclasses.replace(canonical, drift=lambda q: 2.0 * canonical.drift(q))
+        assert expectation(doubled, state, cfg).value != expectation(canonical, state, cfg).value
+    assert len(memo) == size
+    naive = naive_momentum(state.system, 1)
+    expectation(naive, state, cfg)
+    assert {(cfg.theta_order, canonical.drift), (cfg.theta_order, naive.drift)} <= set(memo)
+    assert {drift for _, drift in memo} == {canonical.drift, naive.drift}
