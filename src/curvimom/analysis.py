@@ -162,6 +162,8 @@ def expectations(
         # w |f|^2 at one end of the operator's axis: 0, or one value per member
         if end in zero_ends or spec.topology == "compact-periodic":  # w vanishes, or both ends are one point
             return 0.0
+        if factor.peak is not None and not math.isfinite(end):  # a Gaussian's limit, where its few nodes end early
+            return 0.0
         # at an infinite end, the outermost full-order node (nodes ascend); bound states have long underflowed there
         q, ends = (end, factor.evaluate(end)) if math.isfinite(end) else (rule.nodes[..., node], table[..., node])
         return spec.weight.value(q) * np.square(np.abs(ends))

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError, is_integer
 from .geometry import CoordinateSpec, CoordinateSystem, _zero_drift, make_spherical, measure_factor
 from .quadrature import (
-    DEFAULT_CONFIG, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows, coordinate_integral
+    DEFAULT_CONFIG, HERMITE_ORDER, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows,
+    coordinate_integral,
 )
 from .specfun import (
     QuantumNumbers,
@@ -116,37 +117,48 @@ def load_constants(path: str) -> PhysicalConstants:
 class FactorFunction:
     """One coordinate factor: value and analytic derivative callables, the coordinate ``spec``
     it lives on and the map ``scale`` of a line or half-line rule (both required, as they pick
-    the rule), and its tables, which every state holding the factor shares.  A family's factor
-    may stack the ``parts`` of its members, one per row, scales too.  Factors compare by identity."""
+    the rule), and its tables, which every state holding the factor shares.  A factor that is a
+    polynomial (degree <= 2) in u = (q - centre)/width times e^(-u^2/2) names its ``peak``
+    (width, centre) and tabulates on the hermite rule there, not on the topology's rule at
+    ``scale``: its norms and momentum sums are exact on it, and stay so for its phase twist, as
+    the phase cancels in both.  Overlaps and moments, whose integrands need not be a polynomial
+    times a Gaussian, are summed on the topology's rule.  A family's factor may stack the
+    ``parts`` of its members, one per row, scales and peaks too.  Factors compare by identity."""
 
     evaluate: Callable
     derivative: Callable
     parts: tuple = field(default=(), repr=False, compare=False)
     spec: CoordinateSpec = field(kw_only=True)
     scale: float | tuple = field(kw_only=True)
-    # the rules' and tables' memos, keyed on the config's order for ``spec``, the momentum sums' on it and the drift
+    peak: tuple | None = field(default=None, kw_only=True)
+    # the rules' and tables' memos, keyed on the order of the factor's rule, the momentum sums' on it and the drift
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _momenta: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def derived(self, evaluate: Callable, derivative: Callable) -> "FactorFunction":
-        """A new factor with these callables on this one's coordinate and scale, its memos empty."""
-        return FactorFunction(evaluate, derivative, spec=self.spec, scale=self.scale)
+        """A new factor with these callables on this one's coordinate, scale and peak, so on its rule,
+        its memos empty."""
+        return FactorFunction(evaluate, derivative, spec=self.spec, scale=self.scale, peak=self.peak)
+
+    def order(self, config: QuadratureConfig) -> int:
+        """The order of the factor's rule: ``HERMITE_ORDER`` at a peak, else the config's for ``spec``."""
+        return HERMITE_ORDER if self.peak is not None else config.order_for(self.spec)
 
     def rule(self, config: QuadratureConfig) -> AxisRule:
-        """``axis_rule`` of ``spec`` at the config's order and ``scale``, the nodes of ``table``,
+        """``axis_rule`` of ``spec`` at ``order``, at ``scale`` or ``peak``, the nodes of ``table``,
         once; a stack's parts tabulate on their own rules, so a stack builds one only when asked."""
-        order = config.order_for(self.spec)
+        order = self.order(config)
         rule = self._rules.get(order)
         if rule is None:
-            rule = self._rules[order] = axis_rule(self.spec, order, self.scale)
+            rule = self._rules[order] = axis_rule(self.spec, order, self.scale, self.peak)
         return rule
 
     def table(self, config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
         """Read-only values on ``rule``'s nodes and the (k, 2) |f|^2 (full, half) sums
         of its k rows, once; a stack reads its parts' own tables."""
-        order = config.order_for(self.spec)
+        order = self.order(config)
         entry = self._tables.get(order)
         if entry is None:
             if self.parts:
@@ -164,7 +176,7 @@ class FactorFunction:
     def derivative_table(self, config: QuadratureConfig) -> np.ndarray:
         """The read-only derivative on ``table``'s nodes, once, and only when
         asked for (a derived factor's may raise); a stack stacks its parts'."""
-        order = config.order_for(self.spec)
+        order = self.order(config)
         slopes = self._derivatives.get(order)
         if slopes is None:
             if self.parts:
@@ -180,7 +192,7 @@ class FactorFunction:
         ``table`` and ``derivative_table``; a stack concatenates its parts'.  They are kept only for
         the drifts an operator carries, the canonical one of ``spec`` and the naive zero, so at most
         two per order: any other drift is summed afresh on every call."""
-        key = (config.order_for(self.spec), drift)
+        key = (self.order(config), drift)
         sums = self._momenta.get(key)
         if sums is None:
             if self.parts:
@@ -235,12 +247,18 @@ class SeparableState:
         return combine_axes(self.tabulate(config)[1])[0].real
 
     def moments(self, axis: int, kernel: Callable, config: QuadratureConfig) -> list[float]:
-        """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate:
-        |f|^2 is read from the value table's full-order nodes, which are those of
-        ``coordinate_integral``, so no factor is evaluated again."""
+        """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate, by
+        ``coordinate_integral`` on the factor's own rule, |f|^2 read from the value table's
+        full-order nodes so that no factor is evaluated again; a kernel need not be a polynomial,
+        so a factor at a peak is evaluated on the topology's rule at its scale instead."""
         f = self.factors[axis]
-        full = np.abs(f.table(config)[0][..., : f.rule(config).full]) ** 2
-        total = coordinate_integral(f.spec, lambda q: full * kernel(q), config.order_for(f.spec), f.scale)
+        if f.peak is None:
+            rule = f.rule(config)
+            full = np.abs(f.table(config)[0][..., : rule.full]) ** 2
+            total = coordinate_integral(rule, lambda q: full * kernel(q))
+        else:
+            rule = axis_rule(f.spec, config.order_for(f.spec), f.scale)
+            total = coordinate_integral(rule, lambda q: np.abs(f.evaluate(q)) ** 2 * kernel(q))
         return np.reshape(total.real, -1).tolist()
 
 
@@ -289,12 +307,18 @@ def _theta_factor(L: int, M: int) -> FactorFunction:
 def _stacked(parts: tuple[FactorFunction, ...]) -> FactorFunction:
     # k members' factors on one coordinate as one: its tables stack theirs, and a call gives part i
     # row i of (k, n) nodes, and every part the same nodes of one dimension or none; kept per tuple
-    # of parts, so a repeated family reads the stacked tables and rule it built before
+    # of parts, so a repeated family reads the stacked tables and rule it built before.  A rule of
+    # k rows is of one kind: every part names its peak, or none does
+    peaks = [f.peak for f in parts]
+    if len({peak is None for peak in peaks}) != 1:
+        raise ConfigurationError("a stack's parts must all name a peak, or none of them")
+
     def rows(fns):
         return lambda q: np.stack([f(x) for f, x in zip(fns, q if np.ndim(q) == 2 else [q] * len(fns), strict=True)])
 
     evaluate, derivative = rows([f.evaluate for f in parts]), rows([f.derivative for f in parts])
-    return FactorFunction(evaluate, derivative, parts=parts, spec=parts[0].spec, scale=tuple(f.scale for f in parts))
+    return FactorFunction(evaluate, derivative, parts=parts, spec=parts[0].spec, scale=tuple(f.scale for f in parts),
+                          peak=None if peaks[0] is None else tuple(zip(*peaks)))
 
 
 @lru_cache(maxsize=256)
@@ -342,7 +366,10 @@ _TRIAL_DRAWS = {topology: np.array(draws).T for topology, draws in {
 
 def _poly_gaussian(width, center, c0, c1, c2, inv=1.0, *, spec, scale) -> FactorFunction:
     # (c0 + c1 u + c2 u^2) e^(-u^2/2), u = (q - center)/width, times the
-    # normalisation constant inv; each parameter a float, or a (k, 1) column
+    # normalisation constant inv; each parameter a float, or a (k, 1) column.
+    # Its norms and momentum sums are polynomials of degree <= 7 in u times e^(-u^2),
+    # so it tabulates on the hermite rule at its own width and centre
+    peak = (width, center) if np.ndim(width) == 0 else (tuple(width[:, 0]), tuple(center[:, 0]))
 
     def evaluate(q):
         u = (np.asarray(q, dtype=float) - center) / width
@@ -353,7 +380,7 @@ def _poly_gaussian(width, center, c0, c1, c2, inv=1.0, *, spec, scale) -> Factor
         val = ((c1 + 2.0 * c2 * u) - u * (c0 + c1 * u + c2 * u * u)) / width
         return inv * (val * np.exp(-0.5 * u * u))
 
-    return FactorFunction(evaluate, derivative, spec=spec, scale=scale)
+    return FactorFunction(evaluate, derivative, spec=spec, scale=scale, peak=peak)
 
 
 def _harmonic_sum(coeffs, inv, spec, scale, ks, slopes, basis, slope_basis) -> FactorFunction:
@@ -395,8 +422,10 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> SeparableSta
     """The random trial states of one or more ``seeds`` on ``system``, lengths in
     units of a0, as one family: each axis's raw profile is evaluated once for all
     members, on (k, 1) parameter columns, to fold each member's normalisation
-    constant, against the factor's own weight at its own width, into its factor.
-    k seeds' factors carry the tuple of the members' radial scales; one seed gives
+    constant, against the factor's own weight on the mapped rule at its own width and
+    the default orders, into its factor.  A linear factor then tabulates on the hermite
+    rule at its own width and centre, an angular one on its mapped rule.  k seeds'
+    factors carry the tuple of the members' radial scales; one seed gives
     ``random_bound_trial``'s lone state, on Python floats at its radial scale."""
     if len(seeds) == 0 or not all(is_integer(seed) and seed >= 0 for seed in seeds):
         raise DomainError(f"a trial family needs one or more non-negative integer seeds, got {seeds!r}")
@@ -425,7 +454,8 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> SeparableSta
             params = (coeffs[0],) if one else (coeffs[:, None],)  # k rows: (k, 1, m)
             builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
         raw = builder(*params, spec=spec, scale=scale).evaluate
-        norm_sq = coordinate_integral(spec, lambda q: np.abs(raw(q)) ** 2, DEFAULT_CONFIG.order_for(spec), scale)
+        rule = axis_rule(spec, DEFAULT_CONFIG.order_for(spec), scale)
+        norm_sq = coordinate_integral(rule, lambda q: np.abs(raw(q)) ** 2)
         inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
         axes.append((builder, spec, params, inv[0] if one else np.array(inv)[:, None]))
     scale = radial[0] if one else tuple(radial)
@@ -472,9 +502,10 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
 def state_overlap(
     a: SeparableState, b: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> complex:
-    """Inner product <a|b> against the volume weight: each axis on the rule of
-    the factor with the larger scale, from both factors' tables when they share
-    it, else from the other factor evaluated on that rule's nodes.  A family is refused."""
+    """Inner product <a|b> against the volume weight: each axis on the topology's rule at the
+    larger scale, from the table of a factor that sits on it, and any other factor, one at a peak
+    too, evaluated on its nodes: 8 hermite nodes are not exact for a product with a differently
+    placed or twisted factor.  A family is refused."""
     if a.is_family or b.is_family:
         raise ConfigurationError("overlap takes two states, not a family of them")
     if a.system != b.system:  # name and coordinates: each axis reads both factors on one rule
@@ -483,8 +514,9 @@ def state_overlap(
         )
     pairs = []
     for fa, fb in zip(a.factors, b.factors):
-        wide = max(fa, fb, key=lambda f: f.scale)
-        rule = wide.rule(config)
-        va, vb = [f.table(config)[0] if f.scale == wide.scale else f.evaluate(rule.nodes) for f in (fa, fb)]
+        scale = max(fa.scale, fb.scale)
+        rule = axis_rule(fa.spec, config.order_for(fa.spec), scale)
+        va, vb = [f.table(config)[0] if f.peak is None and f.scale == scale else f.evaluate(rule.nodes)
+                  for f in (fa, fb)]
         pairs.append(contract_rows(rule, np.conj(va) * vb))
     return complex(combine_axes(pairs)[0][0])

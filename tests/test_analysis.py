@@ -365,7 +365,8 @@ def test_boundary_term_matches_endpoint_probe():
         coords = state.system.coords
         norms = [
             coordinate_integral(
-                spec, lambda q, f=f: np.abs(np.asarray(f.evaluate(q))) ** 2, cfg.order_for(spec), f.scale
+                quadrature.axis_rule(spec, cfg.order_for(spec), f.scale),
+                lambda q, f=f: np.abs(np.asarray(f.evaluate(q))) ** 2,
             ).real
             for spec, f in zip(coords, state.factors)
         ]
@@ -386,6 +387,19 @@ def test_boundary_term_matches_endpoint_probe():
     assert ball_term == pytest.approx(-0.5 * 1.7**2 * math.exp(-3.4), rel=1e-14)
     tail_term = expectation(canonical_momentum(make_cartesian(), 0), cases[-1], cfg).boundary_term
     assert abs(tail_term) > 1e-9
+
+
+def test_trial_linear_momenta_are_zero_to_rounding():
+    # the oracle: a real bound factor's canonical <p> is 0, and the hermite rules are exact
+    # for every trial linear integrand, so each value and estimate sits at rounding, over
+    # seeds 0-199 on every system
+    for system in preset_systems().values():
+        family = trial_family(system, range(200))
+        for axis, spec in enumerate(system.coords):
+            if spec.topology in ("line", "half-line"):
+                reps = expectations(canonical_momentum(system, axis), family)
+                assert max(abs(rep.value) for rep in reps) <= 1e-14, (system.name, spec.name)
+                assert max(rep.quadrature_error for rep in reps) <= 1e-14, (system.name, spec.name)
 
 
 def test_hydrogen_canonical_momenta_are_real():

@@ -18,7 +18,8 @@ from curvimom.cli import main
 from curvimom.errors import SingularityError
 from curvimom.geometry import preset_systems
 from curvimom.operators import momentum_unit
-from curvimom.states import hydrogen_state, load_constants
+from curvimom.quadrature import QuadratureConfig
+from curvimom.states import hydrogen_state, load_constants, random_bound_trial
 
 
 def test_expect_json_payload_and_key_order():
@@ -106,13 +107,15 @@ def test_expect_refuses_hydrogen_states_off_norm_at_the_orders_in_use():
     for n, L in [(9, L) for L in range(9)] + [(n, L) for n in range(1, 7) for L in range(n)]:
         result = invoke("expect", "canonical:theta", f"hydrogen:n={n},L={L},M=0")
         assert result.exit_code == 0, (n, L, result.output)
-    # so is a trial state, normalised at the default orders: at order 8 on every axis the
-    # norm of seed 3 misses 1 by 6.1e-2 to 1.1e-1 over the four systems
+    # a trial state is accepted at order 8 on every axis: its linear factors sit on their
+    # hermite rules at every --radial-order, and its angular norms are polynomials the
+    # order-8 rules integrate exactly
+    order8 = QuadratureConfig(8, 8, 8)
     for name, system in preset_systems().items():
         args = ("expect", f"canonical:{system.coords[0].name}", "trial:seed=3", "--system", name)
         result = invoke(*args, "--radial-order", "8", "--theta-order", "8", "--phi-order", "8")
-        assert result.exit_code == 2, (name, result.output)
-        assert "not normalised" in result.output
+        assert result.exit_code == 0, (name, result.output)
+        assert abs(random_bound_trial(system, 3).norms(order8)[0] - 1.0) <= 1e-14, name
         assert invoke(*args).exit_code == 0, name
     # so is a hydrogen table with a member off norm (1.6e-7 at n = 6, radial order 60), which
     # the default orders resolve (at worst 3.1e-15 at --nmax 6, 1.7e-15 at --nmax 4)

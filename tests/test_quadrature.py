@@ -226,9 +226,37 @@ def test_coordinate_integral_includes_weight():
         (ball_r, lambda r: r * 0.0 + 1.0, 16, 1.0, R**3 / 3.0),
     ]
     for spec, integrand, order, scale, exact in cases:
-        got = coordinate_integral(spec, integrand, order, scale)
+        got = coordinate_integral(axis_rule(spec, order, scale), integrand)
         assert got.real == pytest.approx(exact, rel=1e-12), spec.name
         assert abs(got.imag) == 0.0
+
+
+def test_hermite_rules_integrate_gaussian_moments_exactly():
+    # x^k e^(-x^2), x = (q - c)/s, k = 0..15, on every linear coordinate's hermite rule (e^(x_i^2)
+    # in its weights): Gauss-Hermite on a line gives s Gamma((k+1)/2) for even k and 0 for odd,
+    # the half-range rule s Gamma((k+1)/2)/2; the 4 half-order nodes are exact to k = 7
+    linear = [spec for system in preset_systems().values() for spec in system.coords
+              if spec.topology in ("line", "half-line")]
+    for spec in linear:
+        order = quadrature.HERMITE_ORDER
+        assert order == 8
+        for s, c in ((1.0, 0.0), (0.7, 0.3 if spec.topology == "line" else 0.0)):
+            rule = axis_rule(spec, order, peak=(s, c))
+            assert rule.full == 8 and len(rule.nodes) == 12
+            x = (rule.nodes - c) / s
+            for k in range(16):
+                scale = s * math.gamma((k + 1) / 2) / (2.0 if spec.topology == "half-line" else 1.0)
+                exact = 0.0 if spec.topology == "line" and k % 2 else scale
+                got = contract_rows(rule, x**k * np.exp(-x * x) / spec.weight.value(rule.nodes))[0]
+                assert abs(got[0] - exact) <= 1e-14 * scale, (spec.name, s, k)
+                if k < 8:
+                    assert abs(got[1] - exact) <= 1e-14 * scale, (spec.name, s, k)
+    # a peak is the factor's choice, on a linear coordinate, at the orders it was verified at
+    with pytest.raises(ConfigurationError):
+        axis_rule(make_spherical().coords[1], 8, peak=(1.0, 0.0))
+    for order, peak in ((17, (1.0, 0.0)), (1, (1.0, 0.0)), (8, (0.0, 0.0))):
+        with pytest.raises(DomainError):
+            axis_rule(make_spherical().coords[0], order, peak=peak)
 
 
 def test_rule_cache_does_not_grow_with_scale():

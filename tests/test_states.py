@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from curvimom import analysis, states
+from curvimom import analysis, quadrature, states
 from curvimom.analysis import expectation, expectations, radial_moment
 from curvimom.errors import (
     ConfigurationError,
@@ -111,11 +111,11 @@ def test_angular_factors_are_unit_norm():
         for M in range(-L, L + 1):
             _, th, ph = hydrogen_state(QuantumNumbers(L + 1, L, M)).factors
             norm = coordinate_integral(
-                sph.coords[1], lambda q: np.abs(np.asarray(th.evaluate(q))) ** 2, 64
+                axis_rule(sph.coords[1], 64), lambda q: np.abs(np.asarray(th.evaluate(q))) ** 2
             )
             assert norm.real == pytest.approx(1.0, abs=1e-12), f"(L,M)=({L},{M})"
             norm = coordinate_integral(
-                sph.coords[2], lambda q: np.abs(np.asarray(ph.evaluate(q))) ** 2, 32
+                axis_rule(sph.coords[2], 32), lambda q: np.abs(np.asarray(ph.evaluate(q))) ** 2
             )
             assert norm.real == pytest.approx(1.0, abs=1e-13), f"M={M}"
 
@@ -352,6 +352,67 @@ def test_overlap_reads_each_axis_on_the_wider_factors_rule():
         assert state_overlap(a, b, cfg) == complex(combine_axes(pairs)[0][0])
 
 
+def test_overlap_of_differently_placed_trial_states_matches_a_fine_reference():
+    # two trial states' linear factors sit on hermite rules at different peaks, which 8 nodes
+    # do not integrate together: each axis falls back to its mapped rule at the wider scale,
+    # within 1e-13 of that rule at order 400 on every system
+    for system in preset_systems().values():
+        a, b = random_bound_trial(system, 4), random_bound_trial(system, 9)
+        reference = 1.0 + 0j
+        for fa, fb in zip(a.factors, b.factors):
+            rule = axis_rule(fa.spec, 400, max(fa.scale, fb.scale))
+            reference *= coordinate_integral(rule, lambda q: np.conj(fa.evaluate(q)) * fb.evaluate(q))
+        assert abs(reference) > 1e-3, system.name
+        assert abs(state_overlap(a, b) - reference) <= 1e-13, system.name
+        assert abs(state_overlap(a, a) - 1.0) <= 1e-14, system.name
+
+
+def _fine_overlap(a, b):
+    # each axis on its mapped rule at order 400 and the wider scale
+    total = 1.0 + 0j
+    for fa, fb in zip(a.factors, b.factors):
+        rule = axis_rule(fa.spec, 400, max(fa.scale, fb.scale))
+        total *= coordinate_integral(rule, lambda q: np.conj(fa.evaluate(q)) * fb.evaluate(q))
+    return total
+
+
+def test_overlap_of_a_trial_state_with_its_phase_twist_matches_a_fine_reference():
+    # |f|^2 e^(ikq) is not a polynomial times a Gaussian, so it is not summed on the 8 hermite nodes:
+    # within 1e-13 of the order-400 mapped rule on every line axis of every system
+    twisted_axes = 0
+    for system in preset_systems().values():
+        for axis, spec in enumerate(system.coords):
+            if spec.topology != "line":
+                continue
+            trial = random_bound_trial(system, 6)
+            for k in (1.5, 3.0):
+                twisted = apply_phase_twist(trial, axis, k)
+                assert twisted.factors[axis].peak == trial.factors[axis].peak
+                reference = _fine_overlap(trial, twisted)
+                assert abs(reference) > 1e-3, (system.name, spec.name, k)
+                assert abs(state_overlap(trial, twisted) - reference) <= 1e-13, (system.name, spec.name, k)
+                assert abs(state_overlap(twisted, trial) - reference.conjugate()) <= 1e-13, (system.name, spec.name, k)
+            twisted_axes += 1
+    assert twisted_axes >= 3
+
+
+def test_moments_of_trial_linear_factors_match_a_fine_reference():
+    # a moment's kernel need not be a polynomial: on a trial linear factor it is summed on the
+    # mapped rule, within 1e-13 (relative) of order 400, for a lone state and a family alike
+    kernels = (np.tanh, lambda q: np.cos(2.5 * q), lambda q: 1.0 / (1.0 + q * q))
+    for system in preset_systems().values():
+        for state in (random_bound_trial(system, 7), trial_family(system, range(7, 10))):
+            for axis, f in enumerate(state.factors):
+                if f.peak is None:
+                    continue
+                rule = axis_rule(f.spec, 400, f.scale)
+                for kernel in kernels:
+                    got = state.moments(axis, kernel, QuadratureConfig())
+                    want = coordinate_integral(rule, lambda q: np.abs(f.evaluate(q)) ** 2 * kernel(q)).real
+                    want = np.reshape(want, -1)
+                    assert np.allclose(got, want, rtol=1e-13, atol=0.0), (system.name, f.spec.name)
+
+
 def test_state_shape_errors():
     trial = random_bound_trial(make_cartesian(), 1)
     with pytest.raises(ConfigurationError):
@@ -450,6 +511,41 @@ def test_overlap_refuses_a_family():
             state_overlap(*pair)
     pairs = [(random_bound_trial(cartesian, i), random_bound_trial(cartesian, j)) for i, j in ((1, 4), (2, 5), (3, 6))]
     assert [round(state_overlap(*pair).real, 4) for pair in pairs] == [0.8110, 0.8470, 0.8164]
+
+
+def test_trial_linear_factors_tabulate_on_their_hermite_rules():
+    # a trial linear factor's table sits on its hermite rule at its own width and centre, the
+    # same 8 + 4 nodes at every radial order; its angular factors keep their mapped rules
+    nodes = {"line": np.polynomial.hermite.hermgauss(8)[0], "half-line": quadrature._hermite_rule(8, True).nodes}
+    assert quadrature.HERMITE_ORDER == 8
+    for system in preset_systems().values():
+        for state in (random_bound_trial(system, 5), trial_family(system, range(3))):
+            for f in state.factors:
+                if f.spec.topology not in ("line", "half-line"):
+                    assert f.peak is None
+                    continue
+                rule = f.rule(QuadratureConfig())
+                assert f.peak is not None and rule is f.rule(QuadratureConfig(radial_order=8))
+                width, center = (np.reshape(p, (-1, 1)) for p in f.peak)
+                if f.spec.topology == "half-line":
+                    assert not center.any()
+                assert np.reshape(rule.nodes, (-1, 12)).shape[0] == np.size(width)
+                x = (np.reshape(rule.nodes, (-1, 12))[:, : rule.full] - center) / width
+                assert np.allclose(x, nodes[f.spec.topology], rtol=0.0, atol=1e-14), (system.name, f.spec.name)
+                assert np.array_equal(f.table(QuadratureConfig())[0], f.evaluate(rule.nodes))
+
+
+def test_a_stack_refuses_parts_of_different_kinds():
+    # a stack's rule is of one kind: a trial linear factor beside a copy of itself that names no
+    # peak is refused; two members at their own peaks, a derived one too, stack theirs
+    for system in preset_systems().values():
+        for f in random_bound_trial(system, 0).factors:
+            if f.peak is not None:
+                mapped = FactorFunction(f.evaluate, f.derivative, spec=f.spec, scale=f.scale)
+                with pytest.raises(ConfigurationError):
+                    states._stacked((f, mapped))
+                g = random_bound_trial(system, 1).factors[system.coords.index(f.spec)].derived(f.evaluate, f.derivative)
+                assert states._stacked((f, g)).peak == tuple(zip(f.peak, g.peak))
 
 
 def test_trial_family_members_match_single_seed():
