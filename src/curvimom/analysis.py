@@ -88,14 +88,15 @@ _LEVELS = [QuantumNumbers(n, L, M) for n in range(1, 5) for L in range(n) for M 
 
 @dataclass(frozen=True)
 class ExpectationReport:
-    """One expectation value with its reality diagnostics, in natural momentum units."""
+    """Expectation values with their reality diagnostics, in natural momentum units: Python
+    numbers from ``expectation``, and from ``expectations`` (k,) arrays, member i in entry i."""
 
-    value: complex
-    boundary_term: float
-    quadrature_error: float
+    value: complex | np.ndarray
+    boundary_term: float | np.ndarray
+    quadrature_error: float | np.ndarray
 
     @property
-    def hermiticity_defect(self) -> float:
+    def hermiticity_defect(self) -> float | np.ndarray:
         """Im <p>: zero for a hermitian operator on an admissible state."""
         return self.value.imag
 
@@ -139,20 +140,16 @@ class SuiteResult:
 
 def _checked(state: SeparableState, lone: bool = False) -> SeparableState:
     if lone and state.is_family:
-        raise ConfigurationError("one state is needed, not a family: expectations gives one report per member")
+        raise ConfigurationError("one state is needed, not a family: expectations reports on every member")
     if not state.normalized:
         raise PreconditionError("expectation values require a normalized state")
     return state
 
 
-def expectations(
-    op: MomentumOperator, state: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
-) -> list[ExpectationReport]:
-    """<psi| p |psi> with reality diagnostics on every member of ``state``, k reports for a family:
-    each axis's norms and the operator axis's momentum sums, read from the factors' memos, then every
-    member's value, estimate and surface term at once as arrays, in natural units, on each factor's
-    own rule; PreconditionError unless normalized."""
-    values, norms = _checked(state).tabulate(config)
+def _columns(op: MomentumOperator, state: SeparableState, config: QuadratureConfig) -> tuple[np.ndarray, ...]:
+    # every member's value, surface term and estimate as (k,) arrays: each axis's norms and the
+    # operator axis's momentum sums, read from the factors' memos, on each factor's own rule
+    values, norms = state.tabulate(config)
     factor, table = state.factors[op.axis], values[op.axis]
     rule, moments = factor.rule(config), factor.momentum_sums(config, op.drift)
     value, qerr = combine_axes(norms[: op.axis] + (moments,) + norms[op.axis + 1 :])
@@ -171,25 +168,35 @@ def expectations(
     # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
     other = combine_axes(norms[: op.axis] + norms[op.axis + 1 :])[0].real
     boundary = -0.5 * (surface(spec.upper, rule.full - 1) - surface(spec.lower, 0)) * other
-    return [ExpectationReport(*report) for report in zip(value.tolist(), boundary.tolist(), qerr.tolist())]
+    return value, boundary, qerr
+
+
+def expectations(
+    op: MomentumOperator, state: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
+) -> ExpectationReport:
+    """<psi| p |psi> with reality diagnostics on every member of ``state`` at once: one report whose
+    value, boundary term and quadrature error are (k,) arrays, in natural units, each member on its
+    factors' own rules; PreconditionError unless normalized."""
+    return ExpectationReport(*_columns(op, _checked(state), config))
 
 
 def expectation(
     op: MomentumOperator, state: SeparableState, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> ExpectationReport:
     """<psi| p |psi> by separable quadrature, with reality diagnostics: the one
-    report ``expectations`` gives on a lone state.
+    entry ``expectations`` forms on a lone state, as a Python complex and floats.
 
     Raises:
         ConfigurationError: if the state is a family.
         PreconditionError: if the state is not normalized.
     """
-    return expectations(op, _checked(state, lone=True), config)[0]
+    return ExpectationReport(*(column.item() for column in _columns(op, _checked(state, lone=True), config)))
 
 
-def reality_tolerance(report: ExpectationReport) -> float:
-    """Reality-contract bound in natural momentum units: max(10 x quadrature error, 1e-9)."""
-    return max(10.0 * report.quadrature_error, _REALITY_FLOOR)
+def reality_tolerance(report: ExpectationReport) -> float | np.ndarray:
+    """Reality-contract bound in natural momentum units, elementwise on a family's report:
+    max(10 x quadrature error, 1e-9)."""
+    return np.maximum(10.0 * report.quadrature_error, _REALITY_FLOOR)
 
 
 def require_normalised(state: SeparableState, config: QuadratureConfig, label: str) -> None:
@@ -235,8 +242,7 @@ def ci_uniqueness_demo(
             f"the additive-constant demo needs a linear axis, {spec.name!r} is {spec.kind}"
         )
     family = trial_family(system, (seed_a, seed_b))
-    rep_a, rep_b = expectations(canonical_momentum(system, axis), family, config)
-    return abs(rep_a.value), abs(rep_b.value)
+    return tuple(np.abs(expectations(canonical_momentum(system, axis), family, config).value).tolist())
 
 
 def inv_r2_closed_form(qn: QuantumNumbers) -> float:
@@ -330,8 +336,9 @@ def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CON
         raise DomainError(f"l_max must be an integer in {list(LMAX_RANGE)}, got {l_max!r}")
     qns, family = _scan_levels(l_max)
     require_normalised(family, config, f"a state of the L <= {l_max} scan")
-    reports = expectations(canonical_momentum(make_spherical(), 1), family, config)
-    return [ScanRow(qn.L, qn.M, rep.value, rep.quadrature_error) for qn, rep in zip(qns, reports)]
+    report = expectations(canonical_momentum(make_spherical(), 1), family, config)
+    columns = zip(qns, report.value.tolist(), report.quadrature_error.tolist())
+    return [ScanRow(qn.L, qn.M, value, error) for qn, value, error in columns]
 
 
 def cartesian_reality_check(
@@ -462,34 +469,30 @@ def _suite_reality(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     ops = [canonical_momentum(system, axis) for axis in range(3)]
     ops += [naive_momentum(system, axis) for axis in (0, 1)]
     family = hydrogen_family(_LEVELS)
-    reports = zip(*[expectations(op, family, cfg) for op in ops])
-    inv_rs = family.moments(0, lambda r: r**-1.0, cfg)
-    g_ths = family.moments(1, measure_factor(system.coords[1]).drift, cfg)
+    rep_r, rep_th, rep_ph, rep_naive, rep_naive_th = (expectations(op, family, cfg) for op in ops)
+    inv_r = family.moments(0, lambda r: r**-1.0, cfg)
+    g_th = family.moments(1, measure_factor(system.coords[1]).drift, cfg)
 
-    # six checks per level, one row each: <p_r> = <p_theta> = 0, <p_phi> = M hbar, the naive radial
+    # six checks per level, one column each: <p_r> = <p_theta> = 0, <p_phi> = M hbar, the naive radial
     # defect law Im<p'_r> = hbar <1/r> = hbar/(n^2 a0) on both sides, and the naive polar one
     # Im<p'_theta> = hbar <cot(theta)/2>
-    residuals, tols = [], []
-    for qn, (rep_r, rep_th, rep_ph, rep_naive, rep_naive_th), inv_r, g_th in zip(_LEVELS, reports, inv_rs, g_ths):
-        n, M = qn.n, qn.M
-        closed, defect = 1.0 / (n * n), rep_naive.hermiticity_defect
-        residuals.append([abs(rep_r.value), abs(rep_th.value), abs(rep_ph.value - M),
-                          defect - inv_r, defect - closed, rep_naive_th.hermiticity_defect - g_th])
-        tols.append([_REALITY_FLOOR, _REALITY_FLOOR, 1e-10 * max(1, abs(M)), 1e-9 * closed, 1e-8 * closed,
-                     _REALITY_FLOOR])
-    t.add(np.array(residuals), np.array(tols))
+    n, M = np.array([(qn.n, qn.M) for qn in _LEVELS]).T
+    closed, defect, floor = 1.0 / (n * n), rep_naive.hermiticity_defect, np.full(n.shape, _REALITY_FLOOR)
+    residuals = [np.abs(rep_r.value), np.abs(rep_th.value), np.abs(rep_ph.value - M),
+                 defect - inv_r, defect - closed, rep_naive_th.hermiticity_defect - g_th]
+    tols = [floor, floor, 1e-10 * np.maximum(1, np.abs(M)), 1e-9 * closed, 1e-8 * closed, floor]
+    t.add(np.stack(residuals, axis=1), np.stack(tols, axis=1))
 
     seeds = range(7000 + 1000 * seed, 7000 + 1000 * seed + _REALITY_TRIALS)
     for sys_obj in preset_systems().values():
         family = trial_family(sys_obj, seeds)
         for axis in range(sys_obj.dim):
-            reps = expectations(canonical_momentum(sys_obj, axis), family, cfg)
-            tols = [reality_tolerance(rep) for rep in reps]
+            rep = expectations(canonical_momentum(sys_obj, axis), family, cfg)
             # the canonical defect and its distance from the surface term -(hbar/2) [w |psi|^2], 0 at
             # every end of these bound states (a zero weight, an underflowed state or a periodic
             # axis): this guards the term's code path, not its magnitude
-            defects, surface = np.array([(rep.hermiticity_defect, rep.boundary_term) for rep in reps]).T
-            t.add(np.maximum(np.abs(defects), np.abs(defects - surface)), np.array(tols))
+            defect = rep.hermiticity_defect
+            t.add(np.maximum(np.abs(defect), np.abs(defect - rep.boundary_term)), reality_tolerance(rep))
     return t.result()
 
 
@@ -498,8 +501,7 @@ def _suite_ci_uniqueness(cfg: QuadratureConfig, seed: int) -> SuiteResult:
     for system in (make_spherical(), make_cartesian()):
         # the seed pairs of ci_uniqueness_demo, as one family per system
         family = trial_family(system, range(500 + 20 * seed, 520 + 20 * seed))
-        reps = expectations(canonical_momentum(system, 0), family, cfg)
-        t.add(np.array([abs(rep.value) for rep in reps]), 1e-8)
+        t.add(np.abs(expectations(canonical_momentum(system, 0), family, cfg).value), 1e-8)
     return t.result()
 
 

@@ -129,15 +129,16 @@ def _parse_state(text: str, system, default_seed: int):
     return random_bound_trial(system, seed)
 
 
-def _emit_rows(fmt: str, columns: list[str], rows: list[dict]) -> None:
+def _emit_rows(fmt: str, columns: list[str], rows: list[tuple]) -> None:
+    """A table with one tuple of cells per row, in column order: a json object per row, or a
+    csv or padded text header and one line per row."""
     if fmt == "json":
-        lines = [json.dumps({k: row[k] for k in columns}) for row in rows]
+        lines = [json.dumps(dict(zip(columns, cells))) for cells in rows]
     else:
         # each row through one %-template, made once per sequence of cell types; text pads each cell to its column
         sep, pads = (",", [""] * len(columns)) if fmt == "csv" else ("  ", [f"-{max(len(k), 20)}" for k in columns])
         lines, templates = [sep.join(f"%{pad}s" % key for key, pad in zip(columns, pads))], {}
-        for row in rows:
-            cells = tuple(map(row.__getitem__, columns))
+        for cells in rows:
             kinds = tuple(map(type, cells))
             if kinds not in templates:
                 templates[kinds] = sep.join(f"%{pad}{_conversion(cell)}" for pad, cell in zip(pads, cells))
@@ -161,22 +162,17 @@ def expect(args) -> int:
     report = expectation(op, st, config)
 
     unit = momentum_unit(op.kind, constants)
-    natural = {
-        "value_re": report.value.real,
-        "value_im": report.value.imag,
-        "defect": report.hermiticity_defect,
-        "boundary_term": report.boundary_term,
-        "quad_error": report.quadrature_error,
-    }
-    payload = {"command": "expect", **{key: _in_units(x, unit) for key, x in natural.items()}, "units": args.units}
+    columns = ["value_re", "value_im", "defect", "boundary_term", "quad_error"]
+    natural = (report.value.real, report.value.imag, report.hermiticity_defect, report.boundary_term,
+               report.quadrature_error)
+    cells = [_in_units(x, unit) for x in natural]
     if args.format != "text":
-        _emit_rows(args.format, list(payload), [payload])
+        _emit_rows(args.format, ["command", *columns, "units"], [("expect", *cells, args.units)])
     else:
-        fields = {"operator": args.operator, "state": args.state, "system": args.system,
-                  "value": f"{_fmt(payload['value_re'])} + {_fmt(payload['value_im'])} i",
-                  **{key: _fmt(payload[key]) for key in ("defect", "boundary_term", "quad_error")},
-                  "units": args.units}
-        _write("\n".join(f"{key + ':':<15}{text}" for key, text in fields.items()))
+        value_re, value_im, *texts = map(_fmt, cells)
+        fields = [("operator", args.operator), ("state", args.state), ("system", args.system),
+                  ("value", f"{value_re} + {value_im} i"), *zip(columns[2:], texts), ("units", args.units)]
+        _write("\n".join(f"{key + ':':<15}{text}" for key, text in fields))
     return 0 if abs(report.hermiticity_defect) <= reality_tolerance(report) else 3  # a NaN defect fails too
 
 
@@ -189,23 +185,22 @@ def hydrogen_table(args) -> int:
     column_units = {key: constants.length_unit(power) for key, power in lengths.items()}
     column_units.update(residual=constants.e2 * constants.length_unit(-2), p_r=momentum_unit("linear", constants),
                         p_theta=momentum_unit("angular", constants))
+    units = tuple(column_units.values())
 
     qns = [QuantumNumbers(n, L, 0) for n in range(1, args.nmax + 1) for L in range(n)]
     family = hydrogen_family(qns)
     require_normalised(family, config, f"a state of the n <= {args.nmax} hydrogen table")
-    p_r, p_theta = (expectations(canonical_momentum(system, axis), family, config) for axis in (0, 1))
+    p_rs, p_thetas = (expectations(canonical_momentum(system, axis), family, config).value.real for axis in (0, 1))
     # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>
     inv_r2s, inv_r3s = (family.moments(0, lambda r: r**p, config) for p in (-2.0, -3.0))
 
     rows = []
-    for qn, rep_r, rep_theta, inv_r2, inv_r3 in zip(qns, p_r, p_theta, inv_r2s, inv_r3s):
-        row = {"inv_r2_quad": inv_r2, "inv_r2_closed": inv_r2_closed_form(qn)}
+    for qn, inv_r2, inv_r3, p_r, p_theta in zip(qns, inv_r2s, inv_r3s, p_rs, p_thetas):
+        cells = [inv_r2, inv_r2_closed_form(qn), None, None, None, p_r, p_theta]
         if qn.L >= 1:
             fb = _force_balance(qn, inv_r2, inv_r3)
-            row.update(inv_r3_quad=fb.inv_r3_quad, inv_r3_closed=fb.inv_r3_closed, residual=fb.residual)
-        row.update(p_r=rep_r.value.real, p_theta=rep_theta.value.real)
-        cells = {key: _in_units(row[key], unit) if key in row else None for key, unit in column_units.items()}
-        rows.append({"n": qn.n, "L": qn.L, **cells})
+            cells[2:5] = fb.inv_r3_quad, fb.inv_r3_closed, fb.residual
+        rows.append((qn.n, qn.L, *(None if x is None else _in_units(x, unit) for x, unit in zip(cells, units))))
     _emit_rows(args.format, ["n", "L", *column_units], rows)
     return 0
 
@@ -217,13 +212,10 @@ def check(args) -> int:
 
     if args.format != "text":
         columns = ["suite", "passed", "checks", "failures", "worst"]
-        rows = [
-            {"command": "check", "suite": res.name, "passed": res.passed, "checks": res.checks,
-             "failures": res.failures, "worst": res.worst}
-            for res in results
-        ]
-        # json rows name their command; the csv header does not
-        _emit_rows(args.format, ["command"] + columns if args.format == "json" else columns, rows)
+        rows = [(res.name, res.passed, res.checks, res.failures, res.worst) for res in results]
+        if args.format == "json":  # json rows name their command; the csv header does not
+            columns, rows = ["command", *columns], [("check", *row) for row in rows]
+        _emit_rows(args.format, columns, rows)
     else:
         lines = [
             f"{res.name:<24} {'PASS' if res.passed else 'FAIL'}  checks={res.checks:<5d} "
@@ -241,19 +233,10 @@ def p_theta_scan(args) -> int:
     config, constants = _resolve(args)
     rows = p_theta_spectrum_scan(args.lmax, config)
 
-    columns = ["L", "M", "p_theta_re", "p_theta_im", "quad_error"]
     hbar = momentum_unit("angular", constants)
-    table = [
-        {
-            "L": row.L,
-            "M": row.M,
-            "p_theta_re": _in_units(row.value.real, hbar),
-            "p_theta_im": _in_units(row.value.imag, hbar),
-            "quad_error": _in_units(row.quadrature_error, hbar),
-        }
-        for row in rows
-    ]
-    _emit_rows(args.format, columns, table)
+    table = [(row.L, row.M, *(_in_units(x, hbar) for x in (row.value.real, row.value.imag, row.quadrature_error)))
+             for row in rows]
+    _emit_rows(args.format, ["L", "M", "p_theta_re", "p_theta_im", "quad_error"], table)
     return 0 if all(abs(row.value) <= 1e-9 for row in rows) else 1  # a NaN value fails too
 
 

@@ -100,7 +100,7 @@ def test_a_family_is_a_state_of_k_rows(name):
     assert family.is_family and family.norms(cfg).shape == (3,)
     for axis in range(family.system.dim):
         op = canonical_momentum(family.system, axis)
-        assert len(expectations(op, family, cfg)) == len(family.moments(axis, np.ones_like, cfg)) == 3
+        assert len(expectations(op, family, cfg).value) == len(family.moments(axis, np.ones_like, cfg)) == 3
         with pytest.raises(ConfigurationError, match="family"):
             expectation(op, family, cfg)
         with pytest.raises(ConfigurationError, match="family"):
@@ -116,7 +116,11 @@ def test_a_one_level_hydrogen_family_is_a_family():
     family, state = hydrogen_family([QuantumNumbers(2, 1, 0)]), hydrogen_state(QuantumNumbers(2, 1, 0))
     op = canonical_momentum(state.system, 0)
     assert family.is_family and not state.is_family
-    assert expectations(op, family) == [expectation(op, state)]
+    rep, alone = expectations(op, family), expectation(op, state)
+    assert (type(alone.value), type(alone.boundary_term), type(alone.quadrature_error)) == (complex, float, float)
+    assert rep.value.tolist() == [alone.value]
+    assert rep.boundary_term.tolist() == [alone.boundary_term]
+    assert rep.quadrature_error.tolist() == [alone.quadrature_error]
     with pytest.raises(ConfigurationError):
         expectation(op, family)
 
@@ -397,9 +401,9 @@ def test_trial_linear_momenta_are_zero_to_rounding():
         family = trial_family(system, range(200))
         for axis, spec in enumerate(system.coords):
             if spec.topology in ("line", "half-line"):
-                reps = expectations(canonical_momentum(system, axis), family)
-                assert max(abs(rep.value) for rep in reps) <= 1e-14, (system.name, spec.name)
-                assert max(rep.quadrature_error for rep in reps) <= 1e-14, (system.name, spec.name)
+                rep = expectations(canonical_momentum(system, axis), family)
+                assert np.abs(rep.value).max() <= 1e-14, (system.name, spec.name)
+                assert rep.quadrature_error.max() <= 1e-14, (system.name, spec.name)
 
 
 def test_hydrogen_canonical_momenta_are_real():
@@ -473,6 +477,11 @@ def test_reality_tolerance_floor_and_scaling():
         assert reality_tolerance(rep) == max(10.0 * rep.quadrature_error, 1e-9), axis
     assert reality_tolerance(ExpectationReport(0j, 0.0, 0.0)) == 1e-9
     assert reality_tolerance(ExpectationReport(0j, 0.0, 0.5)) == 5.0
+    # elementwise on a family's report: errors on both sides of the floor, each member as if alone
+    errors = np.array([0.0, 1e-11, 9e-11, 1e-10, 1.1e-10, 3e-10, 0.5])
+    tols = reality_tolerance(ExpectationReport(np.zeros(len(errors), complex), np.zeros(len(errors)), errors))
+    assert tols.tolist() == [reality_tolerance(ExpectationReport(0j, 0.0, e)) for e in errors.tolist()]
+    assert (tols == 1e-9).any() and (tols > 1e-9).any()
     si = PhysicalConstants(hbar=1.054571817e-34, m=9.1093837015e-31, e2=2.3070775523e-28)
     assert momentum_unit("linear", si) == pytest.approx(si.hbar / si.a0)
     assert momentum_unit("angular", si) == si.hbar
@@ -858,3 +867,22 @@ def test_recurrence_suite_fails_without_condon_shortley_phase(monkeypatch):
     monkeypatch.setattr(specfun, "_legendre_climb", no_phase)
     result = analysis._suite_recurrence()
     assert not result.passed and result.checks == 121 and result.failures == 110
+
+
+def test_no_family_combines_two_complex_axes(monkeypatch):
+    # combine_axes gives a member the bits of the member alone only while at most one axis's sums
+    # are complex: over two, numpy's complex product may fuse its multiply-adds where a lone member
+    # runs the scalar loop; every family the suites and the family commands combine keeps to that
+    combine, complex_axes = quadrature.combine_axes, []
+
+    def counted(pairs):
+        if pairs and len(pairs[0]) > 1:
+            complex_axes.append(sum(np.iscomplexobj(sums) for sums in pairs))
+        return combine(pairs)
+
+    for module in (analysis, states):
+        monkeypatch.setattr(module, "combine_axes", counted)
+    run_check_suites()
+    for args in (("hydrogen-table", "--nmax", "6"), ("p-theta-scan", "--lmax", "10")):
+        assert invoke(*args).exit_code == 0, args
+    assert set(complex_axes) == {0, 1}, collections.Counter(complex_axes)  # norms real, momenta complex

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -351,19 +353,18 @@ def test_row_templates_print_the_per_cell_bytes(monkeypatch):
     cells = [3, -7, True, False, "abc", None, 1.5, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
              np.float64(2.5), np.float64(-math.nan), "a_cell_longer_than_twenty"]
     columns = [f"c{i}" for i in range(len(cells))] + ["a_column_named_past_twenty"]
-    rows = [dict(zip(columns, cells + [0.1])), dict(zip(columns, cells[::-1] + [None])),
-            dict(zip(columns, cells + [0.1]))]
+    rows = [(*cells, 0.1), (*cells[::-1], None), (*cells, 0.1)]
     written = []
     monkeypatch.setattr(cli_module, "_write", written.append)
     for fmt in ("csv", "text"):
         written.clear()
         cli_module._emit_rows(fmt, columns, rows)
         if fmt == "csv":
-            lines = [",".join(columns)] + [",".join(_old_fmt(row[k]) for k in columns) for row in rows]
+            lines = [",".join(columns)] + [",".join(map(_old_fmt, row)) for row in rows]
         else:
             widths = {k: max(len(k), 20) for k in columns}
             lines = ["  ".join(k.ljust(widths[k]) for k in columns)]
-            lines += ["  ".join(_old_fmt(row[k]).ljust(widths[k]) for k in columns) for row in rows]
+            lines += ["  ".join(_old_fmt(cell).ljust(widths[k]) for k, cell in zip(columns, row)) for row in rows]
         assert written == ["\n".join(lines)], fmt
     assert [cli_module._fmt(cell) for cell in cells] == [_old_fmt(cell) for cell in cells]
 
@@ -661,3 +662,19 @@ def test_main_alias_and_module_entry_exit_with_the_command_code(monkeypatch, cap
             runpy.run_module("curvimom", run_name="__main__")
         assert alias.value.code == module.value.code == code, argv
     assert capsys.readouterr().out.endswith(f"curvimom, version {curvimom.__version__}\n" * 2)
+
+
+def test_the_command_line_loads_numpy_alone_beyond_the_standard_library():
+    # curvimom's one dependency is numpy: importing the command line in a fresh interpreter loads
+    # no top-level module beyond a bare one's that is not the standard library's, numpy or curvimom
+    path = [str(Path(curvimom.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def loaded(code: str) -> set[str]:
+        cmd = [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"]
+        out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
+        return {name.partition(".")[0] for name in out.split()}
+
+    extra = loaded("import curvimom.cli") - loaded("pass")
+    assert {"numpy", "curvimom"} <= extra
+    assert {name for name in extra if name not in sys.stdlib_module_names} == {"numpy", "curvimom"}
