@@ -89,11 +89,15 @@ _LEVELS = [QuantumNumbers(n, L, M) for n in range(1, 5) for L in range(n) for M 
 @dataclass(frozen=True)
 class ExpectationReport:
     """Expectation values with their reality diagnostics, in natural momentum units: Python
-    numbers from ``expectation``, and from ``expectations`` (k,) arrays, member i in entry i."""
+    numbers from ``expectation``, and from ``expectations`` (k,) arrays, member i in entry i.
+    Reports are equal field by field by ``np.array_equal``; a family's, of arrays, is unhashable."""
 
     value: complex | np.ndarray
     boundary_term: float | np.ndarray
     quadrature_error: float | np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
     @property
     def hermiticity_defect(self) -> float | np.ndarray:

@@ -270,7 +270,7 @@ class QuadratureConfig:
         return self.phi_order
 
 
-# the one default of every config parameter, and the orders trial factors are normalised at
+# the one default of every config parameter, and the orders of the rule each trial factor is normalised on
 DEFAULT_CONFIG = QuadratureConfig()
 
 

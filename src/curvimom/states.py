@@ -421,10 +421,10 @@ def hydrogen_family(qns: Sequence[QuantumNumbers]) -> SeparableState:
 def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> SeparableState:
     """The random trial states of one or more ``seeds`` on ``system``, lengths in
     units of a0, as one family: each axis's raw profile is evaluated once for all
-    members, on (k, 1) parameter columns, to fold each member's normalisation
-    constant, against the factor's own weight on the mapped rule at its own width and
-    the default orders, into its factor.  A linear factor then tabulates on the hermite
-    rule at its own width and centre, an angular one on its mapped rule.  k seeds'
+    members, on (k, 1) parameter columns, on the rule its factor tabulates on at the
+    default orders, to fold each member's normalisation constant, against the factor's
+    own weight, into its factor: a linear factor's hermite rule at its own width and
+    centre, exact for |f|^2, and an angular one's mapped rule.  k seeds'
     factors carry the tuple of the members' radial scales; one seed gives
     ``random_bound_trial``'s lone state, on Python floats at its radial scale."""
     if len(seeds) == 0 or not all(is_integer(seed) and seed >= 0 for seed in seeds):
@@ -433,7 +433,6 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> SeparableSta
     bounds = [_TRIAL_DRAWS[spec.topology] for spec in system.coords]
     low, span = np.concatenate(bounds, axis=1)
     drawn = low + span * np.array([np.random.default_rng(seed).random(len(low)) for seed in seeds])
-    members_drawn = drawn.tolist()
     one = len(seeds) == 1
     radial = [1.0] * len(seeds)  # each member's radial scale: 1 or its largest linear width
     axes = []  # per coordinate: builder, the family's parameters, 1 / norms
@@ -442,20 +441,18 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> SeparableSta
         block = slice(start, start + axis_bounds.shape[1])
         start = block.stop
         if spec.topology in ("line", "half-line"):
-            rows = [row[block] for row in members_drawn]  # Python floats, as a lone state's
+            rows = drawn[:, block].tolist()  # Python floats, as a lone state's
             if spec.topology == "half-line":  # centered at 0, so no center is drawn
                 rows = [[row[0], 0.0, *row[1:]] for row in rows]
             radial = [max(r, row[0]) for r, row in zip(radial, rows)]
             builder, params = _poly_gaussian, rows[0] if one else tuple(np.array(rows).T[:, :, None])
-            scale = params[0] if one else params[0][:, 0]
         else:
             periodic = spec.topology == "compact-periodic"
             coeffs = drawn[:, block] / math.sqrt(2.0 * math.pi) if periodic else drawn[:, block]
             params = (coeffs[0],) if one else (coeffs[:, None],)  # k rows: (k, 1, m)
-            builder, scale = _fourier_sum if periodic else _sine_sum, 1.0
-        raw = builder(*params, spec=spec, scale=scale).evaluate
-        rule = axis_rule(spec, DEFAULT_CONFIG.order_for(spec), scale)
-        norm_sq = coordinate_integral(rule, lambda q: np.abs(raw(q)) ** 2)
+            builder = _fourier_sum if periodic else _sine_sum
+        raw = builder(*params, spec=spec, scale=1.0)  # its rule, hermite or compact, reads no scale
+        norm_sq = coordinate_integral(raw.rule(DEFAULT_CONFIG), lambda q: np.abs(raw.evaluate(q)) ** 2)
         inv = [1.0 / math.sqrt(n) for n in ([norm_sq.real] if one else norm_sq.tolist())]
         axes.append((builder, spec, params, inv[0] if one else np.array(inv)[:, None]))
     scale = radial[0] if one else tuple(radial)
@@ -467,7 +464,7 @@ def random_bound_trial(system: CoordinateSystem, seed: int) -> SeparableState:
 
     Linear axes get polynomial-times-Gaussian profiles, the polar angle a
     truncated sine sum (vanishing at the poles), the azimuth a short Fourier
-    sum.  Each factor is normalized by quadrature against its own weight.
+    sum.  Each factor is normalized by quadrature against its own weight, on the rule it tabulates on.
     It is ``trial_family(system, [seed])``: one seed gives factors on Python floats.
     """
     return trial_family(system, (seed,))

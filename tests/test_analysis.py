@@ -406,6 +406,87 @@ def test_trial_linear_momenta_are_zero_to_rounding():
                 assert rep.quadrature_error.max() <= 1e-14, (system.name, spec.name)
 
 
+def _trial_families_with_draws(monkeypatch, seeds) -> list:
+    # (system, family, per factor the arguments its builder took: the (k, 1) parameter columns, or
+    # the (k, 1, m) harmonics' coefficients, then the (k, 1) column of 1 / norms) on every system
+    made = {}
+    for name in ("_poly_gaussian", "_sine_sum", "_fourier_sum"):
+        builder = getattr(states, name)
+
+        def build(*args, builder=builder, **kwargs):
+            factor = builder(*args, **kwargs)
+            made[factor] = args
+            return factor
+
+        monkeypatch.setattr(states, name, build)
+    families = [(system, trial_family(system, seeds)) for system in preset_systems().values()]
+    return [(system, family, [made[f] for f in family.factors]) for system, family in families]
+
+
+# int_0^pi sin(j theta) sin(k theta) sin(theta) d(theta) = [I(j - k) - I(j + k)] / 2 for the sine
+# harmonics j, k = 1..4, where I(m) = int_0^pi cos(m theta) sin(theta) d(theta) = (1 + (-1)^m) / (1 - m^2)
+_SINE_GRAM = np.array([[((2.0 / (1 - (j - k) ** 2) if (j - k) % 2 == 0 else 0.0)
+                         - (2.0 / (1 - (j + k) ** 2) if (j + k) % 2 == 0 else 0.0)) / 2.0
+                        for k in range(1, 5)] for j in range(1, 5)])
+
+
+def _closed_form_norm_sq(spec, params) -> np.ndarray:
+    # each member's int |f|^2 w dq for the raw profile (1 / norm left out), in closed form
+    if spec.topology == "line":  # int (c0 + c1 u + c2 u^2)^2 e^(-u^2) s du
+        s, _, c0, c1, c2 = (p[:, 0] for p in params)
+        return s * math.sqrt(math.pi) * (c0 * c0 + (c1 * c1 + 2.0 * c0 * c2) / 2.0 + 0.75 * c2 * c2)
+    if spec.topology == "half-line":  # against q^a: s^(1 + a) sum_ij c_i c_j Gamma((i + j + a + 1)/2) / 2
+        a = {"q": 1, "q^2": 2}[spec.weight.ident]
+        s, _, *cs = (p[:, 0] for p in params)
+        return s ** (1 + a) * sum(ci * cj * math.gamma((i + j + a + 1) / 2) / 2
+                                  for i, ci in enumerate(cs) for j, cj in enumerate(cs))
+    cs = params[0][:, 0]
+    if spec.topology == "compact-nonperiodic":
+        return np.einsum("kj,jl,kl->k", cs, _SINE_GRAM, cs)
+    return 2.0 * math.pi * np.sum(cs * cs, axis=-1)  # Parseval, the c_m already over sqrt(2 pi)
+
+
+def test_trial_norms_match_their_closed_forms(monkeypatch):
+    # every trial factor is a polynomial times a Gaussian or a finite harmonic sum, so its norm
+    # has a closed form: the factor's 1 / norm, folded in by quadrature, must give 1 with it,
+    # over seeds 0-299 on every system
+    for system, family, drawn in _trial_families_with_draws(monkeypatch, range(300)):
+        for spec, (*params, inv) in zip(system.coords, drawn):
+            miss = np.abs(_closed_form_norm_sq(spec, params) * inv[:, 0] ** 2 - 1.0)
+            assert miss.shape == (300,) and miss.max() <= 4e-15, (system.name, spec.name, miss.max())
+
+
+def test_trial_momenta_match_their_closed_forms(monkeypatch):
+    # the canonical <p> of a real factor is 0 and <p_phi> of the Fourier sum sum_m c_m e^(i m phi) is
+    # sum_m m c_m^2 / sum_m c_m^2 hbar: each trial value against it, over seeds 0-299 on every
+    # system; the polar sine sum's defect is not at rounding, so a real axis is held to the reality
+    # tolerance, and <p_phi> to 4e-15 hbar
+    for system, family, drawn in _trial_families_with_draws(monkeypatch, range(300)):
+        for axis, (spec, args) in enumerate(zip(system.coords, drawn)):
+            rep = expectations(canonical_momentum(system, axis), family)
+            if spec.topology == "compact-periodic":
+                cs = args[0][:, 0]
+                closed = np.sum(np.arange(-2, 3) * cs * cs, axis=-1) / np.sum(cs * cs, axis=-1)
+                assert np.abs(rep.value - closed).max() <= 4e-15, (system.name, spec.name)
+            else:
+                assert (np.abs(rep.value) <= reality_tolerance(rep)).all(), (system.name, spec.name)
+
+
+def test_family_reports_compare_field_by_field():
+    # == on two reports compares every field with np.array_equal, one bool for a family; a lone
+    # report hashes by its numbers, a family's is unhashable
+    system = make_spherical()
+    op = canonical_momentum(system, 2)
+    report = expectations(op, trial_family(system, [1, 2, 3]))
+    assert report == expectations(op, trial_family(system, [1, 2, 3]))
+    assert (report == expectations(op, trial_family(system, [3, 2, 1]))) is False
+    with pytest.raises(TypeError):
+        hash(report)
+    lone, again = (expectation(op, random_bound_trial(system, 1)) for _ in range(2))
+    assert lone == again and hash(lone) == hash(again)
+    assert lone != expectation(op, random_bound_trial(system, 2))
+
+
 def test_hydrogen_canonical_momenta_are_real():
     sph = make_spherical()
     ops = [canonical_momentum(sph, axis) for axis in range(3)]

@@ -617,8 +617,9 @@ def test_hydrogen_family_needs_hydrogen_states():
 
 
 def test_trial_states_keep_their_draws():
-    # values of random_bound_trial(system, 11) from before trial families:
-    # the generator calls, and so the states, are unchanged
+    # values of random_bound_trial(system, 11), each factor normalised on the rule it
+    # tabulates on; the draws behind them are pinned bit for bit by
+    # test_trial_members_keep_the_lone_state_stream
     points = {
         "line": (-0.7, 0.37, 1.9),
         "half-line": (0.3, 0.9, 2.6),
@@ -626,21 +627,21 @@ def test_trial_states_keep_their_draws():
         "compact-nonperiodic": (0.2, 1.1, 2.8),
     }
     expected = {
-        "cartesian": [0.02060715657466909, 0.3101908779100973, 0.0375305192811085],
+        "cartesian": [0.020607156574669074, 0.31019087791009703, 0.03753051928110847],
         "spherical": [
-            0.43805369877995837 - 0.03020411326747944j,
-            -0.1282991957091941 + 0.023605340941432254j,
-            0.0016121726406022802 - 0.0017931994680257396j,
+            0.43805369877995853 - 0.030204113267479453j,
+            -0.12829919570919418 + 0.023605340941432268j,
+            0.001612172640602281 - 0.0017931994680257402j,
         ],
         "cylindrical": [
-            0.12024186126242649 + 0.011038505111937862j,
-            -0.15310259839383816 - 0.19819538504067177j,
-            -0.0011629035188807295 + 0.0009018451243174634j,
+            0.12024186126242653 + 0.011038505111937866j,
+            -0.15310259839383822 - 0.1981953850406718j,
+            -0.0011629035188807297 + 0.0009018451243174635j,
         ],
         "plane-polar": [
-            0.5205343456805958 + 0.04778636138369548j,
-            -0.23206903448729638 - 0.30041953649872066j,
-            -0.002855274738644778 + 0.0022142985723458916j,
+            0.5205343456805961 + 0.047786361383695505j,
+            -0.2320690344872965 - 0.3004195364987208j,
+            -0.002855274738644779 + 0.0022142985723458924j,
         ],
     }
     for name, system in preset_systems().items():
@@ -701,6 +702,23 @@ def test_trial_members_keep_the_lone_state_stream(monkeypatch):
                     assert list(params) == expected and all(type(p) is float for p in params), (system.name, seed)
                 else:
                     assert np.array_equal(params[0], expected[0]), (system.name, seed, spec.name)
+
+
+def test_trial_family_asks_no_linear_axis_for_its_mapped_rule(monkeypatch):
+    # each trial factor is normalised on the rule it tabulates on: a line or half-line factor on
+    # the hermite rule at its peak, so building a family never asks for the mapped rule there
+    calls = []
+
+    def spy(spec, order, scale=1.0, peak=None):
+        calls.append((spec.topology, peak))
+        return axis_rule(spec, order, scale, peak)
+
+    monkeypatch.setattr(states, "axis_rule", spy)
+    for system in preset_systems().values():
+        for seeds in ([5], range(10, 14)):
+            trial_family(system, seeds)
+    linear = [peak for topology, peak in calls if topology in ("line", "half-line")]
+    assert linear and all(peak is not None for peak in linear)
 
 
 def test_trial_family_needs_valid_seeds():
