@@ -55,7 +55,6 @@ from .operators import (
     commutator_pp_residual,
     commutator_qp_residual,
     coordinate_scaled_state,
-    l_squared_expectation,
     momentum_unit,
     naive_momentum,
     operator_applied_state,

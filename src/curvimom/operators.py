@@ -35,7 +35,6 @@ __all__ = [
     "coordinate_scaled_state",
     "commutator_qp_residual",
     "commutator_pp_residual",
-    "l_squared_expectation",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +104,7 @@ def operator_applied_state(op: MomentumOperator, state: SeparableState) -> Separ
 
     factors = list(state.factors)
     factors[op.axis] = factor.derived(evaluate, derivative)
-    return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
+    return replace(state, factors=tuple(factors), normalized=False)
 
 
 def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
@@ -121,7 +120,7 @@ def coordinate_scaled_state(state: SeparableState, axis: int) -> SeparableState:
 
     factors = list(state.factors)
     factors[axis] = factor.derived(evaluate, derivative)
-    return replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
+    return replace(state, factors=tuple(factors), normalized=False)
 
 
 def commutator_qp_residual(
@@ -156,16 +155,3 @@ def commutator_pp_residual(
     second = apply(p_j, operator_applied_state(p_i, state), point)
     return first - second
 
-
-def l_squared_expectation(state: SeparableState) -> float:
-    """<L^2> = L(L+1), in units of hbar^2, for an angular-momentum eigenstate.
-
-    Raises:
-        UnsupportedStateError: if the state carries no quantum numbers.
-    """
-    if state.quantum_numbers is None:
-        raise UnsupportedStateError(
-            "L^2 expectation needs a state with hydrogenic quantum numbers"
-        )
-    L = state.quantum_numbers.L
-    return float(L * (L + 1))

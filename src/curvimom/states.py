@@ -174,15 +174,12 @@ class FactorFunction:
         return entry
 
     def derivative_table(self, config: QuadratureConfig) -> np.ndarray:
-        """The read-only derivative on ``table``'s nodes, once, and only when
-        asked for (a derived factor's may raise); a stack stacks its parts'."""
+        """The read-only derivative on ``rule``'s nodes, once, and only when asked for (a derived factor's
+        may raise); a stack's is on its own k-row rule, row i on part i's nodes, and only tests ask."""
         order = self.order(config)
         slopes = self._derivatives.get(order)
         if slopes is None:
-            if self.parts:
-                slopes = np.stack([f.derivative_table(config) for f in self.parts])
-            else:
-                slopes = np.asarray(self.derivative(self.rule(config).nodes))
+            slopes = np.asarray(self.derivative(self.rule(config).nodes))
             slopes.setflags(write=False)
             self._derivatives[order] = slopes
         return slopes
@@ -212,7 +209,6 @@ class SeparableState:
 
     factors: tuple[FactorFunction, ...]
     system: CoordinateSystem
-    quantum_numbers: QuantumNumbers | None = None
     normalized: bool = True
 
     def __post_init__(self) -> None:
@@ -348,7 +344,7 @@ def hydrogen_state(qn: QuantumNumbers) -> SeparableState:
     weights, so the product is normalized with no cross terms.  The factors
     are shared with every other state of the same (n, L), (L, M) or M.
     """
-    return SeparableState(_hydrogen_factors(qn), make_spherical(), quantum_numbers=qn)
+    return SeparableState(_hydrogen_factors(qn), make_spherical())
 
 
 _SINE_KS, _FOURIER_MS = np.arange(1.0, 5.0), np.arange(-2.0, 3.0)  # the trial harmonics
@@ -493,7 +489,7 @@ def apply_phase_twist(state: SeparableState, axis: int, wavenumber: float) -> Se
 
     factors = list(state.factors)
     factors[axis] = base.derived(evaluate, derivative)
-    return replace(state, factors=tuple(factors), quantum_numbers=None)
+    return replace(state, factors=tuple(factors))
 
 
 def state_overlap(

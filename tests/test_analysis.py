@@ -45,13 +45,13 @@ from curvimom.analysis import (
     p_theta_spectrum_scan,
     radial_moment,
     reality_tolerance,
+    require_normalised,
     run_check_suites,
 )
-from curvimom import analysis, operators, quadrature, specfun, states
+from curvimom import analysis, cli, operators, quadrature, specfun, states
 from curvimom.operators import (
     canonical_momentum,
     coordinate_scaled_state,
-    l_squared_expectation,
     momentum_unit,
     naive_momentum,
     operator_applied_state,
@@ -75,7 +75,6 @@ def test_expectation_requires_normalized_state():
     denorm = SeparableState(
         factors=state.factors,
         system=state.system,
-        quantum_numbers=state.quantum_numbers,
         normalized=False,
     )
     with pytest.raises(PreconditionError):
@@ -107,8 +106,6 @@ def test_a_family_is_a_state_of_k_rows(name):
             drift_expectation(family, axis, cfg)
     with pytest.raises(ConfigurationError, match="family"):
         state_overlap(family, family, cfg)
-    with pytest.raises(UnsupportedStateError):
-        l_squared_expectation(family)
 
 
 def test_a_one_level_hydrogen_family_is_a_family():
@@ -214,7 +211,7 @@ def test_families_build_no_member_states(monkeypatch):
     monkeypatch.setattr(SeparableState, "__post_init__", lambda state: built.append(state) or post_init(state))
     run_check_suites()
     assert len(built) == 16 + sum(1 + d * d + d * (d - 1) for d in (s.dim for s in preset_systems().values())) == 71
-    assert all(state.quantum_numbers is None and state.is_family for state in built)
+    assert all(state.is_family for state in built)
     analysis._scan_levels.cache_clear()
     for families in (1, 0):  # cold, then warm
         built.clear()
@@ -312,8 +309,8 @@ def test_derivative_table_is_memoised_with_the_values(factor_calls):
     # factor for its derivative once; the members (3, 2, -1) and (3, 2, 1)
     # share their radial factor
     system, cfg = make_spherical(), QuadratureConfig()
-    members = [hydrogen_state(QuantumNumbers(*qn)) for qn in ((2, 1, 0), (3, 2, -1), (3, 2, 1))]
-    family = hydrogen_family([state.quantum_numbers for state in members])
+    qns = [QuantumNumbers(*qn) for qn in ((2, 1, 0), (3, 2, -1), (3, 2, 1))]
+    members, family = [hydrogen_state(qn) for qn in qns], hydrogen_family(qns)
     for op in (canonical_momentum(system, 0), naive_momentum(system, 0)):
         expectations(op, family, cfg)
     assert factor_calls[("derivative", "array")] == 2
@@ -446,6 +443,12 @@ def _closed_form_norm_sq(spec, params) -> np.ndarray:
     return 2.0 * math.pi * np.sum(cs * cs, axis=-1)  # Parseval, the c_m already over sqrt(2 pi)
 
 
+def _closed_form_p_phi(params) -> np.ndarray:
+    # each member's <p_phi> of the Fourier sum sum_m c_m e^(i m phi), m = -2..2: sum_m m c_m^2 / sum_m c_m^2
+    cs = params[0][:, 0]
+    return np.sum(np.arange(-2, 3) * cs * cs, axis=-1) / np.sum(cs * cs, axis=-1)
+
+
 def test_trial_norms_match_their_closed_forms(monkeypatch):
     # every trial factor is a polynomial times a Gaussian or a finite harmonic sum, so its norm
     # has a closed form: the factor's 1 / norm, folded in by quadrature, must give 1 with it,
@@ -465,11 +468,45 @@ def test_trial_momenta_match_their_closed_forms(monkeypatch):
         for axis, (spec, args) in enumerate(zip(system.coords, drawn)):
             rep = expectations(canonical_momentum(system, axis), family)
             if spec.topology == "compact-periodic":
-                cs = args[0][:, 0]
-                closed = np.sum(np.arange(-2, 3) * cs * cs, axis=-1) / np.sum(cs * cs, axis=-1)
-                assert np.abs(rep.value - closed).max() <= 4e-15, (system.name, spec.name)
+                assert np.abs(rep.value - _closed_form_p_phi(args)).max() <= 4e-15, (system.name, spec.name)
             else:
                 assert (np.abs(rep.value) <= reality_tolerance(rep)).all(), (system.name, spec.name)
+
+
+def test_error_estimate_bounds_the_true_error(monkeypatch):
+    # the estimate is a checked quantity: wherever a value has an independent truth, its error is
+    # at most max(quad_error, 1e-13).  Hydrogen (n <= 9, M in {0, +-L}) at four radial orders, on
+    # each level require_normalised accepts there: canonical <p_r> = <p_theta> = 0, <p_phi> = M,
+    # naive <p_r> = i <1/r> = i/n^2; trial seeds 0-49 on every system: canonical <p> = 0 on each
+    # real axis, and <p_phi> = sum_m m c_m^2 / sum_m c_m^2
+    def bounded(rep, truth, where):
+        error, bound = np.abs(rep.value - truth), np.maximum(rep.quadrature_error, 1e-13)
+        assert (error <= bound).all(), (where, np.max(error / bound))
+        return np.size(error)
+
+    system = make_spherical()
+    ops = [canonical_momentum(system, axis) for axis in range(3)] + [naive_momentum(system, 0)]
+    qns = [QuantumNumbers(n, L, M) for n in range(1, 10) for L in range(n) for M in sorted({0, -L, L})]
+    checked = []
+    for order in (120, 80, 60, 40):
+        cfg = QuadratureConfig(radial_order=order)
+        accepted = 0
+        for qn in qns:
+            state = hydrogen_state(qn)
+            try:
+                require_normalised(state, cfg, str(qn))
+            except DomainError:
+                continue
+            for op, truth in zip(ops, (0.0, 0.0, qn.M, 1j / qn.n**2)):
+                accepted += bounded(expectation(op, state, cfg), truth, (order, qn, op.axis))
+        checked.append(accepted)
+    assert checked == [468, 236, 72, 20]
+    checked = 0
+    for system, family, drawn in _trial_families_with_draws(monkeypatch, range(50)):
+        for axis, (spec, args) in enumerate(zip(system.coords, drawn)):
+            truth = _closed_form_p_phi(args) if spec.topology == "compact-periodic" else 0.0
+            checked += bounded(expectations(canonical_momentum(system, axis), family), truth, (system.name, axis))
+    assert checked == 50 * 11  # 8 real axes and 3 azimuthal ones
 
 
 def test_family_reports_compare_field_by_field():
@@ -755,6 +792,32 @@ def test_outputs_are_finite_or_refused_in_every_accepted_unit_system(label, tmp_
         assert values and all(map(math.isfinite, values)), argv
     # only at the ends of the range does an output leave the normal floats
     assert refused == 0 or label.endswith("-a0"), (label, refused)
+
+
+def test_a_printed_cell_that_leaves_the_normal_floats_is_refused(tmp_path):
+    # at the largest a0 accepted, a0^-3 is one ulp above the smallest normal float: hydrogen-table's
+    # <1/r^3> = 1/24 of (2, 1) times it underflows, so the table is refused whole, while the scan's
+    # and expect's cells, in hbar and hbar/a0, stay normal
+    hbar, m, e2 = _UNIT_SYSTEMS["largest-a0"]
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"hbar": hbar, "m": m, "e2": e2}))
+    units = ["--units", "si", "--si-constants", str(path)]
+    unit = PhysicalConstants(hbar, m, e2).length_unit(-3)
+    assert unit == math.nextafter(sys.float_info.min, 1.0)
+    table = invoke("hydrogen-table", "--nmax", "6", "--format", "csv", *units)
+    assert table.exit_code == 2 and table.stdout == ""
+    assert f"{0.04166666666666662!r} in natural units over- or underflows at the unit {unit!r}" in table.stderr
+    for argv in (["p-theta-scan"], ["expect", "canonical:r", "hydrogen:n=3,L=2,M=1"]):
+        assert invoke(*argv, *units).exit_code == 0, argv
+    # zeros, NaN and subnormals are printed as they come; a normal cell must stay normal
+    for value in (0.0, -0.0, math.nan, 5e-324, -1e-310):
+        scaled = cli._in_units(value, unit)
+        same = (scaled, math.copysign(1.0, scaled)) == (value * unit, math.copysign(1.0, value))
+        assert math.isnan(scaled) if math.isnan(value) else same, value
+    assert cli._in_units(0.5, 4.0 * unit) == 2.0 * unit and cli._in_units(0.5, 1.0) == 0.5
+    for value, at in ((0.04166666666666662, unit), (-1.0, unit / 2.0), (1e10, 1e300)):
+        with pytest.raises(DomainError, match="over- or underflows"):
+            cli._in_units(value, at)
 
 
 def test_run_check_suites_all_green():

@@ -375,10 +375,12 @@ _CACHED_MODULES = ("geometry", "quadrature", "specfun", "states", "analysis")
 @pytest.mark.parametrize(
     "args", [("hydrogen-table", "--nmax", str(n)) for n in range(1, 7)]
     + [("p-theta-scan", "--lmax", str(lmax)) for lmax in range(LMAX_RANGE[1] + 1)]
+    + [("expect", "canonical:r", "hydrogen:n=3,L=2,M=1"), ("expect", "canonical:theta", "trial:seed=42"),
+       ("check", "--seed", "1")]
 )
 def test_warm_output_equals_cold_output(args):
     # what the caches keep (rules, factors, tables, momentum sums, stacks, scan levels) never
-    # changes a byte: each table prints the same warm as after every cache is cleared
+    # changes a byte: each command prints the same warm as after every cache is cleared
     for fmt in ("text", "csv", "json"):
         assert invoke(*args, "--format", fmt).exit_code == 0
         warm = invoke(*args, "--format", fmt)

@@ -1,9 +1,11 @@
-"""Operators: pointwise action, drift shift, commutators, L^2 shortcut."""
+"""Operators: pointwise action, drift shift, commutators."""
 
+import ast
 import cmath
 import dataclasses
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from curvimom.operators import (
     commutator_pp_residual,
     commutator_qp_residual,
     coordinate_scaled_state,
-    l_squared_expectation,
     naive_momentum,
     operator_applied_state,
 )
@@ -186,13 +187,6 @@ def test_momentum_momentum_commutator():
                 assert_batch_matches(batch, singles, scales)
 
 
-def test_l_squared_expectation():
-    assert l_squared_expectation(hydrogen_state(QuantumNumbers(3, 2, -1))) == pytest.approx(6.0)
-    assert l_squared_expectation(hydrogen_state(QuantumNumbers(1, 0, 0))) == 0.0
-    with pytest.raises(UnsupportedStateError):
-        l_squared_expectation(random_bound_trial(make_spherical(), 2))
-
-
 def test_apply_raises_at_measure_zeros():
     sph = make_spherical()
     state = hydrogen_state(QuantumNumbers(2, 1, 0))
@@ -246,14 +240,21 @@ def test_only_the_unit_definitions_take_physical_constants():
 
 
 def test_every_public_name_resolves_and_is_exported_by_its_module():
-    # each module's __all__ names what it defines, and the package re-exports only those
-    # names and the error types, so a deleted name cannot linger in either list
+    # each module's __all__ names what it defines, the package imports from each module only the
+    # names in its __all__ (from errors, which has none, only error types), and it re-exports only
+    # those, so a deleted name cannot linger in any of these lists
+    tree = ast.parse(Path(curvimom.__file__).read_text(encoding="utf-8"))
+    imported = {node.module: [alias.name for alias in node.names] for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert sorted(imported) == ["analysis", "errors", "geometry", "operators", "quadrature", "specfun", "states"]
+    assert all(issubclass(getattr(curvimom.errors, name), Exception) for name in imported.pop("errors"))
     exported = {}
-    for name in ("analysis", "geometry", "operators", "quadrature", "specfun", "states"):
+    for name, names in imported.items():
         module = vars(curvimom)[name]
         for entry in module.__all__:
             assert hasattr(module, entry), (name, entry)
             exported[entry] = getattr(module, entry)
+        assert set(names) <= set(module.__all__), (name, set(names) - set(module.__all__))
     exported.update((name, obj) for name, obj in vars(curvimom.errors).items() if inspect.isclass(obj))
     stray = [name for name, obj in vars(curvimom).items()
              if not name.startswith("_") and not inspect.ismodule(obj) and exported.get(name) is not obj]

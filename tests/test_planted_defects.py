@@ -85,7 +85,7 @@ def _break_product_rule(monkeypatch):
         f = state.factors[axis]
         factors = list(state.factors)
         factors[axis] = f.derived(lambda q: q * f.evaluate(q), lambda q: q * f.derivative(q))
-        return dataclasses.replace(state, factors=tuple(factors), quantum_numbers=None, normalized=False)
+        return dataclasses.replace(state, factors=tuple(factors), normalized=False)
 
     monkeypatch.setattr(operators, "coordinate_scaled_state", scaled_state)
 
