@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,6 +81,8 @@ _NORM_TOL = 1e-10
 _MAX_RADIAL_POWER = 20
 # the L range p_theta_spectrum_scan and the command's --lmax accept (n = L + 1 <= 11)
 LMAX_RANGE = (0, 10)
+# the n range the hydrogen-table command's --nmax accepts
+NMAX_RANGE = (1, 6)
 # trial states per system in the reality scan
 _REALITY_TRIALS = 50
 # the hydrogen levels the suites check: every (n, L, M) with n <= 4
@@ -107,7 +110,7 @@ class ExpectationReport:
 
 @dataclass(frozen=True)
 class ForceBalanceReport:
-    """Centrifugal-vs-Coulomb balance on one hydrogen level: the moments <1/r^2>
+    """Centrifugal-vs-Coulomb balance on one hydrogen level, or (k,) arrays over levels: the moments <1/r^2>
     and <1/r^3> in a0^-2 and a0^-3, the forces and the residual in e^2/a0^2."""
 
     n: int
@@ -250,17 +253,17 @@ def ci_uniqueness_demo(
 
 
 def inv_r2_closed_form(qn: QuantumNumbers) -> float:
-    """<1/r^2> = 1 / (n^3 (L + 1/2)), in a0^-2."""
+    """<1/r^2> = 1 / (n^3 (L + 1/2)), in a0^-2; elementwise on levels whose n and L are arrays."""
     return 1.0 / (qn.n**3 * (qn.L + 0.5))
 
 
 def inv_r3_closed_form(qn: QuantumNumbers) -> float:
-    """<1/r^3> = 1 / (n^3 L (L + 1/2) (L + 1)), in a0^-3; needs L >= 1.
+    """<1/r^3> = 1 / (n^3 L (L + 1/2) (L + 1)), in a0^-3; needs L >= 1, elementwise as ``inv_r2_closed_form``.
 
     Raises:
         DomainError: for L = 0, where the moment diverges.
     """
-    if qn.L < 1:
+    if np.any(qn.L < 1):
         raise DomainError("<1/r^3> diverges for L = 0")
     return 1.0 / (qn.n**3 * qn.L * (qn.L + 0.5) * (qn.L + 1))
 
@@ -295,8 +298,8 @@ def force_balance(qn: QuantumNumbers, config: QuadratureConfig = DEFAULT_CONFIG)
 
 def _force_balance(qn: QuantumNumbers, inv_r2_q: float, inv_r3_q: float) -> ForceBalanceReport:
     # force_balance on level qn from its quadrature <1/r^2> and <1/r^3>, with <L^2> = L(L+1)
-    # hbar^2; both forces are in e^2 / a0^2, which is hbar^2 / (m a0^3)
-    centrifugal = float(qn.L * (qn.L + 1)) * inv_r3_q
+    # hbar^2, elementwise on levels of arrays; both forces are in e^2 / a0^2, which is hbar^2 / (m a0^3)
+    centrifugal = qn.L * (qn.L + 1.0) * inv_r3_q
     residual = centrifugal - inv_r2_q
     return ForceBalanceReport(
         n=qn.n,
@@ -320,11 +323,31 @@ def naive_ehrenfest_residual(qn: QuantumNumbers, config: QuadratureConfig = DEFA
     return -radial_moment(qn, -2, config=config)
 
 
+def _hydrogen_levels(levels: list[tuple[int, int, int]]) -> tuple[SimpleNamespace, SeparableState]:
+    # the levels (n, L, M) as (k,) int arrays n, L and M, and their family
+    n, L, M = np.array(levels).T
+    return SimpleNamespace(n=n, L=L, M=M), hydrogen_family([QuantumNumbers(*level) for level in levels])
+
+
 @lru_cache(maxsize=LMAX_RANGE[1] + 1)
-def _scan_levels(l_max: int) -> tuple[tuple[QuantumNumbers, ...], SeparableState]:
+def _scan_levels(l_max: int) -> tuple[SimpleNamespace, SeparableState]:
     # the scan's levels n = L + 1, L <= l_max, and their family, built once per accepted l_max
-    qns = tuple(QuantumNumbers(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1))
-    return qns, hydrogen_family(qns)
+    return _hydrogen_levels([(L + 1, L, M) for L in range(l_max + 1) for M in range(-L, L + 1)])
+
+
+@lru_cache(maxsize=NMAX_RANGE[1])
+def _table_levels(n_max: int) -> tuple[SimpleNamespace, SeparableState]:
+    # hydrogen-table's levels n <= n_max, every L, M = 0, and their family, built once per accepted n_max
+    return _hydrogen_levels([(n, L, 0) for n in range(1, n_max + 1) for L in range(n)])
+
+
+def _scan_columns(l_max: int, config: QuadratureConfig) -> tuple[SimpleNamespace, ExpectationReport]:
+    # the scan's levels and its one report of (k,) arrays, which p_theta_spectrum_scan and the command read
+    if not is_integer(l_max) or not LMAX_RANGE[0] <= l_max <= LMAX_RANGE[1]:
+        raise DomainError(f"l_max must be an integer in {list(LMAX_RANGE)}, got {l_max!r}")
+    levels, family = _scan_levels(l_max)
+    require_normalised(family, config, f"a state of the L <= {l_max} scan")
+    return levels, expectations(canonical_momentum(make_spherical(), 1), family, config)
 
 
 def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CONFIG) -> list[ScanRow]:
@@ -336,13 +359,8 @@ def p_theta_spectrum_scan(l_max: int = 6, config: QuadratureConfig = DEFAULT_CON
     Raises:
         DomainError: if l_max is outside [0, 10], or a member's norm misses 1 at these orders.
     """
-    if not is_integer(l_max) or not LMAX_RANGE[0] <= l_max <= LMAX_RANGE[1]:
-        raise DomainError(f"l_max must be an integer in {list(LMAX_RANGE)}, got {l_max!r}")
-    qns, family = _scan_levels(l_max)
-    require_normalised(family, config, f"a state of the L <= {l_max} scan")
-    report = expectations(canonical_momentum(make_spherical(), 1), family, config)
-    columns = zip(qns, report.value.tolist(), report.quadrature_error.tolist())
-    return [ScanRow(qn.L, qn.M, value, error) for qn, value, error in columns]
+    levels, rep = _scan_columns(l_max, config)
+    return list(map(ScanRow, levels.L.tolist(), levels.M.tolist(), rep.value.tolist(), rep.quadrature_error.tolist()))
 
 
 def cartesian_reality_check(

@@ -8,7 +8,8 @@ Subcommands:
 - p-theta-scan: <p_theta> across angular eigenstates.
 
 The library returns natural units (lengths in a0, momenta in hbar/a0 or
-hbar); each command applies the chosen units once, to the cells it prints.
+hbar); each command applies the chosen units once, as one product over
+the table it prints.
 
 Each command returns its exit code: 0 success, 1 suite or scan failure,
 2 usage error, 3 reality-contract failure, 4 singular evaluation; ``main``
@@ -21,17 +22,20 @@ import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
     LMAX_RANGE,
+    NMAX_RANGE,
     _force_balance,
+    _scan_columns,
+    _table_levels,
     expectation,
     expectations,
     inv_r2_closed_form,
-    p_theta_spectrum_scan,
     reality_tolerance,
     require_normalised,
     run_check_suites,
@@ -41,7 +45,7 @@ from .geometry import preset_systems
 from .operators import canonical_momentum, momentum_unit, naive_momentum
 from .quadrature import ORDER_RANGE, QuadratureConfig
 from .specfun import QuantumNumbers
-from .states import ATOMIC, hydrogen_family, hydrogen_state, load_constants, random_bound_trial
+from .states import ATOMIC, hydrogen_state, load_constants, random_bound_trial
 
 
 def _conversion(value) -> str:
@@ -54,14 +58,18 @@ def _fmt(value) -> str:
     return f"%{_conversion(value)}" % (value,)
 
 
-def _in_units(value: float, unit: float) -> float:
-    """A natural-unit cell times its unit: in atomic units the number itself,
-    and DomainError where a normal number leaves the normal floats."""
-    if unit == 1.0:
-        return value
-    scaled = value * unit
-    if sys.float_info.min <= abs(value) < math.inf and not sys.float_info.min <= abs(scaled) < math.inf:
-        raise DomainError(f"{value!r} in natural units over- or underflows at the unit {unit!r}")
+def _in_units(cells, units):
+    """A (k, c) table in natural units times its c units, or one cell times one unit, as one product: in atomic
+    units the cells themselves, and DomainError on the first normal cell, in row order, that over- or underflows."""
+    if units == 1.0 or isinstance(units, tuple) and set(units) == {1.0}:
+        return cells
+    with np.errstate(all="ignore"):
+        scaled = np.multiply(cells, units)
+    normal = [(sys.float_info.min <= x) & (x < math.inf) for x in np.abs([cells, scaled])]
+    refused = np.flatnonzero(normal[0] & ~normal[1])
+    if refused.size:
+        value, unit = np.ravel(cells)[refused[0]], np.broadcast_to(units, np.shape(cells)).flat[refused[0]]
+        raise DomainError(f"{value.item()!r} in natural units over- or underflows at the unit {unit.item()!r}")
     return scaled
 
 
@@ -161,11 +169,9 @@ def expect(args) -> int:
     require_normalised(st, config, args.state)
     report = expectation(op, st, config)
 
-    unit = momentum_unit(op.kind, constants)
     columns = ["value_re", "value_im", "defect", "boundary_term", "quad_error"]
-    natural = (report.value.real, report.value.imag, report.hermiticity_defect, report.boundary_term,
-               report.quadrature_error)
-    cells = [_in_units(x, unit) for x in natural]
+    cells = _in_units((report.value.real, report.value.imag, report.hermiticity_defect, report.boundary_term,
+                       report.quadrature_error), momentum_unit(op.kind, constants))
     if args.format != "text":
         _emit_rows(args.format, ["command", *columns, "units"], [("expect", *cells, args.units)])
     else:
@@ -179,28 +185,23 @@ def expect(args) -> int:
 def hydrogen_table(args) -> int:
     """Hydrogen moment table: quadrature vs closed forms per (n, L) level."""
     config, constants = _resolve(args)
-    system = preset_systems()["spherical"]
     # the unit of each number column, in column order
     lengths = {"inv_r2_quad": -2, "inv_r2_closed": -2, "inv_r3_quad": -3, "inv_r3_closed": -3}
     column_units = {key: constants.length_unit(power) for key, power in lengths.items()}
     column_units.update(residual=constants.e2 * constants.length_unit(-2), p_r=momentum_unit("linear", constants),
                         p_theta=momentum_unit("angular", constants))
-    units = tuple(column_units.values())
 
-    qns = [QuantumNumbers(n, L, 0) for n in range(1, args.nmax + 1) for L in range(n)]
-    family = hydrogen_family(qns)
+    levels, family = _table_levels(args.nmax)
     require_normalised(family, config, f"a state of the n <= {args.nmax} hydrogen table")
-    p_rs, p_thetas = (expectations(canonical_momentum(system, axis), family, config).value.real for axis in (0, 1))
-    # <1/r^2> and <1/r^3> on every level, from the family's radial table; L = 0 prints no <1/r^3>
-    inv_r2s, inv_r3s = (family.moments(0, lambda r: r**p, config) for p in (-2.0, -3.0))
-
-    rows = []
-    for qn, inv_r2, inv_r3, p_r, p_theta in zip(qns, inv_r2s, inv_r3s, p_rs, p_thetas):
-        cells = [inv_r2, inv_r2_closed_form(qn), None, None, None, p_r, p_theta]
-        if qn.L >= 1:
-            fb = _force_balance(qn, inv_r2, inv_r3)
-            cells[2:5] = fb.inv_r3_quad, fb.inv_r3_closed, fb.residual
-        rows.append((qn.n, qn.L, *(None if x is None else _in_units(x, unit) for x, unit in zip(cells, units))))
+    p_r, p_theta = (expectations(canonical_momentum(family.system, axis), family, config).value.real for axis in (0, 1))
+    # the force balance on the L >= 1 levels: L = 0 has no <1/r^3>, so its three cells hold 0 and print empty
+    inv_r2, inv_r3 = (np.array(family.moments(0, lambda r: r**p, config)) for p in (-2.0, -3.0))
+    orbital = levels.L >= 1
+    fb = _force_balance(SimpleNamespace(n=levels.n[orbital], L=levels.L[orbital]), inv_r2[orbital], inv_r3[orbital])
+    table = np.column_stack([inv_r2, inv_r2_closed_form(levels), np.zeros((orbital.size, 3)), p_r, p_theta])
+    table[orbital, 2:5] = np.transpose([fb.inv_r3_quad, fb.inv_r3_closed, fb.residual])
+    cells = zip(levels.n.tolist(), levels.L.tolist(), _in_units(table, tuple(column_units.values())).tolist())
+    rows = [(n, L, *row) if L else (n, L, *row[:2], None, None, None, *row[5:]) for n, L, row in cells]
     _emit_rows(args.format, ["n", "L", *column_units], rows)
     return 0
 
@@ -231,13 +232,12 @@ def check(args) -> int:
 def p_theta_scan(args) -> int:
     """Scan <p_theta> over eigenstates up to --lmax; exits 1 on any residual."""
     config, constants = _resolve(args)
-    rows = p_theta_spectrum_scan(args.lmax, config)
-
-    hbar = momentum_unit("angular", constants)
-    table = [(row.L, row.M, *(_in_units(x, hbar) for x in (row.value.real, row.value.imag, row.quadrature_error)))
-             for row in rows]
-    _emit_rows(args.format, ["L", "M", "p_theta_re", "p_theta_im", "quad_error"], table)
-    return 0 if all(abs(row.value) <= 1e-9 for row in rows) else 1  # a NaN value fails too
+    levels, report = _scan_columns(args.lmax, config)
+    table = np.column_stack([report.value.real, report.value.imag, report.quadrature_error])
+    columns = _in_units(table, momentum_unit("angular", constants)).T.tolist()
+    _emit_rows(args.format, ["L", "M", "p_theta_re", "p_theta_im", "quad_error"],
+               list(zip(levels.L.tolist(), levels.M.tolist(), *columns)))
+    return 0 if (np.abs(report.value) <= 1e-9).all() else 1  # a NaN value fails too
 
 
 def _int_range(low: int, high: float = math.inf):
@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--system", choices=sorted(preset_systems()), default="spherical",
                      help="Coordinate system the operator and state live on.")
     command("hydrogen-table", hydrogen_table).add_argument(
-        "--nmax", type=_int_range(1, 6), default=4, help="Largest principal quantum number.")
+        "--nmax", type=_int_range(*NMAX_RANGE), default=4, help="Largest principal quantum number.")
     command("check", check, seeded=True)
     command("p-theta-scan", p_theta_scan).add_argument(
         "--lmax", type=_int_range(*LMAX_RANGE), default=6, help="Largest angular momentum L.")

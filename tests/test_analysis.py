@@ -11,6 +11,7 @@ import json
 import math
 import struct
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -174,9 +175,9 @@ def test_expectation_evaluates_each_other_axis_once(monkeypatch):
 @pytest.fixture
 def factor_calls(monkeypatch):
     # counts every factor's evaluate/derivative calls on arrays and on single
-    # points, from empty hydrogen constructor, family stack and scan level caches
+    # points, from empty hydrogen constructor, family stack and scan and table level caches
     caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked,
-              analysis._scan_levels)
+              analysis._scan_levels, analysis._table_levels)
     for cache in caches:
         cache.cache_clear()
     counts = collections.Counter()
@@ -218,6 +219,7 @@ def test_families_build_no_member_states(monkeypatch):
         p_theta_spectrum_scan(10)
         assert len(built) == families and all(state.is_family for state in built)
     built.clear()
+    analysis._table_levels.cache_clear()
     assert invoke("hydrogen-table", "--nmax", "6").exit_code == 0
     assert len(built) == 1 and built[0].is_family
 
@@ -818,6 +820,27 @@ def test_a_printed_cell_that_leaves_the_normal_floats_is_refused(tmp_path):
     for value, at in ((0.04166666666666662, unit), (-1.0, unit / 2.0), (1e10, 1e300)):
         with pytest.raises(DomainError, match="over- or underflows"):
             cli._in_units(value, at)
+
+
+def test_a_table_is_scaled_as_one_product_and_refused_at_its_first_cell_in_row_order():
+    # a (k, c) table times its c units: of two cells that leave the normal floats, in different
+    # columns, the error names the one first in row order, (1, 1), not the first by column, (2, 0)
+    units = (1e-300, 1e300, 2.0)
+    refused = np.array([[0.0, -0.0, math.nan], [5e-324, 1e10, 1.0], [1e-10, 1.0, -1e-310]])
+    # zeros, NaN and subnormals scale without refusal, each cell times its column's unit
+    table = np.array([[0.0, -0.0, math.nan], [5e-324, -1e-310, 1.0], [-0.0, 1.0, -1e-310]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning escapes outside the command line's errstate
+        with pytest.raises(DomainError) as error:
+            cli._in_units(refused, units)
+        scaled = cli._in_units(table, units)
+    assert str(error.value) == f"{1e10!r} in natural units over- or underflows at the unit {1e300!r}"
+    expected = np.array([[x * unit for x, unit in zip(row, units)] for row in table.tolist()])
+    assert np.array_equal(scaled, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(scaled), np.signbit(expected))
+    # in atomic units the table itself, and one unit scales every column
+    assert cli._in_units(table, (1.0,) * 3) is table
+    assert np.array_equal(cli._in_units(table, 2.0), 2.0 * table, equal_nan=True)
 
 
 def test_run_check_suites_all_green():

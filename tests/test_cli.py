@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cli_runner import invoke
 import curvimom
 import curvimom.cli as cli_module
 from curvimom import states
-from curvimom.analysis import LMAX_RANGE, ScanRow
+from curvimom.analysis import LMAX_RANGE, ExpectationReport
 from curvimom.cli import main
 from curvimom.errors import SingularityError
 from curvimom.geometry import preset_systems
@@ -292,9 +293,9 @@ def test_hydrogen_table_csv_shape():
 
 def test_hydrogen_table_builds_each_level_once(monkeypatch):
     # each level's factors are looked up once, for the family, and no state is built per
-    # level: the force balance reads the row's quantum numbers and the moments the family's
+    # level: the force balance reads the levels' quantum numbers and the moments the family's
     # radial table.  A cold table evaluates each of the 21 radial factors for one value and
-    # one derivative table, a warm one none
+    # one derivative table; a warm one keeps its family, so it looks up no factor and evaluates none
     from curvimom import analysis
 
     levels, states_built, laguerre = [], [], []
@@ -308,14 +309,14 @@ def test_hydrogen_table_builds_each_level_once(monkeypatch):
         monkeypatch.setattr(module, "hydrogen_state", counted)
     monkeypatch.setattr(states, "_hydrogen_factors", lambda qn: levels.append((qn.n, qn.L)) or hydrogen_factors(qn))
     monkeypatch.setattr(states, "assoc_laguerre", lambda *args: laguerre.append(args) or assoc_laguerre(*args))
-    for cache in (states._hydrogen_radial, states._theta_factor, states._phi_factor):
+    for cache in (states._hydrogen_radial, states._theta_factor, states._phi_factor, analysis._table_levels):
         cache.cache_clear()
-    for calls in (42, 0):
+    for lookups, calls in (([(n, L) for n in range(1, 7) for L in range(n)], 42), ([], 0)):
         levels.clear()
         laguerre.clear()
         result = invoke("hydrogen-table", "--nmax", "6", "--format", "csv")
         assert result.exit_code == 0, result.output
-        assert levels == [(n, L) for n in range(1, 7) for L in range(n)]
+        assert levels == lookups
         assert states_built == []
         assert len(laguerre) == calls
 
@@ -379,10 +380,12 @@ _CACHED_MODULES = ("geometry", "quadrature", "specfun", "states", "analysis")
        ("check", "--seed", "1")]
 )
 def test_warm_output_equals_cold_output(args):
-    # what the caches keep (rules, factors, tables, momentum sums, stacks, scan levels) never
-    # changes a byte: each command prints the same warm as after every cache is cleared
+    # what the caches keep (rules, factors, tables, momentum sums, stacks, scan and table levels)
+    # never changes a byte: each command prints the same warm, beside a second cached table, as
+    # after every cache is cleared
     for fmt in ("text", "csv", "json"):
-        assert invoke(*args, "--format", fmt).exit_code == 0
+        for argv in (args, ("hydrogen-table", "--nmax", "3")):
+            assert invoke(*argv, "--format", fmt).exit_code == 0
         warm = invoke(*args, "--format", fmt)
         for name in _CACHED_MODULES:
             for cached in vars(getattr(curvimom, name)).values():
@@ -416,18 +419,28 @@ DATA = Path(__file__).parent / "data"
     ]
     + [
         (
-            "p-theta-scan_lmax10_si.json",
-            ("p-theta-scan", "--lmax", "10", "--format", "json", "--units", "si",
+            f"hydrogen-table_nmax6_si.{ext}",
+            ("hydrogen-table", "--nmax", "6", "--format", fmt, "--units", "si",
              "--si-constants", str(DATA / "si_constants.json")),
         )
+        for fmt, ext in (("text", "txt"), ("json", "json"))
+    ]
+    + [
+        (
+            f"p-theta-scan_lmax10_si.{ext}",
+            ("p-theta-scan", "--lmax", "10", "--format", fmt, "--units", "si",
+             "--si-constants", str(DATA / "si_constants.json")),
+        )
+        for fmt, ext in (("text", "txt"), ("csv", "csv"), ("json", "json"))
     ],
 )
 def test_cli_output_matches_fixture_byte_for_byte(fixture, args):
     # the atomic files under tests/data were written by the CLI before hydrogen
-    # families, the SI table when units moved to the output and the SI scan
-    # before units moved from the library to the CLI; every later change
-    # must print the same bytes.  The SI table is also the atomic one with
-    # each cell times its unit, once.
+    # families, the SI table csv when units moved to the output, the SI scan json
+    # before units moved from the library to the CLI, and the other SI formats
+    # before the units were applied per table; every later change must print
+    # the same bytes.  The SI table is also the atomic one with each cell times
+    # its unit, once.
     result = invoke(*args)
     assert result.exit_code == 0, result.output
     expected = _atomic_table_times_units() if fixture == "atomic-table-times-units" else (DATA / fixture).read_bytes()
@@ -614,9 +627,10 @@ def test_module_entry_point_help():
 
 def test_p_theta_scan_exits_1_on_a_nonzero_or_nan_value(monkeypatch):
     # the rows are printed either way; only a |<p_theta>| within 1e-9 exits 0
+    levels = SimpleNamespace(L=np.array([0, 1]), M=np.array([0, 0]))
     for value, code in ((0j, 0), (complex(0.0, 1e-6), 1), (complex(math.nan, 0.0), 1)):
-        rows = [ScanRow(0, 0, 0j, 0.0), ScanRow(1, 0, value, 0.0)]
-        monkeypatch.setattr(cli_module, "p_theta_spectrum_scan", lambda l_max, config, rows=rows: rows)
+        report = ExpectationReport(np.array([0j, value]), np.zeros(2), np.zeros(2))
+        monkeypatch.setattr(cli_module, "_scan_columns", lambda l_max, config, report=report: (levels, report))
         result = invoke("p-theta-scan", "--lmax", "1", "--format", "csv")
         assert result.exit_code == code, (value, result.output)
         assert len(result.stdout.splitlines()) == 3

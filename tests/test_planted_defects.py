@@ -17,9 +17,9 @@ from curvimom.analysis import run_check_suites
 @pytest.fixture(autouse=True)
 def fresh_factors():
     # hydrogen factors, their tables and momentum sums, their families' stacks and the
-    # scan's levels are cached per process: a row must build its own, and leave none behind
+    # scan's and the table's levels are cached per process: a row must build its own, and leave none behind
     caches = (states._hydrogen_radial, states._theta_factor, states._phi_factor, states._stacked,
-              analysis._scan_levels)
+              analysis._scan_levels, analysis._table_levels)
     for cache in caches:
         cache.cache_clear()
     yield
