@@ -419,19 +419,19 @@ DATA = Path(__file__).parent / "data"
     ]
     + [
         (
+            f"p-theta-scan_lmax10_si.{ext}",
+            ("p-theta-scan", "--lmax", "10", "--format", fmt, "--units", "si",
+             "--si-constants", str(DATA / "si_constants.json")),
+        )
+        for fmt, ext in (("json", "json"), ("text", "txt"), ("csv", "csv"))
+    ]
+    + [
+        (
             f"hydrogen-table_nmax6_si.{ext}",
             ("hydrogen-table", "--nmax", "6", "--format", fmt, "--units", "si",
              "--si-constants", str(DATA / "si_constants.json")),
         )
         for fmt, ext in (("text", "txt"), ("json", "json"))
-    ]
-    + [
-        (
-            f"p-theta-scan_lmax10_si.{ext}",
-            ("p-theta-scan", "--lmax", "10", "--format", fmt, "--units", "si",
-             "--si-constants", str(DATA / "si_constants.json")),
-        )
-        for fmt, ext in (("text", "txt"), ("csv", "csv"), ("json", "json"))
     ],
 )
 def test_cli_output_matches_fixture_byte_for_byte(fixture, args):
