@@ -11,28 +11,27 @@ One rule family per topology:
   sin(theta) d(theta) exactly for polynomial integrands in cos(theta);
 - any other compact interval: affine-mapped Gauss-Legendre.
 
-A factor that names a ``peak`` (width, centre) on a line or half-line takes the
-Gauss rule for the weight e^(-u^2), u = (q - centre)/width, instead, with
-e^(u_i^2) folded into the weights: Gauss-Hermite (``hermgauss``) on a line, and
-on a half-line the half-range Hermite rule, whose recurrence comes from the
-discretised Stieltjes procedure on the unit half-line rule of order 120 and
-whose nodes come from Golub-Welsch.  Both are built lazily, once per process, at
-``HERMITE_ORDER`` = 8 full- and 4 half-order nodes at every config: exact to
-degree 15 and 7 in u times e^(-u^2), which covers the norms and momentum sums
-of a polynomial-times-Gaussian factor (degree <= 7).  Any other integrand, such
-as a general moment kernel or a product with a differently placed or twisted
-factor, is summed on the mapped rule.
+Every coordinate has one scaled rule, ``axis_rule(spec, order, scale)``: the
+full- then the half-order nodes as one array, one weight row per order, with the
+weight w(q) folded in, so a 1-D integral is one weighted sum.  Its unit rule is
+cached per (coordinate, order) in one bounded cache; a line or half-line scale
+(or k of them, each a factor's own) is applied per call, and a config holds only
+orders.  Separable integrals are tabulated on it, summed by ``contract_rows``
+into (k, 2) arrays of (full, half) sums, one per coordinate, and combined by
+``combine_axes`` into k values and estimates; ``coordinate_rule`` and
+``coordinate_integral`` read its full-order rows.
 
-Every coordinate has one scaled rule, ``axis_rule``: the full- then the
-half-order nodes as one array, one weight row per order, with the weight w(q)
-folded in, so a 1-D integral is one weighted sum.  Its unit rule is cached per
-(coordinate, order) in one bounded cache, and each hermite rule per (topology,
-order) in another; a line or half-line scale or peak (or k of them, each a
-factor's own) is applied per call, and a config holds only orders.  Separable
-integrals are tabulated on it, summed by ``contract_rows`` into (k, 2) arrays
-of (full, half) sums, one per coordinate, and combined by ``combine_axes`` into
-k values and estimates; ``coordinate_rule`` and ``coordinate_integral`` read
-its full-order rows.
+On a line or half-line, ``hermite_rule(spec, width, centre)`` is laid out and
+mapped as that rule is, but is the Gauss rule for the weight e^(-u^2),
+u = (q - centre)/width, with e^(u_i^2) folded into the weights: Gauss-Hermite
+(``hermgauss``) on a line, and on a half-line the half-range Hermite rule, whose
+recurrence comes from the discretised Stieltjes procedure on the unit half-line
+rule of order 120 and whose nodes come from Golub-Welsch.  It is built once per
+topology, at the constant ``HERMITE_ORDER`` = 8 full- and 4 half-order nodes:
+exact to degree 15 and 7 in u times e^(-u^2), which covers the norms and
+momentum sums of a polynomial-times-Gaussian factor (degree <= 7).  The factor
+picks its rule; any other integrand, such as a general moment kernel or a
+product with a differently placed or twisted factor, is summed on the mapped rule.
 
 Gauss-Legendre nodes are solved by Newton iteration from the Chebyshev-like
 seed cos(pi (i - 1/4)/(n + 1/2)) and then mirrored about zero, so the node
@@ -65,6 +64,7 @@ __all__ = [
     "coordinate_rule",
     "coordinate_integral",
     "axis_rule",
+    "hermite_rule",
     "contract_rows",
     "combine_axes",
     "integrate_separable",
@@ -75,9 +75,9 @@ _ROOT_TOL = 1e-15
 # the verified orders: at order 2 the half order equals the full one, so the error estimate
 # compares a rule with itself; the node solve is O(order^2), and 4096 is exact to rounding
 ORDER_RANGE = (8, 4096)
-# a hermite rule's full order at every config, and the largest it is built at: the half-range
-# rule's moments x^0..x^(2m-1) are within 5.3e-15 of exact up to m = 16, and 5.2e-12 at m = 24
-HERMITE_ORDER, _HERMITE_MAX = 8, 16
+# a hermite rule's full order at every config: the half-range rule's moments x^0..x^(2m-1)
+# are within 5.3e-15 of exact up to m = 16, and 5.2e-12 at m = 24
+HERMITE_ORDER = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,40 +310,45 @@ def _stacked_unit_rule(spec: CoordinateSpec, order: int) -> AxisRule:
     return _stack(_unit_rule(spec, order), _unit_rule(spec, max(order // 2, 2)))
 
 
-@lru_cache(maxsize=8)
-def _stacked_hermite_rule(half_range: bool, order: int) -> AxisRule:
+@lru_cache(maxsize=2)
+def _stacked_hermite_rule(half_range: bool) -> AxisRule:
     # without w(q), as on a line or half-line
-    return _stack(_hermite_rule(order, half_range), _hermite_rule(max(order // 2, 2), half_range))
+    return _stack(_hermite_rule(HERMITE_ORDER, half_range), _hermite_rule(HERMITE_ORDER // 2, half_range))
 
 
-def axis_rule(spec: CoordinateSpec, order: int, scale=1.0, peak=None) -> AxisRule:
-    """One coordinate's rule, w(q) folded in: the cached unit rule of (spec, order), shared as it
-    is on a compact axis and taken to the map ``scale`` on each call on a line or half-line; or,
-    given a ``peak`` (width, centre) on a line or half-line, the hermite rule of that order taken
-    to q = centre + width x, ``scale`` unused.  k scales or peaks give (k, n) nodes and (k, 2, n)
-    weights.
-
-    Raises:
-        ConfigurationError: for a peak on a compact axis.
-        DomainError: for a scale or width that is not positive, or a hermite order outside [2, 16].
-    """
-    linear = spec.topology in ("line", "half-line")
-    if peak is None:
-        base, s, c = _stacked_unit_rule(spec, order), scale, 0.0
-        if not linear:
-            return base
-    else:
-        if not linear:
-            raise ConfigurationError(f"a hermite rule needs a line or half-line, {spec.name!r} is {spec.topology}")
-        if not (is_integer(order) and 2 <= order <= _HERMITE_MAX):
-            raise DomainError(f"a hermite rule is verified at orders 2 to {_HERMITE_MAX}, got {order!r}")
-        base, (s, c) = _stacked_hermite_rule(spec.topology == "half-line", order), peak
-    s = np.asarray(s, dtype=float)[..., None]
+def _mapped(spec: CoordinateSpec, base: AxisRule, scale, centre=0.0) -> AxisRule:
+    # a line or half-line rule taken to q = centre + scale x, w(q) folded in; k scales and centres give k rows
+    s = np.asarray(scale, dtype=float)[..., None]
     if not (s > 0.0).all():
-        raise DomainError(f"map scale must be positive, got {scale if peak is None else peak[0]!r}")
-    nodes = s * base.nodes + np.asarray(c, dtype=float)[..., None]
+        raise DomainError(f"map scale must be positive, got {scale!r}")
+    nodes = s * base.nodes + np.asarray(centre, dtype=float)[..., None]
     weights = s[..., None] * base.weights * spec.weight.value(nodes)[..., None, :]
     return AxisRule(nodes, weights, full=base.full)
+
+
+def axis_rule(spec: CoordinateSpec, order: int, scale=1.0) -> AxisRule:
+    """One coordinate's rule, w(q) folded in: the cached unit rule of (spec, order), shared as it
+    is on a compact axis and taken to the map ``scale`` on each call on a line or half-line; k
+    scales give (k, n) nodes and (k, 2, n) weights.
+
+    Raises:
+        DomainError: for a scale that is not positive.
+    """
+    base = _stacked_unit_rule(spec, order)
+    return _mapped(spec, base, scale) if spec.topology in ("line", "half-line") else base
+
+
+def hermite_rule(spec: CoordinateSpec, width, centre) -> AxisRule:
+    """A line or half-line's hermite rule, ``HERMITE_ORDER`` full- and half-order nodes, taken to
+    q = centre + width x as ``axis_rule`` takes its rule to a scale; k widths and centres give k rows.
+
+    Raises:
+        ConfigurationError: on a compact axis.
+        DomainError: for a width that is not positive.
+    """
+    if spec.topology not in ("line", "half-line"):
+        raise ConfigurationError(f"a hermite rule needs a line or half-line, {spec.name!r} is {spec.topology}")
+    return _mapped(spec, _stacked_hermite_rule(spec.topology == "half-line"), width, centre)
 
 
 def contract_rows(rule: AxisRule, table: np.ndarray) -> np.ndarray:

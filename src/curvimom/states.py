@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DomainError, UnsupportedAxisError, is_in
 from .geometry import CoordinateSpec, CoordinateSystem, _zero_drift, make_spherical, measure_factor
 from .quadrature import (
     DEFAULT_CONFIG, HERMITE_ORDER, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows,
-    coordinate_integral,
+    coordinate_integral, hermite_rule,
 )
 from .specfun import (
     QuantumNumbers,
@@ -117,13 +117,13 @@ def load_constants(path: str) -> PhysicalConstants:
 class FactorFunction:
     """One coordinate factor: value and analytic derivative callables, the coordinate ``spec``
     it lives on and the map ``scale`` of a line or half-line rule (both required, as they pick
-    the rule), and its tables, which every state holding the factor shares.  A factor that is a
-    polynomial (degree <= 2) in u = (q - centre)/width times e^(-u^2/2) names its ``peak``
-    (width, centre) and tabulates on the hermite rule there, not on the topology's rule at
-    ``scale``: its norms and momentum sums are exact on it, and stay so for its phase twist, as
-    the phase cancels in both.  Overlaps and moments, whose integrands need not be a polynomial
-    times a Gaussian, are summed on the topology's rule.  A family's factor may stack the
-    ``parts`` of its members, one per row, scales and peaks too.  Factors compare by identity."""
+    the rule), and one memo of its rule, tables and momentum sums, which every state holding the
+    factor shares.  A factor that is a polynomial (degree <= 2) in u = (q - centre)/width times
+    e^(-u^2/2) names its ``peak`` (width, centre) and tabulates on ``hermite_rule`` there, not on
+    ``axis_rule`` at ``scale``: its norms and momentum sums are exact on it, and stay so for its
+    phase twist, as the phase cancels in both.  Overlaps and moments, whose integrands need not be
+    a polynomial times a Gaussian, are summed on the topology's rule.  A family's factor may stack
+    the ``parts`` of its members, one per row, scales and peaks too.  Factors compare by identity."""
 
     evaluate: Callable
     derivative: Callable
@@ -131,76 +131,64 @@ class FactorFunction:
     spec: CoordinateSpec = field(kw_only=True)
     scale: float | tuple = field(kw_only=True)
     peak: tuple | None = field(default=None, kw_only=True)
-    # the rules' and tables' memos, keyed on the order of the factor's rule, the momentum sums' on it and the drift
-    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _momenta: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the rule, table, slopes and momentum sums, keyed on (what, order of the factor's rule, drift or None)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def derived(self, evaluate: Callable, derivative: Callable) -> "FactorFunction":
         """A new factor with these callables on this one's coordinate, scale and peak, so on its rule,
-        its memos empty."""
+        its memo empty."""
         return FactorFunction(evaluate, derivative, spec=self.spec, scale=self.scale, peak=self.peak)
 
-    def order(self, config: QuadratureConfig) -> int:
-        """The order of the factor's rule: ``HERMITE_ORDER`` at a peak, else the config's for ``spec``."""
-        return HERMITE_ORDER if self.peak is not None else config.order_for(self.spec)
+    def _memoised(self, what: str, config: QuadratureConfig, build: Callable, drift=None, keep=None):
+        # the entry for what at the order of the factor's rule (HERMITE_ORDER at a peak, else config's for
+        # spec) and drift, else build's with its arrays made read-only (a rule's are), kept unless keep() is false
+        key = what, HERMITE_ORDER if self.peak is not None else config.order_for(self.spec), drift
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = build()
+            for array in entry if isinstance(entry, tuple) else (entry,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+            if keep is None or keep():
+                self._memo[key] = entry
+        return entry
 
     def rule(self, config: QuadratureConfig) -> AxisRule:
-        """``axis_rule`` of ``spec`` at ``order``, at ``scale`` or ``peak``, the nodes of ``table``,
-        once; a stack's parts tabulate on their own rules, so a stack builds one only when asked."""
-        order = self.order(config)
-        rule = self._rules.get(order)
-        if rule is None:
-            rule = self._rules[order] = axis_rule(self.spec, order, self.scale, self.peak)
-        return rule
+        """The nodes of ``table``, once: ``hermite_rule`` at ``peak``, else ``axis_rule`` at ``scale``
+        and the config's order for ``spec``; a stack's parts tabulate on their own rules, so a stack
+        builds one only when asked."""
+        return self._memoised("rule", config, lambda: hermite_rule(self.spec, *self.peak) if self.peak is not None
+                              else axis_rule(self.spec, config.order_for(self.spec), self.scale))
 
     def table(self, config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
         """Read-only values on ``rule``'s nodes and the (k, 2) |f|^2 (full, half) sums
         of its k rows, once; a stack reads its parts' own tables."""
-        order = self.order(config)
-        entry = self._tables.get(order)
-        if entry is None:
+        def build():
             if self.parts:
                 rows = [f.table(config) for f in self.parts]
-                values, norms = np.stack([row[0] for row in rows]), np.concatenate([row[1] for row in rows])
-            else:
-                rule = self.rule(config)
-                values = np.asarray(self.evaluate(rule.nodes))
-                norms = contract_rows(rule, np.abs(values) ** 2)
-            values.setflags(write=False)
-            norms.setflags(write=False)
-            entry = self._tables[order] = (values, norms)
-        return entry
+                return np.stack([row[0] for row in rows]), np.concatenate([row[1] for row in rows])
+            rule = self.rule(config)
+            values = np.asarray(self.evaluate(rule.nodes))
+            return values, contract_rows(rule, np.abs(values) ** 2)
+        return self._memoised("table", config, build)
 
     def derivative_table(self, config: QuadratureConfig) -> np.ndarray:
         """The read-only derivative on ``rule``'s nodes, once, and only when asked for (a derived factor's
         may raise); a stack's is on its own k-row rule, row i on part i's nodes, and only tests ask."""
-        order = self.order(config)
-        slopes = self._derivatives.get(order)
-        if slopes is None:
-            slopes = np.asarray(self.derivative(self.rule(config).nodes))
-            slopes.setflags(write=False)
-            self._derivatives[order] = slopes
-        return slopes
+        return self._memoised("slopes", config, lambda: np.asarray(self.derivative(self.rule(config).nodes)))
 
     def momentum_sums(self, config: QuadratureConfig, drift: Callable) -> np.ndarray:
         """The read-only (k, 2) (full, half) sums of conj(f) -i (f' + drift f) of its k rows, from
         ``table`` and ``derivative_table``; a stack concatenates its parts'.  They are kept only for
         the drifts an operator carries, the canonical one of ``spec`` and the naive zero, so at most
         two per order: any other drift is summed afresh on every call."""
-        key = (self.order(config), drift)
-        sums = self._momenta.get(key)
-        if sums is None:
+        def build():
             if self.parts:
-                sums = np.concatenate([f.momentum_sums(config, drift) for f in self.parts])
-            else:
-                rule, values, slopes = self.rule(config), self.table(config)[0], self.derivative_table(config)
-                sums = contract_rows(rule, np.conj(values) * -1j * (slopes + drift(rule.nodes) * values))
-            sums.setflags(write=False)
-            if drift in (measure_factor(self.spec).drift, _zero_drift):
-                self._momenta[key] = sums
-        return sums
+                return np.concatenate([f.momentum_sums(config, drift) for f in self.parts])
+            rule, values, slopes = self.rule(config), self.table(config)[0], self.derivative_table(config)
+            return contract_rows(rule, np.conj(values) * -1j * (slopes + drift(rule.nodes) * values))
+        keep = lambda: drift in (measure_factor(self.spec).drift, _zero_drift)
+        return self._memoised("momenta", config, build, drift, keep)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,7 @@ from curvimom.quadrature import (
     coordinate_rule,
     gauss_legendre,
     half_line_rule,
+    hermite_rule,
     integrate_separable,
     line_rule,
     periodic_rule,
@@ -237,11 +238,10 @@ def test_hermite_rules_integrate_gaussian_moments_exactly():
     # the half-range rule s Gamma((k+1)/2)/2; the 4 half-order nodes are exact to k = 7
     linear = [spec for system in preset_systems().values() for spec in system.coords
               if spec.topology in ("line", "half-line")]
+    assert quadrature.HERMITE_ORDER == 8
     for spec in linear:
-        order = quadrature.HERMITE_ORDER
-        assert order == 8
         for s, c in ((1.0, 0.0), (0.7, 0.3 if spec.topology == "line" else 0.0)):
-            rule = axis_rule(spec, order, peak=(s, c))
+            rule = hermite_rule(spec, s, c)
             assert rule.full == 8 and len(rule.nodes) == 12
             x = (rule.nodes - c) / s
             for k in range(16):
@@ -251,12 +251,11 @@ def test_hermite_rules_integrate_gaussian_moments_exactly():
                 assert abs(got[0] - exact) <= 1e-14 * scale, (spec.name, s, k)
                 if k < 8:
                     assert abs(got[1] - exact) <= 1e-14 * scale, (spec.name, s, k)
-    # a peak is the factor's choice, on a linear coordinate, at the orders it was verified at
+    # a hermite rule is for a linear coordinate, at a positive width
     with pytest.raises(ConfigurationError):
-        axis_rule(make_spherical().coords[1], 8, peak=(1.0, 0.0))
-    for order, peak in ((17, (1.0, 0.0)), (1, (1.0, 0.0)), (8, (0.0, 0.0))):
-        with pytest.raises(DomainError):
-            axis_rule(make_spherical().coords[0], order, peak=peak)
+        hermite_rule(make_spherical().coords[1], 1.0, 0.0)
+    with pytest.raises(DomainError):
+        hermite_rule(make_spherical().coords[0], 0.0, 0.0)
 
 
 def test_rule_cache_does_not_grow_with_scale():

@@ -516,16 +516,20 @@ def test_overlap_refuses_a_family():
 def test_trial_linear_factors_tabulate_on_their_hermite_rules():
     # a trial linear factor's table sits on its hermite rule at its own width and centre, the
     # same 8 + 4 nodes at every radial order; its angular factors keep their mapped rules
+    # at every radial order, and the process holds at most the line's and the half-line's hermite rule
     nodes = {"line": np.polynomial.hermite.hermgauss(8)[0], "half-line": quadrature._hermite_rule(8, True).nodes}
     assert quadrature.HERMITE_ORDER == 8
+    configs = [QuadratureConfig(radial_order=order) for order in (8, 120, 4096)]
     for system in preset_systems().values():
         for state in (random_bound_trial(system, 5), trial_family(system, range(3))):
+            for cfg in configs:
+                state.tabulate(cfg)
             for f in state.factors:
                 if f.spec.topology not in ("line", "half-line"):
                     assert f.peak is None
                     continue
                 rule = f.rule(QuadratureConfig())
-                assert f.peak is not None and rule is f.rule(QuadratureConfig(radial_order=8))
+                assert f.peak is not None and all(f.rule(cfg) is rule for cfg in configs)
                 width, center = (np.reshape(p, (-1, 1)) for p in f.peak)
                 if f.spec.topology == "half-line":
                     assert not center.any()
@@ -533,6 +537,7 @@ def test_trial_linear_factors_tabulate_on_their_hermite_rules():
                 x = (np.reshape(rule.nodes, (-1, 12))[:, : rule.full] - center) / width
                 assert np.allclose(x, nodes[f.spec.topology], rtol=0.0, atol=1e-14), (system.name, f.spec.name)
                 assert np.array_equal(f.table(QuadratureConfig())[0], f.evaluate(rule.nodes))
+    assert quadrature._stacked_hermite_rule.cache_info().currsize <= 2
 
 
 def test_a_stack_refuses_parts_of_different_kinds():
@@ -709,16 +714,15 @@ def test_trial_family_asks_no_linear_axis_for_its_mapped_rule(monkeypatch):
     # the hermite rule at its peak, so building a family never asks for the mapped rule there
     calls = []
 
-    def spy(spec, order, scale=1.0, peak=None):
-        calls.append((spec.topology, peak))
-        return axis_rule(spec, order, scale, peak)
+    def spy(spec, order, scale=1.0):
+        calls.append(spec.topology)
+        return axis_rule(spec, order, scale)
 
     monkeypatch.setattr(states, "axis_rule", spy)
     for system in preset_systems().values():
         for seeds in ([5], range(10, 14)):
             trial_family(system, seeds)
-    linear = [peak for topology, peak in calls if topology in ("line", "half-line")]
-    assert linear and all(peak is not None for peak in linear)
+    assert calls and not {"line", "half-line"} & set(calls)
 
 
 def test_trial_family_needs_valid_seeds():
@@ -771,19 +775,23 @@ def test_momentum_sums_are_the_parts_and_the_contraction_bit_for_bit():
 
 def test_an_ad_hoc_drift_is_summed_but_not_kept():
     # only the drifts an operator carries are kept: a cached hydrogen factor's memo does not grow
-    # with other drifts, which are summed afresh, to the canonical bits when they compute the same
-    state, cfg = hydrogen_state(QuantumNumbers(3, 2, 1)), QuadratureConfig()
-    canonical = canonical_momentum(state.system, 1)
-    expectation(canonical, state, cfg)
-    memo = state.factors[1]._momenta
-    size = len(memo)
-    for _ in range(3):
-        ad_hoc = dataclasses.replace(canonical, drift=lambda q: canonical.drift(q))
-        assert expectation(ad_hoc, state, cfg) == expectation(canonical, state, cfg)
-        doubled = dataclasses.replace(canonical, drift=lambda q: 2.0 * canonical.drift(q))
-        assert expectation(doubled, state, cfg).value != expectation(canonical, state, cfg).value
-    assert len(memo) == size
-    naive = naive_momentum(state.system, 1)
-    expectation(naive, state, cfg)
-    assert {(cfg.theta_order, canonical.drift), (cfg.theta_order, naive.drift)} <= set(memo)
-    assert {drift for _, drift in memo} == {canonical.drift, naive.drift}
+    # with other drifts, which are summed afresh, to the canonical bits when they compute the same;
+    # at each order it holds the rule, the table, the slopes and those two drifts' momentum sums
+    state = hydrogen_state(QuantumNumbers(3, 2, 1))
+    canonical, naive, factor = canonical_momentum(state.system, 1), naive_momentum(state.system, 1), state.factors[1]
+    momenta = lambda: {(order, drift) for what, order, drift in factor._memo if what == "momenta"}
+    for cfg in (QuadratureConfig(), QuadratureConfig(theta_order=32)):
+        expectation(canonical, state, cfg)
+        size = len(momenta())
+        for _ in range(3):
+            ad_hoc = dataclasses.replace(canonical, drift=lambda q: canonical.drift(q))
+            assert expectation(ad_hoc, state, cfg) == expectation(canonical, state, cfg)
+            doubled = dataclasses.replace(canonical, drift=lambda q: 2.0 * canonical.drift(q))
+            assert expectation(doubled, state, cfg).value != expectation(canonical, state, cfg).value
+        assert len(momenta()) == size
+        expectation(naive, state, cfg)
+        assert {(cfg.theta_order, canonical.drift), (cfg.theta_order, naive.drift)} <= momenta()
+        assert {drift for _, drift in momenta()} == {canonical.drift, naive.drift}
+    for order in (64, 32):
+        kept = sorted(what for what, at, _ in factor._memo if at == order)
+        assert kept == ["momenta", "momenta", "rule", "slopes", "table"], order
