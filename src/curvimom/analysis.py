@@ -39,7 +39,7 @@ from .operators import (
     commutator_qp_residual,
     naive_momentum,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, combine_axes
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, axes_product, combine_axes
 from . import specfun  # the Legendre suites read the climb through the module, so a patched one shows
 from .specfun import QuantumNumbers
 from .states import (
@@ -173,7 +173,7 @@ def _columns(op: MomentumOperator, state: SeparableState, config: QuadratureConf
         return spec.weight.value(q) * np.square(np.abs(ends))
 
     # the surface term -(hbar/2) [w |f|^2], times the other axes' norms
-    other = combine_axes(norms[: op.axis] + norms[op.axis + 1 :])[0].real
+    other = axes_product(norms[: op.axis] + norms[op.axis + 1 :]).real
     boundary = -0.5 * (surface(spec.upper, rule.full - 1) - surface(spec.lower, 0)) * other
     return value, boundary, qerr
 

@@ -48,14 +48,13 @@ from .specfun import QuantumNumbers
 from .states import ATOMIC, hydrogen_state, load_constants, random_bound_trial
 
 
-def _conversion(value) -> str:
-    """One output cell's %-conversion: floats as %.12e, None empty, anything else str()."""
-    return ".12e" if isinstance(value, float) else ".0s" if value is None else "s"
+# the %-conversions of the kinds of cell a table holds: a float, an empty (None) cell, and anything else by str()
+_FLOAT, _EMPTY, _STR = ".12e", ".0s", "s"
 
 
 def _fmt(value) -> str:
-    """One output cell as text, by its ``_conversion``."""
-    return f"%{_conversion(value)}" % (value,)
+    """One output cell as text, by its kind's conversion."""
+    return f"%{_FLOAT if isinstance(value, float) else _EMPTY if value is None else _STR}" % (value,)
 
 
 def _in_units(cells, units):
@@ -137,20 +136,17 @@ def _parse_state(text: str, system, default_seed: int):
     return random_bound_trial(system, seed)
 
 
-def _emit_rows(fmt: str, columns: list[str], rows: list[tuple]) -> None:
-    """A table with one tuple of cells per row, in column order: a json object per row, or a
-    csv or padded text header and one line per row."""
+def _emit_rows(fmt: str, columns: list[str], rows: list[tuple], *kinds: list[str], pick=None) -> None:
+    """A table with one tuple of cells per row, in column order: a json object per row, or a csv or padded text
+    header and one line per row, through the conversions of the row's kind (``pick``'s index, 0 by default)."""
     if fmt == "json":
         lines = [json.dumps(dict(zip(columns, cells))) for cells in rows]
     else:
-        # each row through one %-template, made once per sequence of cell types; text pads each cell to its column
+        # one %-template per row kind, made once per table; text pads each cell to its column
         sep, pads = (",", [""] * len(columns)) if fmt == "csv" else ("  ", [f"-{max(len(k), 20)}" for k in columns])
-        lines, templates = [sep.join(f"%{pad}s" % key for key, pad in zip(columns, pads))], {}
-        for cells in rows:
-            kinds = tuple(map(type, cells))
-            if kinds not in templates:
-                templates[kinds] = sep.join(f"%{pad}{_conversion(cell)}" for pad, cell in zip(pads, cells))
-            lines.append(templates[kinds] % cells)
+        header, *templates = (sep.join(map("%{}{}".format, pads, kind)) for kind in ([_STR] * len(columns), *kinds))
+        lines = [header % tuple(columns)]
+        lines += [templates[i] % cells for i, cells in zip(pick or [0] * len(rows), rows)]
     _write("\n".join(lines))
 
 
@@ -173,7 +169,8 @@ def expect(args) -> int:
     cells = _in_units((report.value.real, report.value.imag, report.hermiticity_defect, report.boundary_term,
                        report.quadrature_error), momentum_unit(op.kind, constants))
     if args.format != "text":
-        _emit_rows(args.format, ["command", *columns, "units"], [("expect", *cells, args.units)])
+        _emit_rows(args.format, ["command", *columns, "units"], [("expect", *cells, args.units)],
+                   [_STR, *[_FLOAT] * 5, _STR])
     else:
         value_re, value_im, *texts = map(_fmt, cells)
         fields = [("operator", args.operator), ("state", args.state), ("system", args.system),
@@ -202,7 +199,9 @@ def hydrogen_table(args) -> int:
     table[orbital, 2:5] = np.transpose([fb.inv_r3_quad, fb.inv_r3_closed, fb.residual])
     cells = zip(levels.n.tolist(), levels.L.tolist(), _in_units(table, tuple(column_units.values())).tolist())
     rows = [(n, L, *row) if L else (n, L, *row[:2], None, None, None, *row[5:]) for n, L, row in cells]
-    _emit_rows(args.format, ["n", "L", *column_units], rows)
+    l0_kinds = [_STR, _STR, _FLOAT, _FLOAT, _EMPTY, _EMPTY, _EMPTY, _FLOAT, _FLOAT]
+    _emit_rows(args.format, ["n", "L", *column_units], rows, l0_kinds, [_STR, _STR, *[_FLOAT] * 7],
+               pick=orbital.tolist())
     return 0
 
 
@@ -216,7 +215,7 @@ def check(args) -> int:
         rows = [(res.name, res.passed, res.checks, res.failures, res.worst) for res in results]
         if args.format == "json":  # json rows name their command; the csv header does not
             columns, rows = ["command", *columns], [("check", *row) for row in rows]
-        _emit_rows(args.format, columns, rows)
+        _emit_rows(args.format, columns, rows, [_STR] * 4 + [_FLOAT])
     else:
         lines = [
             f"{res.name:<24} {'PASS' if res.passed else 'FAIL'}  checks={res.checks:<5d} "
@@ -236,7 +235,7 @@ def p_theta_scan(args) -> int:
     table = np.column_stack([report.value.real, report.value.imag, report.quadrature_error])
     columns = _in_units(table, momentum_unit("angular", constants)).T.tolist()
     _emit_rows(args.format, ["L", "M", "p_theta_re", "p_theta_im", "quad_error"],
-               list(zip(levels.L.tolist(), levels.M.tolist(), *columns)))
+               list(zip(levels.L.tolist(), levels.M.tolist(), *columns)), [_STR, _STR, *[_FLOAT] * 3])
     return 0 if (np.abs(report.value) <= 1e-9).all() else 1  # a NaN value fails too
 
 

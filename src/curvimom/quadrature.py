@@ -17,9 +17,9 @@ weight w(q) folded in, so a 1-D integral is one weighted sum.  Its unit rule is
 cached per (coordinate, order) in one bounded cache; a line or half-line scale
 (or k of them, each a factor's own) is applied per call, and a config holds only
 orders.  Separable integrals are tabulated on it, summed by ``contract_rows``
-into (k, 2) arrays of (full, half) sums, one per coordinate, and combined by
-``combine_axes`` into k values and estimates; ``coordinate_rule`` and
-``coordinate_integral`` read its full-order rows.
+into (k, 2) arrays of (full, half) sums, one per coordinate, multiplied by
+``axes_product`` into k values, and given k estimates by ``combine_axes``;
+``coordinate_rule`` and ``coordinate_integral`` read its full-order rows.
 
 On a line or half-line, ``hermite_rule(spec, width, centre)`` is laid out and
 mapped as that rule is, but is the Gauss rule for the weight e^(-u^2),
@@ -66,6 +66,7 @@ __all__ = [
     "axis_rule",
     "hermite_rule",
     "contract_rows",
+    "axes_product",
     "combine_axes",
     "integrate_separable",
 ]
@@ -358,9 +359,15 @@ def contract_rows(rule: AxisRule, table: np.ndarray) -> np.ndarray:
     return (rule.weights * table[..., None, :]).sum(-1).reshape(-1, 2)
 
 
+def axes_product(pairs: Sequence[np.ndarray]) -> np.ndarray:
+    """``combine_axes``' (k,) values alone: each member's product, in coordinate order from 1,
+    of the full-order sums in one (k, 2) array of (full, half) sums per coordinate."""
+    sums = np.asarray(pairs if len(pairs) else np.ones((0, 1, 2)), dtype=complex)  # no coordinates: one member
+    return np.multiply.reduce(sums[..., 0], initial=1 + 0j)
+
+
 def combine_axes(pairs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's product of the full-order integrals, with its error estimate,
-    from one (k, 2) array of (full, half) sums per coordinate: (k,) values and (k,)
+    """Each member's ``axes_product`` with its error estimate: (k,) values and (k,)
     estimates, and (1, 0) from no coordinates.
 
     The estimate sums, over coordinates, the full-minus-half-order
@@ -370,13 +377,12 @@ def combine_axes(pairs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     (``hypot``, as Python's ``abs``) before the difference, so the bits are those of
     scalar arithmetic wherever at most one coordinate's sums are complex.
     """
-    sums = np.array(pairs or np.ones((0, 1, 2)), dtype=complex)  # no coordinates: one member
-    fulls = sums[..., 0]
-    sums[..., 1] = fulls - sums[..., 1]
+    sums = np.array(pairs if len(pairs) else np.ones((0, 1, 2)), dtype=complex)
+    sums[..., 1] = sums[..., 0] - sums[..., 1]
     mags = np.hypot(sums.real, sums.imag)  # (axes, k, 2): |full| and |full - half|
     # row i: every coordinate's |full| in order, with 1 in place of coordinate i's
     others = np.where(np.eye(len(sums), dtype=bool)[..., None], 1.0, mags[..., 0]).prod(axis=1)
-    return np.multiply.reduce(fulls, initial=1 + 0j), np.add.reduce(mags[..., 1] * others)
+    return axes_product(sums), np.add.reduce(mags[..., 1] * others)
 
 
 def integrate_separable(

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError, is_integer
 from .geometry import CoordinateSpec, CoordinateSystem, _zero_drift, make_spherical, measure_factor
 from .quadrature import (
-    DEFAULT_CONFIG, HERMITE_ORDER, AxisRule, QuadratureConfig, axis_rule, combine_axes, contract_rows,
+    DEFAULT_CONFIG, HERMITE_ORDER, AxisRule, QuadratureConfig, axes_product, axis_rule, contract_rows,
     coordinate_integral, hermite_rule,
 )
 from .specfun import (
@@ -226,9 +226,9 @@ class SeparableState:
         return tuple(zip(*[f.table(config) for f in self.factors]))
 
     def norms(self, config: QuadratureConfig) -> np.ndarray:
-        """Each member's <psi|psi>, a (k,) array: ``combine_axes`` of the full-order
+        """Each member's <psi|psi>, a (k,) array: ``axes_product`` of the full-order
         |f|^2 sums from ``tabulate``, the tables every expectation of the state reads."""
-        return combine_axes(self.tabulate(config)[1])[0].real
+        return axes_product(self.tabulate(config)[1]).real
 
     def moments(self, axis: int, kernel: Callable, config: QuadratureConfig) -> list[float]:
         """Each member's full-order integral of kernel(q) |f|^2 w dq on one coordinate, by
@@ -500,4 +500,4 @@ def state_overlap(
         va, vb = [f.table(config)[0] if f.peak is None and f.scale == scale else f.evaluate(rule.nodes)
                   for f in (fa, fb)]
         pairs.append(contract_rows(rule, np.conj(va) * vb))
-    return complex(combine_axes(pairs)[0][0])
+    return complex(axes_product(pairs)[0])

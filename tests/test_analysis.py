@@ -1039,16 +1039,20 @@ def test_recurrence_suite_fails_without_condon_shortley_phase(monkeypatch):
 def test_no_family_combines_two_complex_axes(monkeypatch):
     # combine_axes gives a member the bits of the member alone only while at most one axis's sums
     # are complex: over two, numpy's complex product may fuse its multiply-adds where a lone member
-    # runs the scalar loop; every family the suites and the family commands combine keeps to that
-    combine, complex_axes = quadrature.combine_axes, []
+    # runs the scalar loop; every family the suites and the family commands combine keeps to that,
+    # through combine_axes and through the product alone that the norms and surface terms take
+    complex_axes = []
 
-    def counted(pairs):
-        if pairs and len(pairs[0]) > 1:
-            complex_axes.append(sum(np.iscomplexobj(sums) for sums in pairs))
-        return combine(pairs)
+    def counting(combine):
+        def counted(pairs):
+            if pairs and len(pairs[0]) > 1:
+                complex_axes.append(sum(np.iscomplexobj(sums) for sums in pairs))
+            return combine(pairs)
 
-    for module in (analysis, states):
-        monkeypatch.setattr(module, "combine_axes", counted)
+        return counted
+
+    for module, name in ((analysis, "combine_axes"), (analysis, "axes_product"), (states, "axes_product")):
+        monkeypatch.setattr(module, name, counting(getattr(quadrature, name)))
     run_check_suites()
     for args in (("hydrogen-table", "--nmax", "6"), ("p-theta-scan", "--lmax", "10")):
         assert invoke(*args).exit_code == 0, args

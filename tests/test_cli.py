@@ -348,26 +348,50 @@ def _old_fmt(value) -> str:
     return "{:.12e}".format(value) if isinstance(value, float) else str(value)
 
 
+def _old_lines(fmt: str, columns: list[str], rows: list) -> list[str]:
+    # a csv or text table as the per-cell formatter printed it, each text cell padded by ljust
+    if fmt == "csv":
+        return [",".join(columns)] + [",".join(map(_old_fmt, row)) for row in rows]
+    widths = [max(len(k), 20) for k in columns]
+    return ["  ".join(text.ljust(width) for text, width in zip(row, widths)) for row in
+            [columns, *([_old_fmt(cell) for cell in row] for row in rows)]]
+
+
 def test_row_templates_print_the_per_cell_bytes(monkeypatch):
-    # one %-template per row prints what _fmt and ljust(20) printed per cell, for every kind of
-    # cell a table holds; a bool prints as True, not as %d's 1, and a column may hold None
+    # a table's %-templates, one per row kind, print what _fmt and ljust(20) printed per cell, for
+    # every kind of cell a table holds; a bool prints as True, not as %d's 1, and a column may hold None
     cells = [3, -7, True, False, "abc", None, 1.5, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
              np.float64(2.5), np.float64(-math.nan), "a_cell_longer_than_twenty"]
     columns = [f"c{i}" for i in range(len(cells))] + ["a_column_named_past_twenty"]
     rows = [(*cells, 0.1), (*cells[::-1], None), (*cells, 0.1)]
+    conversion = {float: cli_module._FLOAT, np.float64: cli_module._FLOAT, type(None): cli_module._EMPTY}
+    kinds = [[conversion.get(type(cell), cli_module._STR) for cell in row] for row in rows[:2]]
     written = []
     monkeypatch.setattr(cli_module, "_write", written.append)
     for fmt in ("csv", "text"):
         written.clear()
-        cli_module._emit_rows(fmt, columns, rows)
-        if fmt == "csv":
-            lines = [",".join(columns)] + [",".join(map(_old_fmt, row)) for row in rows]
-        else:
-            widths = {k: max(len(k), 20) for k in columns}
-            lines = ["  ".join(k.ljust(widths[k]) for k in columns)]
-            lines += ["  ".join(_old_fmt(cell).ljust(widths[k]) for k, cell in zip(columns, row)) for row in rows]
-        assert written == ["\n".join(lines)], fmt
+        cli_module._emit_rows(fmt, columns, rows, *kinds, pick=[0, 1, 0])
+        assert written == ["\n".join(_old_lines(fmt, columns, rows))], fmt
     assert [cli_module._fmt(cell) for cell in cells] == [_old_fmt(cell) for cell in cells]
+
+
+@pytest.mark.parametrize(
+    "units", [(), ("--units", "si", "--si-constants", str(Path(__file__).parent / "data" / "si_constants.json"))]
+)
+def test_table_templates_print_every_accepted_table_as_the_per_cell_formatter(units):
+    # each table command's templates, picked per row, against the per-cell formatter on the cells its
+    # json prints: every --nmax, whose n = 1 table holds only L = 0 rows, and every --lmax, in both units
+    tables = [("hydrogen-table", "--nmax", str(n)) for n in range(1, 7)]
+    tables += [("p-theta-scan", "--lmax", str(lmax)) for lmax in range(LMAX_RANGE[1] + 1)]
+    for args in tables:
+        rows = [json.loads(line) for line in invoke(*args, *units, "--format", "json").stdout.splitlines()]
+        if args == ("hydrogen-table", "--nmax", "1"):
+            assert [row["L"] for row in rows] == [0]
+        for fmt in ("csv", "text"):
+            result = invoke(*args, *units, "--format", fmt)
+            assert result.exit_code == 0, result.output
+            expected = _old_lines(fmt, list(rows[0]), [list(row.values()) for row in rows])
+            assert result.stdout.splitlines() == expected, (args, fmt)
 
 
 _CACHED_MODULES = ("geometry", "quadrature", "specfun", "states", "analysis")

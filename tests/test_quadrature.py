@@ -16,12 +16,13 @@ from curvimom.geometry import (
     preset_systems,
 )
 import curvimom
-from curvimom import quadrature
+from curvimom import analysis, quadrature
 from curvimom.quadrature import (
     DEFAULT_CONFIG,
     AxisRule,
     QuadratureConfig,
     QuadratureRule,
+    axes_product,
     axis_rule,
     combine_axes,
     contract_rows,
@@ -400,6 +401,34 @@ def test_combine_axes_gives_each_member_the_bits_of_the_member_alone():
     # no coordinates: one member, 1 with no error
     value, estimate = combine_axes([])
     assert value.tolist() == [1.0] and estimate.tolist() == [0.0]
+
+
+def _parent_combined_value(pairs):
+    # combine_axes' value as it was formed before the product had a path of its own
+    sums = np.array(pairs or np.ones((0, 1, 2)), dtype=complex)
+    return np.multiply.reduce(sums[..., 0], initial=1 + 0j)
+
+
+def test_axes_product_keeps_every_bit_of_the_combined_value():
+    # the product alone is combine_axes' value to the bit, on random (k, 2) sums with at most one
+    # complex axis, for one member and for many; and the norms that read it are the parent's bits
+    rng = np.random.default_rng(34)
+    for axes in range(1, 5):
+        for k in (1, 7):
+            for complex_axis in (None, *range(axes)):
+                pairs = [rng.standard_normal((k, 2)) * 10.0 ** rng.integers(-60, 60) for _ in range(axes)]
+                if complex_axis is not None:
+                    pairs[complex_axis] = pairs[complex_axis] * np.exp(1j * rng.uniform(0, 2 * math.pi, (k, 1)))
+                product = axes_product(pairs)
+                assert product.dtype == complex and product.shape == (k,)
+                assert product.view(np.int64).tolist() == combine_axes(pairs)[0].view(np.int64).tolist()
+    assert axes_product([]).tolist() == [1 + 0j]
+    cfg = QuadratureConfig()
+    families = [trial_family(system, range(20)) for system in preset_systems().values()]
+    for family in [*families, hydrogen_family(analysis._LEVELS)]:
+        norms = family.norms(cfg)
+        parent = _parent_combined_value(family.tabulate(cfg)[1]).real
+        assert norms.view(np.int64).tolist() == parent.view(np.int64).tolist()
 
 
 def test_periodic_coordinate_must_span_a_full_turn():
