@@ -70,30 +70,38 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _legendre_climb(L: int, M: int, xi: np.ndarray) -> np.ndarray:
-    # P_d^M for every degree d <= L from one climb in degree at |M|, one row per
-    # degree: zero below |M|, and negative orders scaled row by row after the climb
-    m = abs(M)
-    rows = np.zeros((L + 1,) + xi.shape)
-    # P_m^m, built as a product so intermediates never overflow
-    rows[m] = 1.0
-    if m > 0:
-        s = np.sqrt((1.0 - xi) * (1.0 + xi))
-        for k in range(1, m + 1):
-            rows[m] = rows[m] * (-(2 * k - 1)) * s
+def _legendre_climb(L: int, M: int | np.ndarray, xi: np.ndarray) -> np.ndarray:
+    # P_d^M for every degree d <= L, one row per degree and zero below |M|, for an int M or an int
+    # array of orders broadcasting against xi.  A lone order climbs in degree from its seed P_m^m;
+    # orders climbed together keep the seed or zero where d <= m (dividing there by 1, not d - m),
+    # so each order's rows are its lone climb's bits
+    lone, m = not isinstance(M, np.ndarray), abs(M)
+    low, top, least, shape = (m, m, M, xi.shape) if lone else (
+        m.min(), m.max(), M.min(), np.broadcast_shapes(m.shape, xi.shape))
+    rows = np.zeros((L + 1,) + shape)
+    # P_d^d for d <= top, built as a product so intermediates never overflow
+    seed, s = 1.0, np.sqrt((1.0 - xi) * (1.0 + xi)) if top else None
+    for d in range(top + 1):
+        seed = seed * (-(2 * d - 1)) * s if d else seed
+        if d >= low:
+            rows[d] = seed if lone else np.where(m == d, seed, 0.0)
     # the first step reads a zero row (below |M|, or at m = 0 row L, not yet reached),
     # so it is (2m+1) x P_m^m to the bit
-    for d in range(m + 1, L + 1):
-        rows[d] = ((2 * d - 1) * xi * rows[d - 1] - (d + m - 1) * rows[d - 2]) / (d - m)
-    if M < 0:
-        for d in range(m, L + 1):
-            rows[d] *= (-1) ** m * _factorial_ratio(d - m, d + m)
+    for d in range(low + 1, L + 1):
+        step = (2 * d - 1) * xi * rows[d - 1] - (d + m - 1) * rows[d - 2]
+        rows[d] = step / (d - m) if lone else np.where(d > m, step / np.maximum(d - m, 1), rows[d])
+    if least < 0:  # P_d^-m = (-1)^m (d-m)!/(d+m)! P_d^m for d >= m, in row -m of scales, which M indexes
+        scales = np.ones((2 * top + 1, L + 1))
+        for o in range(max(low, 1), top + 1):
+            scales[-o, o:] = [(-1) ** o * _factorial_ratio(d - o, d + o) for d in range(o, L + 1)]
+        # on the rows from |M|'s least, with the degree axis moved last
+        (rows[low:].T if lone else np.moveaxis(rows[low:], 0, -1))[...] *= scales[M][..., low:]
     return rows
 
 
-def _degree_lowering(rows: np.ndarray, M: int, xi: np.ndarray) -> np.ndarray:
-    # dP_d^M/dx of every row of a climb: (x^2 - 1) dP_d^M/dx = d x P_d^M - (d + M) P_{d-1}^M
-    d = np.arange(len(rows)).reshape((-1,) + (1,) * xi.ndim)
+def _degree_lowering(rows: np.ndarray, M: int | np.ndarray, xi: np.ndarray) -> np.ndarray:
+    # dP_d^M/dx of every row of a climb, M as the climb's: (x^2 - 1) dP_d^M/dx = d x P_d^M - (d + M) P_{d-1}^M
+    d = np.arange(len(rows)).reshape((-1,) + (1,) * (rows.ndim - 1))
     lowered = np.concatenate([np.zeros_like(rows[:1]), rows[:-1]])
     return (d * xi * rows - (d + M) * lowered) / (xi * xi - 1.0)
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedAxisError, is_integer
-from .geometry import CoordinateSpec, CoordinateSystem, _zero_drift, make_spherical, measure_factor
+from .geometry import CoordinateSpec, CoordinateSystem, _zero_drift, make_spherical, measure_factor, preset_systems
 from .quadrature import (
     DEFAULT_CONFIG, HERMITE_ORDER, AxisRule, QuadratureConfig, axes_product, axis_rule, contract_rows,
     coordinate_integral, hermite_rule,
@@ -339,13 +339,24 @@ _SINE_KS, _FOURIER_MS = np.arange(1.0, 5.0), np.arange(-2.0, 3.0)  # the trial h
 _FOURIER_SLOPES = 1j * _FOURIER_MS  # d/dphi e^(i m phi) = (i m) e^(i m phi)
 # per topology, the uniforms a trial factor draws, in a lone state's order, as (low, high - low)
 # columns: Generator.uniform(low, high) gives low + (high - low) u, bit for bit.  A linear factor
-# draws its scale (0.8 + 0.4 u), its center (line only) and 3 coefficients; an angular one its harmonics'
+# draws its scale (0.8 + 0.4 u), its center (line only) and 3 coefficients; an angular one its harmonics'.
+# A state's u are the first of its seed's stream, which _uniforms draws once per seed for every preset
 _TRIAL_DRAWS = {topology: np.array(draws).T for topology, draws in {
     "line": [(0.8, 0.4), (-0.5, 0.5 - -0.5)] + [(0.4, 1.0 - 0.4)] * 3,
     "half-line": [(0.8, 0.4)] + [(0.4, 1.0 - 0.4)] * 3,
     "compact-periodic": [(0.2, 1.0 - 0.2)] * 5,
     "compact-nonperiodic": [(0.2, 1.0 - 0.2)] * 4,
 }.items()}
+# the most uniforms a preset system's state draws (15, Cartesian): every preset reads that many per seed
+_PRESET_DRAWS = max(sum(_TRIAL_DRAWS[c.topology].shape[1] for c in s.coords) for s in preset_systems().values())
+
+
+@lru_cache(maxsize=64)  # one check's largest family (50), and fewer than its 94 seeds: none is kept to the next
+def _uniforms(seed: int, n: int) -> np.ndarray:
+    # seed's first n uniforms, read-only: random(n)[:j] is random(j) bit for bit
+    u = np.random.default_rng(seed).random(n)
+    u.flags.writeable = False
+    return u
 
 
 def _poly_gaussian(width, center, c0, c1, c2, inv=1.0, *, spec, scale) -> FactorFunction:
@@ -410,13 +421,15 @@ def trial_family(system: CoordinateSystem, seeds: Sequence[int]) -> SeparableSta
     own weight, into its factor: a linear factor's hermite rule at its own width and
     centre, exact for |f|^2, and an angular one's mapped rule.  k seeds'
     factors carry the tuple of the members' radial scales; one seed gives
-    ``random_bound_trial``'s lone state, on Python floats at its radial scale."""
+    ``random_bound_trial``'s lone state, on Python floats at its radial scale.
+    Each seed's uniforms are the start of one draw of at least 15, kept for the
+    last 64 seeds, so the presets share it and a state's numbers are its own stream's."""
     if len(seeds) == 0 or not all(is_integer(seed) and seed >= 0 for seed in seeds):
         raise DomainError(f"a trial family needs one or more non-negative integer seeds, got {seeds!r}")
-    # one generator call per member gives all its uniforms u, in a lone state's order
+    # one generator call per seed gives all its uniforms u, in a lone state's order
     bounds = [_TRIAL_DRAWS[spec.topology] for spec in system.coords]
     low, span = np.concatenate(bounds, axis=1)
-    drawn = low + span * np.array([np.random.default_rng(seed).random(len(low)) for seed in seeds])
+    drawn = low + span * np.array([_uniforms(seed, max(len(low), _PRESET_DRAWS))[: len(low)] for seed in seeds])
     one = len(seeds) == 1
     radial = [1.0] * len(seeds)  # each member's radial scale: 1 or its largest linear width
     axes = []  # per coordinate: builder, the family's parameters, 1 / norms

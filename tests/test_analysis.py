@@ -1009,17 +1009,22 @@ def test_commutators_tabulate_each_trial_factor_once_per_point_set(monkeypatch):
 
 
 def test_check_suites_climb_and_apply_once_per_identity(monkeypatch):
-    # on a warm run the Legendre suites climb once per order, 11 + 21 + 17, and the
-    # commutator suite applies each operator once per trial family: 378 climbs when
-    # each (L, M) climbed on its own, and 410 applies when each trial state ran alone
+    # on a warm run each Legendre suite climbs once, all its orders together, and the commutator
+    # suite applies each operator once per trial family: 49 climbs when each order climbed on its
+    # own, and 410 applies when each trial state ran alone.  A check hashes each of its 94 seeds
+    # once (93 trial seeds and the commutator stream), where drawing per family made 273
+    # generators, and keeps no draw for the next check: a repeat at the same seed makes 94 again
     run_check_suites(seed=1)
     calls = collections.Counter()
-    for module, name in ((specfun, "_legendre_climb"), (operators, "apply")):
+    for module, name in ((specfun, "_legendre_climb"), (operators, "apply"), (np.random, "default_rng")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
     assert all(result.passed for result in run_check_suites(seed=1))
-    assert calls["_legendre_climb"] == 49
+    assert calls["_legendre_climb"] == 3
     assert calls["apply"] == 82
+    assert calls["default_rng"] == 94
+    run_check_suites(seed=1)
+    assert calls["default_rng"] == 2 * 94
 
 
 def test_recurrence_suite_fails_without_condon_shortley_phase(monkeypatch):

@@ -181,6 +181,19 @@ def test_one_climb_gives_the_separate_calls_bit_for_bit():
                     assert same(slopes[d], assoc_legendre_deriv(d, M, x)), (d, M, x)
                     assert same(mirrored[d, 0], assoc_legendre(d, M, y)), (d, M, y)
                     assert same(mirrored[d, 1], assoc_legendre(d, M, -np.asarray(y))), (d, M, y)
+        # every order at once, broadcast against x and against the stacked (y, -y): order M's
+        # slice of the one climb and of its slopes is M's own climb, zero below |M|
+        orders = np.arange(-L, L + 1)
+        for x, y in ((inner, closed), (0.3, 1.0), (-0.7, -0.25)):
+            xi, pair = np.asarray(x, dtype=float), np.stack([y, -np.asarray(y)])
+            column = orders.reshape((-1,) + (1,) * xi.ndim)
+            rows, mirrored = _legendre_climb(L, column, xi), _legendre_climb(L, column[:, None], pair)
+            slopes = _degree_lowering(rows, column, xi)
+            for i, M in enumerate(orders.tolist()):
+                own = _legendre_climb(L, M, xi)
+                assert same(rows[:, i], own) and same(slopes[:, i], _degree_lowering(own, M, xi)), (L, M, x)
+                assert same(mirrored[:, i], _legendre_climb(L, M, pair)), (L, M, y)
+                assert not rows[: abs(M), i].any() and not mirrored[: abs(M), i].any()
 
 
 def test_legendre_deriv_spec_value():

@@ -709,6 +709,41 @@ def test_trial_members_keep_the_lone_state_stream(monkeypatch):
                     assert np.array_equal(params[0], expected[0]), (system.name, seed, spec.name)
 
 
+def test_trial_draws_come_once_per_seed_from_a_read_only_cache():
+    # a system drawing more uniforms than any preset (four line axes, 20 uniforms) reads each
+    # seed's first 20, a lone state's stream; a preset family built next reads its seeds' first
+    # 15 and is the family a cleared cache gives, and no cached draw can be written
+    line = make_cartesian().coords[0]
+    wide = CoordinateSystem("four-lines", tuple(dataclasses.replace(line, name=name) for name in "wxyz"))
+    seeds = range(60, 64)
+    states._uniforms.cache_clear()
+    trial_family(wide, seeds)
+    for seed in seeds:  # the family's own draws, read back from the cache
+        drawn = states._uniforms(seed, 20)
+        assert drawn.tobytes() == np.random.default_rng(seed).random(20).tobytes()
+        assert not drawn.flags.writeable
+        with pytest.raises(ValueError):
+            drawn[0] = 0.5
+    assert states._uniforms.cache_info()[:2] == (len(seeds), len(seeds))  # hits, misses
+    config = QuadratureConfig()
+
+    def numbers(system):
+        family = trial_family(system, seeds)
+        reports = [_fields(expectations(canonical_momentum(system, axis), family)) for axis in range(system.dim)]
+        return family.norms(config).tolist(), reports
+
+    for system in preset_systems().values():
+        after_wide = numbers(system)
+        states._uniforms.cache_clear()
+        assert numbers(system) == after_wide, system.name
+        assert all(not states._uniforms(seed, 15).flags.writeable for seed in seeds)
+    # the four presets share one draw per seed
+    states._uniforms.cache_clear()
+    for system in preset_systems().values():
+        trial_family(system, seeds)
+    assert states._uniforms.cache_info().misses == len(seeds)
+
+
 def test_trial_family_asks_no_linear_axis_for_its_mapped_rule(monkeypatch):
     # each trial factor is normalised on the rule it tabulates on: a line or half-line factor on
     # the hermite rule at its peak, so building a family never asks for the mapped rule there
